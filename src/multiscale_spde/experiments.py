@@ -581,9 +581,11 @@ def run_variance_study(config: dict, target: str | None = None) -> ExperimentRep
     """Exact mode variances against the limiting OU prediction.
 
     Variances of <u_eps(T), e_m> come from the block Lyapunov equations
-    (no Monte Carlo error); the limit prediction is |c_m|^2 times the
-    finite-horizon OU factor.  For the fluctuation target the measured
-    variance is rescaled by eps^(-2 alpha) and the noise must be centred.
+    (no Monte Carlo error): the implicit-trapezoid iterate with step dt,
+    which exact_mode_covariance evaluates in closed form.  The limit
+    prediction is |c_m|^2 times the finite-horizon OU factor.  For the
+    fluctuation target the measured variance is rescaled by
+    eps^(-2 alpha) and the noise must be centred.
     """
     study = config.get("study", {})
     target = target or study.get("target", "enhanced")

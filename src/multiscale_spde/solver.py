@@ -7,9 +7,11 @@ only within a residue class modulo 1/eps, so the dynamics splits into
 independent dense blocks of size ~ N eps.  Each block is stepped either
 by Crank-Nicolson with the noise added after the solve (imex-cn) or by
 the exact matrix exponential with the noise propagated through it
-(block-exponential).  Second moments evolve exactly through the per-block
-Lyapunov equation, so limit variances can be verified without Monte
-Carlo error.
+(block-exponential).  Second moments follow the per-block Lyapunov
+equation, discretised by the implicit trapezoid rule; that recursion is
+evaluated in closed form in each block's eigenbasis at every recorded
+step, with no time loop, so limit variances can be verified without
+Monte Carlo error at O(n^3) cost per block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cell import CellSolution, Coefficients, generator_matrix
-from .errors import ResolutionTooSmall, UnstableStep
+from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from .fourier import SpectralField, multiply, oscillate
 from .limit import LimitModel, averaged_model
 from .noise import NoiseSpec, WienerStream
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
+COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
+LOG_TINY = float(np.log(np.finfo(float).tiny))
 DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 layer
 
 
@@ -414,13 +418,21 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     """Per-mode variances from the block Lyapunov equations, no Monte Carlo.
 
     Each class covariance solves S' = A S + S A* + G G* from S(0) = 0 by
-    the implicit trapezoid rule; the fixed point of that recursion is the
-    exact stationary covariance, so long-horizon values do not drift.
+    the implicit trapezoid rule with step dt; the fixed point of that
+    recursion is the exact stationary covariance, so long-horizon values
+    do not drift.  The recursion is not stepped: in the eigenbasis of A it
+    decouples into scalar geometric series, and its iterate at every
+    recorded step is evaluated at once in closed form (_class_variances).
+    An empty or non-finite t_grid is rejected before any block is built.
     """
-    op = build_blocks(c, spec, config)
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("t_grid is empty: give at least one time in [0, t_final]")
+    if not np.isfinite(t_grid).all():
+        raise ValueError(f"t_grid holds non-finite times: {t_grid[~np.isfinite(t_grid)]}")
     if np.any(t_grid < 0) or np.any(t_grid > config.t_final + 1e-9):
         raise ValueError("t_grid must lie inside [0, t_final]")
+    op = build_blocks(c, spec, config)
     rec_steps = np.unique(np.round(t_grid / config.dt).astype(int))
     times = rec_steps * config.dt
 
@@ -433,26 +445,63 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     variances = {m: np.zeros(times.size) for m in wanted}
     for res in residues:
         blk = op.blocks[res]
-        n = blk.ks.size
-        a = blk.matrix
-        gg = blk.noise_map @ blk.noise_map.conj().T
-        key = np.kron(np.eye(n), a) + np.kron(np.conj(a), np.eye(n))
-        eye = np.eye(n * n)
-        lhs = eye - 0.5 * config.dt * key
-        prop = sla.solve(lhs, eye + 0.5 * config.dt * key)
-        const = sla.solve(lhs, config.dt * gg.reshape(-1, order="F"))
-
         rows = {int(k): i for i, k in enumerate(blk.ks) if int(k) in wanted}
-        diag_idx = {k: i + i * n for k, i in rows.items()}  # column-major diag
-        v = np.zeros(n * n, dtype=complex)
-        out_i = 0
-        for step in range(int(rec_steps.max()) + 1):
-            while out_i < rec_steps.size and rec_steps[out_i] == step:
-                for k, di in diag_idx.items():
-                    variances[k][out_i] = v[di].real
-                out_i += 1
-            if step < rec_steps.max():
-                v = prop @ v + const
-                if not np.isfinite(v[:: n + 1].real).all():
-                    raise UnstableStep("covariance propagation lost finiteness")
+        table = _class_variances(blk, config.dt, rec_steps, list(rows.values()))
+        for col, k in enumerate(rows):
+            variances[k][:] = table[:, col]
     return CovarianceTable(times=times, variances=variances)
+
+
+def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) -> np.ndarray:
+    """Trapezoid covariance iterates of one class, in closed form.
+
+    The recursion (S_{k+1} - S_k) / dt = (A Sig + Sig A*) / 2 + G G*, with
+    Sig = S_{k+1} + S_k and S_0 = 0, decouples entrywise in the basis
+    A = V diag(lam) V^-1.  With W = V^-1 G and z_ij = dt (lam_i + conj lam_j) / 2,
+    the entries of V^-1 S V^-* follow s <- r s + dt (W W*)_ij / (1 - z),
+    r = (1 + z) / (1 - z), so S_k = V [dt W W* / (1 - z) * (r^k - 1) / (r - 1)] V*.
+    log r = 2 atanh(z) equals log1p(z) - log1p(-z) but stays accurate for
+    small complex z, where NumPy's complex log1p loses digits; where
+    log r = 0 (the Brownian k = 0 mode) the geometric factor is exactly k.
+
+    Returns Re(v_m S_k v_m*) for each step k (rows of the result) and each
+    block row m in rows (columns).  Raises UnstableStep if the result is
+    not finite, and SolveFailed if the last two recorded iterates miss one
+    trapezoid step by more than COVARIANCE_RESIDUAL_TOL relative, which
+    flags an inaccurate eigenbasis.
+    """
+    a = blk.matrix
+    lam, vecs = sla.eig(a)
+    w = np.linalg.solve(vecs, blk.noise_map)
+    z = 0.5 * dt * (lam[:, None] + lam.conj()[None, :])
+    # z = -1 gives r = 0 (one step forgets S) where atanh is -inf; there
+    # log r is the log of the smallest normal float, so r^k < 1e-307
+    one_step = z == -1
+    log_r = np.where(one_step, LOG_TINY, 2.0 * np.arctanh(np.where(one_step, 0.0, z)))
+    brownian = log_r == 0
+    weight = (w @ w.conj().T) * (dt / (1.0 - z))
+    denominator = np.where(brownian, 1.0, np.expm1(log_r))
+
+    def iterates(ks) -> np.ndarray:
+        k = np.asarray(ks, dtype=float)[:, None, None]
+        return weight * np.where(brownian, k, np.expm1(k * log_r) / denominator)
+
+    v_rows = vecs[rows]
+    table = np.einsum("mi,kij,mj->km", v_rows, iterates(steps), v_rows.conj(),
+                      optimize=True).real
+    k_f = max(int(steps[-1]), 1)
+    s_prev, s_last = vecs @ iterates([k_f - 1, k_f]) @ vecs.conj().T
+    if not (np.isfinite(table).all() and np.isfinite(s_last).all()):
+        raise UnstableStep("covariance lost finiteness")
+
+    sig = s_last + s_prev
+    gg = blk.noise_map @ blk.noise_map.conj().T
+    resid = s_last - s_prev - 0.5 * dt * (a @ sig + sig @ a.conj().T) - dt * gg
+    norm = np.linalg.norm
+    scale = norm(s_last - s_prev) + dt * norm(a) * norm(sig) + dt * norm(gg)
+    if not norm(resid) <= COVARIANCE_RESIDUAL_TOL * scale:
+        raise SolveFailed(
+            f"class {blk.residue}: trapezoid residual {norm(resid):.3e} above "
+            f"{COVARIANCE_RESIDUAL_TOL:g} x {scale:.3e} at step {k_f}"
+        )
+    return table

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from multiscale_spde.cell import Coefficients
-from multiscale_spde.errors import ResolutionTooSmall, UnstableStep
+from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
 from multiscale_spde.noise import NoiseSpec, WienerStream
 from multiscale_spde.solver import (
@@ -21,6 +23,8 @@ from multiscale_spde.solver import (
 )
 
 DELTA_ONE = NoiseSpec.custom({1: SpectralField.constant(1.0)}, cutoff=1)
+# b = cos x, sigma = 1 + 0.4 sin x: drift that is not a gradient against sigma^2
+NONGRADIENT = Coefficients.from_modes({1: 0.5, -1: 0.5}, {0: 1.0, 1: -0.2j, -1: 0.2j})
 
 
 def dense_entrywise_oracle(c, eps, n):
@@ -36,6 +40,55 @@ def dense_entrywise_oracle(c, eps, n):
         col = SpectralField.from_grid(col_vals).truncate(n)
         out[:, j + n // 2] = col.coeffs
     return out
+
+
+def kronecker_trapezoid_oracle(c, spec, config, t_grid, modes=None):
+    """Reference: the implicit-trapezoid covariance recursion, stepped.
+
+    vec(S) <- P vec(S) + q per step, with K = I (x) A + conj(A) (x) I,
+    P = (I - dt K / 2)^-1 (I + dt K / 2) and q = (I - dt K / 2)^-1 dt vec(G G*),
+    from S = 0.  Returns mode -> variance at each recorded step.
+    """
+    op = build_blocks(c, spec, config)
+    steps = np.unique(np.round(np.asarray(t_grid) / config.dt).astype(int))
+    if modes is None:
+        modes = [int(k) for blk in op.blocks.values() for k in blk.ks]
+    out = {}
+    for res in sorted({m % op.cells for m in modes}):
+        blk = op.blocks[res]
+        n = blk.ks.size
+        key = np.kron(np.eye(n), blk.matrix) + np.kron(np.conj(blk.matrix), np.eye(n))
+        eye = np.eye(n * n)
+        lhs = eye - 0.5 * config.dt * key
+        prop = sla.solve(lhs, eye + 0.5 * config.dt * key)
+        gg = blk.noise_map @ blk.noise_map.conj().T
+        const = sla.solve(lhs, config.dt * gg.reshape(-1, order="F"))
+        v = np.zeros(n * n, dtype=complex)
+        diagonals = []
+        for _ in range(int(steps[-1]) + 1):
+            diagonals.append(v[:: n + 1].real)  # column-major diagonal
+            v = prop @ v + const
+        diagonals = np.array(diagonals)[steps]
+        for i, k in enumerate(blk.ks):
+            if int(k) in modes:
+                out[int(k)] = diagonals[:, i]
+    return out
+
+
+def assert_matches_oracle(c, spec, config, t_grid, modes=None):
+    """exact_mode_covariance agrees with the stepped recursion to 1e-10 relative.
+
+    The absolute floor is 1e-14 of the largest variance: a diagonal entry
+    carries round-off relative to the whole covariance, which decides for
+    band-edge modes whose variance is ~1e-15 of the driven ones.
+    """
+    got = exact_mode_covariance(c, spec, config, t_grid, modes)
+    ref = kronecker_trapezoid_oracle(c, spec, config, t_grid, modes)
+    assert sorted(got.variances) == sorted(ref)
+    peak = max(np.abs(v).max() for v in ref.values())
+    for m, v in ref.items():
+        assert_allclose(got.variances[m], v, rtol=1e-10, atol=1e-14 * peak,
+                        err_msg=f"mode {m}")
 
 
 class TestApplyGenerator:
@@ -257,6 +310,96 @@ class TestExactCovariance:
         assert_allclose(cov.at_final(0), 8.0, rtol=1e-9)
         for m in range(1, 5):
             assert abs(cov.at_final(m) - 1.0 / (2.0 * m * m)) <= 1e-6
+
+
+
+class TestClosedFormCovariance:
+    """The closed-form covariance against the stepped Kronecker recursion."""
+
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 16.0])
+    def test_cosine_matches_kronecker_recursion(self, amplitude, eps):
+        c = Coefficients.cosine_potential(amplitude)
+        cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 8),
+                           dt=min(1e-3, eps * eps / 4.0), t_final=1.0, cutoff=8,
+                           watch=(1,), seed=0)
+        assert_matches_oracle(c, NoiseSpec.white(8), cfg, np.linspace(0.0, 1.0, 11),
+                              modes=[1, 2])
+
+    def test_heat_with_brownian_mode_matches(self, heat):
+        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=2.0, cutoff=4,
+                           watch=(1,), seed=0)
+        assert_matches_oracle(heat, NoiseSpec.white(4), cfg, np.linspace(0.0, 2.0, 9),
+                              modes=list(range(5)))
+
+    def test_step_with_zero_ratio_matches(self):
+        """dt (lam_0 + lam_2) / 2 = -1 exactly: r = 0, where log r is -inf."""
+        c = Coefficients.heat(2.0)  # lam_k = -2 k^2
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=0.25, t_final=1.0, cutoff=4,
+                           watch=(1,), seed=0)
+        assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.0, 0.25, 0.5, 1.0],
+                              modes=[0, 1, 2])
+
+    def test_every_class_matches(self, cosine):
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
+                           t_final=0.5, cutoff=4, watch=(1,), seed=0)
+        assert_matches_oracle(cosine, NoiseSpec.white(4), cfg, np.linspace(0.0, 0.5, 6))
+
+    def test_nongradient_drift_matches(self):
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(NONGRADIENT, 0.25, 4),
+                           dt=1e-3, t_final=1.0, cutoff=4, watch=(1,), seed=0)
+        assert_matches_oracle(NONGRADIENT, NoiseSpec.white(4), cfg,
+                              np.linspace(0.0, 1.0, 6))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0.5, 0.25]), st.sampled_from([1e-3, 2.5e-3, 5e-3]))
+    @settings(max_examples=15, deadline=None)
+    def test_random_band_limited_coefficients_match(self, seed, eps, dt):
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
+        s = 0.15 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+        c = Coefficients.from_modes(
+            {1: b[0], -1: np.conj(b[0]), 2: b[1], -2: np.conj(b[1])},
+            {0: rng.uniform(0.8, 1.5), 1: s[0], -1: np.conj(s[0]),
+             2: s[1], -2: np.conj(s[1])})
+        cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 4), dt=dt,
+                           t_final=0.5, cutoff=4, watch=(1,), seed=0)
+        assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.1, 0.25, 0.5])
+
+    def test_inaccurate_eigenbasis_fails_the_residual_contract(self, cosine, monkeypatch):
+        real_eig = sla.eig
+
+        def perturbed(a):
+            lam, vecs = real_eig(a)
+            return lam, vecs + 1e-6 * np.random.default_rng(0).standard_normal(vecs.shape)
+
+        monkeypatch.setattr(sla, "eig", perturbed)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
+                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+        with pytest.raises(SolveFailed, match="trapezoid residual"):
+            exact_mode_covariance(cosine, NoiseSpec.white(4), cfg, t_grid=[1.0], modes=[1])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_covariance_raises_unstable_step(self, heat):
+        huge = NoiseSpec.custom({1: 1e200 * SpectralField.constant(1.0)}, cutoff=1)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, cutoff=1,
+                           watch=(1,), seed=0)
+        with pytest.raises(UnstableStep):
+            exact_mode_covariance(heat, huge, cfg, t_grid=[1.0], modes=[1])
+
+    @pytest.mark.parametrize("t_grid, message", [
+        ([], "t_grid is empty"),
+        ([0.5, np.nan], "non-finite"),
+        ([np.inf], "non-finite"),
+    ])
+    def test_bad_time_grid_fails_before_blocks(self, heat, t_grid, message):
+        # n_modes is too small for build_blocks, so the t_grid message shows
+        # the grid was rejected before any block was built
+        cfg = SolverConfig(eps=1.0, n_modes=2, dt=1e-3, t_final=1.0, cutoff=4,
+                           watch=(1,), seed=0)
+        with pytest.raises(ValueError, match=message):
+            exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=t_grid)
 
 
 class TestBlockVsDensePathwise:
