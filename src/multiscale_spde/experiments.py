@@ -33,13 +33,12 @@ from .limit import (
 from .noise import NoiseSpec, bump_mollifier, tent_mollifier
 from .solver import (
     SolverConfig,
-    build_blocks,
+    coupled_sup_errors,
     default_dt,
     exact_mode_covariance,
+    require_driven,
     simulate_path,
     suggest_modes,
-    _run_engine,
-    _watch_lookup,
 )
 
 __all__ = [
@@ -444,55 +443,6 @@ def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
 # -- convergence study ---------------------------------------------------------------
 
 
-def _coupled_sup_errors(c: Coefficients, spec: NoiseSpec, sc: SolverConfig,
-                        model: LimitModel, s: float, n_paths: int,
-                        batch: int = 64, sensitivities: bool = False):
-    """Per-path sup_t sum_m (1+m^2)^-s |<u_eps - u, e_m>|^2, coupled noise.
-
-    With sensitivities=True also accumulates the same statistic with the
-    mode sum cut at half the watch range and with the time grid thinned
-    by two, so the proxy's truncation effects can be reported.
-    """
-    op = build_blocks(c, spec, sc)
-    lookup = _watch_lookup(op, sc.watch)
-    residues = sorted({res for _, res, _ in lookup})
-    weights = {m: (1.0 + m * m) ** (-s) for m, _, _ in lookup}
-    decays = {m: np.exp(-model.mu * m * m * sc.dt) for m, _, _ in lookup}
-    coeffs = {m: model.coeff(m) for m, _, _ in lookup}
-    k_cut = sc.cutoff
-    half_cut = max(abs(m) for m in sc.watch) // 2
-
-    keys = ("full", "half_modes", "coarse_grid") if sensitivities else ("full",)
-    sups = {key: np.zeros(n_paths) for key in keys}
-    for start in range(0, n_paths, batch):
-        idx = list(range(start, min(start + batch, n_paths)))
-        p = len(idx)
-        lim = {m: np.zeros(p, dtype=complex) for m, _, _ in lookup}
-        running = {key: np.zeros(p) for key in keys}
-
-        def on_step(step, t, dw, states):
-            current = np.zeros(p)
-            current_half = np.zeros(p) if sensitivities else None
-            for m, res, row in lookup:
-                lim[m] = decays[m] * (lim[m] + coeffs[m] * dw[m + k_cut])
-                term = weights[m] * np.abs(states[res][row] - lim[m]) ** 2
-                current += term
-                if sensitivities and abs(m) <= half_cut:
-                    current_half += term
-            np.maximum(running["full"], current, out=running["full"])
-            if sensitivities:
-                np.maximum(running["half_modes"], current_half,
-                           out=running["half_modes"])
-                if step % 2 == 1:
-                    np.maximum(running["coarse_grid"], current,
-                               out=running["coarse_grid"])
-
-        _run_engine(op, sc, idx, on_step, residues=residues)
-        for key in keys:
-            sups[key][start : start + p] = running[key]
-    return sups if sensitivities else sups["full"]
-
-
 def run_coupling_convergence(config: dict) -> ExperimentReport:
     """Pathwise comparison of u_eps with its homogenised limit as eps shrinks.
 
@@ -506,16 +456,17 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     mode_cutoff = int(study.get("mode_cutoff", 8))
     tol = study.get("tolerances", {})
     s = default_sobolev_index(study, config["noise"])
+    eps_list = [float(e) for e in config["solver"]["eps"]]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps list must be strictly decreasing")
+    watch = tuple(range(1, mode_cutoff + 1))
+    for eps in eps_list:  # before any solve
+        require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
 
     c = build_coefficients(config["coefficients"])
     cell = solve_cell(c, with_gap=False)
     report = ExperimentReport(study="converge", config=config, seed=seed)
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
-
-    eps_list = [float(e) for e in config["solver"]["eps"]]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps list must be strictly decreasing")
-    watch = tuple(range(1, mode_cutoff + 1))
 
     first_spec = None
     for eps in eps_list:
@@ -526,8 +477,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=1.0, watch=watch)
         model = averaged_model(spec, cell, mode_cutoff)
-        sups = _coupled_sup_errors(c, spec, sc, model, s, n_paths,
-                                   sensitivities=True)
+        sups = coupled_sup_errors(c, spec, sc, model, s, n_paths, sensitivities=True)
         mean, se = batch_mean_se(sups["full"])
         report.rows.append({"eps": eps, "error": mean, "stderr": se,
                             "error_half_modes": float(sups["half_modes"].mean()),

@@ -4,10 +4,12 @@ du = L_eps u dt + sum_k q_k(x/eps) e_k dW_k on [0, 2*pi], u(0) = 0.
 
 In Fourier space both the generator and the noise couple wavenumbers
 only within a residue class modulo 1/eps, so the dynamics splits into
-independent dense blocks of size ~ N eps.  Each block is stepped either
-by Crank-Nicolson with the noise added after the solve (imex-cn) or by
-the exact matrix exponential with the noise propagated through it
-(block-exponential).  Second moments follow the per-block Lyapunov
+independent dense blocks of size ~ N eps.  Each block follows either
+Crank-Nicolson with the noise added after the solve (imex-cn) or the
+exact matrix exponential with the noise propagated through it
+(block-exponential); the Monte Carlo engine advances that recursion
+several steps per product and carries the averaged limit as a
+difference coordinate.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form in each block's eigenbasis at every recorded
 step, with no time loop, so limit variances can be verified without
@@ -39,6 +41,8 @@ __all__ = [
     "build_blocks",
     "simulate_path",
     "simulate_coupled",
+    "coupled_sup_errors",
+    "require_driven",
     "exact_mode_covariance",
 ]
 
@@ -46,6 +50,8 @@ OVERFLOW_GUARD = 1e12
 COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 layer
+CHUNK_STEPS = 256  # steps of Wiener increments drawn per path at a time
+MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
 
 
 @dataclass(frozen=True)
@@ -204,142 +210,238 @@ class PathOutput:
         return self.modes[m]
 
 
-class _ClassStepper:
-    """Propagators for a subset of residue classes, vectorised over paths."""
-
-    def __init__(self, op: BlockOperator, config: SolverConfig, residues=None):
-        self.config = config
-        self.k_cut = config.cutoff
-        self.residues = sorted(set(residues if residues is not None
-                                   else op.blocks.keys()))
-        self.props = {}
-        self.noise_idx = {}
-        self.noise_map = {}
-        self.sizes = {}
-        dt = config.dt
-        for r_ in self.residues:
-            blk = op.blocks[r_]
-            a = blk.matrix
-            if config.scheme == "block-exponential":
-                prop = sla.expm(a * dt)
-                post = False
-            else:  # imex-cn: noise added after the solve
-                eye = np.eye(a.shape[0])
-                prop = sla.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
-                post = True
-            self.props[r_] = (prop, post)
-            self.noise_idx[r_] = blk.driven + self.k_cut
-            self.noise_map[r_] = blk.noise_map
-            self.sizes[r_] = blk.ks.size
-
-    def zero_states(self, n_paths: int) -> dict:
-        return {r_: np.zeros((self.sizes[r_], n_paths), dtype=complex)
-                for r_ in self.residues}
-
-    def step(self, states: dict, dw: np.ndarray) -> None:
-        """Advance all classes one step; dw has shape (2*k_cut + 1, n_paths)."""
-        for r_ in self.residues:
-            prop, post = self.props[r_]
-            forced = self.noise_map[r_] @ dw[self.noise_idx[r_]]
-            if post:
-                states[r_] = prop @ states[r_] + forced
-            else:
-                states[r_] = prop @ (states[r_] + forced)
-
-
-def _run_engine(op: BlockOperator, config: SolverConfig, path_indices,
-                on_step, residues=None, chunk: int = 256) -> None:
-    """Drive the stepper, handing each step's increments and states to on_step.
-
-    on_step(step_index, t, dw, states): dw is (2*cutoff + 1, n_paths),
-    states maps residue -> (block size, n_paths).  Deterministic given
-    (seed, path index) regardless of batching.
-    """
-    stepper = _ClassStepper(op, config, residues)
-    paths = list(path_indices)
-    streams = [WienerStream(config.seed, p) for p in paths]
-    states = stepper.zero_states(len(paths))
-    n_steps = config.n_steps
-    k_cut = config.cutoff
-    done = 0
-    while done < n_steps:
-        m = min(chunk, n_steps - done)
-        dw_chunk = np.empty((m, 2 * k_cut + 1, len(paths)), dtype=complex)
-        for pi, stream in enumerate(streams):
-            dw_chunk[:, :, pi] = stream.increments(m, k_cut, config.dt)
-        for i in range(m):
-            step = done + i
-            stepper.step(states, dw_chunk[i])
-            if (step + 1) % 64 == 0 or step + 1 == n_steps:
-                peak = max(np.abs(s).max(initial=0.0) for s in states.values())
-                if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
-                    raise UnstableStep(
-                        f"mode amplitude {peak:.3e} beyond guard at t = {(step + 1) * config.dt:g}"
-                    )
-            on_step(step, (step + 1) * config.dt, dw_chunk[i], states)
-        done += m
-
-
 def _watch_lookup(op: BlockOperator, watch) -> list:
     out = []
     for m in watch:
         blk = op.block_of(m)
         row = int(np.searchsorted(blk.ks, m))
         if row >= blk.ks.size or blk.ks[row] != m:
-            raise ResolutionTooSmall(f"watched mode {m} outside the band")
+            raise ResolutionTooSmall(
+                f"watched mode {m} outside the band |k| < {op.n_modes // 2}")
         out.append((m, blk.residue, row))
     return out
 
 
+def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched mode") -> None:
+    """Raise ValueError unless every watched mode is driven (|m| <= cutoff)."""
+    worst = max(abs(m) for m in watch)
+    if worst > cutoff:
+        raise ValueError(f"watched modes must be driven (|m| <= cutoff): at eps = {eps:g} "
+                         f"the noise cutoff {cutoff} is below {name} {worst}")
+
+
+def _recursion(blk: ClassBlock, config: SolverConfig, limits) -> tuple:
+    """P and G of one class's step x_{k+1} = P x_k + G w_k, w_k its driven increments.
+
+    Each (row, col, decay, coeff) in limits appends the coordinate
+    delta = x_row - l, where the limit mode l <- decay (l + coeff w_col)
+    consumes the same increment.  Its rows are formed entrywise, so on a
+    flat cell, where x_row follows the same update, they are exactly zero.
+    """
+    a, dt = blk.matrix, config.dt
+    if config.scheme == "block-exponential":
+        p = sla.expm(a * dt)
+        g = p @ blk.noise_map
+    else:  # imex-cn: noise added after the solve
+        eye = np.eye(a.shape[0])
+        p = sla.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
+        g = blk.noise_map
+    n, q = a.shape[0], len(limits)
+    p_ext = np.zeros((n + q, n + q), dtype=complex)
+    g_ext = np.zeros((n + q, g.shape[1]), dtype=complex)
+    p_ext[:n, :n] = p
+    g_ext[:n] = g
+    for i, (row, col, decay, coeff) in enumerate(limits):
+        p_ext[n + i, :n] = p[row]
+        p_ext[n + i, row] -= decay
+        p_ext[n + i, n + i] = decay
+        g_ext[n + i] = g[row]
+        g_ext[n + i, col] -= decay * coeff
+    return p_ext, g_ext
+
+
+def _block_map(p: np.ndarray, g: np.ndarray, rows, length: int) -> np.ndarray:
+    """One product advancing `length` steps and observing `rows` after each.
+
+    Applied to [x_0; w_0; ...; w_{L-1}], its first L*o rows are C x_i,
+    i = 1..L (C P^i and the Toeplitz blocks C P^(i-1-j) G, j < i), and its
+    last n rows are x_L (P^L and P^(L-1-j) G).
+    """
+    n, d = g.shape
+    o = len(rows)
+    powers = [np.eye(n), p]
+    for _ in range(length - 1):
+        powers.append(p @ powers[-1])
+    kicks = [g] + [pw @ g for pw in powers[1:length]]  # P^k G
+    out = np.zeros((length * o + n, n + length * d), dtype=complex)
+    for i in range(1, length + 1):
+        out[(i - 1) * o : i * o, :n] = powers[i][rows]
+        for j in range(i):
+            out[(i - 1) * o : i * o, n + j * d : n + (j + 1) * d] = kicks[i - 1 - j][rows]
+    out[length * o :, :n] = powers[length]
+    for j in range(length):
+        out[length * o :, n + j * d : n + (j + 1) * d] = kicks[length - 1 - j]
+    return out
+
+
+class _ClassRun:
+    """One class advanced B steps per product, with buffers reused for the whole run.
+
+    B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n carried
+    coordinates, o observed rows and d driven columns minimises the
+    multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
+    stepping.
+    """
+
+    def __init__(self, blk: ClassBlock, config: SolverConfig, rows, limits, n_paths: int):
+        self.p, self.g = _recursion(blk, config, limits)
+        (n, d), self.rows = self.g.shape, list(rows)
+        o = len(self.rows)
+        self.n, self.d, self.o = n, d, o
+        self.length = (MAX_BLOCK_STEPS if o * d == 0 else
+                       int(np.clip(round(n / np.sqrt(o * d)), 1, MAX_BLOCK_STEPS)))
+        self.maps = {}  # block length -> _block_map
+        cols = blk.driven + config.cutoff  # an arithmetic progression with step 1/eps
+        self.cols = slice(cols[0], cols[-1] + 1, config.cells) if d else slice(0, 0)
+        # [state slot | the chunk's increments]: the block from step s reads
+        # x_s at s*d, over increments already consumed, then w_s, w_s+1, ...
+        self.buf = np.zeros((n_paths, n + CHUNK_STEPS * d), dtype=complex)
+        self.out = np.empty((n_paths, self.length * o + n, 1), dtype=complex)
+        self.obs = np.empty((n_paths, CHUNK_STEPS, o), dtype=complex)
+        self.peak = np.empty((n_paths, n))
+
+    def load(self, path: int, dw: np.ndarray) -> None:
+        """Copy one path's increments for the coming chunk (dw: steps x all modes)."""
+        m, n, d = dw.shape[0], self.n, self.d
+        self.buf[path, n : n + m * d].reshape(m, d)[...] = dw[:, self.cols]
+
+    def advance(self, first: int, m: int, dt: float) -> np.ndarray:
+        """Run the m loaded steps; return the observed rows after each."""
+        n, d, o, buf = self.n, self.d, self.o, self.buf
+        s = 0
+        while s < m:
+            length = min(self.length, m - s)
+            if length not in self.maps:
+                self.maps[length] = _block_map(self.p, self.g, self.rows, length)
+            out = self.out[:, : length * o + n]
+            np.matmul(self.maps[length], buf[:, s * d : s * d + n + length * d, None], out=out)
+            self.obs[:, s : s + length] = out[:, : length * o, 0].reshape(len(buf), length, o)
+            state = out[:, length * o :, 0]
+            s += length
+            peak = np.abs(state, out=self.peak).max(initial=0.0)
+            if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
+                raise UnstableStep(
+                    f"mode amplitude {peak:.3e} beyond guard at t = {(first + s) * dt:g}")
+            (buf[:, s * d : s * d + n] if s < m else buf[:, :n])[...] = state
+        return self.obs[:, :m]
+
+
+def _engine(op: BlockOperator, config: SolverConfig, path_indices, observe: dict,
+            limits: dict | None = None):
+    """Advance the classes in observe from u = 0; yield their observed rows.
+
+    observe maps residue -> rows of the class state to record after every
+    step, where row n + i (n the class size) is the difference coordinate
+    of limits[residue][i] (see _recursion).  Yields (first step, count,
+    obs) once per chunk of `count` steps of increments, obs[residue] of
+    shape (paths, count, rows); the buffers are reused, so consume them
+    before the next iteration.  Raises UnstableStep when the carried state
+    at a block boundary is non-finite or beyond OVERFLOW_GUARD.
+
+    Every product runs per path (np.matmul with paths as the batch axis),
+    so within one NumPy/BLAS build a path's values depend on (seed, path
+    index) and the config, not on which other paths share its batch.
+    """
+    limits = limits or {}
+    streams = [WienerStream(config.seed, p) for p in path_indices]
+    runs = {res: _ClassRun(op.blocks[res], config, rows, limits.get(res, ()), len(streams))
+            for res, rows in sorted(observe.items())}
+    for first in range(0, config.n_steps, CHUNK_STEPS):
+        m = min(CHUNK_STEPS, config.n_steps - first)
+        for pi, stream in enumerate(streams):
+            dw = stream.increments(m, config.cutoff, config.dt)
+            for run in runs.values():
+                run.load(pi, dw)
+        yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
+
+
+def _recorded(first: int, count: int, stride: int) -> tuple[slice, slice]:
+    """Steps of a chunk that land on the record grid, and their record slots."""
+    start = (-(first + 1)) % stride
+    slot = (first + start + 1) // stride
+    return slice(start, count, stride), slice(slot, slot + len(range(start, count, stride)))
+
+
+def _class_rows(lookup) -> dict:
+    """residue -> block rows of its watched modes, in watch order."""
+    rows = {}
+    for _, res, row in lookup:
+        rows.setdefault(res, []).append(row)
+    return rows
+
+
+def _difference_rows(op: BlockOperator, rows: dict) -> dict:
+    """residue -> state rows of the difference coordinates of its watched modes."""
+    return {res: [op.blocks[res].ks.size + i for i in range(len(r))] for res, r in rows.items()}
+
+
+def _limit_terms(op: BlockOperator, config: SolverConfig, model: LimitModel,
+                 lookup) -> dict:
+    """residue -> (row, driven column, decay, coeff) of each watched limit mode."""
+    terms = {}
+    for m, res, row in lookup:
+        col = int(np.searchsorted(op.blocks[res].driven, m))
+        decay = np.exp(-model.mu * m * m * config.dt)
+        terms.setdefault(res, []).append((row, col, decay, model.coeff(m)))
+    return terms
+
+
 def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                   path_index: int = 0) -> PathOutput:
-    """One sample path of the multiscale equation from u = 0."""
+    """One sample path of the multiscale equation from u = 0.
+
+    Every class is evolved, so OVERFLOW_GUARD sees the whole state; only
+    watched rows are observed unless track_norm asks for |u|^2, which
+    observes every row of every class.
+    """
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
+    if config.track_norm:
+        observe = {res: list(range(blk.ks.size)) for res, blk in op.blocks.items()}
+    else:
+        observe = {res: [] for res in op.blocks} | _class_rows(lookup)
+    where = {m: (res, observe[res].index(row)) for m, res, row in lookup}
     stride = config.record_stride
     n_rec = config.n_steps // stride + 1
-    times = np.zeros(n_rec)
-    trajs = {m: np.zeros(n_rec, dtype=complex) for m, _, _ in lookup}
+    trajs = {m: np.zeros(n_rec, dtype=complex) for m in where}
     norm2 = np.zeros(n_rec) if config.track_norm else None
-    pos = [0]
-
-    def on_step(step, t, dw, states):
-        if (step + 1) % stride:
-            return
-        i = pos[0] + 1
-        times[i] = t
-        for m, res, row in lookup:
-            trajs[m][i] = states[res][row, 0]
+    for first, count, obs in _engine(op, config, [path_index], observe):
+        local, slots = _recorded(first, count, stride)
+        for m, (res, k) in where.items():
+            trajs[m][slots] = obs[res][0, local, k]
         if norm2 is not None:
-            norm2[i] = sum(float(np.sum(np.abs(s[:, 0]) ** 2)) for s in states.values())
-        pos[0] = i
-
-    _run_engine(op, config, [path_index], on_step)
-    return PathOutput(times=times, modes=trajs, seed=config.seed,
-                      path_index=path_index, norm_squared=norm2)
+            norm2[slots] = sum(np.sum(np.abs(x[0, local]) ** 2, axis=1) for x in obs.values())
+    return PathOutput(times=np.arange(n_rec) * stride * config.dt, modes=trajs,
+                      seed=config.seed, path_index=path_index, norm_squared=norm2)
 
 
 def sample_final_modes(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                        n_paths: int, batch: int = 256) -> dict:
     """Final-time watched-mode values over many paths, batched for speed.
 
-    Path p reproduces simulate_path(..., path_index=p) exactly; only the
-    vectorisation differs.
+    Path p equals simulate_path(..., path_index=p) without track_norm bit
+    for bit, for any batch, within one NumPy/BLAS build.
     """
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
-    residues = sorted({res for _, res, _ in lookup})
+    observe = _class_rows(lookup)
     out = {m: np.zeros(n_paths, dtype=complex) for m, _, _ in lookup}
-    last = config.n_steps - 1
     for start in range(0, n_paths, batch):
-        idx = list(range(start, min(start + batch, n_paths)))
-
-        def on_step(step, t, dw, states):
-            if step == last:
-                for m, res, row in lookup:
-                    out[m][idx[0] : idx[0] + len(idx)] = states[res][row]
-
-        _run_engine(op, config, idx, on_step, residues=residues)
+        idx = range(start, min(start + batch, n_paths))
+        for _, _, obs in _engine(op, config, idx, observe):
+            pass  # only the final step is kept
+        for m, res, row in lookup:
+            out[m][idx.start : idx.stop] = obs[res][:, -1, observe[res].index(row)]
     return out
 
 
@@ -351,52 +453,89 @@ def simulate_coupled(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     The limit modes are advanced by exponential Euler,
     x <- exp(-mu m^2 dt) (x + c_m dW_m), consuming exactly the dW_m the
     multiscale solver consumes, so the pathwise difference measures the
-    homogenisation error rather than scheme mismatch.  Only the residue
-    classes of watched modes are evolved; the others never feed them.
+    homogenisation error rather than scheme mismatch.  The engine carries
+    the difference u_eps - u_lim of each watched mode; u_lim is u_eps minus
+    it.  Only the residue classes of watched modes are evolved; the others
+    never feed them.
     """
     worst = max(abs(m) for m in config.watch)
     if config.eps * worst >= 0.5:
         raise ValueError("comparison with the limit needs eps * |m| < 1/2")
-    if worst > config.cutoff:
-        raise ValueError("watched modes must be driven (|m| <= cutoff)")
+    require_driven(config.eps, config.cutoff, config.watch)
     if model is None:
         if cell is None:
             from .cell import solve_cell
             cell = solve_cell(c, with_gap=False)
-        model = averaged_model(spec, cell, max(abs(m) for m in config.watch))
+        model = averaged_model(spec, cell, worst)
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
-    residues = sorted({res for _, res, _ in lookup})
+    rows = _class_rows(lookup)
+    limits = _limit_terms(op, config, model, lookup)
+    differences = _difference_rows(op, rows)
+    observe = {res: r + differences[res] for res, r in rows.items()}  # x_m, then delta_m
     stride = config.record_stride
     n_rec = config.n_steps // stride + 1
-    times = np.zeros(n_rec)
     eps_trajs = {m: np.zeros(n_rec, dtype=complex) for m, _, _ in lookup}
     lim_trajs = {m: np.zeros(n_rec, dtype=complex) for m, _, _ in lookup}
+    # columns in obs[res] of x_m and of delta_m
+    where = [(m, res, rows[res].index(row), len(rows[res]) + rows[res].index(row))
+             for m, res, row in lookup]
+    for first, count, obs in _engine(op, config, [path_index], observe, limits):
+        local, slots = _recorded(first, count, stride)
+        for m, res, k_x, k_delta in where:
+            x = obs[res][0, local, k_x]
+            eps_trajs[m][slots] = x
+            lim_trajs[m][slots] = x - obs[res][0, local, k_delta]
+    times = np.arange(n_rec) * stride * config.dt
+    return (PathOutput(times=times, modes=eps_trajs, seed=config.seed, path_index=path_index),
+            PathOutput(times=times, modes=lim_trajs, seed=config.seed, path_index=path_index))
 
-    decays = {m: np.exp(-model.mu * m * m * config.dt) for m, _, _ in lookup}
-    coeffs = {m: model.coeff(m) for m, _, _ in lookup}
-    lim_state = {m: 0j for m, _, _ in lookup}
-    k_cut = config.cutoff
-    pos = [0]
 
-    def on_step(step, t, dw, states):
-        for m, _, _ in lookup:
-            lim_state[m] = decays[m] * (lim_state[m] + coeffs[m] * dw[m + k_cut, 0])
-        if (step + 1) % stride:
-            return
-        i = pos[0] + 1
-        times[i] = t
-        for m, res, row in lookup:
-            eps_trajs[m][i] = states[res][row, 0]
-            lim_trajs[m][i] = lim_state[m]
-        pos[0] = i
+def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
+                       model: LimitModel, s: float, n_paths: int,
+                       batch: int = 64, sensitivities: bool = False):
+    """Per-path sup_t sum_m (1+m^2)^-s |<u_eps - u, e_m>|^2, coupled noise.
 
-    _run_engine(op, config, [path_index], on_step, residues=residues)
-    u_eps = PathOutput(times=times, modes=eps_trajs, seed=config.seed,
-                       path_index=path_index)
-    u_lim = PathOutput(times=times, modes=lim_trajs, seed=config.seed,
-                       path_index=path_index)
-    return u_eps, u_lim
+    u is the limit of simulate_coupled on the same increments; the engine
+    carries the difference directly.  With sensitivities=True also returns
+    the same statistic with the mode sum cut at half the watch range and
+    with the time grid thinned by two, so the proxy's truncation effects
+    can be reported.  Path p's values do not depend on batch.
+    """
+    require_driven(config.eps, config.cutoff, config.watch)
+    op = build_blocks(c, spec, config)
+    lookup = _watch_lookup(op, config.watch)
+    rows = _class_rows(lookup)
+    limits = _limit_terms(op, config, model, lookup)
+    observe = _difference_rows(op, rows)
+    # (m, weight, residue, column of its difference in obs)
+    terms = [(m, (1.0 + m * m) ** (-s), res, rows[res].index(row)) for m, res, row in lookup]
+    half_cut = max(abs(m) for m in config.watch) // 2
+
+    keys = ("full", "half_modes", "coarse_grid") if sensitivities else ("full",)
+    sups = {key: np.zeros(n_paths) for key in keys}
+    for start in range(0, n_paths, batch):
+        idx = range(start, min(start + batch, n_paths))
+        running = {key: np.zeros(len(idx)) for key in keys}
+        for first, count, obs in _engine(op, config, idx, observe, limits):
+            current, current_half = np.zeros((len(idx), count)), np.zeros((len(idx), count))
+            for m, weight, res, k in terms:
+                term = weight * np.abs(obs[res][:, :, k]) ** 2
+                current += term
+                if abs(m) <= half_cut:
+                    current_half += term
+            np.maximum(running["full"], current.max(axis=1), out=running["full"])
+            if sensitivities:
+                np.maximum(running["half_modes"], current_half.max(axis=1),
+                           out=running["half_modes"])
+                # odd step indices: the grid thinned by two
+                odd = current[:, (first + 1) % 2 :: 2]
+                if odd.shape[1]:
+                    np.maximum(running["coarse_grid"], odd.max(axis=1),
+                               out=running["coarse_grid"])
+        for key in keys:
+            sups[key][idx.start : idx.stop] = running[key]
+    return sups if sensitivities else sups["full"]
 
 
 # -- exact second moments ----------------------------------------------------------
@@ -423,7 +562,8 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     do not drift.  The recursion is not stepped: in the eigenbasis of A it
     decouples into scalar geometric series, and its iterate at every
     recorded step is evaluated at once in closed form (_class_variances).
-    An empty or non-finite t_grid is rejected before any block is built.
+    An empty or non-finite t_grid is rejected before any block is built; a
+    requested mode outside the band raises ResolutionTooSmall.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
@@ -439,7 +579,7 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     if modes is None:
         wanted = {int(k) for blk in op.blocks.values() for k in blk.ks}
     else:
-        wanted = {int(m) for m in modes}
+        wanted = {m for m, _, _ in _watch_lookup(op, [int(m) for m in modes])}
     residues = sorted({m % op.cells for m in wanted})
 
     variances = {m: np.zeros(times.size) for m in wanted}

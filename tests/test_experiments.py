@@ -135,6 +135,24 @@ class TestStudies:
         assert report.fit is None
         assert all(r["error"] == 0.0 for r in report.rows)
 
+    def test_converge_with_an_undriven_watched_mode_fails_before_any_solve(self, monkeypatch):
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before the config was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        # cutoff_factor 1 drives |k| <= 4 at eps = 1/4, below mode_cutoff 8
+        with pytest.raises(ValueError,
+                           match=r"at eps = 0.25 the noise cutoff 4 is below mode_cutoff 8"):
+            run_coupling_convergence({
+                "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+                "noise": {"family": "power", "alpha": 0.75, "profile": "one",
+                          "cutoff_factor": 1.0},
+                "solver": {"eps": [0.25, 0.125, 0.0625], "t_final": 0.01},
+                "study": {"kind": "converge", "seed": 1, "paths": 8, "mode_cutoff": 8},
+            })
+
     def test_variance_study_rows_and_tables(self):
         report = run_variance_study(SMALL_VARIANCE)
         assert {r["eps"] for r in report.rows} == {0.25, 0.125}

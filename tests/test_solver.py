@@ -10,11 +10,13 @@ from numpy.testing import assert_allclose
 from multiscale_spde.cell import Coefficients
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
+from multiscale_spde.limit import LimitModel, averaged_model
 from multiscale_spde.noise import NoiseSpec, WienerStream
 from multiscale_spde.solver import (
     SolverConfig,
     apply_generator,
     build_blocks,
+    coupled_sup_errors,
     exact_mode_covariance,
     sample_final_modes,
     simulate_coupled,
@@ -89,6 +91,70 @@ def assert_matches_oracle(c, spec, config, t_grid, modes=None):
     for m, v in ref.items():
         assert_allclose(got.variances[m], v, rtol=1e-10, atol=1e-14 * peak,
                         err_msg=f"mode {m}")
+
+
+def random_coefficients(rng) -> Coefficients:
+    """b and sigma with harmonics |j| <= 2 and sigma bounded away from zero."""
+    b = rng.uniform(-0.5, 0.5, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
+    s = 0.15 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+    return Coefficients.from_modes(
+        {1: b[0], -1: np.conj(b[0]), 2: b[1], -2: np.conj(b[1])},
+        {0: rng.uniform(0.8, 1.5), 1: s[0], -1: np.conj(s[0]),
+         2: s[1], -2: np.conj(s[1])})
+
+
+def stepped_reference(c, spec, config, path_index=0, model=None):
+    """Reference: the per-step recursion that the blocked engine replaces.
+
+    Every class steps one increment at a time, x <- P (x + F w) for
+    block-exponential and x <- P x + F w for imex-cn, on the path's own
+    Wiener stream; each watched limit mode follows
+    l <- exp(-mu m^2 dt) (l + c_m w_m).  Returns the watched modes, |u|^2
+    and the limit modes at every step, step 0 included.
+    """
+    op = build_blocks(c, spec, config)
+    n_steps, dt, k_cut = config.n_steps, config.dt, config.cutoff
+    dw = WienerStream(config.seed, path_index).increments(n_steps, k_cut, dt)
+    steppers = {}
+    for res, blk in op.blocks.items():
+        if config.scheme == "block-exponential":
+            steppers[res] = (sla.expm(blk.matrix * dt), True)
+        else:
+            eye = np.eye(blk.ks.size)
+            steppers[res] = (sla.solve(eye - 0.5 * dt * blk.matrix,
+                                       eye + 0.5 * dt * blk.matrix), False)
+    states = {res: np.zeros(blk.ks.size, dtype=complex) for res, blk in op.blocks.items()}
+    modes = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
+    limit = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
+    norm2 = np.zeros(n_steps + 1)
+    for i in range(n_steps):
+        for res, blk in op.blocks.items():
+            prop, noise_inside = steppers[res]
+            forced = blk.noise_map @ dw[i, blk.driven + k_cut]
+            x = states[res]
+            states[res] = prop @ (x + forced) if noise_inside else prop @ x + forced
+        for m in config.watch:
+            blk = op.block_of(m)
+            modes[m][i + 1] = states[blk.residue][np.searchsorted(blk.ks, m)]
+            if model is not None:
+                decay = np.exp(-model.mu * m * m * dt)
+                limit[m][i + 1] = decay * (limit[m][i] + model.coeff(m) * dw[i, m + k_cut])
+        norm2[i + 1] = sum(float(np.sum(np.abs(x) ** 2)) for x in states.values())
+    return {"modes": modes, "limit": limit, "norm2": norm2}
+
+
+def assert_matches_stepping(got, ref, label):
+    """Equal to 1e-12 of the reference's largest magnitude, at every recorded step."""
+    assert got.shape == ref.shape, label
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), label
+
+
+ENGINE_CASES = {
+    "cosine A=1": Coefficients.cosine_potential(1.0),
+    "cosine A=3": Coefficients.cosine_potential(3.0),
+    "heat": Coefficients.heat(),
+    "non-gradient": NONGRADIENT,
+}
 
 
 class TestApplyGenerator:
@@ -218,6 +284,15 @@ class TestSimulatePath:
         with pytest.raises(UnstableStep):
             simulate_path(heat, big, cfg)
 
+    def test_overflow_guard_sees_unwatched_classes(self, heat):
+        """Mode 2 sits in the other class of eps = 1/2; watching mode 1 still trips."""
+        big = NoiseSpec.custom({1: SpectralField.constant(1.0),
+                                2: 1e13 * SpectralField.constant(1.0)}, cutoff=2)
+        cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, cutoff=2,
+                           watch=(1,), seed=0)
+        with pytest.raises(UnstableStep):
+            simulate_path(heat, big, cfg)
+
     def test_norm_tracking(self, heat):
         """With only modes +-1 driven, |u|^2 is twice the watched mode power."""
         cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, cutoff=1,
@@ -256,7 +331,7 @@ class TestCoupled:
 
     def test_difference_shrinks_with_eps(self, cosine, cosine_cell):
         """Mean sup difference over a path ensemble halves when eps halves."""
-        from multiscale_spde.experiments import _coupled_sup_errors
+        from multiscale_spde.solver import coupled_sup_errors as _coupled_sup_errors
         from multiscale_spde.limit import averaged_model
 
         spec64 = NoiseSpec.power_decay(0.75, 64)
@@ -268,6 +343,100 @@ class TestCoupled:
             sups = _coupled_sup_errors(cosine, spec64, cfg, model, 1.0, 32)
             means.append(sups.mean())
         assert means[1] < means[0] / 1.3
+
+
+class TestBlockedEngine:
+    """The engine advances B steps per product; stepping one at a time is the oracle."""
+
+    @pytest.mark.parametrize("scheme", ["block-exponential", "imex-cn"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_paths_match_stepping(self, name, scheme):
+        c = ENGINE_CASES[name]
+        # 300 steps: one full chunk of increments and a partial one
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
+                           t_final=0.3, cutoff=8, watch=(-3, 0, 1, 2, 5), seed=5,
+                           scheme=scheme)
+        out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
+        ref = stepped_reference(c, NoiseSpec.white(8), cfg, path_index=2)
+        for m in cfg.watch:
+            assert_matches_stepping(out.mode(m), ref["modes"][m], f"{name}, {scheme}, m = {m}")
+
+    def test_stride_and_norm_match_stepping(self, cosine):
+        cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
+                           t_final=0.3, cutoff=8, watch=(1, 4), seed=8,
+                           record_stride=7, track_norm=True)
+        out = simulate_path(cosine, NoiseSpec.white(8), cfg)
+        ref = stepped_reference(cosine, NoiseSpec.white(8), cfg)
+        assert np.array_equal(out.times, np.arange(43) * 7 * cfg.dt)
+        for m in cfg.watch:
+            assert_matches_stepping(out.mode(m), ref["modes"][m][::7], f"m = {m}")
+        assert_matches_stepping(out.norm_squared, ref["norm2"][::7], "norm")
+
+    @pytest.mark.parametrize("scheme", ["block-exponential", "imex-cn"])
+    def test_coupled_paths_match_stepping(self, cosine, cosine_cell, scheme):
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
+                           t_final=0.3, cutoff=8, watch=(1, 2, 3), seed=6,
+                           record_stride=3, scheme=scheme)
+        model = averaged_model(spec, cosine_cell, 3)
+        u_eps, u_lim = simulate_coupled(cosine, spec, cfg, model=model)
+        ref = stepped_reference(cosine, spec, cfg, model=model)
+        for m in cfg.watch:
+            assert_matches_stepping(u_eps.mode(m), ref["modes"][m][::3], f"u_eps m = {m}")
+            assert_matches_stepping(u_lim.mode(m), ref["limit"][m][::3], f"u_lim m = {m}")
+
+    def test_sup_errors_match_stepping(self, cosine, cosine_cell):
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
+                           t_final=0.3, cutoff=8, watch=(1, 2, 3, 4), seed=3)
+        model = averaged_model(spec, cosine_cell, 4)
+        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2,
+                                  sensitivities=True)
+        for p in range(3):
+            ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
+            terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["modes"][m] - ref["limit"][m]) ** 2
+                     for m in cfg.watch}
+            full = sum(terms.values())
+            want = {"full": full.max(), "half_modes": (terms[1] + terms[2]).max(),
+                    "coarse_grid": full[::2].max()}  # states after an even step count
+            for key, value in want.items():
+                assert abs(sups[key][p] - value) <= 1e-12 * value, (key, p)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_batch_size_does_not_change_any_path(self, seed):
+        """Bitwise, within one NumPy/BLAS build: products run per path."""
+        rng = np.random.default_rng(seed)
+        c = random_coefficients(rng)
+        spec = NoiseSpec.power_decay(0.75, 4)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 4), dt=1e-3,
+                           t_final=0.3, cutoff=4, watch=(1, 2), seed=int(rng.integers(100)))
+        # random drifts need not admit a corrector, so the limit is drawn too
+        coeffs = rng.uniform(0.5, 1.5, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
+        model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), kind="averaged", mode_cutoff=2,
+                           coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
+                                   for m in range(-2, 3)})
+        finals = [sample_final_modes(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
+        sups = [coupled_sup_errors(c, spec, cfg, model, 1.0, 5, batch=b, sensitivities=True)
+                for b in (1, 3, 64)]
+        for other in finals[1:]:
+            for m in cfg.watch:
+                assert np.array_equal(other[m], finals[0][m])
+        for other in sups[1:]:
+            for key in other:
+                assert np.array_equal(other[key], sups[0][key])
+        for p in range(5):
+            out = simulate_path(c, spec, cfg, path_index=p)
+            for m in cfg.watch:
+                assert out.mode(m)[-1] == finals[0][m][p]
+
+    def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
+        spec = NoiseSpec.power_decay(0.75, 2)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
+                           t_final=0.01, cutoff=2, watch=(1, 2, 3), seed=0)
+        model = averaged_model(spec, cosine_cell, 3)
+        with pytest.raises(ValueError, match="eps = 0.25 the noise cutoff 2 is below"):
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 2)
 
 
 class TestExactCovariance:
@@ -387,6 +556,12 @@ class TestClosedFormCovariance:
                            watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
             exact_mode_covariance(heat, huge, cfg, t_grid=[1.0], modes=[1])
+
+    def test_mode_outside_the_band_is_rejected(self, heat):
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, cutoff=4,
+                           watch=(1,), seed=0)
+        with pytest.raises(ResolutionTooSmall, match="mode 100 outside the band"):
+            exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=[1.0], modes=[1, 100])
 
     @pytest.mark.parametrize("t_grid, message", [
         ([], "t_grid is empty"),
