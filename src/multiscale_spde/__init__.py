@@ -31,8 +31,6 @@ from .limit import (
     averaged_model,
     enhanced_model,
     fluctuation_model,
-    hminus_sup_error,
-    ou_exact_sample,
     ou_variance,
     smoothed_model,
     stationary_variance,
@@ -44,7 +42,6 @@ from .noise import (
     coupling_series,
     enhanced_coefficient,
     fluctuation_coefficient,
-    sample_increments,
     smoothed_coefficient,
 )
 from .solver import (

@@ -22,7 +22,6 @@ from .reporting import CheckReport
 __all__ = [
     "Coefficients",
     "CellSolution",
-    "DecayFit",
     "validate_coefficients",
     "generator_matrix",
     "invariant_density",
@@ -38,6 +37,8 @@ DEFAULT_CELL_MODES = 128
 # Residual contracts for the two cell solves.
 RHO_RESIDUAL_TOL = 1e-8
 CHI_RESIDUAL_TOL = 1e-8
+# The adjoint generator's kernel eigenvalue, relative to its spectral radius.
+KERNEL_TOL = 1e-10
 
 
 class Coefficients:
@@ -237,18 +238,9 @@ def effective_diffusivity(c: Coefficients, rho: SpectralField, chi: SpectralFiel
     return float(mu)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Exponential decay rate fitted from a log-linear window."""
-
-    rate: float
-    r_squared: float
-    t_window: tuple[float, float]
-    n_samples: int
-
-
 def _fit_log_decay(ts: np.ndarray, values: np.ndarray, min_r2: float,
-                   what: str) -> DecayFit:
+                   what: str) -> float:
+    """Exponential decay rate fitted from a log-linear window."""
     if ts.size < 8:
         raise FitFailed(f"{what}: only {ts.size} samples in the fit window")
     y = np.log(values)
@@ -259,8 +251,7 @@ def _fit_log_decay(ts: np.ndarray, values: np.ndarray, min_r2: float,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < min_r2:
         raise FitFailed(f"{what}: fit R^2 = {r2:.6f} below {min_r2}")
-    return DecayFit(rate=float(-slope), r_squared=float(r2),
-                    t_window=(float(ts[0]), float(ts[-1])), n_samples=int(ts.size))
+    return float(-slope)
 
 
 def _trapezoid_propagator(a: np.ndarray, dt: float) -> np.ndarray:
@@ -319,59 +310,32 @@ def diffusivity_from_decay(c: Coefficients, eps: float, m: int,
     ts = np.asarray(ts)
     ps = np.asarray(ps)
     window = (ts >= t_start) & (ps > 0)
-    fit = _fit_log_decay(ts[window], ps[window], min_r2, "slow-mode decay")
-    return fit.rate / m**2
+    return _fit_log_decay(ts[window], ps[window], min_r2, "slow-mode decay") / m**2
 
 
-def spectral_gap(c: Coefficients, rho: SpectralField | None = None,
-                 n: int = 96, dt: float = 1e-3, min_r2: float = 0.999) -> DecayFit:
-    """Exponential forgetting rate of the fast flow d/dt g = L* g.
+def spectral_gap(c: Coefficients, n: int = 96) -> float:
+    """Spectral gap omega: the forgetting rate of the fast flow d/dt g = L* g.
 
-    Starts from 1 - rho (a mean-zero perturbation of the stationary
-    state) and fits the decay of |g(t)|.  When 1 - rho vanishes, as for
-    constant coefficients, a generic mean-zero seed is used instead.
+    omega = -max Re(lambda) over the nonzero spectrum of the adjoint
+    generator on the wavenumbers -n/2 .. n/2 - 1.  The kernel, spanned by
+    the invariant density, is the eigenvalue of smallest modulus; it must
+    vanish to KERNEL_TOL of the spectral radius, else SolveFailed.
     """
-    if rho is None:
-        rho = invariant_density(c, n)
-    g0 = SpectralField.constant(1.0, 2).pad_to(n) - rho.truncate(n)
-    if l2_norm(g0) < 1e-10:
-        g0 = SpectralField.from_modes({1: 0.5, -1: 0.5}, n)
-
-    ks = np.arange(-n // 2, n // 2)
-    a = generator_matrix(c, ks, adjoint=True)
-    prop = _trapezoid_propagator(a, dt)
-
-    g = g0.coeffs.copy()
-    norm0 = np.linalg.norm(g)
-    ts, ns = [0.0], [norm0]
-    t = 0.0
-    max_steps = 400_000
-    for _ in range(max_steps):
-        g = prop @ g
-        t += dt
-        nv = np.linalg.norm(g)
-        ts.append(t)
-        ns.append(nv)
-        if nv < norm0 * np.exp(-6.5):
-            break
-    else:
-        raise FitFailed("fast flow did not decay within the step budget")
-
-    ts = np.asarray(ts)
-    rel = np.asarray(ns) / norm0
-    window = (rel < np.exp(-0.5)) & (rel > np.exp(-6.0))
-    return _fit_log_decay(ts[window], np.asarray(ns)[window], min_r2, "spectral gap")
+    evals = np.linalg.eigvals(generator_matrix(c, np.arange(-n // 2, n // 2), adjoint=True))
+    kernel = int(np.argmin(np.abs(evals)))
+    if abs(evals[kernel]) > KERNEL_TOL * np.abs(evals).max():
+        raise SolveFailed(f"adjoint generator kernel eigenvalue {evals[kernel]:.3e} "
+                          "is not zero")
+    return float(-np.delete(evals, kernel).real.max())
 
 
 @dataclass(frozen=True)
 class CellSolution:
-    """Invariant density, corrector, effective diffusivity and spectral gap."""
+    """Invariant density, corrector and effective diffusivity."""
 
     rho: SpectralField
     chi: SpectralField
     mu: float
-    omega: float
-    omega_r_squared: float
 
     @property
     def enhancement(self) -> float:
@@ -379,14 +343,7 @@ class CellSolution:
         return l2_norm(self.rho)
 
 
-def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES,
-               with_gap: bool = True) -> CellSolution:
+def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
     rho = invariant_density(c, n)
     chi = corrector(c, rho, n)
-    mu = effective_diffusivity(c, rho, chi)
-    if with_gap:
-        gap = spectral_gap(c, rho, min(n, 96))
-        omega, r2 = gap.rate, gap.r_squared
-    else:
-        omega, r2 = float("nan"), float("nan")
-    return CellSolution(rho=rho, chi=chi, mu=mu, omega=omega, omega_r_squared=r2)
+    return CellSolution(rho=rho, chi=chi, mu=effective_diffusivity(c, rho, chi))

@@ -32,6 +32,3 @@ class UnstableStep(RuntimeError):
 class ZeroMode(ValueError):
     """The requested statistic is undefined for the zero wavenumber."""
 
-
-class GridMismatch(ValueError):
-    """Two trajectories do not share time grid and mode set."""

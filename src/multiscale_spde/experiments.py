@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cell as cell_mod
 from . import noise as noise_mod
-from .cell import CellSolution, Coefficients, generator_matrix, solve_cell
+from .cell import CellSolution, Coefficients, generator_matrix, solve_cell, spectral_gap
 from .errors import FitFailed
 from .fourier import SpectralField, inner_product, l2_norm, multiply
 from .limit import (
@@ -178,6 +178,35 @@ def default_sobolev_index(study: dict, noise_cfg: dict) -> float:
     return max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5
 
 
+def _eps_list(solver_cfg: dict) -> list[float]:
+    """``solver.eps`` as a list, each the reciprocal of an integer, strictly decreasing."""
+    value = solver_cfg["eps"]
+    eps_list = [float(e) for e in (value if isinstance(value, (list, tuple)) else [value])]
+    for i, eps in enumerate(eps_list):
+        if not (eps > 0.0 and abs(1.0 / eps - round(1.0 / eps)) <= 1e-9):
+            raise ValueError(f"eps = {eps:g} is not the reciprocal of a positive integer")
+        if i > 0 and eps >= eps_list[i - 1]:
+            raise ValueError(f"eps list must be strictly decreasing: eps = {eps:g} "
+                             f"follows {eps_list[i - 1]:g}")
+    return eps_list
+
+
+def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
+    """What every cell-based study starts with, the config checks first.
+
+    Returns (study section, seed, coefficients, cell solution, eps list);
+    the eps list is validated, or None when the study reads no eps.
+    ``before_solve``, given the eps list, runs further checks before the
+    cell solve.
+    """
+    study = config.get("study", {})
+    eps_list = _eps_list(config["solver"]) if reads_eps else None
+    if before_solve is not None:
+        before_solve(eps_list)
+    c = build_coefficients(config["coefficients"])
+    return study, int(study.get("seed", 0)), c, solve_cell(c), eps_list
+
+
 # -- reports -----------------------------------------------------------------------
 
 
@@ -323,9 +352,7 @@ def batch_mean_se(values, n_batches: int = 10) -> tuple[float, float]:
 
 def run_cell_study(config: dict) -> ExperimentReport:
     """Cell problem summary: rho diagnostics, mu, omega."""
-    study = config.get("study", {})
-    seed = int(study.get("seed", 0))
-    c = build_coefficients(config["coefficients"])
+    _, seed, c, sol, _ = _prologue(config, reads_eps=False)
     report = ExperimentReport(study="cell", config=config, seed=seed)
 
     checks = cell_mod.validate_coefficients(c)
@@ -333,7 +360,6 @@ def run_cell_study(config: dict) -> ExperimentReport:
         report.verdict(f"assumption: {row['item']}", row["passed"], row["value"],
                        row["threshold"])
 
-    sol = solve_cell(c)
     n = sol.rho.n
     ks = np.arange(-n // 2, n // 2)
     adj = generator_matrix(c, ks, adjoint=True)
@@ -344,8 +370,7 @@ def run_cell_study(config: dict) -> ExperimentReport:
 
     report.rows.append({
         "mu": sol.mu,
-        "omega": sol.omega,
-        "omega_r_squared": sol.omega_r_squared,
+        "omega": spectral_gap(c),
         "rho_norm": l2_norm(sol.rho),
         "rho_min": float(rho_grid.min()),
         "rho_at_0": float(rho_grid[0]),
@@ -392,16 +417,11 @@ def run_noise_check(config: dict) -> ExperimentReport:
 
 def run_simulate(config: dict) -> ExperimentReport:
     """Sample paths of the multiscale equation; trajectories become CSV tables."""
-    study = config.get("study", {})
-    seed = int(study.get("seed", 0))
+    study, seed, c, cell, eps_list = _prologue(config)
     n_paths = int(study.get("paths", 2))
-    c = build_coefficients(config["coefficients"])
-    cell = solve_cell(c, with_gap=False)
-    solver_cfg = config.get("solver", {})
-    eps = float(solver_cfg["eps"][0] if isinstance(solver_cfg["eps"], list)
-                else solver_cfg["eps"])
-    spec = build_noise(config["noise"], eps=eps,
-                       rho=cell.rho if config["noise"].get("centered") else None)
+    solver_cfg = config["solver"]
+    eps = eps_list[0]
+    spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
     sc = _solver_config(solver_cfg, c, eps, spec.cutoff, seed,
                         default_t=1.0, watch=tuple(solver_cfg.get("watch", (1,))))
     report = ExperimentReport(study="simulate", config=config, seed=seed)
@@ -450,28 +470,23 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     identical increments; the Monte Carlo average of the per-path sup
     error is fitted against eps to produce the empirical rate theta.
     """
-    study = config.get("study", {})
-    seed = int(study.get("seed", 0))
+    mode_cutoff = int(config.get("study", {}).get("mode_cutoff", 8))
+    watch = tuple(range(1, mode_cutoff + 1))
+
+    def check_driven(eps_list):
+        for eps in eps_list:
+            require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
+
+    study, seed, c, cell, eps_list = _prologue(config, before_solve=check_driven)
     n_paths = int(study.get("paths", 200))
-    mode_cutoff = int(study.get("mode_cutoff", 8))
     tol = study.get("tolerances", {})
     s = default_sobolev_index(study, config["noise"])
-    eps_list = [float(e) for e in config["solver"]["eps"]]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps list must be strictly decreasing")
-    watch = tuple(range(1, mode_cutoff + 1))
-    for eps in eps_list:  # before any solve
-        require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
-
-    c = build_coefficients(config["coefficients"])
-    cell = solve_cell(c, with_gap=False)
     report = ExperimentReport(study="converge", config=config, seed=seed)
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
     first_spec = None
     for eps in eps_list:
-        spec = build_noise(config["noise"], eps=eps,
-                           rho=cell.rho if config["noise"].get("centered") else None)
+        spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
         if first_spec is None:
             first_spec = spec
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
@@ -537,23 +552,18 @@ def run_variance_study(config: dict, target: str | None = None) -> ExperimentRep
     fluctuation target the measured variance is rescaled by
     eps^(-2 alpha) and the noise must be centred.
     """
-    study = config.get("study", {})
+    study, seed, c, cell, eps_list = _prologue(config)
     target = target or study.get("target", "enhanced")
-    seed = int(study.get("seed", 0))
     tol = study.get("tolerances", {})
-    c = build_coefficients(config["coefficients"])
-    cell = solve_cell(c, with_gap=False)
     watch = tuple(config.get("solver", {}).get("watch") or (int(study.get("mode", 1)),))
 
     report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
     t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
-    eps_list = [float(e) for e in config["solver"]["eps"]]
 
     needs_centred = target == "fluctuation"
     gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:
-        spec = build_noise(config["noise"], eps=eps,
-                           rho=cell.rho if config["noise"].get("centered") else None)
+        spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
         if needs_centred:
             worst = max(abs(inner_product(spec.profile(k), cell.rho))
                         for k in range(0, min(spec.cutoff, 64) + 1))
@@ -628,24 +638,21 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     layer leaves a remainder whose sup norm should scale like eps; the
     boundary layer itself should relax at rate omega / eps^2.
     """
-    study = config.get("study", {})
-    seed = int(study.get("seed", 0))
+    study, seed, c, cell, eps_list = _prologue(config)
     m = int(study.get("mode", 1))
     tol = study.get("tolerances", {})
-    c = build_coefficients(config["coefficients"])
-    cell = solve_cell(c)
+    omega = spectral_gap(c)
     report = ExperimentReport(study="semigroup", config=config, seed=seed)
 
     t_final = float(config.get("solver", {}).get("t_final") or 1.0)
-    eps_list = [float(e) for e in config["solver"]["eps"]]
     offsets = int(study.get("offsets", 12))
     h_at = _unit_cell_flow(c, cell.rho, offsets)
 
     # Boundary-layer relaxation rate, from the unit-cell decay itself.
-    s_grid = np.linspace(0.25, 6.0 / max(cell.omega, 1e-3), 200)
+    s_grid = np.linspace(0.25, 6.0 / max(omega, 1e-3), 200)
     h_norms = np.array([np.linalg.norm(h_at(s)) for s in s_grid])
     alive = h_norms > h_norms[0] * 1e-12
-    bl_fit = cell_mod._fit_log_decay(s_grid[alive], h_norms[alive], 0.99, "boundary layer")
+    bl_rate = cell_mod._fit_log_decay(s_grid[alive], h_norms[alive], 0.99, "boundary layer")
 
     sup_norms = []
     for eps in eps_list:
@@ -669,16 +676,16 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
             sup_r = max(sup_r, float(np.linalg.norm(f_t - approx)))
         sup_norms.append(sup_r)
         report.rows.append({"eps": eps, "m": m, "sup_remainder": sup_r,
-                            "bl_rate_slow_units": bl_fit.rate / eps**2,
-                            "omega_over_eps2": cell.omega / eps**2})
+                            "bl_rate_slow_units": bl_rate / eps**2,
+                            "omega_over_eps2": omega / eps**2})
 
     slope, _, r2 = loglog_fit(eps_list, sup_norms)
     report.fit = {"exponent": slope, "r_squared": r2,
-                  "bl_rate_unit_cell": bl_fit.rate, "omega": cell.omega}
+                  "bl_rate_unit_cell": bl_rate, "omega": omega}
     lo, hi = tol.get("exponent_range", [0.8, 1.2])
     report.verdict("remainder scaling exponent", lo <= slope <= hi, slope)
     rate_rtol = tol.get("bl_rate_rtol", 0.10)
-    rel = abs(bl_fit.rate - cell.omega) / cell.omega
+    rel = abs(bl_rate - omega) / omega
     report.verdict("boundary-layer rate matches the spectral gap", rel <= rate_rtol,
                    rel, rate_rtol)
     return report

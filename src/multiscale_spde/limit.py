@@ -1,9 +1,10 @@
-"""Exact simulation of the limiting stochastic heat equations.
+"""The limiting stochastic heat equations and their closed-form OU moments.
 
 Every Fourier mode of a constant-coefficient stochastic heat equation
 du = mu u_xx dt + sum_k c_k e_k dW_k is an independent complex OU
-process, so trajectories and second moments are available in closed
-form.  The coefficient rule c_m distinguishes the limit regimes:
+process, so its exact one-step transition and its second moments are
+available in closed form.  The coefficient rule c_m distinguishes the
+limit regimes:
 
   averaged     c_m = <q_m, rho>            (mode-wise weighted mean)
   fluctuation  c_m = |tail rho|_{-alpha}   (rescaled, centred noise)
@@ -18,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellSolution
-from .errors import GridMismatch, ZeroMode
-from .fourier import SpectralField
+from .errors import ZeroMode
 from .noise import (
     NoiseSpec,
-    WienerStream,
     averaged_coefficient,
     enhanced_coefficient,
     fluctuation_coefficient,
@@ -36,11 +35,8 @@ __all__ = [
     "enhanced_model",
     "smoothed_model",
     "ou_step_params",
-    "ou_exact_sample",
     "ou_variance",
     "stationary_variance",
-    "sample_limit_field",
-    "hminus_sup_error",
 ]
 
 
@@ -89,7 +85,7 @@ def smoothed_model(spec: NoiseSpec, cell: CellSolution, mode_cutoff: int) -> Lim
                   lambda m: smoothed_coefficient(spec, cell.rho, m))
 
 
-# -- exact OU sampling ----------------------------------------------------------
+# -- exact OU moments -----------------------------------------------------------
 
 
 def ou_step_params(model: LimitModel, m: int, delta: float) -> tuple[float, float]:
@@ -100,35 +96,6 @@ def ou_step_params(model: LimitModel, m: int, delta: float) -> tuple[float, floa
         return 1.0, c2 * delta
     decay = np.exp(-a * delta)
     return float(decay), float(c2 * (1.0 - decay * decay) / (2.0 * a))
-
-
-def ou_exact_sample(model: LimitModel, m: int, t_grid, stream: WienerStream) -> np.ndarray:
-    """Exact-distribution trajectory of mode m on t_grid, started at 0.
-
-    Mode 0 is a real Brownian motion; every other mode is complex with
-    independent real and imaginary parts.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must start at 0 and increase")
-    n = t_grid.size
-    out = np.zeros(n, dtype=complex)
-    x = 0j
-    if m == 0:
-        z = stream.increments(n - 1, 0, 1.0)[:, 0].real  # unit normals * 1
-        for i in range(1, n):
-            _, v = ou_step_params(model, 0, t_grid[i] - t_grid[i - 1])
-            x = x + np.sqrt(v) * z[i - 1]
-            out[i] = x
-        return out
-    zr = stream.increments(n - 1, 0, 1.0)[:, 0].real
-    zi = stream.increments(n - 1, 0, 1.0)[:, 0].real
-    for i in range(1, n):
-        decay, v = ou_step_params(model, m, t_grid[i] - t_grid[i - 1])
-        xi = np.sqrt(v / 2.0) * (zr[i - 1] + 1j * zi[i - 1])
-        x = decay * x + xi
-        out[i] = x
-    return out
 
 
 def ou_variance(model: LimitModel, m: int, t: float) -> float:
@@ -145,46 +112,3 @@ def stationary_variance(model: LimitModel, m: int) -> float:
     if m == 0:
         raise ZeroMode("mode 0 is Brownian and has no stationary variance")
     return abs(model.coeff(m)) ** 2 / (2.0 * model.mu * m * m)
-
-
-def sample_limit_field(model: LimitModel, t_grid, stream: WienerStream) -> list[SpectralField]:
-    """Assembled field sum_m x_m(t) e_m with conjugate-paired modes."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    cut = model.mode_cutoff
-    n = 2 * (cut + 1)
-    trajs = {}
-    for m in range(0, cut + 1):
-        x = ou_exact_sample(model, m, t_grid, stream)
-        trajs[m] = x
-        trajs[-m] = np.conj(x)  # conjugate stream convention keeps the field real
-    fields = []
-    for i in range(t_grid.size):
-        f = SpectralField.zero(n)
-        for m in range(-cut, cut + 1):
-            f.coeffs[m + n // 2] = trajs[m][i]
-        fields.append(f)
-    return fields
-
-
-# -- error functional ------------------------------------------------------------
-
-
-def hminus_sup_error(traj_a, traj_b, s: float, mode_cutoff: int | None = None) -> float:
-    """Per-path sup over the grid of sum_m (1 + m^2)^-s |a_m(t) - b_m(t)|^2.
-
-    Both arguments need matching `times` and `modes` (wavenumber ->
-    complex trajectory); the sum runs over the recorded modes, optionally
-    restricted to |m| <= mode_cutoff.
-    """
-    ta, tb = np.asarray(traj_a.times), np.asarray(traj_b.times)
-    if ta.shape != tb.shape or np.max(np.abs(ta - tb), initial=0.0) > 1e-12:
-        raise GridMismatch("time grids differ")
-    if set(traj_a.modes) != set(traj_b.modes):
-        raise GridMismatch("watched mode sets differ")
-    total = np.zeros(ta.size)
-    for m, xa in traj_a.modes.items():
-        if mode_cutoff is not None and abs(m) > mode_cutoff:
-            continue
-        diff = np.abs(np.asarray(xa) - np.asarray(traj_b.modes[m])) ** 2
-        total += (1.0 + m * m) ** (-s) * diff
-    return float(total.max(initial=0.0))

@@ -23,7 +23,6 @@ from .fourier import (
     inner_product,
     l2_norm,
     multiply,
-    oscillate,
     seminorm_neg,
     sobolev_norm,
 )
@@ -31,10 +30,8 @@ from .reporting import CheckReport
 
 __all__ = [
     "NoiseSpec",
-    "WienerIncrements",
     "WienerStream",
     "CouplingSeries",
-    "project_profile",
     "tent_mollifier",
     "bump_mollifier",
     "check_decay",
@@ -45,8 +42,6 @@ __all__ = [
     "enhanced_coefficient",
     "smoothed_coefficient",
     "coupling_series",
-    "sample_increments",
-    "assemble_noise_field",
 ]
 
 MAX_PROFILE_HARMONIC = 16  # keeps oscillate() exact for every profile
@@ -61,22 +56,6 @@ def _check_profile(f: SpectralField, name: str) -> SpectralField:
     if conjugation_defect(f) > 1e-12 * max(1.0, l2_norm(f)):
         raise ValueError(f"{name} profile must be real-valued")
     return f
-
-
-def project_profile(values, band: int = MAX_PROFILE_HARMONIC):
-    """Project tabulated grid values onto the band-limited profile space.
-
-    Returns (field, relative projection error).  Oscillation of profiles
-    is exact only for band-limited fields, so tabulated data must be
-    projected and the dropped energy reported.
-    """
-    f = values if isinstance(values, SpectralField) else SpectralField.from_grid(values)
-    total = l2_norm(f)
-    projected = f.truncate(2 * (band + 1))
-    projected.coeffs[0] = 0.0  # the storage slot at -(band+1) is outside the band
-    err = 0.0 if total == 0 else float(
-        np.sqrt(max(total**2 - l2_norm(projected) ** 2, 0.0)) / total)
-    return projected, err
 
 
 class NoiseSpec:
@@ -461,36 +440,3 @@ class WienerStream:
             dw[:, k_cut + 1 :] = pos
             dw[:, :k_cut] = np.conj(pos[:, ::-1])
         return dw
-
-
-@dataclass(frozen=True)
-class WienerIncrements:
-    """One time step of conjugate-symmetric mode increments."""
-
-    values: np.ndarray  # index k + k_cut
-    k_cut: int
-    dt: float
-
-    def of(self, k: int) -> complex:
-        return complex(self.values[k + self.k_cut])
-
-
-def sample_increments(k_cut: int, dt: float, stream: WienerStream) -> WienerIncrements:
-    row = stream.increments(1, k_cut, dt)[0]
-    return WienerIncrements(values=row, k_cut=k_cut, dt=dt)
-
-
-def assemble_noise_field(spec: NoiseSpec, eps: float, batch: WienerIncrements,
-                         n: int | None = None) -> SpectralField:
-    """One-step noise field sum_k q_k(x/eps) e_k dW_k; real for valid input."""
-    r = int(round(1.0 / eps))
-    k_cut = batch.k_cut
-    if n is None:
-        n = 2 * (r * (MAX_PROFILE_HARMONIC + 1) + k_cut + 2)
-    out = SpectralField.zero(n)
-    for k in range(-k_cut, k_cut + 1):
-        dw = batch.of(k)
-        if dw == 0:
-            continue
-        out = out + dw * oscillate(spec.profile(k), eps, k, n)
-    return out

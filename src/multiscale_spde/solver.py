@@ -465,7 +465,7 @@ def simulate_coupled(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     if model is None:
         if cell is None:
             from .cell import solve_cell
-            cell = solve_cell(c, with_gap=False)
+            cell = solve_cell(c)
         model = averaged_model(spec, cell, worst)
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)

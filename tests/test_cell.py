@@ -16,6 +16,7 @@ from multiscale_spde.cell import (
     spectral_gap,
     validate_coefficients,
 )
+from multiscale_spde.errors import SolveFailed
 from multiscale_spde.fourier import (
     SpectralField,
     inner_product,
@@ -180,25 +181,55 @@ class TestDecayOracle:
                                    rho=cosine_cell.rho)
 
 
+def tridiagonal_gap_oracle(amplitude: float, n: int = 128) -> float:
+    """-max Re(lambda) over the nonzero spectrum, for b = A sin x and sigma = 1.
+
+    The adjoint generator is written out by hand as the tridiagonal
+    (L* f)_k = -(k A / 2)(f_{k-1} - f_{k+1}) - k^2 f_k / 2, independently
+    of generator_matrix, on a wider band than spectral_gap's default.
+    """
+    ks = np.arange(-n // 2, n // 2).astype(float)
+    a = np.diag(-0.5 * ks**2)
+    i = np.arange(1, n)
+    a[i, i - 1] = -0.5 * amplitude * ks[i]
+    a[i - 1, i] = 0.5 * amplitude * ks[i - 1]
+    rates = -np.linalg.eigvals(a).real
+    return float(rates[rates > 1e-6].min())
+
+
 class TestSpectralGap:
     def test_heat_gap(self, heat):
-        fit = spectral_gap(heat)
-        assert abs(fit.rate - 1.0) <= 1e-4
-        assert fit.r_squared >= 0.999
+        omega = spectral_gap(heat)
+        assert abs(omega - 1.0) <= 1e-12
 
     def test_gap_scales_with_diffusion(self):
         c = Coefficients.heat(np.sqrt(2.0) * 1.3)
-        fit = spectral_gap(c)
-        assert abs(fit.rate - 1.69) <= 0.01 * 1.69
+        omega = spectral_gap(c)
+        assert abs(omega - 1.69) <= 1e-12
 
-    def test_cosine_gap_matches_eigenvalue_oracle(self, cosine, cosine_cell):
-        fit = spectral_gap(cosine, cosine_cell.rho)
-        assert fit.rate > 0.0
-        assert fit.r_squared >= 0.999
+    def test_cosine_gap_matches_eigenvalue_oracle(self, cosine):
+        omega = spectral_gap(cosine)
+        assert omega > 0.0
         ks = np.arange(-32, 32)
         ev = np.linalg.eigvals(generator_matrix(cosine, ks, adjoint=True))
         omega_ref = min(-e.real for e in ev if -e.real > 1e-6)
-        assert abs(fit.rate - omega_ref) <= 0.02 * omega_ref
+        assert abs(omega - omega_ref) <= 0.02 * omega_ref
+
+    @pytest.mark.parametrize("amplitude", [0.25, 1.0, 1.75, 2.5, 3.0])
+    def test_cosine_gap_matches_tridiagonal_oracle(self, amplitude):
+        omega = spectral_gap(Coefficients.cosine_potential(amplitude))
+        oracle = tridiagonal_gap_oracle(amplitude)
+        assert abs(omega - oracle) <= 1e-10 * oracle
+
+    def test_nonzero_kernel_eigenvalue_fails(self, cosine, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def shifted(a):
+            return eigvals(a) - 1e-6  # moves the kernel off zero
+
+        monkeypatch.setattr(np.linalg, "eigvals", shifted)
+        with pytest.raises(SolveFailed, match="kernel"):
+            spectral_gap(cosine)
 
 
 class TestRescalingIdentity:

@@ -153,6 +153,25 @@ class TestStudies:
                 "study": {"kind": "converge", "seed": 1, "paths": 8, "mode_cutoff": 8},
             })
 
+    @pytest.mark.parametrize("kind", ["simulate", "converge", "variance", "semigroup"])
+    @pytest.mark.parametrize("eps, message", [
+        ([0.125, 0.25], r"strictly decreasing: eps = 0.25 follows 0.125"),
+        ([0.25, 0.25], r"strictly decreasing: eps = 0.25 follows 0.25"),
+        ([0.25, 0.3], r"eps = 0.3 is not the reciprocal of a positive integer"),
+    ])
+    def test_bad_eps_fails_before_any_solve(self, monkeypatch, kind, eps, message):
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before eps was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"]["eps"] = eps
+        config["study"]["kind"] = kind
+        with pytest.raises(ValueError, match=message):
+            run_study(config)
+
     def test_variance_study_rows_and_tables(self):
         report = run_variance_study(SMALL_VARIANCE)
         assert {r["eps"] for r in report.rows} == {0.25, 0.125}

@@ -1,25 +1,20 @@
-"""Tests for the exact OU limit models and the error functional."""
+"""Tests for the limit models and their closed-form OU moments."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
-from multiscale_spde.errors import GridMismatch, ZeroMode
-from multiscale_spde.fourier import conjugation_defect, l2_norm
+from multiscale_spde.errors import ZeroMode
 from multiscale_spde.limit import (
     LimitModel,
     averaged_model,
     enhanced_model,
-    hminus_sup_error,
-    ou_exact_sample,
     ou_step_params,
     ou_variance,
-    sample_limit_field,
     stationary_variance,
 )
-from multiscale_spde.noise import NoiseSpec, WienerStream
-from multiscale_spde.solver import PathOutput
+from multiscale_spde.noise import NoiseSpec
 
 I0_2, I0_4 = iv(0, 2.0), iv(0, 4.0)
 
@@ -30,11 +25,6 @@ def scalar_model(mu=1.0, coeff=1.0, cutoff=4):
 
 
 class TestExactSampler:
-    def test_zero_coefficient_stays_zero(self):
-        model = scalar_model(coeff=0.0)
-        x = ou_exact_sample(model, 1, np.linspace(0, 1, 11), WienerStream(0, 0))
-        assert np.abs(x).max() == 0.0
-
     def test_variance_identity_against_scalar_lyapunov(self):
         """Recursion-propagated variance equals the closed form at 1e-12."""
         model = scalar_model(mu=0.7, coeff=1.3)
@@ -47,23 +37,8 @@ class TestExactSampler:
                 var = decay**2 * var + xi_var
                 assert abs(var - ou_variance(model, m, t_grid[i])) <= 1e-12
 
-    def test_monte_carlo_self_check(self):
-        """1e4 samples at t = 2: empirical variance within 3 SE of closed form."""
-        model = scalar_model()
-        t_grid = np.linspace(0.0, 2.0, 21)
-        finals = np.array([
-            ou_exact_sample(model, 1, t_grid, WienerStream(99, p))[-1]
-            for p in range(10_000)
-        ])
-        samples = np.abs(finals) ** 2
-        target = (1.0 - np.exp(-4.0)) / 2.0
-        se = samples.std(ddof=1) / np.sqrt(samples.size)
-        assert abs(samples.mean() - target) <= 3.0 * se
-
     def test_mode_zero_is_real_brownian(self):
         model = scalar_model()
-        x = ou_exact_sample(model, 0, np.linspace(0, 1, 101), WienerStream(1, 0))
-        assert np.abs(x.imag).max() == 0.0
         assert abs(ou_variance(model, 0, 0.7) - 0.7) <= 1e-14
 
 
@@ -91,56 +66,3 @@ class TestModels:
         model = averaged_model(NoiseSpec.white(8), cosine_cell, 4)
         for m in range(-4, 5):
             assert_allclose(model.coeff(m), 1.0)
-
-    def test_assembled_field_is_real(self, cosine_cell):
-        model = enhanced_model(NoiseSpec.white(4), cosine_cell, 3)
-        fields = sample_limit_field(model, np.linspace(0, 0.5, 6), WienerStream(4, 1))
-        for f in fields[1:]:
-            assert conjugation_defect(f) <= 1e-12 * l2_norm(f)
-
-
-class TestErrorFunctional:
-    def _path(self, times, modes):
-        return PathOutput(times=np.asarray(times), modes=modes, seed=0, path_index=0)
-
-    def test_identical_trajectories_give_zero(self):
-        times = np.linspace(0, 1, 5)
-        traj = {1: np.ones(5, dtype=complex)}
-        a = self._path(times, traj)
-        b = self._path(times, {1: traj[1].copy()})
-        assert hminus_sup_error(a, b, 1.0) == 0.0
-
-    def test_single_mode_constant_gap(self):
-        times = np.linspace(0, 1, 5)
-        g = 0.37
-        a = self._path(times, {1: np.full(5, g, dtype=complex)})
-        b = self._path(times, {1: np.zeros(5, dtype=complex)})
-        for s in (0.5, 1.0, 2.0):
-            assert_allclose(hminus_sup_error(a, b, s), g**2 / 2**s, rtol=1e-14)
-
-    def test_two_mode_hand_computation(self):
-        times = np.array([0.0, 1.0, 2.0])
-        a = self._path(times, {1: np.array([0.0, 1.0, 0.5j]),
-                               2: np.array([0.0, 0.0, 2.0])})
-        b = self._path(times, {1: np.zeros(3, dtype=complex),
-                               2: np.zeros(3, dtype=complex)})
-        s = 1.0
-        # per-time sums: 0, 1/2, 0.25/2 + 4/5
-        expected = max(0.0, 0.5, 0.125 + 0.8)
-        assert_allclose(hminus_sup_error(a, b, s), expected, rtol=1e-14)
-
-    def test_mode_cutoff_restricts_sum(self):
-        times = np.array([0.0, 1.0])
-        a = self._path(times, {1: np.array([0.0, 1.0]), 5: np.array([0.0, 1.0])})
-        b = self._path(times, {1: np.zeros(2, dtype=complex),
-                               5: np.zeros(2, dtype=complex)})
-        assert_allclose(hminus_sup_error(a, b, 1.0, mode_cutoff=2), 0.5)
-
-    def test_grid_mismatch_raises(self):
-        a = self._path(np.linspace(0, 1, 5), {1: np.zeros(5, dtype=complex)})
-        b = self._path(np.linspace(0, 2, 5), {1: np.zeros(5, dtype=complex)})
-        with pytest.raises(GridMismatch):
-            hminus_sup_error(a, b, 1.0)
-        c = self._path(np.linspace(0, 1, 5), {2: np.zeros(5, dtype=complex)})
-        with pytest.raises(GridMismatch):
-            hminus_sup_error(a, c, 1.0)

@@ -15,7 +15,6 @@ from multiscale_spde.fourier import (
 from multiscale_spde.noise import (
     NoiseSpec,
     WienerStream,
-    assemble_noise_field,
     averaged_coefficient,
     bump_mollifier,
     check_decay,
@@ -24,7 +23,6 @@ from multiscale_spde.noise import (
     coupling_series,
     enhanced_coefficient,
     fluctuation_coefficient,
-    sample_increments,
     smoothed_coefficient,
     tent_mollifier,
 )
@@ -54,21 +52,6 @@ class TestFamilies:
             assert abs(inner_product(centred.profile(k), cosine_cell.rho)) <= 1e-12
         # the common tail then also has vanishing density mean
         assert abs(inner_product(centred.tail, cosine_cell.rho)) <= 1e-8
-
-    def test_tabulated_profiles_are_projected_with_reported_error(self):
-        from multiscale_spde.noise import project_profile
-
-        n = 256
-        x = 2.0 * np.pi * np.arange(n) / n
-        values = 1.0 / (1.25 + np.cos(x))  # harmonics decay like 2^-|k|
-        field, err = project_profile(values, band=16)
-        assert field.max_harmonic() <= 16
-        assert 1e-8 < err < 1e-3  # dropped tail is small but visible
-        _, err0 = project_profile(np.ones(n), band=16)
-        assert err0 == 0.0
-        spiky = np.cos(40.0 * x)
-        _, err_spiky = project_profile(spiky, band=16)
-        assert err_spiky > 0.99  # all energy beyond the band is reported
 
 
 class TestValidators:
@@ -238,9 +221,9 @@ class TestCouplingSeries:
 
 class TestWienerSampling:
     def test_conjugate_symmetry_is_exact(self):
-        batch = sample_increments(5, 0.01, WienerStream(11, 0))
+        row = WienerStream(11, 0).increments(1, 5, 0.01)[0]
         for k in range(0, 6):
-            assert batch.of(-k) == np.conj(batch.of(k))
+            assert row[5 - k] == np.conj(row[5 + k])
 
     def test_determinism_across_batching(self):
         a = WienerStream(3, 7).increments(64, 4, 0.5)
@@ -262,9 +245,3 @@ class TestWienerSampling:
         mode0 = dw[:, 4]
         assert np.abs(mode0.imag).max() == 0.0
         assert abs((mode0.real**2).mean() - dt) <= 3 * se_second * 2
-
-    def test_assembled_field_is_real(self):
-        spec = NoiseSpec.power_decay(0.5, 6, profile=ONE_PLUS_COS)
-        batch = sample_increments(6, 0.1, WienerStream(5, 2))
-        field = assemble_noise_field(spec, 0.25, batch)
-        assert conjugation_defect(field) <= 1e-10 * max(l2_norm(field), 1.0)
