@@ -51,7 +51,6 @@ from .solver import (
     apply_generator,
     build_blocks,
     exact_mode_covariance,
-    simulate_coupled,
     simulate_path,
     suggest_modes,
 )

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-25
+SOLVER_KEYS = ("eps", "t_final", "dt", "dt_factor", "n_modes", "cell_band", "watch",
+               "track_norm")  # every solver key a study reads
 
 
 # -- configuration -----------------------------------------------------------------
@@ -195,12 +197,21 @@ def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
     """What every cell-based study starts with, the config checks first.
 
     Returns (study section, seed, coefficients, cell solution, eps list);
-    the eps list is validated, or None when the study reads no eps.
-    ``before_solve``, given the eps list, runs further checks before the
-    cell solve.
+    the eps list is validated, or None when the study reads no eps.  A
+    solver key no study reads, or an explicit dt or t_final <= 0, is a
+    ValueError.  ``before_solve``, given the eps list, runs further checks
+    before the cell solve.
     """
     study = config.get("study", {})
-    eps_list = _eps_list(config["solver"]) if reads_eps else None
+    solver_cfg = config.get("solver", {})
+    unknown = sorted(set(solver_cfg) - set(SOLVER_KEYS))
+    if unknown:
+        raise ValueError(f"unknown solver key(s) {', '.join(unknown)}; "
+                         f"the studies read {', '.join(SOLVER_KEYS)}")
+    for key in ("dt", "t_final"):
+        if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
+            raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
+    eps_list = _eps_list(solver_cfg) if reads_eps else None
     if before_solve is not None:
         before_solve(eps_list)
     c = build_coefficients(config["coefficients"])
@@ -445,7 +456,7 @@ def run_simulate(config: dict) -> ExperimentReport:
 
 
 def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
-                   seed: int, default_t: float, watch, scheme=None,
+                   seed: int, default_t: float, watch,
                    dt: float | None = None) -> SolverConfig:
     t_final = float(solver_cfg.get("t_final") or default_t)
     if dt is None:
@@ -455,7 +466,6 @@ def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
     return SolverConfig(
         eps=eps, n_modes=n_modes, dt=float(dt), t_final=t_final, cutoff=cutoff,
         watch=tuple(watch), seed=seed,
-        scheme=scheme or solver_cfg.get("scheme", "block-exponential"),
         track_norm=bool(solver_cfg.get("track_norm", False)),
     )
 
@@ -492,7 +502,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=1.0, watch=watch)
         model = averaged_model(spec, cell, mode_cutoff)
-        sups = coupled_sup_errors(c, spec, sc, model, s, n_paths, sensitivities=True)
+        sups = coupled_sup_errors(c, spec, sc, model, s, n_paths)
         mean, se = batch_mean_se(sups["full"])
         report.rows.append({"eps": eps, "error": mean, "stderr": se,
                             "error_half_modes": float(sups["half_modes"].mean()),

@@ -4,10 +4,9 @@ du = L_eps u dt + sum_k q_k(x/eps) e_k dW_k on [0, 2*pi], u(0) = 0.
 
 In Fourier space both the generator and the noise couple wavenumbers
 only within a residue class modulo 1/eps, so the dynamics splits into
-independent dense blocks of size ~ N eps.  Each block follows either
-Crank-Nicolson with the noise added after the solve (imex-cn) or the
-exact matrix exponential with the noise propagated through it
-(block-exponential); the Monte Carlo engine advances that recursion
+independent dense blocks of size ~ N eps.  Each block steps by its
+exact matrix exponential with the noise propagated through it,
+x <- e^{A dt} (x + F w); the Monte Carlo engine advances that recursion
 several steps per product and carries the averaged limit as a
 difference coordinate.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
@@ -23,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .cell import CellSolution, Coefficients, generator_matrix
+from .cell import Coefficients, generator_matrix
 from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from .fourier import SpectralField, multiply, oscillate
-from .limit import LimitModel, averaged_model
+from .limit import LimitModel
 from .noise import NoiseSpec, WienerStream
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "apply_generator",
     "build_blocks",
     "simulate_path",
-    "simulate_coupled",
     "coupled_sup_errors",
     "require_driven",
     "exact_mode_covariance",
@@ -70,8 +68,6 @@ class SolverConfig:
     cutoff: int
     watch: tuple
     seed: int
-    scheme: str = "block-exponential"
-    record_stride: int = 1
     track_norm: bool = False
 
     @property
@@ -101,11 +97,6 @@ def suggest_modes(c: Coefficients, eps: float, cutoff: int, cell_band: int = 8) 
 
 
 def validate_config(config: SolverConfig, c: Coefficients) -> None:
-    ratio = 1.0 / config.eps
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("1/eps must be an integer")
-    if config.scheme not in ("imex-cn", "block-exponential"):
-        raise ValueError(f"unknown scheme {config.scheme!r}")
     if config.dt <= 0 or config.dt > config.t_final:
         raise ValueError("need 0 < dt <= t_final")
     need = 2 * config.cells * (c.max_harmonic + 1) + 2 * config.cutoff
@@ -202,8 +193,6 @@ class PathOutput:
 
     times: np.ndarray
     modes: dict
-    seed: int
-    path_index: int
     norm_squared: np.ndarray | None = None
 
     def mode(self, m: int) -> np.ndarray:
@@ -231,22 +220,17 @@ def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched 
 
 
 def _recursion(blk: ClassBlock, config: SolverConfig, limits) -> tuple:
-    """P and G of one class's step x_{k+1} = P x_k + G w_k, w_k its driven increments.
+    """P = e^{A dt} and G = P F of one class's step x_{k+1} = P x_k + G w_k.
 
-    Each (row, col, decay, coeff) in limits appends the coordinate
+    w_k are the class's driven increments and F its noise map.  Each
+    (row, col, decay, coeff) in limits appends the coordinate
     delta = x_row - l, where the limit mode l <- decay (l + coeff w_col)
     consumes the same increment.  Its rows are formed entrywise, so on a
     flat cell, where x_row follows the same update, they are exactly zero.
     """
-    a, dt = blk.matrix, config.dt
-    if config.scheme == "block-exponential":
-        p = sla.expm(a * dt)
-        g = p @ blk.noise_map
-    else:  # imex-cn: noise added after the solve
-        eye = np.eye(a.shape[0])
-        p = sla.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
-        g = blk.noise_map
-    n, q = a.shape[0], len(limits)
+    p = sla.expm(blk.matrix * config.dt)
+    g = p @ blk.noise_map
+    n, q = p.shape[0], len(limits)
     p_ext = np.zeros((n + q, n + q), dtype=complex)
     g_ext = np.zeros((n + q, g.shape[1]), dtype=complex)
     p_ext[:n, :n] = p
@@ -365,24 +349,12 @@ def _engine(op: BlockOperator, config: SolverConfig, path_indices, observe: dict
         yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
 
 
-def _recorded(first: int, count: int, stride: int) -> tuple[slice, slice]:
-    """Steps of a chunk that land on the record grid, and their record slots."""
-    start = (-(first + 1)) % stride
-    slot = (first + start + 1) // stride
-    return slice(start, count, stride), slice(slot, slot + len(range(start, count, stride)))
-
-
 def _class_rows(lookup) -> dict:
     """residue -> block rows of its watched modes, in watch order."""
     rows = {}
     for _, res, row in lookup:
         rows.setdefault(res, []).append(row)
     return rows
-
-
-def _difference_rows(op: BlockOperator, rows: dict) -> dict:
-    """residue -> state rows of the difference coordinates of its watched modes."""
-    return {res: [op.blocks[res].ks.size + i for i in range(len(r))] for res, r in rows.items()}
 
 
 def _limit_terms(op: BlockOperator, config: SolverConfig, model: LimitModel,
@@ -411,108 +383,48 @@ def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     else:
         observe = {res: [] for res in op.blocks} | _class_rows(lookup)
     where = {m: (res, observe[res].index(row)) for m, res, row in lookup}
-    stride = config.record_stride
-    n_rec = config.n_steps // stride + 1
+    n_rec = config.n_steps + 1
     trajs = {m: np.zeros(n_rec, dtype=complex) for m in where}
     norm2 = np.zeros(n_rec) if config.track_norm else None
     for first, count, obs in _engine(op, config, [path_index], observe):
-        local, slots = _recorded(first, count, stride)
+        slots = slice(first + 1, first + 1 + count)
         for m, (res, k) in where.items():
-            trajs[m][slots] = obs[res][0, local, k]
+            trajs[m][slots] = obs[res][0, :, k]
         if norm2 is not None:
-            norm2[slots] = sum(np.sum(np.abs(x[0, local]) ** 2, axis=1) for x in obs.values())
-    return PathOutput(times=np.arange(n_rec) * stride * config.dt, modes=trajs,
-                      seed=config.seed, path_index=path_index, norm_squared=norm2)
-
-
-def sample_final_modes(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
-                       n_paths: int, batch: int = 256) -> dict:
-    """Final-time watched-mode values over many paths, batched for speed.
-
-    Path p equals simulate_path(..., path_index=p) without track_norm bit
-    for bit, for any batch, within one NumPy/BLAS build.
-    """
-    op = build_blocks(c, spec, config)
-    lookup = _watch_lookup(op, config.watch)
-    observe = _class_rows(lookup)
-    out = {m: np.zeros(n_paths, dtype=complex) for m, _, _ in lookup}
-    for start in range(0, n_paths, batch):
-        idx = range(start, min(start + batch, n_paths))
-        for _, _, obs in _engine(op, config, idx, observe):
-            pass  # only the final step is kept
-        for m, res, row in lookup:
-            out[m][idx.start : idx.stop] = obs[res][:, -1, observe[res].index(row)]
-    return out
-
-
-def simulate_coupled(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
-                     cell: CellSolution | None = None, model: LimitModel | None = None,
-                     path_index: int = 0) -> tuple[PathOutput, PathOutput]:
-    """Multiscale path and its averaged-limit partner on the same increments.
-
-    The limit modes are advanced by exponential Euler,
-    x <- exp(-mu m^2 dt) (x + c_m dW_m), consuming exactly the dW_m the
-    multiscale solver consumes, so the pathwise difference measures the
-    homogenisation error rather than scheme mismatch.  The engine carries
-    the difference u_eps - u_lim of each watched mode; u_lim is u_eps minus
-    it.  Only the residue classes of watched modes are evolved; the others
-    never feed them.
-    """
-    worst = max(abs(m) for m in config.watch)
-    if config.eps * worst >= 0.5:
-        raise ValueError("comparison with the limit needs eps * |m| < 1/2")
-    require_driven(config.eps, config.cutoff, config.watch)
-    if model is None:
-        if cell is None:
-            from .cell import solve_cell
-            cell = solve_cell(c)
-        model = averaged_model(spec, cell, worst)
-    op = build_blocks(c, spec, config)
-    lookup = _watch_lookup(op, config.watch)
-    rows = _class_rows(lookup)
-    limits = _limit_terms(op, config, model, lookup)
-    differences = _difference_rows(op, rows)
-    observe = {res: r + differences[res] for res, r in rows.items()}  # x_m, then delta_m
-    stride = config.record_stride
-    n_rec = config.n_steps // stride + 1
-    eps_trajs = {m: np.zeros(n_rec, dtype=complex) for m, _, _ in lookup}
-    lim_trajs = {m: np.zeros(n_rec, dtype=complex) for m, _, _ in lookup}
-    # columns in obs[res] of x_m and of delta_m
-    where = [(m, res, rows[res].index(row), len(rows[res]) + rows[res].index(row))
-             for m, res, row in lookup]
-    for first, count, obs in _engine(op, config, [path_index], observe, limits):
-        local, slots = _recorded(first, count, stride)
-        for m, res, k_x, k_delta in where:
-            x = obs[res][0, local, k_x]
-            eps_trajs[m][slots] = x
-            lim_trajs[m][slots] = x - obs[res][0, local, k_delta]
-    times = np.arange(n_rec) * stride * config.dt
-    return (PathOutput(times=times, modes=eps_trajs, seed=config.seed, path_index=path_index),
-            PathOutput(times=times, modes=lim_trajs, seed=config.seed, path_index=path_index))
+            norm2[slots] = sum(np.sum(np.abs(x[0]) ** 2, axis=1) for x in obs.values())
+    return PathOutput(times=np.arange(n_rec) * config.dt, modes=trajs, norm_squared=norm2)
 
 
 def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                        model: LimitModel, s: float, n_paths: int,
-                       batch: int = 64, sensitivities: bool = False):
+                       batch: int = 64) -> dict:
     """Per-path sup_t sum_m (1+m^2)^-s |<u_eps - u, e_m>|^2, coupled noise.
 
-    u is the limit of simulate_coupled on the same increments; the engine
-    carries the difference directly.  With sensitivities=True also returns
-    the same statistic with the mode sum cut at half the watch range and
-    with the time grid thinned by two, so the proxy's truncation effects
-    can be reported.  Path p's values do not depend on batch.
+    u is the averaged limit advanced by exponential Euler,
+    u_m <- exp(-mu m^2 dt) (u_m + c_m dW_m), consuming exactly the dW_m
+    that u_eps consumes, so the difference measures the homogenisation
+    error rather than a mismatch between schemes.  The engine carries
+    u_eps - u of each watched mode as a difference coordinate; only the
+    residue classes of watched modes are evolved, since the others never
+    feed them.  Returns path arrays under "full", and under "half_modes"
+    and "coarse_grid" the same statistic with the mode sum cut at half the
+    watch range and with the time grid thinned by two, so the proxy's
+    truncation effects can be reported.  Path p's values do not depend on
+    batch.
     """
     require_driven(config.eps, config.cutoff, config.watch)
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
     rows = _class_rows(lookup)
     limits = _limit_terms(op, config, model, lookup)
-    observe = _difference_rows(op, rows)
+    # the difference coordinates follow the class's own rows in its state
+    observe = {res: [op.blocks[res].ks.size + i for i in range(len(r))]
+               for res, r in rows.items()}
     # (m, weight, residue, column of its difference in obs)
     terms = [(m, (1.0 + m * m) ** (-s), res, rows[res].index(row)) for m, res, row in lookup]
     half_cut = max(abs(m) for m in config.watch) // 2
 
-    keys = ("full", "half_modes", "coarse_grid") if sensitivities else ("full",)
+    keys = ("full", "half_modes", "coarse_grid")
     sups = {key: np.zeros(n_paths) for key in keys}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
@@ -525,17 +437,15 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                 if abs(m) <= half_cut:
                     current_half += term
             np.maximum(running["full"], current.max(axis=1), out=running["full"])
-            if sensitivities:
-                np.maximum(running["half_modes"], current_half.max(axis=1),
-                           out=running["half_modes"])
-                # odd step indices: the grid thinned by two
-                odd = current[:, (first + 1) % 2 :: 2]
-                if odd.shape[1]:
-                    np.maximum(running["coarse_grid"], odd.max(axis=1),
-                               out=running["coarse_grid"])
+            np.maximum(running["half_modes"], current_half.max(axis=1),
+                       out=running["half_modes"])
+            # odd step indices: the grid thinned by two
+            odd = current[:, (first + 1) % 2 :: 2]
+            if odd.shape[1]:
+                np.maximum(running["coarse_grid"], odd.max(axis=1), out=running["coarse_grid"])
         for key in keys:
             sups[key][idx.start : idx.stop] = running[key]
-    return sups if sensitivities else sups["full"]
+    return sups
 
 
 # -- exact second moments ----------------------------------------------------------

@@ -172,6 +172,27 @@ class TestStudies:
         with pytest.raises(ValueError, match=message):
             run_study(config)
 
+    @pytest.mark.parametrize("kind", ["cell", "simulate", "converge", "variance", "semigroup"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("scheme", "imex-cn", r"unknown solver key\(s\) scheme;"),
+        ("dt_factr", 1e-3, r"unknown solver key\(s\) dt_factr;"),
+        ("dt", 0.0, r"solver dt = 0.0 must be positive"),
+        ("t_final", -1.0, r"solver t_final = -1.0 must be positive"),
+    ])
+    def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, key, value,
+                                                   message):
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before the solver keys were checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"][key] = value
+        config["study"]["kind"] = kind
+        with pytest.raises(ValueError, match=message):
+            run_study(config)
+
     def test_variance_study_rows_and_tables(self):
         report = run_variance_study(SMALL_VARIANCE)
         assert {r["eps"] for r in report.rows} == {0.25, 0.125}
@@ -210,9 +231,9 @@ class TestConfigBuilders:
         from multiscale_spde.cell import Coefficients
 
         c = Coefficients.cosine_potential(1.0)
-        sc = _solver_config({"dt": 5e-4, "n_modes": 96, "scheme": "imex-cn"},
+        sc = _solver_config({"dt": 5e-4, "n_modes": 96, "track_norm": True},
                             c, 0.25, 8, seed=1, default_t=2.0, watch=(1,))
-        assert sc.dt == 5e-4 and sc.n_modes == 96 and sc.scheme == "imex-cn"
+        assert sc.dt == 5e-4 and sc.n_modes == 96 and sc.track_norm
         assert sc.t_final == 2.0
 
     def test_cutoff_factor_scales_with_eps(self):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from multiscale_spde.cell import Coefficients
+from multiscale_spde import solver
+from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
 from multiscale_spde.limit import LimitModel, averaged_model
@@ -18,8 +19,6 @@ from multiscale_spde.solver import (
     build_blocks,
     coupled_sup_errors,
     exact_mode_covariance,
-    sample_final_modes,
-    simulate_coupled,
     simulate_path,
     suggest_modes,
 )
@@ -106,33 +105,22 @@ def random_coefficients(rng) -> Coefficients:
 def stepped_reference(c, spec, config, path_index=0, model=None):
     """Reference: the per-step recursion that the blocked engine replaces.
 
-    Every class steps one increment at a time, x <- P (x + F w) for
-    block-exponential and x <- P x + F w for imex-cn, on the path's own
-    Wiener stream; each watched limit mode follows
-    l <- exp(-mu m^2 dt) (l + c_m w_m).  Returns the watched modes, |u|^2
+    Every class steps one increment at a time, x <- P (x + F w) with
+    P = expm(A dt), on the path's own Wiener stream; each watched limit
+    mode follows l <- exp(-mu m^2 dt) (l + c_m w_m).  Returns the watched modes, |u|^2
     and the limit modes at every step, step 0 included.
     """
     op = build_blocks(c, spec, config)
     n_steps, dt, k_cut = config.n_steps, config.dt, config.cutoff
     dw = WienerStream(config.seed, path_index).increments(n_steps, k_cut, dt)
-    steppers = {}
-    for res, blk in op.blocks.items():
-        if config.scheme == "block-exponential":
-            steppers[res] = (sla.expm(blk.matrix * dt), True)
-        else:
-            eye = np.eye(blk.ks.size)
-            steppers[res] = (sla.solve(eye - 0.5 * dt * blk.matrix,
-                                       eye + 0.5 * dt * blk.matrix), False)
+    props = {res: sla.expm(blk.matrix * dt) for res, blk in op.blocks.items()}
     states = {res: np.zeros(blk.ks.size, dtype=complex) for res, blk in op.blocks.items()}
     modes = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
     limit = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_steps + 1)
     for i in range(n_steps):
         for res, blk in op.blocks.items():
-            prop, noise_inside = steppers[res]
-            forced = blk.noise_map @ dw[i, blk.driven + k_cut]
-            x = states[res]
-            states[res] = prop @ (x + forced) if noise_inside else prop @ x + forced
+            states[res] = props[res] @ (states[res] + blk.noise_map @ dw[i, blk.driven + k_cut])
         for m in config.watch:
             blk = op.block_of(m)
             modes[m][i + 1] = states[blk.residue][np.searchsorted(blk.ks, m)]
@@ -141,6 +129,21 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
                 limit[m][i + 1] = decay * (limit[m][i] + model.coeff(m) * dw[i, m + k_cut])
         norm2[i + 1] = sum(float(np.sum(np.abs(x) ** 2)) for x in states.values())
     return {"modes": modes, "limit": limit, "norm2": norm2}
+
+
+def final_values(c, spec, config, n_paths, batch):
+    """Final-time watched-mode values of paths 0 .. n_paths - 1, batch paths per engine run."""
+    op = build_blocks(c, spec, config)
+    lookup = solver._watch_lookup(op, config.watch)
+    observe = solver._class_rows(lookup)
+    out = {m: np.zeros(n_paths, dtype=complex) for m, _, _ in lookup}
+    for start in range(0, n_paths, batch):
+        idx = range(start, min(start + batch, n_paths))
+        for _, _, obs in solver._engine(op, config, idx, observe):
+            pass  # only the last chunk's final step is kept
+        for m, res, row in lookup:
+            out[m][idx.start : idx.stop] = obs[res][:, -1, observe[res].index(row)]
+    return out
 
 
 def assert_matches_stepping(got, ref, label):
@@ -230,6 +233,12 @@ class TestBlocks:
         assert np.array_equal(a1.ks, -a3.ks[::-1])
         assert np.abs(a3.matrix - np.conj(a1.matrix[::-1, ::-1])).max() <= 1e-14
 
+    def test_eps_must_be_a_reciprocal_integer(self, cosine):
+        cfg = SolverConfig(eps=0.3, n_modes=suggest_modes(cosine, 0.3, 4), dt=1e-3,
+                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+        with pytest.raises(ValueError, match="1/eps must be an integer"):
+            build_blocks(cosine, NoiseSpec.white(4), cfg)
+
 
 class TestSimulatePath:
     def test_zero_noise_stays_zero(self, cosine):
@@ -243,7 +252,7 @@ class TestSimulatePath:
         """Driven mode 1 of the pure heat flow is an exact OU process."""
         cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=8.0, cutoff=1,
                            watch=(1,), seed=7)
-        vals = sample_final_modes(heat, DELTA_ONE, cfg, 2000)
+        vals = final_values(heat, DELTA_ONE, cfg, 2000, batch=256)
         samples = np.abs(vals[1]) ** 2
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) <= 3.0 * se
@@ -251,7 +260,7 @@ class TestSimulatePath:
     def test_batched_sampler_reproduces_single_paths(self, heat):
         cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, cutoff=1,
                            watch=(1,), seed=7)
-        vals = sample_final_modes(heat, DELTA_ONE, cfg, 3)
+        vals = final_values(heat, DELTA_ONE, cfg, 3, batch=256)
         for p in range(3):
             ref = simulate_path(heat, DELTA_ONE, cfg, path_index=p).mode(1)[-1]
             assert vals[1][p] == ref
@@ -266,16 +275,6 @@ class TestSimulatePath:
             assert np.abs(out.mode(-m) - np.conj(out.mode(m))).max() <= 1e-10 * scale
         assert np.abs(out.mode(0).imag).max() <= 1e-10 * scale
         assert out.times[0] == 0.0 and np.abs(out.mode(1)[0]) == 0.0
-
-    def test_both_schemes_agree_for_small_dt(self, cosine):
-        outs = {}
-        for scheme in ("imex-cn", "block-exponential"):
-            cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2),
-                               dt=2e-4, t_final=0.2, cutoff=2, watch=(1,), seed=9,
-                               scheme=scheme)
-            outs[scheme] = simulate_path(cosine, NoiseSpec.white(2), cfg).mode(1)
-        diff = np.abs(outs["imex-cn"] - outs["block-exponential"]).max()
-        assert diff < 5e-3 * np.abs(outs["block-exponential"]).max()
 
     def test_overflow_guard(self, heat):
         big = NoiseSpec.custom({1: 1e13 * SpectralField.constant(1.0)}, cutoff=1)
@@ -301,97 +300,72 @@ class TestSimulatePath:
         expected = 2.0 * np.abs(out.mode(1)) ** 2
         assert np.abs(out.norm_squared - expected).max() <= 1e-12
 
-    def test_record_stride_thins_the_grid(self, heat):
-        dense_cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.1,
-                                 cutoff=1, watch=(1,), seed=4)
-        thin_cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.1,
-                                cutoff=1, watch=(1,), seed=4, record_stride=10)
-        dense = simulate_path(heat, DELTA_ONE, dense_cfg)
-        thin = simulate_path(heat, DELTA_ONE, thin_cfg)
-        assert thin.times.size == dense.times.size // 10 + 1
-        assert np.array_equal(thin.mode(1), dense.mode(1)[::10])
-
 
 class TestCoupled:
+    KEYS = ("full", "half_modes", "coarse_grid")
+
     def test_zero_noise_gives_zero_difference(self, cosine, cosine_cell):
         spec = NoiseSpec.custom({}, cutoff=2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
                            t_final=0.1, cutoff=2, watch=(1,), seed=0)
-        u_eps, u_lim = simulate_coupled(cosine, spec, cfg, cell=cosine_cell)
-        assert np.abs(u_eps.mode(1) - u_lim.mode(1)).max() == 0.0
+        sups = coupled_sup_errors(cosine, spec, cfg, averaged_model(spec, cosine_cell, 1),
+                                  1.0, 3)
+        for key in self.KEYS:
+            assert np.array_equal(sups[key], np.zeros(3)), key
 
     def test_trivial_cell_coincides_with_limit(self, heat):
         """With flat cell structure the two updates are algebraically equal."""
         spec = NoiseSpec.power_decay(0.75, 16)
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(heat, 0.125, 16),
                            dt=1e-3, t_final=0.5, cutoff=16, watch=(1, 2), seed=5)
-        u_eps, u_lim = simulate_coupled(heat, spec, cfg)
-        for m in (1, 2):
-            assert np.abs(u_eps.mode(m) - u_lim.mode(m)).max() <= 1e-12
+        model = averaged_model(spec, solve_cell(heat), 2)
+        sups = coupled_sup_errors(heat, spec, cfg, model, 1.0, 3)
+        for key in self.KEYS:
+            assert np.array_equal(sups[key], np.zeros(3)), key
 
     def test_difference_shrinks_with_eps(self, cosine, cosine_cell):
         """Mean sup difference over a path ensemble halves when eps halves."""
-        from multiscale_spde.solver import coupled_sup_errors as _coupled_sup_errors
-        from multiscale_spde.limit import averaged_model
-
         spec64 = NoiseSpec.power_decay(0.75, 64)
         model = averaged_model(spec64, cosine_cell, 1)
         means = []
         for eps in (0.25, 0.125):
             cfg = SolverConfig(eps=eps, n_modes=suggest_modes(cosine, eps, 64),
                                dt=5e-4, t_final=0.5, cutoff=64, watch=(1,), seed=2)
-            sups = _coupled_sup_errors(cosine, spec64, cfg, model, 1.0, 32)
-            means.append(sups.mean())
+            sups = coupled_sup_errors(cosine, spec64, cfg, model, 1.0, 32)
+            means.append(sups["full"].mean())
         assert means[1] < means[0] / 1.3
 
 
 class TestBlockedEngine:
     """The engine advances B steps per product; stepping one at a time is the oracle."""
 
-    @pytest.mark.parametrize("scheme", ["block-exponential", "imex-cn"])
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
-    def test_paths_match_stepping(self, name, scheme):
+    def test_paths_match_stepping(self, name):
         c = ENGINE_CASES[name]
         # 300 steps: one full chunk of increments and a partial one
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(-3, 0, 1, 2, 5), seed=5,
-                           scheme=scheme)
+                           t_final=0.3, cutoff=8, watch=(-3, 0, 1, 2, 5), seed=5)
         out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
         ref = stepped_reference(c, NoiseSpec.white(8), cfg, path_index=2)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["modes"][m], f"{name}, {scheme}, m = {m}")
+            assert_matches_stepping(out.mode(m), ref["modes"][m], f"{name}, m = {m}")
 
-    def test_stride_and_norm_match_stepping(self, cosine):
+    def test_norm_matches_stepping(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(1, 4), seed=8,
-                           record_stride=7, track_norm=True)
+                           t_final=0.3, cutoff=8, watch=(1, 4), seed=8, track_norm=True)
         out = simulate_path(cosine, NoiseSpec.white(8), cfg)
         ref = stepped_reference(cosine, NoiseSpec.white(8), cfg)
-        assert np.array_equal(out.times, np.arange(43) * 7 * cfg.dt)
+        assert np.array_equal(out.times, np.arange(301) * cfg.dt)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["modes"][m][::7], f"m = {m}")
-        assert_matches_stepping(out.norm_squared, ref["norm2"][::7], "norm")
-
-    @pytest.mark.parametrize("scheme", ["block-exponential", "imex-cn"])
-    def test_coupled_paths_match_stepping(self, cosine, cosine_cell, scheme):
-        spec = NoiseSpec.power_decay(0.75, 8)
-        cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(1, 2, 3), seed=6,
-                           record_stride=3, scheme=scheme)
-        model = averaged_model(spec, cosine_cell, 3)
-        u_eps, u_lim = simulate_coupled(cosine, spec, cfg, model=model)
-        ref = stepped_reference(cosine, spec, cfg, model=model)
-        for m in cfg.watch:
-            assert_matches_stepping(u_eps.mode(m), ref["modes"][m][::3], f"u_eps m = {m}")
-            assert_matches_stepping(u_lim.mode(m), ref["limit"][m][::3], f"u_lim m = {m}")
+            assert_matches_stepping(out.mode(m), ref["modes"][m], f"m = {m}")
+        assert_matches_stepping(out.norm_squared, ref["norm2"], "norm")
 
     def test_sup_errors_match_stepping(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 8)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=0.3, cutoff=8, watch=(1, 2, 3, 4), seed=3)
         model = averaged_model(spec, cosine_cell, 4)
-        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2,
-                                  sensitivities=True)
+        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2)
         for p in range(3):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
             terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["modes"][m] - ref["limit"][m]) ** 2
@@ -416,9 +390,8 @@ class TestBlockedEngine:
         model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), kind="averaged", mode_cutoff=2,
                            coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
                                    for m in range(-2, 3)})
-        finals = [sample_final_modes(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
-        sups = [coupled_sup_errors(c, spec, cfg, model, 1.0, 5, batch=b, sensitivities=True)
-                for b in (1, 3, 64)]
+        finals = [final_values(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
+        sups = [coupled_sup_errors(c, spec, cfg, model, 1.0, 5, batch=b) for b in (1, 3, 64)]
         for other in finals[1:]:
             for m in cfg.watch:
                 assert np.array_equal(other[m], finals[0][m])
@@ -456,7 +429,7 @@ class TestExactCovariance:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=2.0, cutoff=8, watch=(1,), seed=11)
         spec = NoiseSpec.white(8)
-        mc = np.abs(sample_final_modes(cosine, spec, cfg, 2000)[1]) ** 2
+        mc = np.abs(final_values(cosine, spec, cfg, 2000, batch=256)[1]) ** 2
         cov = exact_mode_covariance(cosine, spec, cfg, t_grid=[2.0], modes=[1])
         se = mc.std(ddof=1) / np.sqrt(mc.size)
         assert abs(mc.mean() - cov.at_final(1)) <= 4.0 * se
