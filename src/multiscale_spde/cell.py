@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import FitFailed, SolveFailed
+from .errors import SolveFailed
 from .fourier import SpectralField, inner_product, l2_norm, multiply, sobolev_norm
 from .reporting import CheckReport
 
@@ -39,6 +39,10 @@ RHO_RESIDUAL_TOL = 1e-8
 CHI_RESIDUAL_TOL = 1e-8
 # The adjoint generator's kernel eigenvalue, relative to its spectral radius.
 KERNEL_TOL = 1e-10
+# Residue-class offsets |l| <= CLASS_OFFSETS of the slow-mode and unit-cell flows.
+CLASS_OFFSETS = 12
+# The slow eigenvalue's isolation: the next real part this many times further left.
+ISOLATION = 4.0
 
 
 class Coefficients:
@@ -238,79 +242,30 @@ def effective_diffusivity(c: Coefficients, rho: SpectralField, chi: SpectralFiel
     return float(mu)
 
 
-def _fit_log_decay(ts: np.ndarray, values: np.ndarray, min_r2: float,
-                   what: str) -> float:
-    """Exponential decay rate fitted from a log-linear window."""
-    if ts.size < 8:
-        raise FitFailed(f"{what}: only {ts.size} samples in the fit window")
-    y = np.log(values)
-    slope, intercept = np.polyfit(ts, y, 1)
-    pred = slope * ts + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if r2 < min_r2:
-        raise FitFailed(f"{what}: fit R^2 = {r2:.6f} below {min_r2}")
-    return float(-slope)
+def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
+    """mu at finite eps: the decay rate of the slow mode e_m over m^2.
 
-
-def _trapezoid_propagator(a: np.ndarray, dt: float) -> np.ndarray:
-    n = a.shape[0]
-    eye = np.eye(n)
-    return sla.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
-
-
-def diffusivity_from_decay(c: Coefficients, eps: float, m: int,
-                           t_final: float | None = None, dt: float | None = None,
-                           rho: SpectralField | None = None,
-                           offsets: int = 12, min_r2: float = 0.999) -> float:
-    """Estimate mu by evolving the adjoint flow d/dt f = L_eps* f from e_m.
-
-    The trajectory is projected onto the slow pattern rho(x/eps) e_m and
-    the exponential rate of the projection is fitted on [2 eps^2, T],
-    skipping the initial boundary layer.  Returns rate / m^2 at the given
-    eps, which differs from mu by O((eps m)^2) (about -2.8 (eps m)^2 mu for
-    the A = 1 cosine potential), so a cross-validation of mu has to
-    extrapolate to eps -> 0, e.g. (4 rate(eps / 2) - rate(eps)) / 3.
+    The rate is -max Re(lambda) over the eigenvalues of the adjoint
+    generator L_eps* on the residue class m + (1/eps) l, |l| <= CLASS_OFFSETS.
+    It comes from the spectrum alone, independently of the corrector
+    route to mu, and differs from mu by O((eps m)^2) (about -2.8 (eps m)^2 mu
+    for the A = 1 cosine potential), so a cross-validation of mu has to
+    extrapolate to eps -> 0, e.g. (4 rate(eps / 2) - rate(eps)) / 3.  The
+    slow eigenvalue must be real to KERNEL_TOL of the spectral radius and
+    isolated, the next real part at least ISOLATION times further left,
+    else SolveFailed.
     """
-    r = int(round(1.0 / eps))
     if abs(eps * m) >= 0.5:
         raise ValueError("need eps * |m| < 1/2 for a resolved slow mode")
-    if rho is None:
-        rho = invariant_density(c)
-    if dt is None:
-        dt = min(1e-3, 0.1 * eps**2)
-
-    ks = m + r * np.arange(-offsets, offsets + 1)
-    a = generator_matrix(c, ks, eps=eps, adjoint=True)
-    prop = _trapezoid_propagator(a, dt)
-
-    pattern = np.array([rho.coeff(j) for j in range(-offsets, offsets + 1)])
-    pattern /= np.vdot(pattern, pattern).real
-
-    f = np.zeros(ks.size, dtype=complex)
-    f[offsets] = 1.0  # e_m
-    t_start = 2.0 * eps**2
-    t_cap = t_final if t_final is not None else 60.0 / m**2
-
-    ts, ps = [0.0], [abs(np.vdot(pattern, f))]
-    t = 0.0
-    p_ref = None
-    while t < t_cap - 0.5 * dt:
-        f = prop @ f
-        t += dt
-        p = abs(np.vdot(pattern, f))
-        ts.append(t)
-        ps.append(p)
-        if t >= t_start and p_ref is None:
-            p_ref = p
-        if t_final is None and p_ref is not None and p < 0.35 * p_ref:
-            break
-
-    ts = np.asarray(ts)
-    ps = np.asarray(ps)
-    window = (ts >= t_start) & (ps > 0)
-    return _fit_log_decay(ts[window], ps[window], min_r2, "slow-mode decay") / m**2
+    ks = m + int(round(1.0 / eps)) * np.arange(-CLASS_OFFSETS, CLASS_OFFSETS + 1)
+    evals = np.linalg.eigvals(generator_matrix(c, ks, eps=eps, adjoint=True))
+    slow, following = evals[np.argsort(-evals.real)[:2]]
+    if abs(slow.imag) > KERNEL_TOL * np.abs(evals).max():
+        raise SolveFailed(f"slow eigenvalue {slow:.3e} is not real")
+    if following.real > ISOLATION * slow.real:
+        raise SolveFailed(f"slow eigenvalue {slow.real:.3e} is not isolated: the next "
+                          f"real part is {following.real:.3e}")
+    return float(-slow.real / m**2)
 
 
 def spectral_gap(c: Coefficients, n: int = 96) -> float:

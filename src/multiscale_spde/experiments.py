@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-25
-SOLVER_KEYS = ("eps", "t_final", "dt", "dt_factor", "n_modes", "cell_band", "watch",
-               "track_norm")  # every solver key a study reads
+SOLVER_KEYS = ("eps", "t_final", "dt", "n_modes", "watch", "track_norm")  # every key read
+BL_FIT_MIN_R2 = 0.99  # the boundary-layer decay must be log-linear to this R^2
 
 
 # -- configuration -----------------------------------------------------------------
@@ -198,9 +198,10 @@ def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
 
     Returns (study section, seed, coefficients, cell solution, eps list);
     the eps list is validated, or None when the study reads no eps.  A
-    solver key no study reads, or an explicit dt or t_final <= 0, is a
-    ValueError.  ``before_solve``, given the eps list, runs further checks
-    before the cell solve.
+    solver key no study reads, an explicit dt, t_final or n_modes <= 0,
+    or a noise section with both cutoff and cutoff_factor is a ValueError.
+    ``before_solve``, given the eps list, runs further checks before the
+    cell solve.
     """
     study = config.get("study", {})
     solver_cfg = config.get("solver", {})
@@ -208,9 +209,12 @@ def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
     if unknown:
         raise ValueError(f"unknown solver key(s) {', '.join(unknown)}; "
                          f"the studies read {', '.join(SOLVER_KEYS)}")
-    for key in ("dt", "t_final"):
+    for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
+    noise_cfg = config.get("noise", {})
+    if noise_cfg.get("cutoff") is not None and noise_cfg.get("cutoff_factor") is not None:
+        raise ValueError("noise gives both cutoff and cutoff_factor; give one")
     eps_list = _eps_list(solver_cfg) if reads_eps else None
     if before_solve is not None:
         before_solve(eps_list)
@@ -310,14 +314,18 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
 # -- fitting helpers ---------------------------------------------------------------
 
 
-def loglog_fit(xs, ys) -> tuple[float, float, float]:
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+def _line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept, and its R^2."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), float(r2)
+
+
+def loglog_fit(xs, ys) -> tuple[float, float, float]:
+    return _line_fit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)))
 
 
 def fit_rate_with_exclusion(eps_list, values) -> dict:
@@ -460,9 +468,8 @@ def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
                    dt: float | None = None) -> SolverConfig:
     t_final = float(solver_cfg.get("t_final") or default_t)
     if dt is None:
-        dt = solver_cfg.get("dt") or default_dt(eps, float(solver_cfg.get("dt_factor", 1e-3)))
-    n_modes = int(solver_cfg.get("n_modes") or
-                  suggest_modes(c, eps, cutoff, int(solver_cfg.get("cell_band", 8))))
+        dt = solver_cfg.get("dt") or default_dt(eps)
+    n_modes = int(solver_cfg.get("n_modes") or suggest_modes(c, eps, cutoff))
     return SolverConfig(
         eps=eps, n_modes=n_modes, dt=float(dt), t_final=t_final, cutoff=cutoff,
         watch=tuple(watch), seed=seed,
@@ -625,19 +632,21 @@ def run_variance_study(config: dict, target: str | None = None) -> ExperimentRep
 # -- semigroup remainder study ---------------------------------------------------------
 
 
-def _unit_cell_flow(c: Coefficients, rho: SpectralField, offsets: int):
-    """Eigen-decomposed adjoint flow on the unit cell, seeded with 1 - rho."""
-    ks = np.arange(-offsets, offsets + 1)
-    a = generator_matrix(c, ks, eps=1.0, adjoint=True)
-    evals, vecs = np.linalg.eig(a)
-    h0 = np.array([-rho.coeff(int(j)) for j in ks], dtype=complex)
-    h0[offsets] += 1.0  # 1 - rho
-    coef = np.linalg.solve(vecs, h0)
+def _adjoint_flow(c: Coefficients, ks: np.ndarray, eps: float, f0: np.ndarray):
+    """ts -> exp(t L_eps*) f0 on the wavenumbers ks, one column per time."""
+    evals, vecs = np.linalg.eig(generator_matrix(c, ks, eps=eps, adjoint=True))
+    coef = np.linalg.solve(vecs, f0)
+    return lambda ts: vecs @ (np.exp(np.multiply.outer(evals, ts)) * coef[:, None])
 
-    def h_at(s: float) -> np.ndarray:
-        return vecs @ (np.exp(evals * s) * coef)
 
-    return h_at
+def _fit_log_decay(ts: np.ndarray, values: np.ndarray) -> float:
+    """Exponential decay rate fitted from a log-linear window."""
+    if ts.size < 8:
+        raise FitFailed(f"boundary layer: only {ts.size} samples in the fit window")
+    slope, _, r2 = _line_fit(ts, np.log(values))
+    if r2 < BL_FIT_MIN_R2:
+        raise FitFailed(f"boundary layer: fit R^2 = {r2:.6f} below {BL_FIT_MIN_R2}")
+    return -slope
 
 
 def run_semigroup_study(config: dict) -> ExperimentReport:
@@ -645,8 +654,11 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
 
     Evolving e_m under the adjoint multiscale flow and subtracting the
     slow pattern rho(x/eps) e_m exp(-mu m^2 t) plus the evolved boundary
-    layer leaves a remainder whose sup norm should scale like eps; the
-    boundary layer itself should relax at rate omega / eps^2.
+    layer leaves a remainder whose sup norm should scale like eps.  The
+    boundary layer is the unit-cell flow of 1 - rho at s = t / eps^2; its
+    decay rate is fitted in L^2(1/rho), where the eigenvectors of a
+    reversible L* are orthogonal, and should match the spectral gap omega.
+    All flows are eigen-decomposed on the class offsets |l| <= CLASS_OFFSETS.
     """
     study, seed, c, cell, eps_list = _prologue(config)
     m = int(study.get("mode", 1))
@@ -655,35 +667,32 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     report = ExperimentReport(study="semigroup", config=config, seed=seed)
 
     t_final = float(config.get("solver", {}).get("t_final") or 1.0)
-    offsets = int(study.get("offsets", 12))
-    h_at = _unit_cell_flow(c, cell.rho, offsets)
+    offsets = np.arange(-cell_mod.CLASS_OFFSETS, cell_mod.CLASS_OFFSETS + 1)
+    pattern = np.array([cell.rho.coeff(int(j)) for j in offsets], dtype=complex)
+    centre = (offsets == 0).astype(complex)  # 1 on the unit cell, e_m on m's class
+    h_at = _adjoint_flow(c, offsets, 1.0, centre - pattern)
 
-    # Boundary-layer relaxation rate, from the unit-cell decay itself.
+    # Boundary-layer relaxation rate: |h(s)| in L^2(1/rho) on rho's grid.
     s_grid = np.linspace(0.25, 6.0 / max(omega, 1e-3), 200)
-    h_norms = np.array([np.linalg.norm(h_at(s)) for s in s_grid])
+    n = cell.rho.n
+    h_coeffs = np.zeros((n, s_grid.size), dtype=complex)
+    h_coeffs[offsets % n] = h_at(s_grid)
+    h_grid = np.fft.ifft(h_coeffs, axis=0) * n
+    rho_grid = np.real(cell.rho.to_grid())
+    h_norms = np.sqrt(np.mean(np.abs(h_grid) ** 2 / rho_grid[:, None], axis=0))
     alive = h_norms > h_norms[0] * 1e-12
-    bl_rate = cell_mod._fit_log_decay(s_grid[alive], h_norms[alive], 0.99, "boundary layer")
+    bl_rate = _fit_log_decay(s_grid[alive], h_norms[alive])
 
     sup_norms = []
     for eps in eps_list:
-        r = int(round(1.0 / eps))
-        ks = m + r * np.arange(-offsets, offsets + 1)
-        a = generator_matrix(c, ks, eps=eps, adjoint=True)
-        evals, vecs = np.linalg.eig(a)
-        f0 = np.zeros(ks.size, dtype=complex)
-        f0[offsets] = 1.0
-        coef = np.linalg.solve(vecs, f0)
-        pattern = np.array([cell.rho.coeff(int(j)) for j in
-                            range(-offsets, offsets + 1)], dtype=complex)
-
+        ks = m + int(round(1.0 / eps)) * offsets
+        f_at = _adjoint_flow(c, ks, eps, centre)
         early = np.linspace(0.0, min(20.0 * eps * eps, t_final), 81)
         late = np.linspace(0.0, t_final, 201)
-        ts = np.unique(np.concatenate([early, late]))
-        sup_r = 0.0
-        for t in ts[1:]:
-            f_t = vecs @ (np.exp(evals * t) * coef)
-            approx = pattern * np.exp(-cell.mu * m * m * t) + h_at(t / eps**2)
-            sup_r = max(sup_r, float(np.linalg.norm(f_t - approx)))
+        ts = np.unique(np.concatenate([early, late]))[1:]
+        approx = (np.multiply.outer(pattern, np.exp(-cell.mu * m * m * ts))
+                  + h_at(ts / eps**2))
+        sup_r = float(np.linalg.norm(f_at(ts) - approx, axis=0).max())
         sup_norms.append(sup_r)
         report.rows.append({"eps": eps, "m": m, "sup_remainder": sup_r,
                             "bl_rate_slow_units": bl_rate / eps**2,

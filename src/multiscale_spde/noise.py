@@ -353,11 +353,6 @@ class CouplingSeries:
     tail_estimate: float
     max_offset: int
 
-    def partial(self, max_offset: int) -> float:
-        return float(np.sqrt(sum(
-            abs(v) ** 2 for l, v in self.lambdas.items() if abs(l) <= max_offset
-        )))
-
 
 def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
                     rescaled: bool = False, max_offset: int | None = None,

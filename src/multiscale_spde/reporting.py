@@ -18,12 +18,6 @@ class CheckItem:
     threshold: float | None = None
     note: str = ""
 
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        thr = "" if self.threshold is None else f" (threshold {self.threshold:g})"
-        note = f"  [{self.note}]" if self.note else ""
-        return f"{status:4s}  {self.name}: {self.value:.6g}{thr}{note}"
-
 
 @dataclass
 class CheckReport:
@@ -36,10 +30,6 @@ class CheckReport:
 
     def add(self, *args, **kwargs) -> None:
         self.items.append(CheckItem(*args, **kwargs))
-
-    def lines(self) -> list[str]:
-        head = f"{self.title}: {'pass' if self.passed else 'FAIL'}"
-        return [head] + ["  " + item.line() for item in self.items]
 
     def as_rows(self) -> list[dict]:
         return [

@@ -48,6 +48,7 @@ OVERFLOW_GUARD = 1e12
 COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 layer
+CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
 CHUNK_STEPS = 256  # steps of Wiener increments drawn per path at a time
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
 
@@ -79,19 +80,19 @@ class SolverConfig:
         return max(1, int(round(self.t_final / self.dt)))
 
 
-def default_dt(eps: float, factor: float = DEFAULT_DT_FACTOR) -> float:
-    return factor * min(1.0, 16.0 * eps * eps)
+def default_dt(eps: float) -> float:
+    return DEFAULT_DT_FACTOR * min(1.0, 16.0 * eps * eps)
 
 
-def suggest_modes(c: Coefficients, eps: float, cutoff: int, cell_band: int = 8) -> int:
+def suggest_modes(c: Coefficients, eps: float, cutoff: int) -> int:
     """Band (a multiple of 2/eps) meeting the invariant with cell headroom.
 
     The minimum 2 (1/eps) (J+1) + 2 cutoff only fits the operator; each
     residue class must also hold the harmonics of the invariant density,
-    so the per-class offset range is widened to at least cell_band.
+    so the per-class offset range is widened to at least CELL_BAND.
     """
     r = int(round(1.0 / eps))
-    need = 2 * r * max(c.max_harmonic + 1, cell_band) + 2 * cutoff
+    need = 2 * r * max(c.max_harmonic + 1, CELL_BAND) + 2 * cutoff
     blocks = -(-need // (2 * r))  # ceil
     return 2 * r * blocks
 

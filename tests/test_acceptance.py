@@ -69,7 +69,7 @@ def test_criterion1_cell_closed_forms(gibbs_grid):
 
 
 @pytest.fixture(scope="module")
-def mu_hats(cosine, cosine_cell):
+def mu_hats(cosine):
     """eps -> 0 estimates of mu from the decay oracle, for m = 1, 2.
 
     The oracle returns the finite-eps slow rate / m^2, which is
@@ -77,7 +77,7 @@ def mu_hats(cosine, cosine_cell):
     (4 rate(1/32) - rate(1/16)) / 3 cancels the (eps m)^2 term.
     """
     def rate(eps, m):
-        return diffusivity_from_decay(cosine, eps, m, rho=cosine_cell.rho)
+        return diffusivity_from_decay(cosine, eps, m)
 
     return {m: (4.0 * rate(1.0 / 32.0, m) - rate(1.0 / 16.0, m)) / 3.0
             for m in (1, 2)}
@@ -90,7 +90,7 @@ def test_criterion2_cross_validation_m1(cosine_cell, mu_hats):
 
 
 def test_criterion2_cross_validation_m2(cosine_cell, mu_hats):
-    """The finite-eps rate alone misses mu by 2.8 (eps m)^2, 4.5% at
+    """The finite-eps rate alone misses mu by 2.8 (eps m)^2, 4.4% at
     eps = 1/16, m = 2, so mu is compared with the eps -> 0 extrapolation."""
     rel = abs(mu_hats[2] - cosine_cell.mu) / cosine_cell.mu
     check("2b decay oracle m=2", rel <= 0.02,
@@ -99,7 +99,7 @@ def test_criterion2_cross_validation_m2(cosine_cell, mu_hats):
 
 def test_criterion2_mode_scaling(mu_hats):
     """The m^2 scaling of the eps -> 0 rates; at a single finite eps the
-    ratio carries the (eps m)^2 bias of 2b (0.966 at eps = 1/16)."""
+    ratio carries the (eps m)^2 bias of 2b (0.967 at eps = 1/16)."""
     ratio = (4.0 * mu_hats[2]) / (4.0 * mu_hats[1])
     check("2c m^2 scaling", abs(ratio - 1.0) <= 0.02,
           f"rate ratio / 4 = {ratio:.5f} (tol 0.02)")
@@ -231,6 +231,20 @@ def test_criterion7_semigroup_remainder():
     rel = abs(report.fit["bl_rate_unit_cell"] - report.fit["omega"]) / report.fit["omega"]
     check("7b boundary-layer rate", rel <= 0.10,
           f"|rate - omega| / omega = {rel:.4f} (tol 0.10)")
+
+
+@pytest.mark.parametrize("amplitude", [0.25, 1.0, 2.0, 2.75, 3.0])
+def test_criterion7b_rate_across_amplitudes(amplitude):
+    """The boundary-layer rate, fitted in L^2(1/rho), meets omega to 1% up
+    to A = 3, where the next eigenvalue is only 1.7 omega away."""
+    report = run_semigroup_study({
+        "coefficients": {"name": "cosine-potential", "amplitude": amplitude},
+        "solver": {"eps": [0.125, 0.0625, 0.03125], "t_final": 1.0},
+        "study": {"kind": "semigroup", "seed": 1, "mode": 1},
+    })
+    rel = abs(report.fit["bl_rate_unit_cell"] - report.fit["omega"]) / report.fit["omega"]
+    check(f"7b boundary-layer rate at A = {amplitude:g}", rel <= 0.01,
+          f"|rate - omega| / omega = {rel:.2e} (tol 0.01)")
 
 
 # -- criterion 8: always-on invariant suites -----------------------------------------

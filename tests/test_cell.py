@@ -149,17 +149,16 @@ class TestEffectiveDiffusivity:
 
 class TestDecayOracle:
     def test_heat_exact_rate(self, heat):
-        mu_hat = diffusivity_from_decay(heat, 0.25, 1, t_final=1.0)
-        assert abs(mu_hat - 1.0) <= 1e-6
+        mu_hat = diffusivity_from_decay(heat, 0.25, 1)
+        assert abs(mu_hat - 1.0) <= 1e-12
 
     def test_heat_mode_scaling(self, heat):
-        # trapezoid rate bias is (dt * m^2)^2 / 12 ~ 1.3e-6 for mode 2
-        r1 = diffusivity_from_decay(heat, 0.125, 1, t_final=0.8)
-        r2 = diffusivity_from_decay(heat, 0.125, 2, t_final=0.2)
-        assert abs(4.0 * r2 / (4.0 * r1) - 1.0) <= 1e-5
+        r1 = diffusivity_from_decay(heat, 0.125, 1)
+        r2 = diffusivity_from_decay(heat, 0.125, 2)
+        assert abs(4.0 * r2 / (4.0 * r1) - 1.0) <= 1e-12
 
     def test_cosine_cross_validation(self, cosine, cosine_cell):
-        mu_hat = diffusivity_from_decay(cosine, 1.0 / 16.0, 1, rho=cosine_cell.rho)
+        mu_hat = diffusivity_from_decay(cosine, 1.0 / 16.0, 1)
         assert abs(mu_hat - cosine_cell.mu) <= 0.02 * cosine_cell.mu
 
     def test_cross_validation_other_amplitude(self):
@@ -167,18 +166,23 @@ class TestDecayOracle:
         rho = invariant_density(c, 128)
         chi = corrector(c, rho)
         mu = effective_diffusivity(c, rho, chi)
-        mu_hat = diffusivity_from_decay(c, 1.0 / 16.0, 1, rho=rho)
+        mu_hat = diffusivity_from_decay(c, 1.0 / 16.0, 1)
         assert abs(mu_hat - mu) <= 0.02 * mu
 
     def test_rejects_unresolved_mode(self, cosine):
         with pytest.raises(ValueError):
             diffusivity_from_decay(cosine, 0.5, 1)
 
-    def test_too_short_horizon_fails_the_fit(self, cosine, cosine_cell):
-        from multiscale_spde.errors import FitFailed
-        with pytest.raises(FitFailed):
-            diffusivity_from_decay(cosine, 0.25, 1, t_final=2 * 0.25**2 + 0.003,
-                                   rho=cosine_cell.rho)
+    @pytest.mark.parametrize("perturb, message", [
+        # a second eigenvalue at twice the slow one: only 2x further left
+        (lambda ev: np.append(ev, 2.0 * ev[np.argmax(ev.real)]), "not isolated"),
+        (lambda ev: ev + 1e-3j, "not real"),
+    ])
+    def test_slow_eigenvalue_contract(self, cosine, monkeypatch, perturb, message):
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: perturb(eigvals(a)))
+        with pytest.raises(SolveFailed, match=message):
+            diffusivity_from_decay(cosine, 1.0 / 16.0, 1)
 
 
 def tridiagonal_gap_oracle(amplitude: float, n: int = 128) -> float:

@@ -173,14 +173,17 @@ class TestStudies:
             run_study(config)
 
     @pytest.mark.parametrize("kind", ["cell", "simulate", "converge", "variance", "semigroup"])
-    @pytest.mark.parametrize("key, value, message", [
-        ("scheme", "imex-cn", r"unknown solver key\(s\) scheme;"),
-        ("dt_factr", 1e-3, r"unknown solver key\(s\) dt_factr;"),
-        ("dt", 0.0, r"solver dt = 0.0 must be positive"),
-        ("t_final", -1.0, r"solver t_final = -1.0 must be positive"),
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("solver", "scheme", "imex-cn", r"unknown solver key\(s\) scheme;"),
+        ("solver", "dt_factr", 1e-3, r"unknown solver key\(s\) dt_factr;"),
+        ("solver", "dt_factor", 1e-3, r"unknown solver key\(s\) dt_factor;"),
+        ("solver", "dt", 0.0, r"solver dt = 0.0 must be positive"),
+        ("solver", "t_final", -1.0, r"solver t_final = -1.0 must be positive"),
+        ("solver", "n_modes", 0, r"solver n_modes = 0 must be positive"),
+        ("noise", "cutoff_factor", 2.0, r"noise gives both cutoff and cutoff_factor"),
     ])
-    def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, key, value,
-                                                   message):
+    def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
+                                                   value, message):
         import multiscale_spde.experiments as experiments
 
         def no_solve(*args, **kwargs):
@@ -188,7 +191,7 @@ class TestStudies:
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
         config = json.loads(json.dumps(SMALL_VARIANCE))
-        config["solver"][key] = value
+        config[section][key] = value
         config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
