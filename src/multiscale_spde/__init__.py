@@ -27,23 +27,17 @@ from .fourier import (
     sobolev_norm,
 )
 from .limit import (
+    REGIMES,
     LimitModel,
-    averaged_model,
-    enhanced_model,
-    fluctuation_model,
-    ou_variance,
-    smoothed_model,
-    stationary_variance,
-)
-from .noise import (
-    NoiseSpec,
-    WienerStream,
     averaged_coefficient,
-    coupling_series,
     enhanced_coefficient,
     fluctuation_coefficient,
+    limit_model,
+    ou_variance,
     smoothed_coefficient,
+    stationary_variance,
 )
+from .noise import NoiseSpec, WienerStream, coupling_series
 from .solver import (
     BlockOperator,
     PathOutput,

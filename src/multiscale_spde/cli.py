@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import emit_report, load_config, run_study
-
-STUDIES = ("cell", "noise-check", "simulate", "converge", "variance", "semigroup")
+from .experiments import STUDIES, emit_report, load_config, run_study
 
 
 def build_parser() -> argparse.ArgumentParser:

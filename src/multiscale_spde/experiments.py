@@ -19,17 +19,10 @@ import numpy as np
 
 from . import cell as cell_mod
 from . import noise as noise_mod
-from .cell import CellSolution, Coefficients, generator_matrix, solve_cell, spectral_gap
+from .cell import Coefficients, generator_matrix, solve_cell, spectral_gap
 from .errors import FitFailed
 from .fourier import SpectralField, inner_product, l2_norm, multiply
-from .limit import (
-    LimitModel,
-    averaged_model,
-    enhanced_model,
-    fluctuation_model,
-    ou_variance,
-    smoothed_model,
-)
+from .limit import REGIMES, limit_model, ou_variance
 from .noise import NoiseSpec, bump_mollifier, tent_mollifier
 from .solver import (
     SolverConfig,
@@ -53,6 +46,7 @@ __all__ = [
     "run_coupling_convergence",
     "run_variance_study",
     "run_semigroup_study",
+    "STUDIES",
     "run_study",
     "emit_report",
 ]
@@ -193,17 +187,13 @@ def _eps_list(solver_cfg: dict) -> list[float]:
     return eps_list
 
 
-def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
-    """What every cell-based study starts with, the config checks first.
+def _check_config(config: dict) -> None:
+    """The checks every study makes before any work; each failure is a ValueError.
 
-    Returns (study section, seed, coefficients, cell solution, eps list);
-    the eps list is validated, or None when the study reads no eps.  A
-    solver key no study reads, an explicit dt, t_final or n_modes <= 0,
-    or a noise section with both cutoff and cutoff_factor is a ValueError.
-    ``before_solve``, given the eps list, runs further checks before the
-    cell solve.
+    Rejected: a solver key no study reads, an explicit dt, t_final or
+    n_modes <= 0, a non-integer n_modes, a noise section with both cutoff
+    and cutoff_factor, and a study target that names no limit regime.
     """
-    study = config.get("study", {})
     solver_cfg = config.get("solver", {})
     unknown = sorted(set(solver_cfg) - set(SOLVER_KEYS))
     if unknown:
@@ -212,9 +202,29 @@ def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
+    n_modes = solver_cfg.get("n_modes")
+    if n_modes is not None and float(n_modes) != int(float(n_modes)):
+        raise ValueError(f"solver n_modes = {n_modes!r} must be an integer")
     noise_cfg = config.get("noise", {})
     if noise_cfg.get("cutoff") is not None and noise_cfg.get("cutoff_factor") is not None:
         raise ValueError("noise gives both cutoff and cutoff_factor; give one")
+    target = config.get("study", {}).get("target")
+    if target is not None and target not in REGIMES:
+        raise ValueError(f"unknown study target {target!r}; "
+                         f"the limit regimes are {', '.join(REGIMES)}")
+
+
+def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
+    """What every cell-based study starts with, the config checks first.
+
+    Returns (study section, seed, coefficients, cell solution, eps list);
+    the eps list is validated, or None when the study reads no eps.
+    ``before_solve``, given the eps list, runs further checks before the
+    cell solve.
+    """
+    _check_config(config)
+    study = config.get("study", {})
+    solver_cfg = config.get("solver", {})
     eps_list = _eps_list(solver_cfg) if reads_eps else None
     if before_solve is not None:
         before_solve(eps_list)
@@ -412,6 +422,7 @@ def run_cell_study(config: dict) -> ExperimentReport:
 
 def run_noise_check(config: dict) -> ExperimentReport:
     """Run the decay, tail-convergence and summability validators."""
+    _check_config(config)
     study = config.get("study", {})
     seed = int(study.get("seed", 0))
     report = ExperimentReport(study="noise-check", config=config, seed=seed)
@@ -508,7 +519,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
             first_spec = spec
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=1.0, watch=watch)
-        model = averaged_model(spec, cell, mode_cutoff)
+        model = limit_model("averaged", spec, cell, mode_cutoff)
         sups = coupled_sup_errors(c, spec, sc, model, s, n_paths)
         mean, se = batch_mean_se(sups["full"])
         report.rows.append({"eps": eps, "error": mean, "stderr": se,
@@ -546,20 +557,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
 # -- variance study -------------------------------------------------------------------
 
 
-def _limit_model_for(target: str, spec: NoiseSpec, cell: CellSolution,
-                     mode_cutoff: int) -> LimitModel:
-    if target == "fluctuation":
-        return fluctuation_model(spec, cell, mode_cutoff)
-    if target == "enhanced":
-        return enhanced_model(spec, cell, mode_cutoff)
-    if target == "smoothed":
-        return smoothed_model(spec, cell, mode_cutoff)
-    if target == "averaged":
-        return averaged_model(spec, cell, mode_cutoff)
-    raise ValueError(f"unknown variance target {target!r}")
-
-
-def run_variance_study(config: dict, target: str | None = None) -> ExperimentReport:
+def run_variance_study(config: dict) -> ExperimentReport:
     """Exact mode variances against the limiting OU prediction.
 
     Variances of <u_eps(T), e_m> come from the block Lyapunov equations
@@ -570,7 +568,7 @@ def run_variance_study(config: dict, target: str | None = None) -> ExperimentRep
     eps^(-2 alpha) and the noise must be centred.
     """
     study, seed, c, cell, eps_list = _prologue(config)
-    target = target or study.get("target", "enhanced")
+    target = study.get("target", "enhanced")
     tol = study.get("tolerances", {})
     watch = tuple(config.get("solver", {}).get("watch") or (int(study.get("mode", 1)),))
 
@@ -590,7 +588,7 @@ def run_variance_study(config: dict, target: str | None = None) -> ExperimentRep
                             default_t=t_final, watch=watch, dt=dt)
         t_grid = np.linspace(0.0, sc.t_final, 33)
         cov = exact_mode_covariance(c, spec, sc, t_grid, modes=watch)
-        model = _limit_model_for(target, spec, cell, max(abs(m) for m in watch))
+        model = limit_model(target, spec, cell, max(abs(m) for m in watch))
         scale = eps ** (-2.0 * spec.alpha) if target == "fluctuation" else 1.0
 
         table_rows = []
@@ -713,18 +711,18 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
 # -- dispatch ---------------------------------------------------------------------------
 
 
+STUDIES = {
+    "cell": run_cell_study,
+    "noise-check": run_noise_check,
+    "simulate": run_simulate,
+    "converge": run_coupling_convergence,
+    "variance": run_variance_study,
+    "semigroup": run_semigroup_study,
+}  # study kind -> runner; the command line has one subcommand per kind
+
+
 def run_study(config: dict) -> ExperimentReport:
     kind = config.get("study", {}).get("kind")
-    if kind == "cell":
-        return run_cell_study(config)
-    if kind == "noise-check":
-        return run_noise_check(config)
-    if kind == "simulate":
-        return run_simulate(config)
-    if kind == "converge":
-        return run_coupling_convergence(config)
-    if kind == "variance":
-        return run_variance_study(config)
-    if kind == "semigroup":
-        return run_semigroup_study(config)
-    raise ValueError(f"unknown study kind {kind!r}")
+    if kind not in STUDIES:
+        raise ValueError(f"unknown study kind {kind!r}")
+    return STUDIES[kind](config)

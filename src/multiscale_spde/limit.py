@@ -1,15 +1,15 @@
-"""The limiting stochastic heat equations and their closed-form OU moments.
+"""The limiting stochastic heat equations, their noise coefficients and OU moments.
 
 Every Fourier mode of a constant-coefficient stochastic heat equation
 du = mu u_xx dt + sum_k c_k e_k dW_k is an independent complex OU
 process, so its exact one-step transition and its second moments are
-available in closed form.  The coefficient rule c_m distinguishes the
-limit regimes:
+available in closed form.  The regime fixes the coefficient rule c_m,
+and ``limit_model(regime, ...)`` is the one place that chooses it:
 
   averaged     c_m = <q_m, rho>            (mode-wise weighted mean)
   fluctuation  c_m = |tail rho|_{-alpha}   (rescaled, centred noise)
   enhanced     c_m = (|<q_m,rho>|^2 - |<tail,rho>|^2 + |tail rho|^2)^(1/2)
-  smoothed     enhanced with a mollified tail term
+  smoothed     enhanced with tail rho filtered by the mollifier symbol
 """
 
 from __future__ import annotations
@@ -19,25 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellSolution
-from .errors import ZeroMode
-from .noise import (
-    NoiseSpec,
-    averaged_coefficient,
-    enhanced_coefficient,
-    fluctuation_coefficient,
-    smoothed_coefficient,
-)
+from .errors import NegativeRadicand, ZeroMode
+from .fourier import SpectralField, inner_product, l2_norm, multiply, seminorm_neg
+from .noise import NoiseSpec
 
 __all__ = [
+    "REGIMES",
     "LimitModel",
-    "averaged_model",
-    "fluctuation_model",
-    "enhanced_model",
-    "smoothed_model",
+    "limit_model",
+    "averaged_coefficient",
+    "fluctuation_coefficient",
+    "enhanced_coefficient",
+    "smoothed_coefficient",
     "ou_step_params",
     "ou_variance",
     "stationary_variance",
 ]
+
+REGIMES = ("averaged", "fluctuation", "enhanced", "smoothed")
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class LimitModel:
     """Effective diffusivity plus a per-mode noise coefficient rule."""
 
     mu: float
-    kind: str
     coeffs: dict
     mode_cutoff: int
 
@@ -56,33 +54,77 @@ class LimitModel:
             raise KeyError(f"mode {m} beyond the model cutoff {self.mode_cutoff}")
 
 
-def _build(kind: str, mu: float, cutoff: int, rule) -> LimitModel:
+# -- limit noise coefficients --------------------------------------------------
+
+
+def averaged_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> complex:
+    """<q_m, rho>: the density-weighted mean of the mode-m profile."""
+    return inner_product(spec.profile(m), rho)
+
+
+def fluctuation_coefficient(spec: NoiseSpec, rho: SpectralField) -> float:
+    """|tail * rho|_{-alpha}, the flat coefficient of the rescaled limit.
+
+    Requires the product to be mean-zero (automatic for profiles centred
+    against rho); raises MeanNotZero otherwise.
+    """
+    if spec.tail is None:
+        raise ValueError("spec declares no tail profile")
+    return seminorm_neg(multiply(spec.tail, rho), spec.alpha)
+
+
+def _root_radicand(spec: NoiseSpec, rho: SpectralField, m: int, phi) -> float:
+    """(|<q_m, rho>|^2 - |<tail, rho>|^2 + sum_l |phi(l)|^2 |<tail rho, e_l>|^2)^(1/2)."""
+    if spec.tail is None:
+        raise ValueError("spec declares no tail profile")
+    prod = multiply(spec.tail, rho)
+    band = SpectralField(prod.coeffs * np.abs([phi(float(l)) for l in prod.wavenumbers]))
+    radicand = (abs(averaged_coefficient(spec, rho, m)) ** 2
+                - abs(inner_product(spec.tail, rho)) ** 2 + l2_norm(band) ** 2)
+    if radicand < -1e-12:
+        raise NegativeRadicand(f"coefficient radicand {radicand:.3e} < 0")
+    return float(np.sqrt(max(radicand, 0.0)))
+
+
+def enhanced_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> float:
+    """(|<q_m, rho>|^2 - |<tail, rho>|^2 + |tail rho|^2)^(1/2).
+
+    For q_k identically 1 this equals |rho|: the white-noise
+    amplification produced by a non-trivial cell.
+    """
+    return _root_radicand(spec, rho, m, lambda l: 1.0)
+
+
+def smoothed_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> float:
+    """Enhanced coefficient with the tail energy filtered by the mollifier.
+
+    The |tail rho|^2 term becomes sum_l |phi(l)|^2 |<tail rho, e_l>|^2;
+    phi = 1 on the active band recovers the enhanced coefficient, a
+    symbol concentrated at 0 recovers the averaged one.
+    """
+    if spec.mollifier is None:
+        raise ValueError("spec declares no mollifier symbol")
+    return _root_radicand(spec, rho, m, spec.mollifier)
+
+
+def limit_model(regime: str, spec: NoiseSpec, cell: CellSolution,
+                mode_cutoff: int) -> LimitModel:
+    """The limit equation of `regime`: mu and c_m for |m| <= mode_cutoff, c_-m = conj(c_m)."""
+    if regime == "fluctuation":
+        flat = fluctuation_coefficient(spec, cell.rho)
+        rule = lambda m: flat
+    elif regime in REGIMES:
+        coefficient = {"averaged": averaged_coefficient, "enhanced": enhanced_coefficient,
+                       "smoothed": smoothed_coefficient}[regime]
+        rule = lambda m: coefficient(spec, cell.rho, m)
+    else:
+        raise ValueError(f"unknown limit regime {regime!r}; "
+                         f"the regimes are {', '.join(REGIMES)}")
     coeffs = {}
-    for m in range(0, cutoff + 1):
-        c = rule(m)
-        coeffs[m] = c
-        coeffs[-m] = np.conj(c) if kind == "averaged" else c
-    return LimitModel(mu=float(mu), kind=kind, coeffs=coeffs, mode_cutoff=cutoff)
-
-
-def averaged_model(spec: NoiseSpec, cell: CellSolution, mode_cutoff: int) -> LimitModel:
-    return _build("averaged", cell.mu, mode_cutoff,
-                  lambda m: averaged_coefficient(spec, cell.rho, m))
-
-
-def fluctuation_model(spec: NoiseSpec, cell: CellSolution, mode_cutoff: int) -> LimitModel:
-    c = fluctuation_coefficient(spec, cell.rho)
-    return _build("fluctuation", cell.mu, mode_cutoff, lambda m: c)
-
-
-def enhanced_model(spec: NoiseSpec, cell: CellSolution, mode_cutoff: int) -> LimitModel:
-    return _build("enhanced", cell.mu, mode_cutoff,
-                  lambda m: enhanced_coefficient(spec, cell.rho, m))
-
-
-def smoothed_model(spec: NoiseSpec, cell: CellSolution, mode_cutoff: int) -> LimitModel:
-    return _build("smoothed", cell.mu, mode_cutoff,
-                  lambda m: smoothed_coefficient(spec, cell.rho, m))
+    for m in range(0, mode_cutoff + 1):
+        coeffs[m] = rule(m)
+        coeffs[-m] = np.conj(coeffs[m])
+    return LimitModel(mu=float(cell.mu), coeffs=coeffs, mode_cutoff=mode_cutoff)
 
 
 # -- exact OU moments -----------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Noise families q_k, their validators, limit coefficients and sampling.
+"""Noise families q_k, their assumption validators and Wiener sampling.
 
 The driving signal is sum_k q_k(x/eps) e_k(x) dW_k(t) with real periodic
 profiles q_k = q_{-k}.  Wiener modes are normalised so E|W_k(t)|^2 = t,
 which makes q_k = 1 reproduce cylindrical space-time white noise under
-the 1/(2*pi)-normalised inner product.
+the 1/(2*pi)-normalised inner product.  The limit coefficients built
+from these profiles live in ``limit``.
 
 Per-mode increments come from counter-based Philox streams keyed by
 (seed, path index), so parallel path generation is reproducible no
@@ -17,15 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import NegativeRadicand, TruncationTooSmall
-from .fourier import (
-    SpectralField,
-    inner_product,
-    l2_norm,
-    multiply,
-    seminorm_neg,
-    sobolev_norm,
-)
+from .errors import TruncationTooSmall
+from .fourier import SpectralField, inner_product, l2_norm, sobolev_norm
 from .reporting import CheckReport
 
 __all__ = [
@@ -37,10 +31,6 @@ __all__ = [
     "check_decay",
     "check_tail_convergence",
     "check_tail_summability",
-    "averaged_coefficient",
-    "fluctuation_coefficient",
-    "enhanced_coefficient",
-    "smoothed_coefficient",
     "coupling_series",
 ]
 
@@ -61,11 +51,12 @@ def _check_profile(f: SpectralField, name: str) -> SpectralField:
 class NoiseSpec:
     """A rule giving the real periodic profile q_k for each |k| <= cutoff.
 
-    Families:
-      white   q_k = 1                        (no decay; alpha = 0)
-      power   q_k = (1 v |k|)^-alpha * p     (algebraic decay)
-      tail    q_k = tail + (1 v |k|)^-rate * ripple
-      custom  explicit table by |k|
+    Every family but ``custom`` (an explicit table by |k|) follows one
+    formula, q_k = (1 v |k|)^-alpha (tail + (1 v |k|)^-tail_rate ripple),
+    with the ripple term absent when ``ripple`` is None:
+      white   tail = 1, alpha = 0        (no decay)
+      power   tail = p, no ripple        (algebraic decay)
+      tail    alpha = 0                  (q_k -> tail at the rate)
 
     ``tail`` is the common large-k profile: the limit of |k|^alpha q_k
     for the power family, of q_k itself for the others.  ``eta`` weights
@@ -75,7 +66,6 @@ class NoiseSpec:
     """
 
     def __init__(self, family: str, cutoff: int, *, alpha: float = 0.0,
-                 profile: SpectralField | None = None,
                  tail: SpectralField | None = None,
                  tail_rate: float = 1.0,
                  ripple: SpectralField | None = None,
@@ -88,7 +78,6 @@ class NoiseSpec:
         self.family = family
         self.cutoff = int(cutoff)
         self.alpha = float(alpha)
-        self.profile_field = profile
         self.tail = tail
         self.tail_rate = float(tail_rate)
         self.ripple = ripple
@@ -112,7 +101,7 @@ class NoiseSpec:
         if not 0.0 < alpha < 1.0:
             raise ValueError("decay exponent must lie in (0, 1)")
         p = _check_profile(profile or SpectralField.constant(1.0), "power")
-        return cls("power", cutoff, alpha=alpha, profile=p, tail=p, eta=eta,
+        return cls("power", cutoff, alpha=alpha, tail=p, eta=eta,
                    mollifier=mollifier, label=f"power(alpha={alpha:g})")
 
     @classmethod
@@ -138,41 +127,31 @@ class NoiseSpec:
     def profile(self, k: int) -> SpectralField:
         """q_k; symmetric in k by construction (q_{-k} = q_k)."""
         k = abs(int(k))
-        if self.family == "white":
-            return SpectralField.constant(1.0)
-        if self.family == "power":
-            return max(1, k) ** (-self.alpha) * self.profile_field
-        if self.family == "tail":
-            return self.tail + max(1, k) ** (-self.tail_rate) * self.ripple
-        if k in self.table:
-            return self.table[k]
-        return SpectralField.zero(2)
+        if self.family == "custom":
+            return self.table.get(k, SpectralField.zero(2))
+        q = self.tail
+        if self.ripple is not None:
+            q = q + max(1, k) ** (-self.tail_rate) * self.ripple
+        return max(1, k) ** (-self.alpha) * q
 
     def centered(self, rho: SpectralField) -> "NoiseSpec":
         """Same family with every profile centred against rho: <q_k, rho> = 0."""
-        def center(f: SpectralField) -> SpectralField:
+        if self.family == "white":
+            raise ValueError("the white family centres to zero; nothing left to drive")
+
+        def center(f: SpectralField | None) -> SpectralField | None:
+            if f is None:
+                return None
             return f - SpectralField.constant(inner_product(f, rho).real, 2)
 
-        if self.family == "power":
-            p = center(self.profile_field)
-            if l2_norm(p) < 1e-14:
-                raise ValueError("centred profile vanishes; nothing left to drive")
-            out = NoiseSpec("power", self.cutoff, alpha=self.alpha, profile=p,
-                            tail=p, eta=self.eta, mollifier=self.mollifier,
-                            label=self.label + "+centred")
-            return out
-        if self.family == "tail":
-            return NoiseSpec("tail", self.cutoff, tail=center(self.tail),
-                             tail_rate=self.tail_rate, ripple=center(self.ripple),
-                             eta=self.eta, mollifier=self.mollifier,
-                             label=self.label + "+centred")
-        if self.family == "custom":
-            table = {k: center(f) for k, f in self.table.items()}
-            tail = center(self.tail) if self.tail is not None else None
-            return NoiseSpec("custom", self.cutoff, alpha=self.alpha, table=table,
-                             tail=tail, eta=self.eta, mollifier=self.mollifier,
-                             label=self.label + "+centred")
-        raise ValueError("the white family centres to zero; nothing left to drive")
+        tail = center(self.tail)
+        if self.family == "power" and l2_norm(tail) < 1e-14:
+            raise ValueError("centred profile vanishes; nothing left to drive")
+        table = None if self.table is None else {k: center(f) for k, f in self.table.items()}
+        return NoiseSpec(self.family, self.cutoff, alpha=self.alpha, tail=tail,
+                         tail_rate=self.tail_rate, ripple=center(self.ripple), table=table,
+                         eta=self.eta, mollifier=self.mollifier,
+                         label=self.label + "+centred")
 
     def __repr__(self) -> str:
         return f"NoiseSpec({self.label}, cutoff={self.cutoff})"
@@ -284,66 +263,6 @@ def check_tail_summability(spec: NoiseSpec, k_test: int = 256,
     return report
 
 
-# -- limit noise coefficients --------------------------------------------------
-
-
-def averaged_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> complex:
-    """<q_m, rho>: the density-weighted mean of the mode-m profile."""
-    return inner_product(spec.profile(m), rho)
-
-
-def fluctuation_coefficient(spec: NoiseSpec, rho: SpectralField) -> float:
-    """|tail * rho|_{-alpha}, the flat coefficient of the rescaled limit.
-
-    Requires the product to be mean-zero (automatic for profiles centred
-    against rho); raises MeanNotZero otherwise.
-    """
-    if spec.tail is None:
-        raise ValueError("spec declares no tail profile")
-    return seminorm_neg(multiply(spec.tail, rho), spec.alpha)
-
-
-def _enhancement_terms(spec: NoiseSpec, rho: SpectralField, m: int):
-    a = abs(averaged_coefficient(spec, rho, m)) ** 2
-    b = abs(inner_product(spec.tail, rho)) ** 2
-    return a, b, multiply(spec.tail, rho)
-
-
-def enhanced_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> float:
-    """(|<q_m, rho>|^2 - |<tail, rho>|^2 + |tail rho|^2)^(1/2).
-
-    For q_k identically 1 this equals |rho|: the white-noise
-    amplification produced by a non-trivial cell.
-    """
-    if spec.tail is None:
-        raise ValueError("spec declares no tail profile")
-    a, b, prod = _enhancement_terms(spec, rho, m)
-    radicand = a - b + l2_norm(prod) ** 2
-    if radicand < -1e-12:
-        raise NegativeRadicand(f"coefficient radicand {radicand:.3e} < 0")
-    return float(np.sqrt(max(radicand, 0.0)))
-
-
-def smoothed_coefficient(spec: NoiseSpec, rho: SpectralField, m: int) -> float:
-    """Enhanced coefficient with the tail energy filtered by the mollifier.
-
-    The |tail rho|^2 term becomes sum_l |phi(l)|^2 |<tail rho, e_l>|^2;
-    phi = 1 on the active band recovers the enhanced coefficient, a
-    symbol concentrated at 0 recovers the averaged one.
-    """
-    if spec.mollifier is None:
-        raise ValueError("spec declares no mollifier symbol")
-    a, b, prod = _enhancement_terms(spec, rho, m)
-    phi = spec.mollifier
-    filtered = sum(
-        abs(phi(float(l))) ** 2 * abs(prod.coeff(int(l))) ** 2 for l in prod.wavenumbers
-    )
-    radicand = a - b + filtered
-    if radicand < -1e-12:
-        raise NegativeRadicand(f"coefficient radicand {radicand:.3e} < 0")
-    return float(np.sqrt(max(radicand, 0.0)))
-
-
 @dataclass(frozen=True)
 class CouplingSeries:
     """Per-offset couplings lambda^l of fast Wiener modes into a slow mode."""
@@ -427,11 +346,13 @@ class WienerStream:
         """
         z = self._gen.normal(size=(n_steps, 2 * k_cut + 1))
         dw = np.empty((n_steps, 2 * k_cut + 1), dtype=complex)
-        dw[:, k_cut] = np.sqrt(dt) * z[:, 0]
+        re, im = dw.real, dw.imag
+        np.multiply(z[:, 0], np.sqrt(dt), out=re[:, k_cut])
+        im[:, k_cut] = 0.0
         if k_cut > 0:
-            a = z[:, 1 : 2 * k_cut : 2]
-            b = z[:, 2 : 2 * k_cut + 1 : 2]
-            pos = np.sqrt(dt / 2.0) * (a + 1j * b)
-            dw[:, k_cut + 1 :] = pos
-            dw[:, :k_cut] = np.conj(pos[:, ::-1])
+            scale = np.sqrt(dt / 2.0)
+            np.multiply(z[:, 1 : 2 * k_cut : 2], scale, out=re[:, k_cut + 1 :])
+            np.multiply(z[:, 2 : 2 * k_cut + 1 : 2], scale, out=im[:, k_cut + 1 :])
+            re[:, :k_cut] = re[:, :k_cut:-1]
+            np.negative(im[:, :k_cut:-1], out=im[:, :k_cut])
         return dw

@@ -25,8 +25,8 @@ from multiscale_spde.experiments import (
     run_variance_study,
 )
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
-from multiscale_spde.limit import enhanced_model, ou_step_params, ou_variance
-from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series, enhanced_coefficient
+from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_step_params, ou_variance
+from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series
 from multiscale_spde.solver import (
     SolverConfig,
     apply_generator,
@@ -317,7 +317,7 @@ def test_criterion8e_parseval():
 
 
 def test_criterion8f_exact_sampler_identity(cosine_cell):
-    model = enhanced_model(NoiseSpec.white(4), cosine_cell, 2)
+    model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)
     t_grid = np.linspace(0.0, 3.0, 61)
     worst = 0.0
     for m in (1, 2):

@@ -172,7 +172,8 @@ class TestStudies:
         with pytest.raises(ValueError, match=message):
             run_study(config)
 
-    @pytest.mark.parametrize("kind", ["cell", "simulate", "converge", "variance", "semigroup"])
+    @pytest.mark.parametrize("kind", ["cell", "simulate", "converge", "variance", "semigroup",
+                                      "noise-check"])
     @pytest.mark.parametrize("section, key, value, message", [
         ("solver", "scheme", "imex-cn", r"unknown solver key\(s\) scheme;"),
         ("solver", "dt_factr", 1e-3, r"unknown solver key\(s\) dt_factr;"),
@@ -181,6 +182,9 @@ class TestStudies:
         ("solver", "t_final", -1.0, r"solver t_final = -1.0 must be positive"),
         ("solver", "n_modes", 0, r"solver n_modes = 0 must be positive"),
         ("noise", "cutoff_factor", 2.0, r"noise gives both cutoff and cutoff_factor"),
+        ("solver", "n_modes", 0.5, r"solver n_modes = 0.5 must be an integer"),
+        ("study", "target", "enhancd", r"unknown study target 'enhancd'; the limit regimes "
+                                       r"are averaged, fluctuation, enhanced, smoothed"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
                                                    value, message):

@@ -1,4 +1,4 @@
-"""Tests for the limit models and their closed-form OU moments."""
+"""Tests for the limit models, their noise coefficients and closed-form OU moments."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,23 @@ from numpy.testing import assert_allclose
 from scipy.special import iv
 
 from multiscale_spde.errors import ZeroMode
+from multiscale_spde.fourier import SpectralField
 from multiscale_spde.limit import (
+    REGIMES,
     LimitModel,
-    averaged_model,
-    enhanced_model,
+    limit_model,
     ou_step_params,
     ou_variance,
     stationary_variance,
 )
-from multiscale_spde.noise import NoiseSpec
+from multiscale_spde.noise import NoiseSpec, tent_mollifier
 
 I0_2, I0_4 = iv(0, 2.0), iv(0, 4.0)
 
 
 def scalar_model(mu=1.0, coeff=1.0, cutoff=4):
     coeffs = {m: coeff for m in range(-cutoff, cutoff + 1)}
-    return LimitModel(mu=mu, kind="enhanced", coeffs=coeffs, mode_cutoff=cutoff)
+    return LimitModel(mu=mu, coeffs=coeffs, mode_cutoff=cutoff)
 
 
 class TestExactSampler:
@@ -50,7 +51,7 @@ class TestStationaryVariance:
 
     def test_enhanced_cosine_value(self, cosine_cell):
         """|rho|^2 / (2 mu) collapses to I0(4) for the unit cosine potential."""
-        model = enhanced_model(NoiseSpec.white(4), cosine_cell, 2)
+        model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)
         got = stationary_variance(model, 1)
         assert_allclose(got, (I0_4 / I0_2**2) / (2.0 * cosine_cell.mu), rtol=1e-10)
         assert_allclose(got, I0_4, rtol=1e-9)
@@ -63,6 +64,20 @@ class TestStationaryVariance:
 
 class TestModels:
     def test_averaged_white_reproduces_classical_coefficients(self, cosine_cell):
-        model = averaged_model(NoiseSpec.white(8), cosine_cell, 4)
+        model = limit_model("averaged", NoiseSpec.white(8), cosine_cell, 4)
         for m in range(-4, 5):
             assert_allclose(model.coeff(m), 1.0)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_negative_modes_carry_the_conjugate(self, cosine_cell, regime):
+        spec = NoiseSpec.power_decay(0.5, 16, profile=SpectralField.from_modes(
+            {0: 1.0, 1: 0.5 - 0.2j, -1: 0.5 + 0.2j}), mollifier=tent_mollifier(3.0))
+        model = limit_model(regime, spec.centered(cosine_cell.rho), cosine_cell, 3)
+        assert model.mu == cosine_cell.mu and model.mode_cutoff == 3
+        for m in range(0, 4):
+            assert model.coeff(-m) == np.conj(model.coeff(m))
+
+    def test_unknown_regime_is_rejected(self, cosine_cell):
+        with pytest.raises(ValueError, match=r"unknown limit regime 'enhancd'; the regimes "
+                                             r"are averaged, fluctuation, enhanced, smoothed"):
+            limit_model("enhancd", NoiseSpec.white(8), cosine_cell, 2)

@@ -12,18 +12,20 @@ from multiscale_spde.fourier import (
     inner_product,
     l2_norm,
 )
+from multiscale_spde.limit import (
+    averaged_coefficient,
+    enhanced_coefficient,
+    fluctuation_coefficient,
+    smoothed_coefficient,
+)
 from multiscale_spde.noise import (
     NoiseSpec,
     WienerStream,
-    averaged_coefficient,
     bump_mollifier,
     check_decay,
     check_tail_convergence,
     check_tail_summability,
     coupling_series,
-    enhanced_coefficient,
-    fluctuation_coefficient,
-    smoothed_coefficient,
     tent_mollifier,
 )
 
@@ -52,6 +54,51 @@ class TestFamilies:
             assert abs(inner_product(centred.profile(k), cosine_cell.rho)) <= 1e-12
         # the common tail then also has vanishing density mean
         assert abs(inner_product(centred.tail, cosine_cell.rho)) <= 1e-8
+
+
+def branch_profile(family, k, alpha=0.0, tail=None, tail_rate=1.0, ripple=None,
+                   table=None):
+    """q_k by the per-family branches that the one profile formula replaced."""
+    k = abs(k)
+    if family == "white":
+        return SpectralField.constant(1.0)
+    if family == "power":
+        return max(1, k) ** (-alpha) * tail
+    if family == "tail":
+        return tail + max(1, k) ** (-tail_rate) * ripple
+    return table[k] if k in table else SpectralField.zero(2)
+
+
+class TestProfileFormula:
+    COS = SpectralField.from_modes({1: 0.5, -1: 0.5})
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_formula_is_bitwise_the_family_branches(self, cosine_cell, centred):
+        rho = cosine_cell.rho
+
+        def center(f):
+            if not centred or f is None:
+                return f
+            return f - SpectralField.constant(inner_product(f, rho).real, 2)
+
+        specs = [
+            NoiseSpec.power_decay(0.6, 64, profile=ONE_PLUS_COS),
+            NoiseSpec.tail_convergent(ONE_PLUS_COS, 0.75, 64, ripple=self.COS),
+            NoiseSpec.custom({0: ONE_PLUS_COS, 5: self.COS, 17: ONE_PLUS_COS}, 64,
+                             alpha=0.5, tail=ONE_PLUS_COS),
+        ]
+        if not centred:
+            specs.append(NoiseSpec.white(64))
+        for spec in specs:
+            fields = {"family": spec.family, "alpha": spec.alpha, "tail": center(spec.tail),
+                      "tail_rate": spec.tail_rate, "ripple": center(spec.ripple),
+                      "table": spec.table and {k: center(f) for k, f in spec.table.items()}}
+            got_spec = spec.centered(rho) if centred else spec
+            for k in (0, 1, 5, 17, 64):
+                want = branch_profile(k=k, **fields).coeffs.view(np.uint64)
+                for signed_k in (k, -k):
+                    got = got_spec.profile(signed_k).coeffs.view(np.uint64)
+                    assert np.array_equal(got, want), (spec.label, centred, signed_k)
 
 
 class TestValidators:
@@ -219,7 +266,29 @@ class TestCouplingSeries:
             coupling_series(NoiseSpec.white(8), cosine_cell.rho, 0.25, 1, max_offset=2)
 
 
+def assembled_increments(gen, n_steps, k_cut, dt):
+    """The complex assembly that the in-place increments replaced."""
+    z = gen.normal(size=(n_steps, 2 * k_cut + 1))
+    dw = np.empty((n_steps, 2 * k_cut + 1), dtype=complex)
+    dw[:, k_cut] = np.sqrt(dt) * z[:, 0]
+    if k_cut > 0:
+        a = z[:, 1 : 2 * k_cut : 2]
+        b = z[:, 2 : 2 * k_cut + 1 : 2]
+        pos = np.sqrt(dt / 2.0) * (a + 1j * b)
+        dw[:, k_cut + 1 :] = pos
+        dw[:, :k_cut] = np.conj(pos[:, ::-1])
+    return dw
+
+
 class TestWienerSampling:
+    @pytest.mark.parametrize("k_cut", [0, 1, 32, 64, 128])
+    def test_in_place_assembly_is_bitwise_the_complex_formula(self, k_cut):
+        stream, oracle = WienerStream(5, 3), WienerStream(5, 3)
+        for _ in range(2):  # the second call checks the stream position too
+            got = stream.increments(256, k_cut, 0.003)
+            want = assembled_increments(oracle._gen, 256, k_cut, 0.003)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_conjugate_symmetry_is_exact(self):
         row = WienerStream(11, 0).increments(1, 5, 0.01)[0]
         for k in range(0, 6):

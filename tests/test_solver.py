@@ -11,7 +11,7 @@ from multiscale_spde import solver
 from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
-from multiscale_spde.limit import LimitModel, averaged_model
+from multiscale_spde.limit import LimitModel, limit_model
 from multiscale_spde.noise import NoiseSpec, WienerStream
 from multiscale_spde.solver import (
     SolverConfig,
@@ -308,7 +308,7 @@ class TestCoupled:
         spec = NoiseSpec.custom({}, cutoff=2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
                            t_final=0.1, cutoff=2, watch=(1,), seed=0)
-        sups = coupled_sup_errors(cosine, spec, cfg, averaged_model(spec, cosine_cell, 1),
+        sups = coupled_sup_errors(cosine, spec, cfg, limit_model("averaged", spec, cosine_cell, 1),
                                   1.0, 3)
         for key in self.KEYS:
             assert np.array_equal(sups[key], np.zeros(3)), key
@@ -318,7 +318,7 @@ class TestCoupled:
         spec = NoiseSpec.power_decay(0.75, 16)
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(heat, 0.125, 16),
                            dt=1e-3, t_final=0.5, cutoff=16, watch=(1, 2), seed=5)
-        model = averaged_model(spec, solve_cell(heat), 2)
+        model = limit_model("averaged", spec, solve_cell(heat), 2)
         sups = coupled_sup_errors(heat, spec, cfg, model, 1.0, 3)
         for key in self.KEYS:
             assert np.array_equal(sups[key], np.zeros(3)), key
@@ -326,7 +326,7 @@ class TestCoupled:
     def test_difference_shrinks_with_eps(self, cosine, cosine_cell):
         """Mean sup difference over a path ensemble halves when eps halves."""
         spec64 = NoiseSpec.power_decay(0.75, 64)
-        model = averaged_model(spec64, cosine_cell, 1)
+        model = limit_model("averaged", spec64, cosine_cell, 1)
         means = []
         for eps in (0.25, 0.125):
             cfg = SolverConfig(eps=eps, n_modes=suggest_modes(cosine, eps, 64),
@@ -364,7 +364,7 @@ class TestBlockedEngine:
         spec = NoiseSpec.power_decay(0.75, 8)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=0.3, cutoff=8, watch=(1, 2, 3, 4), seed=3)
-        model = averaged_model(spec, cosine_cell, 4)
+        model = limit_model("averaged", spec, cosine_cell, 4)
         sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2)
         for p in range(3):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
@@ -387,7 +387,7 @@ class TestBlockedEngine:
                            t_final=0.3, cutoff=4, watch=(1, 2), seed=int(rng.integers(100)))
         # random drifts need not admit a corrector, so the limit is drawn too
         coeffs = rng.uniform(0.5, 1.5, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
-        model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), kind="averaged", mode_cutoff=2,
+        model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), mode_cutoff=2,
                            coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
                                    for m in range(-2, 3)})
         finals = [final_values(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
@@ -407,7 +407,7 @@ class TestBlockedEngine:
         spec = NoiseSpec.power_decay(0.75, 2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
                            t_final=0.01, cutoff=2, watch=(1, 2, 3), seed=0)
-        model = averaged_model(spec, cosine_cell, 3)
+        model = limit_model("averaged", spec, cosine_cell, 3)
         with pytest.raises(ValueError, match="eps = 0.25 the noise cutoff 2 is below"):
             coupled_sup_errors(cosine, spec, cfg, model, 1.0, 2)
 
