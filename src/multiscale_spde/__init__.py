@@ -35,7 +35,6 @@ from .limit import (
     limit_model,
     ou_variance,
     smoothed_coefficient,
-    stationary_variance,
 )
 from .noise import NoiseSpec, WienerStream, coupling_series
 from .solver import (

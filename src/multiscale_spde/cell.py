@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SolveFailed
-from .fourier import SpectralField, inner_product, l2_norm, multiply, sobolev_norm
+from .fourier import SpectralField, cells, inner_product, l2_norm, multiply, sobolev_norm
 from .reporting import CheckReport
 
 __all__ = [
@@ -49,18 +49,17 @@ class Coefficients:
     """Drift b and diffusion sigma, periodic on [0, 2*pi].
 
     Both are real trigonometric polynomials, which guarantees the
-    smoothness the cell problems need.  delta and delta_prime are the
-    declared ellipticity bounds 0 < delta <= sigma <= delta_prime; when
-    omitted they are measured on a fine grid.
+    smoothness the cell problems need.  delta and delta_prime, the
+    ellipticity bounds min sigma and max sigma, are measured on a grid of
+    max(256, 4 n) points; validate_coefficients checks them on a finer one.
     """
 
-    def __init__(self, b: SpectralField, sigma: SpectralField,
-                 delta: float | None = None, delta_prime: float | None = None):
+    def __init__(self, b: SpectralField, sigma: SpectralField):
         self.b = b
         self.sigma = sigma
         grid = np.real(sigma.to_grid(max(256, 4 * sigma.n)))
-        self.delta = float(grid.min()) if delta is None else float(delta)
-        self.delta_prime = float(grid.max()) if delta_prime is None else float(delta_prime)
+        self.delta = float(grid.min())
+        self.delta_prime = float(grid.max())
 
     @classmethod
     def heat(cls, sigma_value: float = np.sqrt(2.0)) -> "Coefficients":
@@ -74,8 +73,8 @@ class Coefficients:
         return cls(b, SpectralField.constant(1.0))
 
     @classmethod
-    def from_modes(cls, b_modes: dict, sigma_modes: dict, **kwargs) -> "Coefficients":
-        return cls(SpectralField.from_modes(b_modes), SpectralField.from_modes(sigma_modes), **kwargs)
+    def from_modes(cls, b_modes: dict, sigma_modes: dict) -> "Coefficients":
+        return cls(SpectralField.from_modes(b_modes), SpectralField.from_modes(sigma_modes))
 
     @property
     def max_harmonic(self) -> int:
@@ -131,9 +130,7 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     the matrix is exact (Galerkin truncation at the band edge).
     """
     ks = np.asarray(ks, dtype=int)
-    r = int(round(1.0 / eps))
-    if abs(1.0 / eps - r) > 1e-9:
-        raise ValueError("1/eps must be an integer")
+    r = cells(eps)
     if ks.size > 1 and np.any(np.diff(ks) != r):
         raise ValueError("wavenumbers must be consecutive in steps of 1/eps")
 
@@ -257,7 +254,7 @@ def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     """
     if abs(eps * m) >= 0.5:
         raise ValueError("need eps * |m| < 1/2 for a resolved slow mode")
-    ks = m + int(round(1.0 / eps)) * np.arange(-CLASS_OFFSETS, CLASS_OFFSETS + 1)
+    ks = m + cells(eps) * np.arange(-CLASS_OFFSETS, CLASS_OFFSETS + 1)
     evals = np.linalg.eigvals(generator_matrix(c, ks, eps=eps, adjoint=True))
     slow, following = evals[np.argsort(-evals.real)[:2]]
     if abs(slow.imag) > KERNEL_TOL * np.abs(evals).max():

@@ -27,8 +27,3 @@ class TruncationTooSmall(RuntimeError):
 
 class UnstableStep(RuntimeError):
     """A time step blew past the overflow guard; reduce dt."""
-
-
-class ZeroMode(ValueError):
-    """The requested statistic is undefined for the zero wavenumber."""
-

@@ -21,8 +21,8 @@ from . import cell as cell_mod
 from . import noise as noise_mod
 from .cell import Coefficients, generator_matrix, solve_cell, spectral_gap
 from .errors import FitFailed
-from .fourier import SpectralField, inner_product, l2_norm, multiply
-from .limit import REGIMES, limit_model, ou_variance
+from .fourier import SpectralField, cells, inner_product, l2_norm, multiply
+from .limit import REGIMES, LimitModel, limit_model, ou_variance
 from .noise import NoiseSpec, bump_mollifier, tent_mollifier
 from .solver import (
     SolverConfig,
@@ -52,7 +52,18 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-25
-SOLVER_KEYS = ("eps", "t_final", "dt", "n_modes", "watch", "track_norm")  # every key read
+CONFIG_KEYS = {  # the sections of a config, then every key the studies read in each
+    "config": ("coefficients", "noise", "solver", "study"),
+    "coefficients": ("name", "amplitude", "sigma", "b"),
+    "noise": ("family", "cutoff", "cutoff_factor", "alpha", "profile", "eta", "tail",
+              "tail_rate", "ripple", "table", "centered", "mollifier"),
+    "solver": ("eps", "t_final", "dt", "n_modes", "watch", "track_norm"),
+    "study": ("kind", "seed", "out", "paths", "target", "tolerances", "mode", "mode_cutoff",
+              "s", "k_test"),
+    "tolerances": ("theta_min", "r2_min", "final_gap", "enhancement_min_factor",
+                   "exponent_range", "bl_rate_rtol"),
+    "mollifier": ("kind", "radius"),
+}
 BL_FIT_MIN_R2 = 0.99  # the boundary-layer decay must be log-linear to this R^2
 
 
@@ -159,28 +170,12 @@ def build_noise(cfg: dict, eps: float | None = None,
     return spec
 
 
-def default_sobolev_index(study: dict, noise_cfg: dict) -> float:
-    """Per-regime default for the negative Sobolev index of the error norm."""
-    if study.get("s") is not None:
-        return float(study["s"])
-    alpha = float(noise_cfg.get("alpha", 0.0))
-    eta = float(noise_cfg.get("eta", 0.0))
-    kind = study.get("target", "averaged")
-    if kind == "fluctuation":
-        return 1.5 * max(alpha, 1.0 - alpha) + 0.5
-    if kind in ("enhanced", "smoothed"):
-        s_eta = 1.0 if eta <= 0.5 else 1.5 / (2.0 - eta)
-        return s_eta + 0.5
-    return max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5
-
-
 def _eps_list(solver_cfg: dict) -> list[float]:
     """``solver.eps`` as a list, each the reciprocal of an integer, strictly decreasing."""
     value = solver_cfg["eps"]
     eps_list = [float(e) for e in (value if isinstance(value, (list, tuple)) else [value])]
     for i, eps in enumerate(eps_list):
-        if not (eps > 0.0 and abs(1.0 / eps - round(1.0 / eps)) <= 1e-9):
-            raise ValueError(f"eps = {eps:g} is not the reciprocal of a positive integer")
+        cells(eps)
         if i > 0 and eps >= eps_list[i - 1]:
             raise ValueError(f"eps list must be strictly decreasing: eps = {eps:g} "
                              f"follows {eps_list[i - 1]:g}")
@@ -190,15 +185,19 @@ def _eps_list(solver_cfg: dict) -> list[float]:
 def _check_config(config: dict) -> None:
     """The checks every study makes before any work; each failure is a ValueError.
 
-    Rejected: a solver key no study reads, an explicit dt, t_final or
+    Rejected: a section or key no study reads, an explicit dt, t_final or
     n_modes <= 0, a non-integer n_modes, a noise section with both cutoff
     and cutoff_factor, and a study target that names no limit regime.
     """
+    sections = {**config, "config": config,
+                "tolerances": config.get("study", {}).get("tolerances"),
+                "mollifier": config.get("noise", {}).get("mollifier")}
+    for section, keys in CONFIG_KEYS.items():
+        unknown = sorted(set(sections.get(section) or {}) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                             f"the studies read {', '.join(keys)}")
     solver_cfg = config.get("solver", {})
-    unknown = sorted(set(solver_cfg) - set(SOLVER_KEYS))
-    if unknown:
-        raise ValueError(f"unknown solver key(s) {', '.join(unknown)}; "
-                         f"the studies read {', '.join(SOLVER_KEYS)}")
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
@@ -291,8 +290,8 @@ class ExperimentReport:
 
 def _csv_bytes(header, rows) -> bytes:
     def cell(v):
-        if isinstance(v, float):
-            return repr(v)
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
         return str(v)
 
     lines = [",".join(header)]
@@ -468,7 +467,7 @@ def run_simulate(config: dict) -> ExperimentReport:
                 [[float(t), float(v)] for t, v in zip(out.times, out.norm_squared)],
             )
     report.rows.append({"paths": n_paths, "eps": eps, "dt": sc.dt,
-                        "n_modes": sc.n_modes, "cutoff": sc.cutoff,
+                        "n_modes": sc.n_modes, "cutoff": spec.cutoff,
                         "steps": sc.n_steps})
     report.notes.append("trajectory CSVs: one file per path, columns (t, m, re, im)")
     return report
@@ -482,7 +481,7 @@ def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
         dt = solver_cfg.get("dt") or default_dt(eps)
     n_modes = int(solver_cfg.get("n_modes") or suggest_modes(c, eps, cutoff))
     return SolverConfig(
-        eps=eps, n_modes=n_modes, dt=float(dt), t_final=t_final, cutoff=cutoff,
+        eps=eps, n_modes=n_modes, dt=float(dt), t_final=t_final,
         watch=tuple(watch), seed=seed,
         track_norm=bool(solver_cfg.get("track_norm", False)),
     )
@@ -496,27 +495,32 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
 
     For each eps the multiscale solver and the limit recursion consume
     identical increments; the Monte Carlo average of the per-path sup
-    error is fitted against eps to produce the empirical rate theta.
+    error is fitted against eps to produce the empirical rate theta.  The
+    limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    mode_cutoff = int(config.get("study", {}).get("mode_cutoff", 8))
+    study = config.get("study", {})
+    mode_cutoff = int(study.get("mode_cutoff", 8))
     watch = tuple(range(1, mode_cutoff + 1))
 
-    def check_driven(eps_list):
+    def check_target_and_driven(eps_list):
+        if study.get("target") not in (None, "averaged"):
+            raise ValueError(f"converge compares with the averaged limit only; "
+                             f"study target {study['target']!r} is not 'averaged'")
         for eps in eps_list:
             require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
 
-    study, seed, c, cell, eps_list = _prologue(config, before_solve=check_driven)
+    _, seed, c, cell, eps_list = _prologue(config, before_solve=check_target_and_driven)
     n_paths = int(study.get("paths", 200))
     tol = study.get("tolerances", {})
-    s = default_sobolev_index(study, config["noise"])
+    alpha = float(config["noise"].get("alpha", 0.0))
+    s = max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5 if study.get("s") is None else float(study["s"])
     report = ExperimentReport(study="converge", config=config, seed=seed)
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
-    first_spec = None
     for eps in eps_list:
         spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
-        if first_spec is None:
-            first_spec = spec
+        if eps == eps_list[0]:
+            report.verdict("noise decay assumption", noise_mod.check_decay(spec).passed, None)
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=1.0, watch=watch)
         model = limit_model("averaged", spec, cell, mode_cutoff)
@@ -526,10 +530,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
                             "error_half_modes": float(sups["half_modes"].mean()),
                             "error_coarse_grid": float(sups["coarse_grid"].mean()),
                             "paths": n_paths, "dt": sc.dt, "n_modes": sc.n_modes,
-                            "cutoff": sc.cutoff})
-
-    decay_check = noise_mod.check_decay(first_spec)
-    report.verdict("noise decay assumption", decay_check.passed, None)
+                            "cutoff": spec.cutoff})
 
     errors = [r["error"] for r in report.rows]
     if max(errors) <= ERROR_FLOOR:
@@ -575,11 +576,10 @@ def run_variance_study(config: dict) -> ExperimentReport:
     report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
     t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
 
-    needs_centred = target == "fluctuation"
     gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:
         spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
-        if needs_centred:
+        if target == "fluctuation":
             worst = max(abs(inner_product(spec.profile(k), cell.rho))
                         for k in range(0, min(spec.cutoff, 64) + 1))
             report.verdict(f"centred profiles at eps = {eps:g}", worst <= 1e-8, worst, 1e-8)
@@ -605,7 +605,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
             report.rows.append({"eps": eps, "m": m, "variance": cov.at_final(m),
                                 "scaled_variance": measured, "target": predicted,
                                 "rel_gap": gap, "dt": sc.dt, "n_modes": sc.n_modes,
-                                "cutoff": sc.cutoff})
+                                "cutoff": spec.cutoff})
 
     final_tol = tol.get("final_gap", 0.15 if target == "fluctuation" else 0.10)
     for m in watch:
@@ -617,7 +617,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
     if target in ("enhanced", "smoothed"):
         m0 = watch[0]
-        classical = (1.0 - np.exp(-2.0 * cell.mu * m0 * m0 * t_final)) / (2.0 * cell.mu * m0 * m0)
+        classical = ou_variance(LimitModel(cell.mu, {m0: 1.0}, abs(m0)), m0, t_final)  # c = 1
         measured = next(r["variance"] for r in report.rows
                         if r["eps"] == eps_list[-1] and r["m"] == m0)
         factor_needed = tol.get("enhancement_min_factor", 0.9) * cell.enhancement**2
@@ -683,7 +683,7 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
 
     sup_norms = []
     for eps in eps_list:
-        ks = m + int(round(1.0 / eps)) * offsets
+        ks = m + cells(eps) * offsets
         f_at = _adjoint_flow(c, ks, eps, centre)
         early = np.linspace(0.0, min(20.0 * eps * eps, t_final), 81)
         late = np.linspace(0.0, t_final, 201)

@@ -21,6 +21,7 @@ __all__ = [
     "sobolev_norm",
     "seminorm_neg",
     "multiply",
+    "cells",
     "oscillate",
     "conjugation_defect",
 ]
@@ -233,6 +234,15 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField.from_grid(prod).truncate(n)
 
 
+def cells(eps: float) -> int:
+    """1/eps, the number of cells in [0, 2*pi]; ValueError unless an integer >= 1 to 1e-9."""
+    ratio = 1.0 / float(eps) if eps > 0.0 else 0.0
+    r = float(np.rint(ratio))
+    if not (r >= 1 and abs(ratio - r) <= 1e-9):
+        raise ValueError(f"eps = {eps:g} is not the reciprocal of a positive integer")
+    return int(r)
+
+
 def oscillate(q: SpectralField, eps: float, k: int, n: int | None = None) -> SpectralField:
     """The cell-oscillation transform q(x) -> q(x/eps) * exp(i*k*x).
 
@@ -240,10 +250,7 @@ def oscillate(q: SpectralField, eps: float, k: int, n: int | None = None) -> Spe
     every other amplitude is zero, so the result is supported on the
     residue class of k modulo 1/eps.  Requires 1/eps to be an integer.
     """
-    ratio = 1.0 / eps
-    r = int(round(ratio))
-    if abs(ratio - r) > 1e-9 or r < 1:
-        raise ValueError("1/eps must be a positive integer")
+    r = cells(eps)
     js = q.wavenumbers
     lo = k + r * int(js.min())
     hi = k + r * int(js.max())

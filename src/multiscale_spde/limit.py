@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellSolution
-from .errors import NegativeRadicand, ZeroMode
+from .errors import NegativeRadicand
 from .fourier import SpectralField, inner_product, l2_norm, multiply, seminorm_neg
 from .noise import NoiseSpec
 
@@ -33,7 +33,6 @@ __all__ = [
     "smoothed_coefficient",
     "ou_step_params",
     "ou_variance",
-    "stationary_variance",
 ]
 
 REGIMES = ("averaged", "fluctuation", "enhanced", "smoothed")
@@ -141,16 +140,12 @@ def ou_step_params(model: LimitModel, m: int, delta: float) -> tuple[float, floa
 
 
 def ou_variance(model: LimitModel, m: int, t: float) -> float:
-    """E |x_m(t)|^2 for the zero-started mode, in closed form."""
+    """E |x_m(t)|^2 for the zero-started mode, in closed form.
+
+    t = np.inf gives the stationary variance |c_m|^2 / (2 mu m^2) of m != 0.
+    """
     a = model.mu * m * m
     c2 = abs(model.coeff(m)) ** 2
     if a == 0.0:
         return c2 * t
     return c2 * (1.0 - np.exp(-2.0 * a * t)) / (2.0 * a)
-
-
-def stationary_variance(model: LimitModel, m: int) -> float:
-    """|c_m|^2 / (2 mu m^2); undefined for the Brownian mode m = 0."""
-    if m == 0:
-        raise ZeroMode("mode 0 is Brownian and has no stationary variance")
-    return abs(model.coeff(m)) ** 2 / (2.0 * model.mu * m * m)

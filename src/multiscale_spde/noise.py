@@ -19,7 +19,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import TruncationTooSmall
-from .fourier import SpectralField, inner_product, l2_norm, sobolev_norm
+from .fourier import (SpectralField, cells, conjugation_defect, inner_product, l2_norm,
+                      sobolev_norm)
 from .reporting import CheckReport
 
 __all__ = [
@@ -38,8 +39,6 @@ MAX_PROFILE_HARMONIC = 16  # keeps oscillate() exact for every profile
 
 
 def _check_profile(f: SpectralField, name: str) -> SpectralField:
-    from .fourier import conjugation_defect
-
     f = f.compress(0.0) if f.n > 2 * (MAX_PROFILE_HARMONIC + 1) else f
     if f.max_harmonic() > MAX_PROFILE_HARMONIC:
         raise ValueError(f"{name} profile exceeds {MAX_PROFILE_HARMONIC} harmonics")
@@ -283,9 +282,7 @@ def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
     |l| <= max_offset).  Raises TruncationTooSmall when the last dyadic
     increment of the partial sums exceeds tail_tol * Lambda.
     """
-    r = int(round(1.0 / eps))
-    if abs(1.0 / eps - r) > 1e-9:
-        raise ValueError("1/eps must be an integer")
+    r = cells(eps)
     if abs(eps * m) >= 0.5:
         raise ValueError("need eps * |m| < 1/2")
     scale = eps ** (-spec.alpha) if rescaled else 1.0

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 
 from .cell import Coefficients, generator_matrix
 from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
-from .fourier import SpectralField, multiply, oscillate
+from .fourier import SpectralField, cells, multiply, oscillate
 from .limit import LimitModel
 from .noise import NoiseSpec, WienerStream
 
@@ -35,7 +35,6 @@ __all__ = [
     "BlockOperator",
     "CovarianceTable",
     "suggest_modes",
-    "validate_config",
     "apply_generator",
     "build_blocks",
     "simulate_path",
@@ -58,22 +57,17 @@ class SolverConfig:
     """Discretisation of one multiscale run.
 
     eps must be the reciprocal of an integer so the domain holds a whole
-    number of cells.  n_modes is the total spectral band; cutoff is the
-    largest driven wavenumber; watch lists the recorded modes.
+    number of cells.  n_modes is the total spectral band, watch lists the
+    recorded modes; the driven cutoff is the noise spec's.
     """
 
     eps: float
     n_modes: int
     dt: float
     t_final: float
-    cutoff: int
     watch: tuple
     seed: int
     track_norm: bool = False
-
-    @property
-    def cells(self) -> int:
-        return int(round(1.0 / self.eps))
 
     @property
     def n_steps(self) -> int:
@@ -91,20 +85,10 @@ def suggest_modes(c: Coefficients, eps: float, cutoff: int) -> int:
     residue class must also hold the harmonics of the invariant density,
     so the per-class offset range is widened to at least CELL_BAND.
     """
-    r = int(round(1.0 / eps))
+    r = cells(eps)
     need = 2 * r * max(c.max_harmonic + 1, CELL_BAND) + 2 * cutoff
     blocks = -(-need // (2 * r))  # ceil
     return 2 * r * blocks
-
-
-def validate_config(config: SolverConfig, c: Coefficients) -> None:
-    if config.dt <= 0 or config.dt > config.t_final:
-        raise ValueError("need 0 < dt <= t_final")
-    need = 2 * config.cells * (c.max_harmonic + 1) + 2 * config.cutoff
-    if config.n_modes < need:
-        raise ResolutionTooSmall(
-            f"n_modes = {config.n_modes} below the required {need}"
-        )
 
 
 # -- operators -------------------------------------------------------------------
@@ -112,8 +96,7 @@ def validate_config(config: SolverConfig, c: Coefficients) -> None:
 
 def apply_generator(c: Coefficients, eps: float, u: SpectralField) -> SpectralField:
     """Pseudospectral L_eps u with dealiased products, at u's resolution."""
-    r = int(round(1.0 / eps))
-    if u.n < 2 * (r * c.max_harmonic + 1):
+    if u.n < 2 * (cells(eps) * c.max_harmonic + 1):
         raise ResolutionTooSmall("band cannot even hold the oscillated coefficients")
     b_eps = oscillate(c.b.compress(), eps, 0, u.n)
     s2_eps = oscillate(c.sigma_squared().compress(), eps, 0, u.n)
@@ -135,14 +118,10 @@ class ClassBlock:
 
 @dataclass
 class BlockOperator:
-    eps: float
+    cells: int
     n_modes: int
-    cutoff: int
+    cutoff: int  # the noise spec's: the largest driven wavenumber
     blocks: dict = field(default_factory=dict)  # residue -> ClassBlock
-
-    @property
-    def cells(self) -> int:
-        return int(round(1.0 / self.eps))
 
     def block_of(self, m: int) -> ClassBlock:
         return self.blocks[m % self.cells]
@@ -164,15 +143,19 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
     mirror-symmetric to its conjugate class; keeping it would break the
     realness of simulated fields at the band edge.
     """
-    validate_config(config, c)
-    r = config.cells
+    if config.dt <= 0 or config.dt > config.t_final:
+        raise ValueError("need 0 < dt <= t_final")
+    r = cells(config.eps)
     n = config.n_modes
-    op = BlockOperator(eps=config.eps, n_modes=n, cutoff=config.cutoff)
+    need = 2 * r * (c.max_harmonic + 1) + 2 * spec.cutoff
+    if n < need:
+        raise ResolutionTooSmall(f"n_modes = {n} below the required {need}")
+    op = BlockOperator(cells=r, n_modes=n, cutoff=spec.cutoff)
     all_ks = np.arange(-n // 2 + 1, n // 2)
     for residue in range(r):
         ks = all_ks[all_ks % r == residue]
         a = generator_matrix(c, ks, eps=config.eps, adjoint=False)
-        driven = ks[np.abs(ks) <= config.cutoff]
+        driven = ks[np.abs(ks) <= spec.cutoff]
         noise_map = np.zeros((ks.size, driven.size), dtype=complex)
         for col, k in enumerate(driven):
             q = spec.profile(int(k))
@@ -278,7 +261,8 @@ class _ClassRun:
     stepping.
     """
 
-    def __init__(self, blk: ClassBlock, config: SolverConfig, rows, limits, n_paths: int):
+    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, rows, limits, n_paths):
+        blk = op.blocks[res]
         self.p, self.g = _recursion(blk, config, limits)
         (n, d), self.rows = self.g.shape, list(rows)
         o = len(self.rows)
@@ -286,8 +270,8 @@ class _ClassRun:
         self.length = (MAX_BLOCK_STEPS if o * d == 0 else
                        int(np.clip(round(n / np.sqrt(o * d)), 1, MAX_BLOCK_STEPS)))
         self.maps = {}  # block length -> _block_map
-        cols = blk.driven + config.cutoff  # an arithmetic progression with step 1/eps
-        self.cols = slice(cols[0], cols[-1] + 1, config.cells) if d else slice(0, 0)
+        cols = blk.driven + op.cutoff  # an arithmetic progression with step 1/eps
+        self.cols = slice(cols[0], cols[-1] + 1, op.cells) if d else slice(0, 0)
         # [state slot | the chunk's increments]: the block from step s reads
         # x_s at s*d, over increments already consumed, then w_s, w_s+1, ...
         self.buf = np.zeros((n_paths, n + CHUNK_STEPS * d), dtype=complex)
@@ -339,12 +323,12 @@ def _engine(op: BlockOperator, config: SolverConfig, path_indices, observe: dict
     """
     limits = limits or {}
     streams = [WienerStream(config.seed, p) for p in path_indices]
-    runs = {res: _ClassRun(op.blocks[res], config, rows, limits.get(res, ()), len(streams))
+    runs = {res: _ClassRun(op, res, config, rows, limits.get(res, ()), len(streams))
             for res, rows in sorted(observe.items())}
     for first in range(0, config.n_steps, CHUNK_STEPS):
         m = min(CHUNK_STEPS, config.n_steps - first)
         for pi, stream in enumerate(streams):
-            dw = stream.increments(m, config.cutoff, config.dt)
+            dw = stream.increments(m, op.cutoff, config.dt)
             for run in runs.values():
                 run.load(pi, dw)
         yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
@@ -413,7 +397,7 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     truncation effects can be reported.  Path p's values do not depend on
     batch.
     """
-    require_driven(config.eps, config.cutoff, config.watch)
+    require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
     rows = _class_rows(lookup)

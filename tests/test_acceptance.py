@@ -252,7 +252,7 @@ def test_criterion7b_rate_across_amplitudes(amplitude):
 
 def test_criterion8a_realness_and_conjugacy(cosine):
     cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 4), dt=1e-3,
-                       t_final=0.2, cutoff=4, watch=(-2, -1, 0, 1, 2), seed=3)
+                       t_final=0.2, watch=(-2, -1, 0, 1, 2), seed=3)
     out = simulate_path(cosine, NoiseSpec.white(4), cfg)
     scale = max(np.abs(out.mode(1)).max(), 1e-30)
     worst = max(np.abs(out.mode(-m) - np.conj(out.mode(m))).max() for m in (1, 2))
@@ -278,8 +278,7 @@ def test_criterion8c_density_norm_dichotomy(heat, cosine_cell):
 def test_criterion8d_block_vs_dense_pathwise(cosine):
     eps, n, cutoff, dt, seed = 0.25, 64, 8, 1e-3, 21
     spec = NoiseSpec.white(cutoff)
-    cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=0.5, cutoff=cutoff,
-                       watch=(1, 2, 3), seed=seed)
+    cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=0.5, watch=(1, 2, 3), seed=seed)
     out = simulate_path(cosine, spec, cfg)
     dense = np.zeros((n, n), dtype=complex)
     for j in range(-n // 2 + 1, n // 2):

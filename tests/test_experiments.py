@@ -12,10 +12,12 @@ from multiscale_spde.cli import main
 from multiscale_spde.errors import FitFailed
 from multiscale_spde.experiments import (
     ExperimentReport,
+    _check_config,
     batch_mean_se,
     config_hash,
     emit_report,
     fit_rate_with_exclusion,
+    load_config,
     run_cell_study,
     run_coupling_convergence,
     run_noise_check,
@@ -91,11 +93,12 @@ class TestReports:
 
     def test_csv_format(self, tmp_path):
         report = ExperimentReport(study="fmt", config={}, seed=0)
-        report.tables["t"] = (["x", "y"], [[0.5, 1], [1.5, 2]])
+        report.tables["t"] = (["x", "y"], [[0.5, 1], [1.5, 2],
+                                           [np.float64(6.983938917678365), np.int64(3)]])
         emit_report(report, tmp_path)
         text = (tmp_path / "t.csv").read_bytes()
         assert b"\r" not in text
-        assert text.decode().splitlines() == ["x,y", "0.5,1", "1.5,2"]
+        assert text.decode().splitlines() == ["x,y", "0.5,1", "1.5,2", "6.983938917678365,3"]
 
     def test_config_hash_is_order_insensitive(self):
         a = {"x": 1, "y": {"b": 2.0, "a": [1, 2]}}
@@ -153,6 +156,30 @@ class TestStudies:
                 "study": {"kind": "converge", "seed": 1, "paths": 8, "mode_cutoff": 8},
             })
 
+    def test_converge_with_a_target_other_than_averaged_fails_before_any_solve(
+            self, monkeypatch):
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before the target was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        with pytest.raises(ValueError, match=r"converge compares with the averaged limit only; "
+                                             r"study target 'enhanced' is not 'averaged'"):
+            run_coupling_convergence({
+                "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+                "noise": {"family": "power", "alpha": 0.75, "profile": "one",
+                          "cutoff_factor": 2.0},
+                "solver": {"eps": [0.25, 0.125, 0.0625], "t_final": 0.01},
+                "study": {"kind": "converge", "target": "enhanced", "seed": 1, "paths": 8},
+            })
+
+    @pytest.mark.parametrize("path", [*sorted((REPO / "configs").glob("*.json")), GOLDEN],
+                             ids=lambda p: p.name)
+    def test_shipped_configs_pass_the_config_check(self, path):
+        config = load_config(path)
+        _check_config(config["provenance"]["config"] if path == GOLDEN else config)
+
     @pytest.mark.parametrize("kind", ["simulate", "converge", "variance", "semigroup"])
     @pytest.mark.parametrize("eps, message", [
         ([0.125, 0.25], r"strictly decreasing: eps = 0.25 follows 0.125"),
@@ -185,6 +212,17 @@ class TestStudies:
         ("solver", "n_modes", 0.5, r"solver n_modes = 0.5 must be an integer"),
         ("study", "target", "enhancd", r"unknown study target 'enhancd'; the limit regimes "
                                        r"are averaged, fluctuation, enhanced, smoothed"),
+        ("sovler", "eps", 0.25, r"unknown config key\(s\) sovler; the studies read "
+                                r"coefficients, noise, solver, study$"),
+        ("coefficients", "amplitud", 2.0, r"unknown coefficients key\(s\) amplitud; "
+                                          r"the studies read name, amplitude, sigma, b$"),
+        ("noise", "cutof", 16, r"unknown noise key\(s\) cutof; the studies read family, "
+                               r"cutoff, cutoff_factor,"),
+        ("study", "pahts", 4, r"unknown study key\(s\) pahts; the studies read kind,"),
+        ("study", "tolerances", {"theta_mn": 0.5}, r"unknown tolerances key\(s\) theta_mn; "
+                                                   r"the studies read theta_min,"),
+        ("noise", "mollifier", {"kind": "tent", "radus": 3.0},
+         r"unknown mollifier key\(s\) radus; the studies read kind, radius$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
                                                    value, message):
@@ -195,7 +233,7 @@ class TestStudies:
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
         config = json.loads(json.dumps(SMALL_VARIANCE))
-        config[section][key] = value
+        config.setdefault(section, {})[key] = value
         config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)

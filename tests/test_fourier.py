@@ -1,5 +1,7 @@
 """Tests for the spectral field layer: norms, products, oscillation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from multiscale_spde.errors import MeanNotZero, ResolutionTooSmall
 from multiscale_spde.fourier import (
     SpectralField,
+    cells,
     conjugation_defect,
     inner_product,
     l2_norm,
@@ -177,3 +180,18 @@ class TestOscillate:
     def test_requires_integer_cells(self):
         with pytest.raises(ValueError):
             oscillate(SpectralField.constant(1.0), 0.3, 0)
+
+
+class TestCells:
+    @pytest.mark.parametrize("eps, count", [(1.0, 1), (0.5, 2), (1 / 16, 16), (1 / 1024, 1024)])
+    def test_reciprocal_integers_are_accepted(self, eps, count):
+        assert cells(eps) == count and type(cells(eps)) is int
+
+    @pytest.mark.parametrize("eps, shown", [
+        (0.3, "0.3"), (0.0, "0"), (-0.25, "-0.25"), (2.0, "2"), (np.nan, "nan"),
+        (np.inf, "inf"), (5e-324, "4.94066e-324"),  # 1/eps overflows to inf
+    ])
+    def test_everything_else_is_rejected(self, eps, shown):
+        message = f"eps = {shown} is not the reciprocal of a positive integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cells(eps)

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
-from multiscale_spde.errors import ZeroMode
 from multiscale_spde.fourier import SpectralField
 from multiscale_spde.limit import (
     REGIMES,
@@ -13,7 +12,6 @@ from multiscale_spde.limit import (
     limit_model,
     ou_step_params,
     ou_variance,
-    stationary_variance,
 )
 from multiscale_spde.noise import NoiseSpec, tent_mollifier
 
@@ -46,20 +44,16 @@ class TestExactSampler:
 class TestStationaryVariance:
     def test_scalar_values(self):
         model = scalar_model()
-        assert_allclose(stationary_variance(model, 1), 0.5)
-        assert_allclose(stationary_variance(model, 2), 0.125)
+        assert_allclose(ou_variance(model, 1, np.inf), 0.5)
+        assert_allclose(ou_variance(model, 2, np.inf), 0.125)
 
     def test_enhanced_cosine_value(self, cosine_cell):
         """|rho|^2 / (2 mu) collapses to I0(4) for the unit cosine potential."""
         model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)
-        got = stationary_variance(model, 1)
+        got = ou_variance(model, 1, np.inf)
         assert_allclose(got, (I0_4 / I0_2**2) / (2.0 * cosine_cell.mu), rtol=1e-10)
         assert_allclose(got, I0_4, rtol=1e-9)
         assert_allclose(got, 11.302, atol=1e-3)
-
-    def test_zero_mode_rejected(self):
-        with pytest.raises(ZeroMode):
-            stationary_variance(scalar_model(), 0)
 
 
 class TestModels:

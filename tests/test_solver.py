@@ -111,7 +111,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     and the limit modes at every step, step 0 included.
     """
     op = build_blocks(c, spec, config)
-    n_steps, dt, k_cut = config.n_steps, config.dt, config.cutoff
+    n_steps, dt, k_cut = config.n_steps, config.dt, spec.cutoff
     dw = WienerStream(config.seed, path_index).increments(n_steps, k_cut, dt)
     props = {res: sla.expm(blk.matrix * dt) for res, blk in op.blocks.items()}
     states = {res: np.zeros(blk.ks.size, dtype=complex) for res, blk in op.blocks.items()}
@@ -185,15 +185,14 @@ class TestApplyGenerator:
 class TestBlocks:
     def test_constant_coefficients_give_diagonal_blocks(self, heat):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(heat, 0.25, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           t_final=1.0, watch=(1,), seed=0)
         op = build_blocks(heat, NoiseSpec.white(4), cfg)
         for blk in op.blocks.values():
             off_diag = blk.matrix - np.diag(np.diag(blk.matrix))
             assert np.abs(off_diag).max() == 0.0
 
     def test_single_cell_is_one_block(self, cosine):
-        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=1.0, cutoff=4,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         op = build_blocks(cosine, NoiseSpec.white(4), cfg)
         assert list(op.blocks) == [0]
         dense = dense_entrywise_oracle(cosine, 1.0, 32)
@@ -203,7 +202,7 @@ class TestBlocks:
 
     def test_block_assembly_matches_pseudospectral(self, cosine):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           t_final=1.0, watch=(1,), seed=0)
         op = build_blocks(cosine, NoiseSpec.white(4), cfg)
         dense = op.dense()
         rng = np.random.default_rng(5)
@@ -217,7 +216,7 @@ class TestBlocks:
 
     def test_drift_couples_at_cell_offsets(self, cosine):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           t_final=1.0, watch=(1,), seed=0)
         op = build_blocks(cosine, NoiseSpec.white(4), cfg)
         blk = op.blocks[1]
         nontrivial = np.abs(blk.matrix) > 1e-14
@@ -226,7 +225,7 @@ class TestBlocks:
 
     def test_conjugate_classes_mirror(self, cosine):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           t_final=1.0, watch=(1,), seed=0)
         op = build_blocks(cosine, NoiseSpec.white(4), cfg)
         a1 = op.blocks[1]
         a3 = op.blocks[3]
@@ -234,9 +233,8 @@ class TestBlocks:
         assert np.abs(a3.matrix - np.conj(a1.matrix[::-1, ::-1])).max() <= 1e-14
 
     def test_eps_must_be_a_reciprocal_integer(self, cosine):
-        cfg = SolverConfig(eps=0.3, n_modes=suggest_modes(cosine, 0.3, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
-        with pytest.raises(ValueError, match="1/eps must be an integer"):
+        cfg = SolverConfig(eps=0.3, n_modes=60, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
+        with pytest.raises(ValueError, match="eps = 0.3 is not the reciprocal of a positive"):
             build_blocks(cosine, NoiseSpec.white(4), cfg)
 
 
@@ -244,22 +242,20 @@ class TestSimulatePath:
     def test_zero_noise_stays_zero(self, cosine):
         spec = NoiseSpec.custom({}, cutoff=2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
-                           t_final=0.1, cutoff=2, watch=(1, 2), seed=0)
+                           t_final=0.1, watch=(1, 2), seed=0)
         out = simulate_path(cosine, spec, cfg)
         assert max(np.abs(out.mode(m)).max() for m in (1, 2)) == 0.0
 
     def test_single_mode_ou_statistics(self, heat):
         """Driven mode 1 of the pure heat flow is an exact OU process."""
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=8.0, cutoff=1,
-                           watch=(1,), seed=7)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=8.0, watch=(1,), seed=7)
         vals = final_values(heat, DELTA_ONE, cfg, 2000, batch=256)
         samples = np.abs(vals[1]) ** 2
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) <= 3.0 * se
 
     def test_batched_sampler_reproduces_single_paths(self, heat):
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, cutoff=1,
-                           watch=(1,), seed=7)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, watch=(1,), seed=7)
         vals = final_values(heat, DELTA_ONE, cfg, 3, batch=256)
         for p in range(3):
             ref = simulate_path(heat, DELTA_ONE, cfg, path_index=p).mode(1)[-1]
@@ -267,8 +263,7 @@ class TestSimulatePath:
 
     def test_realness_and_conjugacy(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 4),
-                           dt=1e-3, t_final=0.2, cutoff=4,
-                           watch=(-3, -2, -1, 0, 1, 2, 3), seed=3)
+                           dt=1e-3, t_final=0.2, watch=(-3, -2, -1, 0, 1, 2, 3), seed=3)
         out = simulate_path(cosine, NoiseSpec.white(4), cfg)
         scale = max(np.abs(out.mode(1)).max(), 1e-30)
         for m in (1, 2, 3):
@@ -278,8 +273,7 @@ class TestSimulatePath:
 
     def test_overflow_guard(self, heat):
         big = NoiseSpec.custom({1: 1e13 * SpectralField.constant(1.0)}, cutoff=1)
-        cfg = SolverConfig(eps=1.0, n_modes=8, dt=1e-3, t_final=1.0, cutoff=1,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=8, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
             simulate_path(heat, big, cfg)
 
@@ -287,15 +281,14 @@ class TestSimulatePath:
         """Mode 2 sits in the other class of eps = 1/2; watching mode 1 still trips."""
         big = NoiseSpec.custom({1: SpectralField.constant(1.0),
                                 2: 1e13 * SpectralField.constant(1.0)}, cutoff=2)
-        cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, cutoff=2,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
             simulate_path(heat, big, cfg)
 
     def test_norm_tracking(self, heat):
         """With only modes +-1 driven, |u|^2 is twice the watched mode power."""
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, cutoff=1,
-                           watch=(1,), seed=4, track_norm=True)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, watch=(1,), seed=4,
+                           track_norm=True)
         out = simulate_path(heat, DELTA_ONE, cfg)
         expected = 2.0 * np.abs(out.mode(1)) ** 2
         assert np.abs(out.norm_squared - expected).max() <= 1e-12
@@ -307,7 +300,7 @@ class TestCoupled:
     def test_zero_noise_gives_zero_difference(self, cosine, cosine_cell):
         spec = NoiseSpec.custom({}, cutoff=2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
-                           t_final=0.1, cutoff=2, watch=(1,), seed=0)
+                           t_final=0.1, watch=(1,), seed=0)
         sups = coupled_sup_errors(cosine, spec, cfg, limit_model("averaged", spec, cosine_cell, 1),
                                   1.0, 3)
         for key in self.KEYS:
@@ -317,7 +310,7 @@ class TestCoupled:
         """With flat cell structure the two updates are algebraically equal."""
         spec = NoiseSpec.power_decay(0.75, 16)
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(heat, 0.125, 16),
-                           dt=1e-3, t_final=0.5, cutoff=16, watch=(1, 2), seed=5)
+                           dt=1e-3, t_final=0.5, watch=(1, 2), seed=5)
         model = limit_model("averaged", spec, solve_cell(heat), 2)
         sups = coupled_sup_errors(heat, spec, cfg, model, 1.0, 3)
         for key in self.KEYS:
@@ -330,7 +323,7 @@ class TestCoupled:
         means = []
         for eps in (0.25, 0.125):
             cfg = SolverConfig(eps=eps, n_modes=suggest_modes(cosine, eps, 64),
-                               dt=5e-4, t_final=0.5, cutoff=64, watch=(1,), seed=2)
+                               dt=5e-4, t_final=0.5, watch=(1,), seed=2)
             sups = coupled_sup_errors(cosine, spec64, cfg, model, 1.0, 32)
             means.append(sups["full"].mean())
         assert means[1] < means[0] / 1.3
@@ -344,7 +337,7 @@ class TestBlockedEngine:
         c = ENGINE_CASES[name]
         # 300 steps: one full chunk of increments and a partial one
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(-3, 0, 1, 2, 5), seed=5)
+                           t_final=0.3, watch=(-3, 0, 1, 2, 5), seed=5)
         out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
         ref = stepped_reference(c, NoiseSpec.white(8), cfg, path_index=2)
         for m in cfg.watch:
@@ -352,7 +345,7 @@ class TestBlockedEngine:
 
     def test_norm_matches_stepping(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(1, 4), seed=8, track_norm=True)
+                           t_final=0.3, watch=(1, 4), seed=8, track_norm=True)
         out = simulate_path(cosine, NoiseSpec.white(8), cfg)
         ref = stepped_reference(cosine, NoiseSpec.white(8), cfg)
         assert np.array_equal(out.times, np.arange(301) * cfg.dt)
@@ -363,7 +356,7 @@ class TestBlockedEngine:
     def test_sup_errors_match_stepping(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 8)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
-                           t_final=0.3, cutoff=8, watch=(1, 2, 3, 4), seed=3)
+                           t_final=0.3, watch=(1, 2, 3, 4), seed=3)
         model = limit_model("averaged", spec, cosine_cell, 4)
         sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2)
         for p in range(3):
@@ -384,7 +377,7 @@ class TestBlockedEngine:
         c = random_coefficients(rng)
         spec = NoiseSpec.power_decay(0.75, 4)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 4), dt=1e-3,
-                           t_final=0.3, cutoff=4, watch=(1, 2), seed=int(rng.integers(100)))
+                           t_final=0.3, watch=(1, 2), seed=int(rng.integers(100)))
         # random drifts need not admit a corrector, so the limit is drawn too
         coeffs = rng.uniform(0.5, 1.5, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
         model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), mode_cutoff=2,
@@ -406,7 +399,7 @@ class TestBlockedEngine:
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
-                           t_final=0.01, cutoff=2, watch=(1, 2, 3), seed=0)
+                           t_final=0.01, watch=(1, 2, 3), seed=0)
         model = limit_model("averaged", spec, cosine_cell, 3)
         with pytest.raises(ValueError, match="eps = 0.25 the noise cutoff 2 is below"):
             coupled_sup_errors(cosine, spec, cfg, model, 1.0, 2)
@@ -417,8 +410,7 @@ class TestExactCovariance:
         """Diagonal block: variance (1 - exp(-2 a t)) / (2 a), a = m^2 s^2/2."""
         for sigma, rate in ((np.sqrt(2.0), 1.0), (2.0, 2.0)):
             c = Coefficients.heat(sigma)
-            cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-4, t_final=2.0, cutoff=1,
-                               watch=(1,), seed=0)
+            cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-4, t_final=2.0, watch=(1,), seed=0)
             cov = exact_mode_covariance(c, DELTA_ONE, cfg, t_grid=[0.5, 1.0, 2.0],
                                         modes=[1])
             for t, v in zip(cov.times, cov.variances[1]):
@@ -427,7 +419,7 @@ class TestExactCovariance:
 
     def test_monte_carlo_cross_check(self, cosine):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
-                           t_final=2.0, cutoff=8, watch=(1,), seed=11)
+                           t_final=2.0, watch=(1,), seed=11)
         spec = NoiseSpec.white(8)
         mc = np.abs(final_values(cosine, spec, cfg, 2000, batch=256)[1]) ** 2
         cov = exact_mode_covariance(cosine, spec, cfg, t_grid=[2.0], modes=[1])
@@ -438,15 +430,15 @@ class TestExactCovariance:
         vals = {}
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4),
-                               dt=dt, t_final=1.0, cutoff=4, watch=(1,), seed=1)
+                               dt=dt, t_final=1.0, watch=(1,), seed=1)
             vals[dt] = exact_mode_covariance(cosine, NoiseSpec.white(4), cfg,
                                              t_grid=[1.0], modes=[1]).at_final(1)
         ratio = (vals[4e-3] - vals[2e-3]) / (vals[2e-3] - vals[1e-3])
         assert 3.0 <= ratio <= 5.0
 
     def test_energy_identity_for_pure_diffusion(self, heat):
-        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=8.0, cutoff=4,
-                           watch=tuple(range(5)), seed=1)
+        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=8.0, watch=tuple(range(5)),
+                           seed=1)
         cov = exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=[8.0],
                                     modes=list(range(5)))
         assert_allclose(cov.at_final(0), 8.0, rtol=1e-9)
@@ -463,33 +455,30 @@ class TestClosedFormCovariance:
     def test_cosine_matches_kronecker_recursion(self, amplitude, eps):
         c = Coefficients.cosine_potential(amplitude)
         cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 8),
-                           dt=min(1e-3, eps * eps / 4.0), t_final=1.0, cutoff=8,
-                           watch=(1,), seed=0)
+                           dt=min(1e-3, eps * eps / 4.0), t_final=1.0, watch=(1,), seed=0)
         assert_matches_oracle(c, NoiseSpec.white(8), cfg, np.linspace(0.0, 1.0, 11),
                               modes=[1, 2])
 
     def test_heat_with_brownian_mode_matches(self, heat):
-        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=2.0, cutoff=4,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=32, dt=1e-3, t_final=2.0, watch=(1,), seed=0)
         assert_matches_oracle(heat, NoiseSpec.white(4), cfg, np.linspace(0.0, 2.0, 9),
                               modes=list(range(5)))
 
     def test_step_with_zero_ratio_matches(self):
         """dt (lam_0 + lam_2) / 2 = -1 exactly: r = 0, where log r is -inf."""
         c = Coefficients.heat(2.0)  # lam_k = -2 k^2
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=0.25, t_final=1.0, cutoff=4,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=0.25, t_final=1.0, watch=(1,), seed=0)
         assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.0, 0.25, 0.5, 1.0],
                               modes=[0, 1, 2])
 
     def test_every_class_matches(self, cosine):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
-                           t_final=0.5, cutoff=4, watch=(1,), seed=0)
+                           t_final=0.5, watch=(1,), seed=0)
         assert_matches_oracle(cosine, NoiseSpec.white(4), cfg, np.linspace(0.0, 0.5, 6))
 
     def test_nongradient_drift_matches(self):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(NONGRADIENT, 0.25, 4),
-                           dt=1e-3, t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         assert_matches_oracle(NONGRADIENT, NoiseSpec.white(4), cfg,
                               np.linspace(0.0, 1.0, 6))
 
@@ -505,7 +494,7 @@ class TestClosedFormCovariance:
             {0: rng.uniform(0.8, 1.5), 1: s[0], -1: np.conj(s[0]),
              2: s[1], -2: np.conj(s[1])})
         cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 4), dt=dt,
-                           t_final=0.5, cutoff=4, watch=(1,), seed=0)
+                           t_final=0.5, watch=(1,), seed=0)
         assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.1, 0.25, 0.5])
 
     def test_inaccurate_eigenbasis_fails_the_residual_contract(self, cosine, monkeypatch):
@@ -517,7 +506,7 @@ class TestClosedFormCovariance:
 
         monkeypatch.setattr(sla, "eig", perturbed)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
-                           t_final=1.0, cutoff=4, watch=(1,), seed=0)
+                           t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(SolveFailed, match="trapezoid residual"):
             exact_mode_covariance(cosine, NoiseSpec.white(4), cfg, t_grid=[1.0], modes=[1])
 
@@ -525,14 +514,12 @@ class TestClosedFormCovariance:
                                 "ignore:invalid value:RuntimeWarning")
     def test_non_finite_covariance_raises_unstable_step(self, heat):
         huge = NoiseSpec.custom({1: 1e200 * SpectralField.constant(1.0)}, cutoff=1)
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, cutoff=1,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
             exact_mode_covariance(heat, huge, cfg, t_grid=[1.0], modes=[1])
 
     def test_mode_outside_the_band_is_rejected(self, heat):
-        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, cutoff=4,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(ResolutionTooSmall, match="mode 100 outside the band"):
             exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=[1.0], modes=[1, 100])
 
@@ -544,8 +531,7 @@ class TestClosedFormCovariance:
     def test_bad_time_grid_fails_before_blocks(self, heat, t_grid, message):
         # n_modes is too small for build_blocks, so the t_grid message shows
         # the grid was rejected before any block was built
-        cfg = SolverConfig(eps=1.0, n_modes=2, dt=1e-3, t_final=1.0, cutoff=4,
-                           watch=(1,), seed=0)
+        cfg = SolverConfig(eps=1.0, n_modes=2, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(ValueError, match=message):
             exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=t_grid)
 
@@ -555,8 +541,7 @@ class TestBlockVsDensePathwise:
         """Full dense exponential stepping reproduces the per-class solver."""
         eps, n, cutoff, dt, t_final, seed = 0.25, 64, 8, 1e-3, 0.5, 21
         spec = NoiseSpec.white(cutoff)
-        cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=t_final, cutoff=cutoff,
-                           watch=(1, 2, 3), seed=seed)
+        cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=t_final, watch=(1, 2, 3), seed=seed)
         out = simulate_path(cosine, spec, cfg)
 
         dense = np.zeros((n, n), dtype=complex)
