@@ -142,10 +142,15 @@ def ou_step_params(model: LimitModel, m: int, delta: float) -> tuple[float, floa
 def ou_variance(model: LimitModel, m: int, t: float) -> float:
     """E |x_m(t)|^2 for the zero-started mode, in closed form.
 
-    t = np.inf gives the stationary variance |c_m|^2 / (2 mu m^2) of m != 0.
+    t = np.inf gives the stationary variance |c_m|^2 / (2 mu m^2); a mode
+    with mu m^2 = 0 (the Brownian mode 0) has none, and asking for it at a
+    non-finite t is a ValueError.
     """
     a = model.mu * m * m
     c2 = abs(model.coeff(m)) ** 2
     if a == 0.0:
+        if not np.isfinite(t):
+            raise ValueError(f"mode {m} has no stationary variance: its decay rate "
+                             "mu m^2 is 0")
         return c2 * t
     return c2 * (1.0 - np.exp(-2.0 * a * t)) / (2.0 * a)

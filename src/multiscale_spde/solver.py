@@ -12,7 +12,8 @@ difference coordinate.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form in each block's eigenbasis at every recorded
 step, with no time loop, so limit variances can be verified without
-Monte Carlo error at O(n^3) cost per block.
+Monte Carlo error at O(n^3) cost per block.  Every dense kernel runs on
+NumPy's LAPACK except the propagators' expm, the one scipy.linalg call.
 """
 
 from __future__ import annotations
@@ -499,6 +500,10 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
     small complex z, where NumPy's complex log1p loses digits; where
     log r = 0 (the Brownian k = 0 mode) the geometric factor is exactly k.
 
+    The eigenbasis comes from np.linalg.eig, on NumPy's LAPACK like the
+    products that follow, so no second BLAS thread pool is woken (see
+    cell.invariant_density).
+
     Returns Re(v_m S_k v_m*) for each step k (rows of the result) and each
     block row m in rows (columns).  Raises UnstableStep if the result is
     not finite, and SolveFailed if the last two recorded iterates miss one
@@ -506,7 +511,7 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
     flags an inaccurate eigenbasis.
     """
     a = blk.matrix
-    lam, vecs = sla.eig(a)
+    lam, vecs = np.linalg.eig(a)
     w = np.linalg.solve(vecs, blk.noise_map)
     z = 0.5 * dt * (lam[:, None] + lam.conj()[None, :])
     # z = -1 gives r = 0 (one step forgets S) where atanh is -inf; there

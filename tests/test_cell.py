@@ -1,8 +1,13 @@
 """Tests for the unit-cell solves: invariant density, corrector, mu, omega."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
@@ -19,13 +24,116 @@ from multiscale_spde.cell import (
 from multiscale_spde.errors import SolveFailed
 from multiscale_spde.fourier import (
     SpectralField,
+    cells,
     inner_product,
     l2_norm,
     multiply,
+    oscillate,
 )
+from multiscale_spde.noise import NoiseSpec
+from multiscale_spde.solver import SolverConfig, build_blocks
 
 I0_2 = iv(0, 2.0)
 I0_4 = iv(0, 4.0)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multiscale_spde"
+
+
+def per_entry_generator_matrix(c, ks, eps=1.0, adjoint=False):
+    """generator_matrix with its Toeplitz symbols looked up one coeff call per offset."""
+    ks = np.asarray(ks, dtype=int)
+    m = ks.size
+    s2 = c.sigma_squared()
+    offsets = np.arange(-(m - 1), m)
+    b_off = np.array([c.b.coeff(int(l)) for l in offsets])
+    s2_off = np.array([s2.coeff(int(l)) for l in offsets])
+    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) + (m - 1)
+    bmat = b_off[idx]
+    smat = s2_off[idx]
+    kf = ks.astype(float)
+    if adjoint:
+        return (-1j * kf[:, None]) * bmat / eps + (-0.5 * kf[:, None] ** 2) * smat
+    return (1j * kf[None, :]) * bmat / eps + (-0.5 * kf[None, :] ** 2) * smat
+
+
+def random_band_limited(seed, wide):
+    """Real b and sigma with harmonics 1 .. J, J in 1..3, and min sigma >= 0.15.
+
+    wide stores both fields on a 512-point band, wider than 2m for every
+    progression the tests use.
+    """
+    rng = np.random.default_rng(seed)
+    harmonics = int(rng.integers(1, 4))
+    b = rng.uniform(-0.5, 0.5, (2, harmonics))
+    s = rng.uniform(-0.3, 0.3, (2, harmonics)) / harmonics  # sum of 2|s_j| <= 0.85
+    b_modes, sigma_modes = {}, {0: rng.uniform(1.0, 1.5)}
+    for j in range(1, harmonics + 1):
+        b_modes[j] = complex(b[0, j - 1], b[1, j - 1])
+        sigma_modes[j] = complex(s[0, j - 1], s[1, j - 1])
+        b_modes[-j], sigma_modes[-j] = np.conj(b_modes[j]), np.conj(sigma_modes[j])
+    n = 512 if wide else None
+    return Coefficients(SpectralField.from_modes(b_modes, n),
+                        SpectralField.from_modes(sigma_modes, n))
+
+
+def scipy_linalg_names(tree):
+    """The scipy.linalg attributes one module uses, however it imports them."""
+    bound = {}  # local name -> dotted module path it stands for
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    bound[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if node.module == "scipy.linalg":
+                    used.add(alias.name)
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        name = dotted(node) if isinstance(node, ast.Attribute) else None
+        if name and name.startswith("scipy.linalg."):
+            used.add(name.split(".")[2])
+    return used
+
+
+def test_dense_kernels_run_on_one_lapack_stack():
+    """cell.py imports no SciPy, and the package takes only expm from scipy.linalg.
+
+    NumPy and SciPy each load their own OpenBLAS with its own worker threads.
+    A SciPy LAPACK call between NumPy products waits on the other pool's
+    spinning workers: with two BLAS threads a NumPy product followed by
+    scipy.linalg.lu_factor on a 127 x 127 complex matrix took 8 ms, against
+    0.5 ms with np.linalg.solve in its place.  Solve, factor and eigen-decompose
+    with np.linalg; expm has no NumPy equivalent.
+    """
+    cell_imports = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(ast.parse((PACKAGE / "cell.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [name for name in cell_imports if name and name.split(".")[0] == "scipy"], (
+        "cell.py imports SciPy; its dense kernels belong on NumPy's LAPACK (8 ms "
+        "cross-pool stall per SciPy call after a NumPy product)")
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        used |= scipy_linalg_names(ast.parse(path.read_text(), filename=str(path)))
+    assert used == {"expm"}, (
+        f"scipy.linalg names used in the package: {sorted(used)}; every dense kernel "
+        "but expm belongs on NumPy's LAPACK (8 ms cross-pool stall per SciPy call "
+        "after a NumPy product)")
 
 
 class TestValidation:
@@ -60,6 +168,42 @@ class TestGeneratorMatrix:
         ks = np.arange(-4, 4)
         a = generator_matrix(heat, ks)
         assert_allclose(a, np.diag(-ks.astype(float) ** 2), atol=1e-14)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1.0, 0.5, 0.25, 0.125]), st.sampled_from([1, 2, 25, 127]),
+           st.booleans(), st.booleans(), st.integers(min_value=-40, max_value=40))
+    @example(seed=3, eps=0.125, length=127, adjoint=True, wide=True, start=-5)
+    @example(seed=3, eps=0.125, length=25, adjoint=False, wide=True, start=1)
+    @settings(max_examples=60, deadline=None)
+    def test_symbols_are_bitwise_the_per_entry_lookups(self, seed, eps, length, adjoint,
+                                                        wide, start):
+        c = random_band_limited(seed, wide)
+        ks = start + cells(eps) * np.arange(length)
+        got = generator_matrix(c, ks, eps=eps, adjoint=adjoint)
+        ref = per_entry_generator_matrix(c, ks, eps=eps, adjoint=adjoint)
+        assert got.shape == ref.shape == (length, length)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1.0, 0.5, 0.25, 0.125]), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_blocks_reassemble_the_full_band_generator(self, seed, eps, wide):
+        """The class blocks fill the matrix of L_eps on -N/2+1 .. N/2-1.
+
+        The reference is generator_matrix at eps = 1 of the oscillated
+        coefficients b(x/eps)/eps and sigma(x/eps) (1/eps is a power of two,
+        so the scaling is exact); their sigma^2 is a product on another FFT
+        grid, hence the rounding tolerance.
+        """
+        c = random_band_limited(seed, wide)
+        r = cells(eps)
+        n = 2 * r * (c.max_harmonic + 1) + 4
+        cfg = SolverConfig(eps=eps, n_modes=n, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
+        dense = build_blocks(c, NoiseSpec.white(1), cfg).dense()
+        assert not dense[0].any() and not dense[:, 0].any()  # the unpaired -N/2 is left out
+        fast = Coefficients(oscillate(c.b, eps, 0) * float(r), oscillate(c.sigma, eps, 0))
+        full = generator_matrix(fast, np.arange(-n // 2 + 1, n // 2))
+        assert_allclose(dense[1:, 1:], full, rtol=1e-12, atol=1e-13 * np.abs(full).max())
 
 
 class TestInvariantDensity:

@@ -47,6 +47,13 @@ class TestStationaryVariance:
         assert_allclose(ou_variance(model, 1, np.inf), 0.5)
         assert_allclose(ou_variance(model, 2, np.inf), 0.125)
 
+    @pytest.mark.parametrize("c0", [0.0, 0.8])
+    def test_zero_rate_has_no_stationary_variance(self, c0):
+        model = LimitModel(1.0, {0: c0, 1: 0.0}, 1)
+        with pytest.raises(ValueError, match="mode 0 has no stationary variance"):
+            ou_variance(model, 0, np.inf)
+        assert ou_variance(model, 0, 0.7) == abs(c0) ** 2 * 0.7
+
     def test_enhanced_cosine_value(self, cosine_cell):
         """|rho|^2 / (2 mu) collapses to I0(4) for the unit cosine potential."""
         model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)

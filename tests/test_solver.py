@@ -498,13 +498,13 @@ class TestClosedFormCovariance:
         assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.1, 0.25, 0.5])
 
     def test_inaccurate_eigenbasis_fails_the_residual_contract(self, cosine, monkeypatch):
-        real_eig = sla.eig
+        real_eig = np.linalg.eig
 
         def perturbed(a):
             lam, vecs = real_eig(a)
             return lam, vecs + 1e-6 * np.random.default_rng(0).standard_normal(vecs.shape)
 
-        monkeypatch.setattr(sla, "eig", perturbed)
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
                            t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(SolveFailed, match="trapezoid residual"):
