@@ -9,10 +9,7 @@ and mollified) by exact covariance computation and Monte Carlo.
 from .cell import (
     CellSolution,
     Coefficients,
-    corrector,
     diffusivity_from_decay,
-    effective_diffusivity,
-    invariant_density,
     solve_cell,
     spectral_gap,
     validate_coefficients,

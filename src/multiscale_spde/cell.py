@@ -1,11 +1,13 @@
 """Unit-cell problems for the periodic generator L = b d/dx + (sigma^2/2) d2/dx2.
 
-Solves the stationary adjoint problem L* rho = 0 for the invariant
-density, the corrector problem L chi = -b, and derives the effective
-diffusivity mu (the decay rate of slow modes, exp(-mu m^2 t)) and the
-spectral gap omega of the fast dynamics.  Everything is spectral: the
-generator restricted to a uniformly spaced set of wavenumbers is a small
-dense matrix built from the coefficient convolutions.
+The invariant density rho (L* rho = 0), the corrector chi (L chi = -b)
+and the effective diffusivity mu (the decay rate of slow modes,
+exp(-mu m^2 t)) have a closed form in 1-D: centering makes the cell
+reversible, and solve_cell evaluates that form by one FFT quadrature.
+The spectral gap omega of the fast dynamics, and the finite-eps decay
+rates that cross-check mu, come from the spectrum of the generator
+restricted to a uniformly spaced set of wavenumbers, a small dense
+matrix built from the coefficient convolutions.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolveFailed
+from .errors import ResolutionTooSmall, SolveFailed
 from .fourier import SpectralField, cells, inner_product, l2_norm, multiply, sobolev_norm
 from .reporting import CheckReport
 
@@ -23,19 +25,20 @@ __all__ = [
     "CellSolution",
     "validate_coefficients",
     "generator_matrix",
-    "invariant_density",
-    "corrector",
-    "effective_diffusivity",
     "diffusivity_from_decay",
     "spectral_gap",
     "solve_cell",
 ]
 
 DEFAULT_CELL_MODES = 128
+# Points of the quadrature grid on which solve_cell evaluates the closed form.
+CELL_GRID = 4096
 
-# Residual contracts for the two cell solves.
+# Residual contracts of the cell solution against the Galerkin generator.
 RHO_RESIDUAL_TOL = 1e-8
 CHI_RESIDUAL_TOL = 1e-8
+# Centering: |mean(b/sigma^2)| at most this fraction of the rms of b/sigma^2.
+CENTERING_RTOL = 1e-10
 # The adjoint generator's kernel eigenvalue, relative to its spectral radius.
 KERNEL_TOL = 1e-10
 # Residue-class offsets |l| <= CLASS_OFFSETS of the slow-mode and unit-cell flows.
@@ -48,17 +51,14 @@ class Coefficients:
     """Drift b and diffusion sigma, periodic on [0, 2*pi].
 
     Both are real trigonometric polynomials, which guarantees the
-    smoothness the cell problems need.  delta and delta_prime, the
-    ellipticity bounds min sigma and max sigma, are measured on a grid of
-    max(256, 4 n) points; validate_coefficients checks them on a finer one.
+    smoothness the cell problems need.  validate_coefficients checks
+    ellipticity (min sigma > 0) and centering on a grid; solve_cell
+    refuses a cell that fails either.
     """
 
     def __init__(self, b: SpectralField, sigma: SpectralField):
         self.b = b
         self.sigma = sigma
-        grid = np.real(sigma.to_grid(max(256, 4 * sigma.n)))
-        self.delta = float(grid.min())
-        self.delta_prime = float(grid.max())
 
     @classmethod
     def heat(cls, sigma_value: float = np.sqrt(2.0)) -> "Coefficients":
@@ -84,8 +84,13 @@ class Coefficients:
         return multiply(self.sigma.pad_to(2 * self.sigma.n), self.sigma)
 
     def __repr__(self) -> str:
-        return (f"Coefficients(J={self.max_harmonic}, delta={self.delta:.4g}, "
-                f"delta_prime={self.delta_prime:.4g})")
+        return f"Coefficients(J={self.max_harmonic})"
+
+
+def _centering(b_grid: np.ndarray, sigma_grid: np.ndarray) -> tuple[float, float]:
+    """|mean(b/sigma^2)| and its bound CENTERING_RTOL * rms(b/sigma^2) on one grid."""
+    ratio = b_grid / sigma_grid**2
+    return abs(float(np.mean(ratio))), CENTERING_RTOL * float(np.sqrt(np.mean(ratio**2)))
 
 
 def validate_coefficients(c: Coefficients, n_grid: int = 2048) -> CheckReport:
@@ -96,19 +101,11 @@ def validate_coefficients(c: Coefficients, n_grid: int = 2048) -> CheckReport:
     report = CheckReport("coefficient assumptions")
     sig = np.real(c.sigma.to_grid(n_grid))
     report.add("ellipticity: min sigma > 0", bool(sig.min() > 0.0), float(sig.min()), 0.0)
-    report.add("ellipticity: delta <= sigma", bool(sig.min() >= c.delta - 1e-12),
-               float(sig.min()), c.delta)
-    report.add("ellipticity: sigma <= delta_prime", bool(sig.max() <= c.delta_prime + 1e-12),
-               float(sig.max()), c.delta_prime)
 
     if sig.min() > 0.0:
-        bg = np.real(c.b.to_grid(n_grid))
-        ratio = bg / sig**2
-        mean = abs(float(np.mean(ratio)))
-        scale = float(np.sqrt(np.mean(ratio**2)))
-        ok = mean <= 1e-10 * scale or (mean == 0.0 and scale == 0.0)
-        report.add("centering: |mean(b/sigma^2)| <= 1e-10 |b/sigma^2|", ok, mean,
-                   1e-10 * scale)
+        mean, bound = _centering(np.real(c.b.to_grid(n_grid)), sig)
+        report.add("centering: |mean(b/sigma^2)| <= 1e-10 |b/sigma^2|", mean <= bound, mean,
+                   bound)
     else:
         report.add("centering: |mean(b/sigma^2)|", False, float("nan"),
                    note="sigma touches zero; ratio undefined")
@@ -148,109 +145,13 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     return (1j * kf[None, :]) * bmat / eps + (-0.5 * kf[None, :] ** 2) * smat
 
 
-def _hermitize(f: SpectralField) -> SpectralField:
-    """Project onto the real-field symmetry coeff(-k) = conj(coeff(k))."""
-    out = f.coeffs.copy()
-    half = f.n // 2
-    pos = out[half + 1 :]
-    neg = out[half - 1 : 0 : -1]
-    avg = 0.5 * (pos + np.conj(neg))
-    out[half + 1 :] = avg
-    out[half - 1 : 0 : -1] = np.conj(avg)
-    out[half] = out[half].real
-    out[0] = out[0].real
-    return SpectralField(out)
-
-
-def invariant_density(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> SpectralField:
-    """Solve L* rho = 0, normalised to <rho, 1> = 1.
-
-    The kernel vector is extracted by four steps of shifted inverse
-    iteration on the dense spectral matrix, then normalised by its mean
-    amplitude.  The solve runs on the symmetric band |k| <= N/2 - 1 so the
-    truncation preserves the conjugate symmetry of the real density.
-
-    Each step is one np.linalg.solve, which re-factors the matrix (about
-    0.3 ms on the 127-point band), so the solve runs on NumPy's LAPACK like
-    the products around it.  SciPy's LU would run on SciPy's own OpenBLAS,
-    whose idle worker threads spin against NumPy's: with two BLAS threads a
-    NumPy product followed by a SciPy LU took 8 ms, against 0.5 ms for
-    np.linalg.solve.
-    """
-    ks = np.arange(-n // 2 + 1, n // 2)
-    centre = n // 2 - 1
-    a = generator_matrix(c, ks, adjoint=True)
-    shift = 1e-12 * max(1.0, np.abs(a).max())
-    shifted = a - shift * np.eye(ks.size)
-
-    v = np.zeros(ks.size, dtype=complex)
-    v[centre] = 1.0  # the constant mode overlaps the kernel
-    try:
-        for _ in range(4):
-            v = np.linalg.solve(shifted, v)
-            v /= np.linalg.norm(v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise SolveFailed("adjoint generator could not be factorised") from exc
-
-    mean_amp = v[centre]
-    if abs(mean_amp) < 1e-8:
-        raise SolveFailed("kernel vector has no mean component; kernel degenerate?")
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[1:] = v / mean_amp
-    rho = _hermitize(SpectralField(coeffs))
-
-    residual = float(np.linalg.norm(a @ rho.coeffs[1:]))
-    if residual > RHO_RESIDUAL_TOL * sobolev_norm(rho, 2):
-        raise SolveFailed(f"stationarity residual {residual:.3e} above tolerance")
-    grid = np.real(rho.to_grid(max(4 * n, 256)))
-    if grid.min() <= 0.0:
-        raise SolveFailed("computed density is not positive on the grid")
-    return rho
-
-
-def corrector(c: Coefficients, rho: SpectralField, n: int | None = None) -> SpectralField:
-    """Solve L chi = -b with periodic chi, normalised to <chi, rho> = 0."""
-    if n is None:
-        n = rho.n
-    ks = np.arange(-n // 2 + 1, n // 2)  # symmetric band, as for the density
-    a = generator_matrix(c, ks, adjoint=False)
-    rhs = -c.b.pad_to(n).coeffs[1:]
-    keep = ks != 0  # constants span the kernel of L; fix the mean to zero
-    sol, *_ = np.linalg.lstsq(a[:, keep], rhs, rcond=None)
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[1:][keep] = sol
-    chi = _hermitize(SpectralField(coeffs))
-
-    # Any constant shift is admissible; pick the one orthogonal to rho.
-    chi = chi - SpectralField.constant(inner_product(chi, rho).real, 2).pad_to(n)
-    residual = float(np.linalg.norm(a @ chi.coeffs[1:] + c.b.pad_to(n).coeffs[1:]))
-    bnorm = l2_norm(c.b)
-    if bnorm > 0 and residual > CHI_RESIDUAL_TOL * bnorm:
-        raise SolveFailed(f"corrector residual {residual:.3e} above tolerance")
-    return chi
-
-
-def effective_diffusivity(c: Coefficients, rho: SpectralField, chi: SpectralField) -> float:
-    """mu = <(sigma^2/2) (1 + chi')^2, rho>, the slow-mode decay rate.
-
-    For gradient drift b = -V' with sigma = 1 this reduces to
-    1 / (2 <exp(2V)> <exp(-2V)>).
-    """
-    w = chi.derivative() + SpectralField.constant(1.0, 2)
-    integrand = multiply(c.sigma_squared(), multiply(w, w))
-    mu = 0.5 * inner_product(integrand, rho).real
-    if mu <= 0:
-        raise SolveFailed(f"effective diffusivity {mu:.3e} not positive")
-    return float(mu)
-
-
 def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     """mu at finite eps: the decay rate of the slow mode e_m over m^2.
 
     The rate is -max Re(lambda) over the eigenvalues of the adjoint
     generator L_eps* on the residue class m + (1/eps) l, |l| <= CLASS_OFFSETS.
-    It comes from the spectrum alone, independently of the corrector
-    route to mu, and differs from mu by O((eps m)^2) (about -2.8 (eps m)^2 mu
+    It comes from the spectrum alone, independently of solve_cell's
+    closed form, and differs from mu by O((eps m)^2) (about -2.8 (eps m)^2 mu
     for the A = 1 cosine potential), so a cross-validation of mu has to
     extrapolate to eps -> 0, e.g. (4 rate(eps / 2) - rate(eps)) / 3.  The
     slow eigenvalue must be real to KERNEL_TOL of the spectral radius and
@@ -300,7 +201,71 @@ class CellSolution:
         return l2_norm(self.rho)
 
 
+def _real_field(positive: np.ndarray, mean: float, n: int) -> SpectralField:
+    """The real field on -n/2 .. n/2 - 1 with amplitudes mean at k = 0 and positive
+    at k = 1 .. n/2 - 1; the negative half is their conjugate, the unpaired -n/2 zero."""
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[n // 2] = mean
+    coeffs[n // 2 + 1 :] = positive
+    coeffs[n // 2 - 1 : 0 : -1] = np.conj(positive)
+    return SpectralField(coeffs)
+
+
 def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
-    rho = invariant_density(c, n)
-    chi = corrector(c, rho, n)
-    return CellSolution(rho=rho, chi=chi, mu=effective_diffusivity(c, rho, chi))
+    """Invariant density, corrector and mu of a centred cell, in closed form.
+
+    Centering, mean(b/sigma^2) = 0, makes the 1-D cell reversible.  With
+    the periodic Phi(x) = integral_0^x 2b/sigma^2:
+
+      sigma^2 rho is proportional to exp(Phi)   (zero flux, so L* rho = 0),
+      1 + chi' = K / (sigma^2 rho)              (L chi = -b), K = 1 / <1/(sigma^2 rho)>,
+      mu = <(sigma^2/2)(1 + chi')^2, rho> = K / 2.
+
+    Each is one FFT quadrature of a smooth periodic integrand on CELL_GRID
+    points, exact to rounding.  rho and chi keep the wavenumbers |k| < n/2,
+    the negative half the conjugate of the positive one, so both are real
+    by construction; rho is divided by its own k = 0 amplitude, so
+    <rho, 1> = 1 exactly, and chi's mean makes <chi, rho> = 0.
+
+    Contracts against the Galerkin generator on that band: the stationarity
+    residual |L* rho| at most RHO_RESIDUAL_TOL |rho|_{H^2}, the corrector
+    residual |L chi + b| at most CHI_RESIDUAL_TOL |b|, and rho positive on a
+    grid.  SolveFailed if one fails, if sigma is not positive on the
+    quadrature grid, or if the cell is not centred to CENTERING_RTOL there.
+    """
+    if n > CELL_GRID:
+        raise ResolutionTooSmall(f"n = {n} modes exceed the {CELL_GRID}-point quadrature grid")
+    sig = np.real(c.sigma.to_grid(CELL_GRID))
+    if not sig.min() > 0.0:
+        raise SolveFailed(f"sigma is not positive on the grid: min sigma = {sig.min():.3e}")
+    bg = np.real(c.b.to_grid(CELL_GRID))
+    mean, bound = _centering(bg, sig)
+    if not mean <= bound:
+        raise SolveFailed(f"cell is not centred: |mean(b/sigma^2)| = {mean:.3e} "
+                          f"above {bound:.3e}")
+
+    s2 = sig**2
+    ks = np.arange(1, CELL_GRID // 2 + 1)
+    phi_hat = np.fft.rfft(2.0 * bg / s2)
+    phi_hat[0] = 0.0
+    phi_hat[1:] /= 1j * ks
+    phi = np.fft.irfft(phi_hat, CELL_GRID)
+    p_hat = np.fft.rfft(np.exp(phi) / s2)  # rho up to its normalisation
+    q_hat = np.fft.rfft(np.exp(-phi))  # 1 + chi' up to its normalisation
+    half = n // 2
+    rho = _real_field(p_hat[1:half] / p_hat[0].real, 1.0, n)
+    chi = _real_field(q_hat[1:half] / (1j * ks[: half - 1] * q_hat[0].real), 0.0, n)
+    chi.coeffs[half] = -inner_product(chi, rho).real
+    # K / 2, where <1/(sigma^2 rho)> = <exp(-Phi)> <exp(Phi)/sigma^2>
+    mu = 0.5 * CELL_GRID**2 / (p_hat[0].real * q_hat[0].real)
+
+    adj = generator_matrix(c, np.arange(-half + 1, half), adjoint=True)
+    residual = float(np.linalg.norm(adj @ rho.coeffs[1:]))
+    if not residual <= RHO_RESIDUAL_TOL * sobolev_norm(rho, 2):
+        raise SolveFailed(f"stationarity residual {residual:.3e} above tolerance")
+    residual = float(np.linalg.norm(adj.conj().T @ chi.coeffs[1:] + c.b.truncate(n).coeffs[1:]))
+    if not residual <= CHI_RESIDUAL_TOL * l2_norm(c.b):
+        raise SolveFailed(f"corrector residual {residual:.3e} above tolerance")
+    if not np.real(rho.to_grid(max(4 * n, 256))).min() > 0.0:
+        raise SolveFailed("computed density is not positive on the grid")
+    return CellSolution(rho=rho, chi=chi, mu=float(mu))

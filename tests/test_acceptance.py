@@ -11,13 +11,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.special import iv
 
-from multiscale_spde.cell import (
-    Coefficients,
-    corrector,
-    diffusivity_from_decay,
-    effective_diffusivity,
-    invariant_density,
-)
+from multiscale_spde.cell import Coefficients, diffusivity_from_decay, solve_cell
 from multiscale_spde.experiments import (
     run_coupling_convergence,
     run_semigroup_study,
@@ -48,20 +42,17 @@ def check(label: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion1_cell_closed_forms(gibbs_grid):
     start = time.perf_counter()
-    c = Coefficients.cosine_potential(1.0)
-    rho = invariant_density(c, 128)
-    chi = corrector(c, rho)
-    mu = effective_diffusivity(c, rho, chi)
+    sol = solve_cell(Coefficients.cosine_potential(1.0), 128)
     elapsed = time.perf_counter() - start
 
     rho_ref = SpectralField.from_grid(gibbs_grid(1.0, 2048)).truncate(128)
-    rho_err = l2_norm(rho - rho_ref)
+    rho_err = l2_norm(sol.rho - rho_ref)
     mu_target = 1.0 / (2.0 * I0_2**2)
-    mu_err = abs(mu - mu_target)
+    mu_err = abs(sol.mu - mu_target)
     check("1a density closed form", rho_err <= 1e-8,
           f"|rho - exp(-2cos)/I0(2)| = {rho_err:.2e} (tol 1e-8)")
-    check("1b diffusivity closed form", mu_err <= 1e-6,
-          f"|mu - {mu_target:.6f}| = {mu_err:.2e} (tol 1e-6)")
+    check("1b diffusivity closed form", mu_err <= 1e-13 * sol.mu,
+          f"|mu - {mu_target:.6f}| = {mu_err:.2e} (tol 1e-13 mu)")
     check("1c runtime", elapsed < 1.0, f"{elapsed:.3f} s (limit 1 s)")
 
 
@@ -267,7 +258,7 @@ def test_criterion8b_density_normalisation(cosine_cell):
 
 
 def test_criterion8c_density_norm_dichotomy(heat, cosine_cell):
-    flat = invariant_density(heat, 32)
+    flat = solve_cell(heat, 32).rho
     flat_dev = abs(l2_norm(flat) - 1.0)
     grown = l2_norm(cosine_cell.rho) - 1.0
     check("8c |rho| >= 1, equality iff constant",

@@ -1,4 +1,4 @@
-"""Tests for the unit-cell solves: invariant density, corrector, mu, omega."""
+"""Tests for the unit cell: validation, generator matrices, rho, chi, mu, omega."""
 
 import ast
 from pathlib import Path
@@ -12,29 +12,33 @@ from numpy.testing import assert_allclose
 from scipy.special import iv
 
 from multiscale_spde.cell import (
+    CELL_GRID,
+    CHI_RESIDUAL_TOL,
+    RHO_RESIDUAL_TOL,
     Coefficients,
-    corrector,
     diffusivity_from_decay,
-    effective_diffusivity,
     generator_matrix,
-    invariant_density,
+    solve_cell,
     spectral_gap,
     validate_coefficients,
 )
-from multiscale_spde.errors import SolveFailed
+from multiscale_spde.errors import ResolutionTooSmall, SolveFailed
 from multiscale_spde.fourier import (
     SpectralField,
     cells,
+    conjugation_defect,
     inner_product,
     l2_norm,
     multiply,
     oscillate,
+    sobolev_norm,
 )
 from multiscale_spde.noise import NoiseSpec
 from multiscale_spde.solver import SolverConfig, build_blocks
 
 I0_2 = iv(0, 2.0)
 I0_4 = iv(0, 4.0)
+SWEEP_AMPLITUDES = [0.25 * i for i in range(1, 13)]  # the cell-sweep benchmark's 0.25 .. 3
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multiscale_spde"
 
 
@@ -73,6 +77,59 @@ def random_band_limited(seed, wide):
     n = 512 if wide else None
     return Coefficients(SpectralField.from_modes(b_modes, n),
                         SpectralField.from_modes(sigma_modes, n))
+
+
+def random_reversible(seed):
+    """A centred cell b = sigma^2 h': sigma from random_band_limited, h real with
+    harmonics 1 .. J, J in 1..3, and real and imaginary amplitudes below 1/4.
+
+    Its density is proportional to exp(2h) / sigma^2.  With min sigma down to
+    0.15 that can reach past 128 modes (|rho_63| = 8.9e-13 at seed 369), so
+    the property below runs on 256.
+    """
+    rng = np.random.default_rng([seed, 1])
+    sigma = random_band_limited(seed, wide=False).sigma
+    harmonics = int(rng.integers(1, 4))
+    h = rng.uniform(-0.25, 0.25, (2, harmonics))
+    h_modes = {}
+    for j in range(1, harmonics + 1):
+        h_modes[j] = complex(h[0, j - 1], h[1, j - 1])
+        h_modes[-j] = np.conj(h_modes[j])
+    # sigma^2 h' has harmonics <= 9: both products are exact on 32 modes
+    b = multiply(multiply(sigma.pad_to(32), sigma), SpectralField.from_modes(h_modes).derivative())
+    return Coefficients(b, sigma)
+
+
+def spectral_density(c, n):
+    """Oracle for rho: the kernel of the adjoint Galerkin generator on |k| < n/2.
+
+    The last right singular vector of generator_matrix(c, ks, adjoint=True),
+    scaled to amplitude 1 at k = 0.  Row k is first divided by 1 + k^2: that
+    leaves the kernel as it is and keeps the k^2 growth of the entries from
+    amplifying their rounding into the vector.
+    """
+    ks = np.arange(-n // 2 + 1, n // 2)
+    a = generator_matrix(c, ks, adjoint=True) / (1.0 + ks.astype(float) ** 2)[:, None]
+    v = np.linalg.svd(a)[2][-1].conj()
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[1:] = v / v[n // 2 - 1]
+    return SpectralField(coeffs)
+
+
+def mu_identity(c, sol):
+    """Oracle for mu: <(sigma^2/2) (1 + chi')^2, rho> from the solution's rho and chi."""
+    w = sol.chi.derivative() + SpectralField.constant(1.0, 2)
+    return 0.5 * inner_product(multiply(c.sigma_squared(), multiply(w, w)), sol.rho).real
+
+
+def galerkin_residuals(c, sol):
+    """|L* rho| and |L chi + b|, with the Galerkin generator on rho's band."""
+    n = sol.rho.n
+    ks = np.arange(-n // 2, n // 2)
+    rho_residual = l2_norm(SpectralField(generator_matrix(c, ks, adjoint=True) @ sol.rho.coeffs))
+    chi_residual = l2_norm(SpectralField(generator_matrix(c, ks) @ sol.chi.coeffs)
+                           + c.b.truncate(n))
+    return rho_residual, chi_residual
 
 
 def scipy_linalg_names(tree):
@@ -208,7 +265,7 @@ class TestGeneratorMatrix:
 
 class TestInvariantDensity:
     def test_constant_coefficients_give_flat_density(self, heat):
-        rho = invariant_density(heat, 32)
+        rho = solve_cell(heat, 32).rho
         assert l2_norm(rho - SpectralField.constant(1.0)) < 1e-12
 
     def test_matches_gibbs_closed_form(self, cosine, cosine_cell, gibbs_grid):
@@ -225,7 +282,7 @@ class TestInvariantDensity:
     def test_gibbs_match_across_amplitudes(self, gibbs_grid):
         for amplitude in (0.5, 1.5):
             c = Coefficients.cosine_potential(amplitude)
-            rho = invariant_density(c, 128)
+            rho = solve_cell(c, 128).rho
             ref = SpectralField.from_grid(gibbs_grid(amplitude, 2048)).truncate(128)
             assert l2_norm(rho - ref) <= 1e-8
 
@@ -235,7 +292,7 @@ class TestInvariantDensity:
         assert np.real(rho.to_grid(512)).min() > 0.0
 
     def test_norm_at_least_one_iff_constant(self, heat, cosine_cell):
-        flat = invariant_density(heat, 32)
+        flat = solve_cell(heat, 32).rho
         assert abs(l2_norm(flat) - 1.0) <= 1e-8
         assert l2_norm(cosine_cell.rho) > 1.0 + 1e-3
 
@@ -247,24 +304,21 @@ class TestInvariantDensity:
         c = Coefficients.from_modes(
             {1: -0.125j, -1: 0.125j}, {0: 1.0, 1: 0.25, -1: 0.25})
         assert validate_coefficients(c).passed
-        rho = invariant_density(c, 128)
+        rho = solve_cell(c, 128).rho
         assert abs(multiply(c.b, rho).coeff(0)) <= 1e-8
 
 
 class TestCorrector:
     def test_zero_drift_gives_zero_corrector(self, heat):
-        rho = invariant_density(heat, 32)
-        assert l2_norm(corrector(heat, rho)) < 1e-12
+        assert l2_norm(solve_cell(heat, 32).chi) < 1e-12
 
     def test_residual_contract(self):
         c = Coefficients.cosine_potential(-1.0)  # b = -sin x
-        rho = invariant_density(c, 128)
-        chi = corrector(c, rho)
-        n = rho.n
-        fwd = generator_matrix(c, np.arange(-n // 2, n // 2))
-        residual = l2_norm(SpectralField(fwd @ chi.coeffs) + c.b.pad_to(n))
-        assert residual <= 1e-8 * l2_norm(c.b)
-        assert abs(inner_product(chi, rho)) <= 1e-12
+        sol = solve_cell(c, 128)
+        rho_residual, chi_residual = galerkin_residuals(c, sol)
+        assert rho_residual <= 1e-8 * sobolev_norm(sol.rho, 2)
+        assert chi_residual <= 1e-8 * l2_norm(c.b)
+        assert abs(inner_product(sol.chi, sol.rho)) <= 1e-12
 
     def test_derivative_closed_form(self, cosine, cosine_cell):
         """For V = cos x, sigma = 1: 1 + chi' = exp(2V) / <exp(2V)>."""
@@ -278,17 +332,61 @@ class TestCorrector:
 
 class TestEffectiveDiffusivity:
     def test_constant_cases(self, heat):
-        rho = invariant_density(heat, 32)
-        chi = corrector(heat, rho)
-        assert_allclose(effective_diffusivity(heat, rho, chi), 1.0, rtol=1e-12)
-        c_half = Coefficients.heat(1.0)
-        rho1 = invariant_density(c_half, 32)
-        assert_allclose(effective_diffusivity(c_half, rho1, corrector(c_half, rho1)),
-                        0.5, rtol=1e-12)
+        assert_allclose(solve_cell(heat, 32).mu, 1.0, rtol=1e-12)
+        assert_allclose(solve_cell(Coefficients.heat(1.0), 32).mu, 0.5, rtol=1e-12)
 
     def test_cosine_closed_form(self, cosine_cell):
-        assert_allclose(cosine_cell.mu, 1.0 / (2.0 * I0_2**2), rtol=1e-10)
+        """mu = 1 / (2 I0(2A)^2) to rounding at every cell-sweep amplitude."""
+        for amplitude in SWEEP_AMPLITUDES:
+            mu = solve_cell(Coefficients.cosine_potential(amplitude)).mu
+            assert_allclose(mu, 1.0 / (2.0 * iv(0, 2.0 * amplitude) ** 2), rtol=1e-13,
+                            err_msg=f"A = {amplitude}")
         assert_allclose(cosine_cell.mu, 0.096218, atol=5e-7)
+
+
+class TestSpectralOracle:
+    """solve_cell's closed form against the spectral route, kept here as its oracle."""
+
+    def test_density_on_cosine_and_varied_sigma_cells(self):
+        """rho against the kernel oracle at A = 0.5 .. 3, for b = A sin x, sigma = 1
+        and for b = A sigma^2 sin x, sigma = 1 + 0.4 cos x.
+
+        mu is held to its exact value in TestEffectiveDiffusivity: here the
+        identity mu_identity cancels like exp(4A) and misses it by up to 4e-12.
+        """
+        sigma = SpectralField.from_modes({0: 1.0, 1: 0.2, -1: 0.2})
+        for amplitude in SWEEP_AMPLITUDES[1:]:
+            drift = SpectralField.from_modes({1: -0.5j * amplitude, -1: 0.5j * amplitude})
+            varied = Coefficients(multiply(multiply(sigma.pad_to(8), sigma), drift), sigma)
+            for c in (Coefficients.cosine_potential(amplitude), varied):
+                sol = solve_cell(c)
+                assert l2_norm(sol.rho - spectral_density(c, sol.rho.n)) <= 1e-12, amplitude
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=369)
+    @settings(max_examples=25, deadline=None)
+    def test_random_reversible_cells(self, seed):
+        """rho and mu against both oracles, both residual contracts and <chi, rho> = 0."""
+        c = random_reversible(seed)
+        sol = solve_cell(c, 256)
+        assert l2_norm(sol.rho - spectral_density(c, 256)) <= 1e-12
+        assert abs(sol.mu - mu_identity(c, sol)) <= 1e-12 * sol.mu
+        rho_residual, chi_residual = galerkin_residuals(c, sol)
+        assert rho_residual <= RHO_RESIDUAL_TOL * sobolev_norm(sol.rho, 2)
+        assert chi_residual <= CHI_RESIDUAL_TOL * l2_norm(c.b)
+        assert abs(inner_product(sol.chi, sol.rho)) <= 1e-12 * l2_norm(sol.chi)
+
+
+class TestSolveCell:
+    def test_fields_are_real_by_construction(self, cosine_cell):
+        for sol in (cosine_cell, solve_cell(random_reversible(3))):
+            assert conjugation_defect(sol.rho) == 0.0
+            assert conjugation_defect(sol.chi) == 0.0
+            assert sol.rho.coeff(0) == 1.0
+
+    def test_band_wider_than_the_quadrature_grid_is_rejected(self, heat):
+        with pytest.raises(ResolutionTooSmall, match="exceed the 4096-point quadrature grid"):
+            solve_cell(heat, 2 * CELL_GRID)
 
 
 class TestDecayOracle:
@@ -307,9 +405,7 @@ class TestDecayOracle:
 
     def test_cross_validation_other_amplitude(self):
         c = Coefficients.cosine_potential(0.5)
-        rho = invariant_density(c, 128)
-        chi = corrector(c, rho)
-        mu = effective_diffusivity(c, rho, chi)
+        mu = solve_cell(c, 128).mu
         mu_hat = diffusivity_from_decay(c, 1.0 / 16.0, 1)
         assert abs(mu_hat - mu) <= 0.02 * mu
 

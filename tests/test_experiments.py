@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from multiscale_spde.cli import main
-from multiscale_spde.errors import FitFailed
+from multiscale_spde.errors import FitFailed, SolveFailed
 from multiscale_spde.experiments import (
     ExperimentReport,
     _check_config,
@@ -236,6 +236,28 @@ class TestStudies:
         config.setdefault(section, {})[key] = value
         config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
+            run_study(config)
+
+    @pytest.mark.parametrize("kind", ["cell", "converge", "variance"])
+    @pytest.mark.parametrize("coefficients, message", [
+        ({"b": [[0, 0.5, 0.0], [1, 0.0, -0.5], [-1, 0.0, 0.5]], "sigma": "one"},
+         r"cell is not centred: \|mean\(b/sigma\^2\)\| = 5\.000e-01"),
+        ({"b": "sin", "sigma": "one-plus-cos"},
+         r"sigma is not positive on the grid: min sigma = 0\.000e\+00"),
+    ], ids=["uncentred", "sigma-touches-zero"])
+    def test_bad_cell_fails_before_any_block(self, monkeypatch, kind, coefficients, message):
+        from multiscale_spde import solver
+
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("blocks were built for a cell without a solution")
+
+        monkeypatch.setattr(solver, "build_blocks", no_blocks)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["coefficients"] = coefficients
+        config["study"]["kind"] = kind
+        if kind == "converge":
+            del config["study"]["target"]  # converge compares with the averaged limit
+        with pytest.raises(SolveFailed, match=message):
             run_study(config)
 
     def test_variance_study_rows_and_tables(self):

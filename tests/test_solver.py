@@ -22,6 +22,7 @@ from multiscale_spde.solver import (
     simulate_path,
     suggest_modes,
 )
+from test_cell import random_band_limited
 
 DELTA_ONE = NoiseSpec.custom({1: SpectralField.constant(1.0)}, cutoff=1)
 # b = cos x, sigma = 1 + 0.4 sin x: drift that is not a gradient against sigma^2
@@ -496,6 +497,19 @@ class TestClosedFormCovariance:
         cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 4), dt=dt,
                            t_final=0.5, watch=(1,), seed=0)
         assert_matches_oracle(c, NoiseSpec.white(4), cfg, [0.1, 0.25, 0.5])
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.5, 0.25]),
+           st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_random_band_limited_variances_are_nonnegative(self, seed, eps, wide):
+        """Every variance is a diagonal entry of a covariance: finite and >= 0 to rounding."""
+        c = random_band_limited(seed, wide)
+        cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 4), dt=1e-3,
+                           t_final=0.5, watch=(1,), seed=0)
+        cov = exact_mode_covariance(c, NoiseSpec.white(4), cfg, [0.0, 0.1, 0.25, 0.5])
+        values = np.concatenate(list(cov.variances.values()))
+        assert np.isfinite(values).all()
+        assert values.min() >= -1e-12 * values.max()
 
     def test_inaccurate_eigenbasis_fails_the_residual_contract(self, cosine, monkeypatch):
         real_eig = np.linalg.eig
