@@ -7,7 +7,10 @@ reversible, and solve_cell evaluates that form by one FFT quadrature.
 The spectral gap omega of the fast dynamics, and the finite-eps decay
 rates that cross-check mu, come from the spectrum of the generator
 restricted to a uniformly spaced set of wavenumbers, a small dense
-matrix built from the coefficient convolutions.
+matrix built from the coefficient convolutions.  eigenbasis is the one
+checked eigen-decomposition of such a matrix; every flow exp(A t) in the
+package (the path propagators, the covariance, the semigroup flows) is
+evaluated on it, with NumPy's LAPACK alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "CellSolution",
     "validate_coefficients",
     "generator_matrix",
+    "eigenbasis",
     "diffusivity_from_decay",
     "spectral_gap",
     "solve_cell",
@@ -45,6 +49,12 @@ KERNEL_TOL = 1e-10
 CLASS_OFFSETS = 12
 # The slow eigenvalue's isolation: the next real part this many times further left.
 ISOLATION = 4.0
+# Contract of eigenbasis: |A V - V diag(lam)| at most EIGEN_RESIDUAL_TOL |A| |V|
+# (Frobenius norms), and cond(V) at most EIGENBASIS_COND_MAX.  A flow
+# V exp(lam t) V^-1 loses about log10 cond(V) digits, so at the bound it
+# still holds ten.
+EIGEN_RESIDUAL_TOL = 1e-12
+EIGENBASIS_COND_MAX = 1e6
 
 
 class Coefficients:
@@ -145,6 +155,27 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     return (1j * kf[None, :]) * bmat / eps + (-0.5 * kf[None, :] ** 2) * smat
 
 
+def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam and eigenvectors V of a generator block, A = V diag(lam) V^-1.
+
+    Every flow exp(A t) of the package is V diag(exp(lam t)) V^-1 on this
+    basis.  SolveFailed, naming the block, unless the eigen-residual and
+    cond(V) meet EIGEN_RESIDUAL_TOL and EIGENBASIS_COND_MAX.
+    """
+    lam, vecs = np.linalg.eig(matrix)
+    norm = np.linalg.norm
+    residual = norm(matrix @ vecs - vecs * lam)
+    scale = norm(matrix) * norm(vecs)
+    if not residual <= EIGEN_RESIDUAL_TOL * scale:
+        raise SolveFailed(f"{block}: eigen-residual {residual:.3e} above "
+                          f"{EIGEN_RESIDUAL_TOL:g} x {scale:.3e}")
+    cond = np.linalg.cond(vecs)
+    if not cond <= EIGENBASIS_COND_MAX:
+        raise SolveFailed(f"{block}: eigenvector condition number {cond:.3e} above "
+                          f"{EIGENBASIS_COND_MAX:g}")
+    return lam, vecs
+
+
 def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     """mu at finite eps: the decay rate of the slow mode e_m over m^2.
 
@@ -189,11 +220,14 @@ def spectral_gap(c: Coefficients, n: int = 96) -> float:
 
 @dataclass(frozen=True)
 class CellSolution:
-    """Invariant density, corrector and effective diffusivity."""
+    """Invariant density, corrector and effective diffusivity, with the
+    Galerkin residuals |L* rho| and |L chi + b| that solve_cell checked."""
 
     rho: SpectralField
     chi: SpectralField
     mu: float
+    rho_residual: float
+    chi_residual: float
 
     @property
     def enhancement(self) -> float:
@@ -260,12 +294,14 @@ def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
     mu = 0.5 * CELL_GRID**2 / (p_hat[0].real * q_hat[0].real)
 
     adj = generator_matrix(c, np.arange(-half + 1, half), adjoint=True)
-    residual = float(np.linalg.norm(adj @ rho.coeffs[1:]))
-    if not residual <= RHO_RESIDUAL_TOL * sobolev_norm(rho, 2):
-        raise SolveFailed(f"stationarity residual {residual:.3e} above tolerance")
-    residual = float(np.linalg.norm(adj.conj().T @ chi.coeffs[1:] + c.b.truncate(n).coeffs[1:]))
-    if not residual <= CHI_RESIDUAL_TOL * l2_norm(c.b):
-        raise SolveFailed(f"corrector residual {residual:.3e} above tolerance")
+    rho_residual = float(np.linalg.norm(adj @ rho.coeffs[1:]))
+    if not rho_residual <= RHO_RESIDUAL_TOL * sobolev_norm(rho, 2):
+        raise SolveFailed(f"stationarity residual {rho_residual:.3e} above tolerance")
+    chi_residual = float(np.linalg.norm(adj.conj().T @ chi.coeffs[1:]
+                                        + c.b.truncate(n).coeffs[1:]))
+    if not chi_residual <= CHI_RESIDUAL_TOL * l2_norm(c.b):
+        raise SolveFailed(f"corrector residual {chi_residual:.3e} above tolerance")
     if not np.real(rho.to_grid(max(4 * n, 256))).min() > 0.0:
         raise SolveFailed("computed density is not positive on the grid")
-    return CellSolution(rho=rho, chi=chi, mu=float(mu))
+    return CellSolution(rho=rho, chi=chi, mu=float(mu), rho_residual=rho_residual,
+                        chi_residual=chi_residual)

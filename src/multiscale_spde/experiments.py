@@ -3,9 +3,10 @@
 A single JSON document with sections ``coefficients``, ``noise``,
 ``solver`` and ``study`` declares an experiment; every study returns an
 ExperimentReport whose JSON and CSV renderings are bit-for-bit
-reproducible given (config, seed) within one NumPy/SciPy/BLAS build.
-Across builds, floats agree to about 1e-12 relative; everything else is
-identical.
+reproducible given (config, seed) within one NumPy/BLAS build.  Across
+builds, floats agree to about 1e-12 relative; everything else is
+identical.  The package needs NumPy alone: every eigen-decomposition,
+the semigroup flows' included, is cell.eigenbasis.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import cell as cell_mod
 from . import noise as noise_mod
-from .cell import Coefficients, generator_matrix, solve_cell, spectral_gap
+from .cell import Coefficients, eigenbasis, generator_matrix, solve_cell, spectral_gap
 from .errors import FitFailed
 from .fourier import SpectralField, cells, inner_product, l2_norm, multiply
 from .limit import REGIMES, LimitModel, limit_model, ou_variance
@@ -186,8 +187,9 @@ def _check_config(config: dict) -> None:
     """The checks every study makes before any work; each failure is a ValueError.
 
     Rejected: a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, a non-integer n_modes, a noise section with both cutoff
-    and cutoff_factor, and a study target that names no limit regime.
+    n_modes <= 0, a non-integer n_modes, an empty watch list, a path count
+    or mode_cutoff below 1, a noise section with both cutoff and
+    cutoff_factor, and a study target that names no limit regime.
     """
     sections = {**config, "config": config,
                 "tolerances": config.get("study", {}).get("tolerances"),
@@ -204,10 +206,16 @@ def _check_config(config: dict) -> None:
     n_modes = solver_cfg.get("n_modes")
     if n_modes is not None and float(n_modes) != int(float(n_modes)):
         raise ValueError(f"solver n_modes = {n_modes!r} must be an integer")
+    if solver_cfg.get("watch") is not None and len(solver_cfg["watch"]) == 0:
+        raise ValueError("solver watch is empty; give at least one mode")
+    study = config.get("study", {})
+    for key in ("paths", "mode_cutoff"):
+        if study.get(key) is not None and not float(study[key]) >= 1.0:
+            raise ValueError(f"study {key} = {study[key]!r} must be at least 1")
     noise_cfg = config.get("noise", {})
     if noise_cfg.get("cutoff") is not None and noise_cfg.get("cutoff_factor") is not None:
         raise ValueError("noise gives both cutoff and cutoff_factor; give one")
-    target = config.get("study", {}).get("target")
+    target = study.get("target")
     if target is not None and target not in REGIMES:
         raise ValueError(f"unknown study target {target!r}; "
                          f"the limit regimes are {', '.join(REGIMES)}")
@@ -388,12 +396,6 @@ def run_cell_study(config: dict) -> ExperimentReport:
         report.verdict(f"assumption: {row['item']}", row["passed"], row["value"],
                        row["threshold"])
 
-    n = sol.rho.n
-    ks = np.arange(-n // 2, n // 2)
-    adj = generator_matrix(c, ks, adjoint=True)
-    fwd = generator_matrix(c, ks, adjoint=False)
-    rho_residual = l2_norm(SpectralField(adj @ sol.rho.coeffs))
-    chi_residual = l2_norm(SpectralField(fwd @ sol.chi.pad_to(n).coeffs) + c.b.pad_to(n))
     rho_grid = np.real(sol.rho.to_grid(512))
 
     report.rows.append({
@@ -403,8 +405,8 @@ def run_cell_study(config: dict) -> ExperimentReport:
         "rho_min": float(rho_grid.min()),
         "rho_at_0": float(rho_grid[0]),
         "rho_mean": float(sol.rho.coeff(0).real),
-        "rho_residual": rho_residual,
-        "chi_residual": chi_residual,
+        "rho_residual": sol.rho_residual,
+        "chi_residual": sol.chi_residual,
     })
     report.verdict("<rho, 1> = 1", abs(sol.rho.coeff(0) - 1.0) <= 1e-10,
                    abs(sol.rho.coeff(0) - 1.0), 1e-10)
@@ -586,9 +588,15 @@ def run_variance_study(config: dict) -> ExperimentReport:
         dt = config.get("solver", {}).get("dt") or min(1e-3, eps * eps / 4.0)
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=t_final, watch=watch, dt=dt)
+        model = limit_model(target, spec, cell, max(abs(m) for m in watch))
+        predicted = {m: ou_variance(model, m, sc.t_final) for m in watch}
+        for m, value in predicted.items():
+            if not value > 0.0:
+                raise ValueError(f"the {target} limit predicts variance {value:g} for mode "
+                                 f"{m} at eps = {eps:g}; a relative gap needs a positive "
+                                 "target (centred noise has a zero averaged limit)")
         t_grid = np.linspace(0.0, sc.t_final, 33)
         cov = exact_mode_covariance(c, spec, sc, t_grid, modes=watch)
-        model = limit_model(target, spec, cell, max(abs(m) for m in watch))
         scale = eps ** (-2.0 * spec.alpha) if target == "fluctuation" else 1.0
 
         table_rows = []
@@ -599,11 +607,10 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
         for m in watch:
             measured = cov.at_final(m) * scale
-            predicted = ou_variance(model, m, sc.t_final)
-            gap = abs(measured - predicted) / predicted
+            gap = abs(measured - predicted[m]) / predicted[m]
             gaps_by_mode[m].append(gap)
             report.rows.append({"eps": eps, "m": m, "variance": cov.at_final(m),
-                                "scaled_variance": measured, "target": predicted,
+                                "scaled_variance": measured, "target": predicted[m],
                                 "rel_gap": gap, "dt": sc.dt, "n_modes": sc.n_modes,
                                 "cutoff": spec.cutoff})
 
@@ -632,7 +639,8 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
 def _adjoint_flow(c: Coefficients, ks: np.ndarray, eps: float, f0: np.ndarray):
     """ts -> exp(t L_eps*) f0 on the wavenumbers ks, one column per time."""
-    evals, vecs = np.linalg.eig(generator_matrix(c, ks, eps=eps, adjoint=True))
+    evals, vecs = eigenbasis(generator_matrix(c, ks, eps=eps, adjoint=True),
+                             f"adjoint flow on k = {ks[0]} .. {ks[-1]} at eps = {eps:g}")
     coef = np.linalg.solve(vecs, f0)
     return lambda ts: vecs @ (np.exp(np.multiply.outer(evals, ts)) * coef[:, None])
 

@@ -10,10 +10,11 @@ x <- e^{A dt} (x + F w); the Monte Carlo engine advances that recursion
 several steps per product and carries the averaged limit as a
 difference coordinate.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
-evaluated in closed form in each block's eigenbasis at every recorded
-step, with no time loop, so limit variances can be verified without
-Monte Carlo error at O(n^3) cost per block.  Every dense kernel runs on
-NumPy's LAPACK except the propagators' expm, the one scipy.linalg call.
+evaluated in closed form at every recorded step, with no time loop, so
+limit variances can be verified without Monte Carlo error at O(n^3)
+cost per block.  The propagator and the covariance both work in the
+block's checked eigenbasis (cell.eigenbasis), so every dense kernel
+runs on NumPy alone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .cell import Coefficients, generator_matrix
+from .cell import Coefficients, eigenbasis, generator_matrix
 from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from .fourier import SpectralField, cells, multiply, oscillate
 from .limit import LimitModel
@@ -207,13 +207,15 @@ def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched 
 def _recursion(blk: ClassBlock, config: SolverConfig, limits) -> tuple:
     """P = e^{A dt} and G = P F of one class's step x_{k+1} = P x_k + G w_k.
 
-    w_k are the class's driven increments and F its noise map.  Each
+    P = V diag(e^{lam dt}) V^-1 on the class's eigenbasis; w_k are the
+    class's driven increments and F its noise map.  Each
     (row, col, decay, coeff) in limits appends the coordinate
     delta = x_row - l, where the limit mode l <- decay (l + coeff w_col)
     consumes the same increment.  Its rows are formed entrywise, so on a
     flat cell, where x_row follows the same update, they are exactly zero.
     """
-    p = sla.expm(blk.matrix * config.dt)
+    lam, vecs = eigenbasis(blk.matrix, f"class {blk.residue}")
+    p = (vecs * np.exp(lam * config.dt)) @ np.linalg.inv(vecs)
     g = p @ blk.noise_map
     n, q = p.shape[0], len(limits)
     p_ext = np.zeros((n + q, n + q), dtype=complex)
@@ -500,11 +502,7 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
     small complex z, where NumPy's complex log1p loses digits; where
     log r = 0 (the Brownian k = 0 mode) the geometric factor is exactly k.
 
-    The eigenbasis and W come from np.linalg, on NumPy's LAPACK like the
-    products around them.  SciPy's LAPACK would run on SciPy's own OpenBLAS,
-    whose idle worker threads spin against NumPy's: with two BLAS threads a
-    NumPy product followed by scipy.linalg.lu_factor on a 127 x 127 complex
-    matrix took 8 ms, against 0.5 ms for np.linalg.solve.
+    The eigenbasis is cell.eigenbasis, checked before it is used.
 
     Returns Re(v_m S_k v_m*) for each step k (rows of the result) and each
     block row m in rows (columns).  Raises UnstableStep if the result is
@@ -513,7 +511,7 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
     flags an inaccurate eigenbasis.
     """
     a = blk.matrix
-    lam, vecs = np.linalg.eig(a)
+    lam, vecs = eigenbasis(a, f"class {blk.residue}")
     w = np.linalg.solve(vecs, blk.noise_map)
     z = 0.5 * dt * (lam[:, None] + lam.conj()[None, :])
     # z = -1 gives r = 0 (one step forgets S) where atanh is -inf; there

@@ -1,8 +1,5 @@
 """Tests for the unit cell: validation, generator matrices, rho, chi, mu, omega."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,9 +11,11 @@ from scipy.special import iv
 from multiscale_spde.cell import (
     CELL_GRID,
     CHI_RESIDUAL_TOL,
+    EIGENBASIS_COND_MAX,
     RHO_RESIDUAL_TOL,
     Coefficients,
     diffusivity_from_decay,
+    eigenbasis,
     generator_matrix,
     solve_cell,
     spectral_gap,
@@ -39,7 +38,6 @@ from multiscale_spde.solver import SolverConfig, build_blocks
 I0_2 = iv(0, 2.0)
 I0_4 = iv(0, 4.0)
 SWEEP_AMPLITUDES = [0.25 * i for i in range(1, 13)]  # the cell-sweep benchmark's 0.25 .. 3
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multiscale_spde"
 
 
 def per_entry_generator_matrix(c, ks, eps=1.0, adjoint=False):
@@ -132,65 +130,14 @@ def galerkin_residuals(c, sol):
     return rho_residual, chi_residual
 
 
-def scipy_linalg_names(tree):
-    """The scipy.linalg attributes one module uses, however it imports them."""
-    bound = {}  # local name -> dotted module path it stands for
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    bound[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    bound[head] = head
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                if node.module == "scipy.linalg":
-                    used.add(alias.name)
-                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-
-    def dotted(node):
-        if isinstance(node, ast.Name):
-            return bound.get(node.id, node.id)
-        if isinstance(node, ast.Attribute):
-            base = dotted(node.value)
-            return base and f"{base}.{node.attr}"
-        return None
-
-    for node in ast.walk(tree):
-        name = dotted(node) if isinstance(node, ast.Attribute) else None
-        if name and name.startswith("scipy.linalg."):
-            used.add(name.split(".")[2])
-    return used
-
-
-def test_dense_kernels_run_on_one_lapack_stack():
-    """cell.py imports no SciPy, and the package takes only expm from scipy.linalg.
-
-    NumPy and SciPy each load their own OpenBLAS with its own worker threads.
-    A SciPy LAPACK call between NumPy products waits on the other pool's
-    spinning workers: with two BLAS threads a NumPy product followed by
-    scipy.linalg.lu_factor on a 127 x 127 complex matrix took 8 ms, against
-    0.5 ms with np.linalg.solve in its place.  Solve, factor and eigen-decompose
-    with np.linalg; expm has no NumPy equivalent.
-    """
-    cell_imports = [
-        alias.name if isinstance(node, ast.Import) else node.module
-        for node in ast.walk(ast.parse((PACKAGE / "cell.py").read_text()))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
-    assert not [name for name in cell_imports if name and name.split(".")[0] == "scipy"], (
-        "cell.py imports SciPy; its dense kernels belong on NumPy's LAPACK (8 ms "
-        "cross-pool stall per SciPy call after a NumPy product)")
-    used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        used |= scipy_linalg_names(ast.parse(path.read_text(), filename=str(path)))
-    assert used == {"expm"}, (
-        f"scipy.linalg names used in the package: {sorted(used)}; every dense kernel "
-        "but expm belongs on NumPy's LAPACK (8 ms cross-pool stall per SciPy call "
-        "after a NumPy product)")
+class TestEigenbasis:
+    def test_jordan_block_fails_the_condition_bound(self):
+        """A defective matrix has no eigenbasis: eig returns two parallel vectors."""
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        assert np.linalg.cond(np.linalg.eig(jordan)[1]) > EIGENBASIS_COND_MAX
+        with pytest.raises(SolveFailed, match=r"jordan: eigenvector condition number .* "
+                                              r"above 1e\+06"):
+            eigenbasis(jordan, "jordan")
 
 
 class TestValidation:
@@ -319,6 +266,20 @@ class TestCorrector:
         assert rho_residual <= 1e-8 * sobolev_norm(sol.rho, 2)
         assert chi_residual <= 1e-8 * l2_norm(c.b)
         assert abs(inner_product(sol.chi, sol.rho)) <= 1e-12
+
+    def test_solution_carries_the_residuals_its_contracts_measured(self, cosine):
+        """rho_residual and chi_residual are |L* rho| and |L chi + b| on the band
+        -n/2 + 1 .. n/2 - 1 that solve_cell checks, to rounding."""
+        sol = solve_cell(cosine, 128)
+        ks = np.arange(-63, 64)
+        rho_residual = np.linalg.norm(generator_matrix(cosine, ks, adjoint=True)
+                                      @ sol.rho.coeffs[1:])
+        chi_residual = np.linalg.norm(generator_matrix(cosine, ks) @ sol.chi.coeffs[1:]
+                                      + cosine.b.truncate(128).coeffs[1:])
+        assert sol.rho_residual == rho_residual
+        assert abs(sol.chi_residual - chi_residual) <= 1e-14 * l2_norm(cosine.b)
+        assert sol.rho_residual <= RHO_RESIDUAL_TOL * sobolev_norm(sol.rho, 2)
+        assert sol.chi_residual <= CHI_RESIDUAL_TOL * l2_norm(cosine.b)
 
     def test_derivative_closed_form(self, cosine, cosine_cell):
         """For V = cos x, sigma = 1: 1 + chi' = exp(2V) / <exp(2V)>."""

@@ -1,13 +1,18 @@
 """Tests for the experiment harness: reports, determinism, CLI."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.cli import main
 from multiscale_spde.errors import FitFailed, SolveFailed
 from multiscale_spde.experiments import (
@@ -116,6 +121,9 @@ class TestStudies:
         row = report.rows[0]
         assert_allclose(row["mu"], 0.096218, atol=5e-7)
         assert row["rho_norm"] > 1.0
+        sol = solve_cell(Coefficients.cosine_potential(1.0))
+        assert (row["rho_residual"], row["chi_residual"]) == (sol.rho_residual,
+                                                              sol.chi_residual)
 
     def test_noise_check_report(self):
         report = run_noise_check({
@@ -223,6 +231,10 @@ class TestStudies:
                                                    r"the studies read theta_min,"),
         ("noise", "mollifier", {"kind": "tent", "radus": 3.0},
          r"unknown mollifier key\(s\) radus; the studies read kind, radius$"),
+        ("study", "paths", 0, r"study paths = 0 must be at least 1"),
+        ("study", "paths", -4, r"study paths = -4 must be at least 1"),
+        ("study", "mode_cutoff", 0, r"study mode_cutoff = 0 must be at least 1"),
+        ("solver", "watch", [], r"solver watch is empty; give at least one mode"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
                                                    value, message):
@@ -259,6 +271,22 @@ class TestStudies:
             del config["study"]["target"]  # converge compares with the averaged limit
         with pytest.raises(SolveFailed, match=message):
             run_study(config)
+
+    def test_zero_limit_variance_fails_before_the_covariance(self, monkeypatch):
+        """Centred noise has a zero averaged limit, so no relative gap exists."""
+        import multiscale_spde.experiments as experiments
+
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("the covariance was computed for a zero target")
+
+        monkeypatch.setattr(experiments, "exact_mode_covariance", no_covariance)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["noise"] = {"family": "power", "alpha": 0.5, "profile": "one-plus-cos",
+                           "cutoff": 8, "centered": True}
+        config["study"]["target"] = "averaged"
+        with pytest.raises(ValueError, match=r"the averaged limit predicts variance 0 for "
+                                             r"mode 1 at eps = 0.25"):
+            run_variance_study(config)
 
     def test_variance_study_rows_and_tables(self):
         report = run_variance_study(SMALL_VARIANCE)
@@ -311,6 +339,39 @@ class TestConfigBuilders:
             resolve_cutoff({}, None)
 
 
+# Runs studies with every import of SciPy failing, and prints each report's hash.
+NO_SCIPY = """
+import hashlib, json, sys
+sys.modules["scipy"] = None  # import scipy, and any scipy submodule, now raises
+from multiscale_spde.experiments import run_study
+for config in json.loads(sys.stdin.read()):
+    print(hashlib.sha256(run_study(config).to_json_bytes()).hexdigest())
+"""
+
+
+def test_studies_run_without_scipy():
+    """The demo cell and variance studies, a short simulate and a smoke converge
+    import nothing from SciPy, and give the same report bytes as in process."""
+    demo = json.loads(DEMO_CONFIG.read_text())
+    short = {"eps": [0.25, 0.125, 0.0625], "t_final": 0.01}
+    configs = [
+        {**demo, "study": {**demo["study"], "kind": "cell"}},
+        demo,
+        {**demo, "solver": {**demo["solver"], "t_final": 0.01},
+         "study": {"kind": "simulate", "seed": 1, "paths": 2}},
+        {**demo, "solver": short, "study": {"kind": "converge", "seed": 1, "paths": 4,
+                                            "mode_cutoff": 2}},
+    ]
+    src = str(REPO / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], input=json.dumps(configs),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    expected = [hashlib.sha256(run_study(c).to_json_bytes()).hexdigest() for c in configs]
+    assert done.stdout.split() == expected
+
+
 class TestCli:
     def test_cell_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -343,7 +404,7 @@ class TestCli:
 # (rows[1].rel_gap and the verdict value that repeats it): BLAS/LAPACK
 # rounding accumulated over the covariance recursion.  One and two BLAS
 # threads give identical bytes, so bytes are reproducible within one
-# NumPy/SciPy/BLAS build only; across builds floats are held to
+# NumPy/BLAS build only; across builds floats are held to
 # GOLDEN_RTOL, 50x the measured drift.
 GOLDEN_RTOL = 1e-10
 
