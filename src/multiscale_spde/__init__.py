@@ -12,7 +12,6 @@ from .cell import (
     diffusivity_from_decay,
     solve_cell,
     spectral_gap,
-    validate_coefficients,
 )
 from .fourier import (
     SpectralField,

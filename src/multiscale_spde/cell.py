@@ -4,6 +4,9 @@ The invariant density rho (L* rho = 0), the corrector chi (L chi = -b)
 and the effective diffusivity mu (the decay rate of slow modes,
 exp(-mu m^2 t)) have a closed form in 1-D: centering makes the cell
 reversible, and solve_cell evaluates that form by one FFT quadrature.
+solve_cell is the one place the cell is measured: it checks ellipticity,
+centering, the Galerkin residuals and the density's positivity, and its
+CellSolution carries each measured value for the reports to read.
 The spectral gap omega of the fast dynamics, and the finite-eps decay
 rates that cross-check mu, come from the spectrum of the generator
 restricted to a uniformly spaced set of wavenumbers, a small dense
@@ -20,15 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionTooSmall, SolveFailed
-from .fourier import SpectralField, cells, inner_product, l2_norm, multiply, sobolev_norm
-from .reporting import CheckReport
+from .fourier import (SpectralField, cells, inner_product, l2_norm, multiply, require_resolved,
+                      sobolev_norm)
 
 __all__ = [
     "Coefficients",
     "CellSolution",
-    "validate_coefficients",
     "generator_matrix",
     "eigenbasis",
+    "require_slow_mode",
     "diffusivity_from_decay",
     "spectral_gap",
     "solve_cell",
@@ -58,17 +61,20 @@ EIGENBASIS_COND_MAX = 1e6
 
 
 class Coefficients:
-    """Drift b and diffusion sigma, periodic on [0, 2*pi].
+    """Drift b and diffusion sigma, periodic on [0, 2*pi], and sigma^2.
 
     Both are real trigonometric polynomials, which guarantees the
-    smoothness the cell problems need.  validate_coefficients checks
-    ellipticity (min sigma > 0) and centering on a grid; solve_cell
-    refuses a cell that fails either.
+    smoothness the cell problems need.  sigma^2 is formed once, here, as
+    an exact dealiased product on twice sigma's band; nothing reassigns b
+    or sigma.  solve_cell checks ellipticity (min sigma > 0) and centering
+    on its quadrature grid and refuses a cell that fails either.
     """
 
     def __init__(self, b: SpectralField, sigma: SpectralField):
         self.b = b
         self.sigma = sigma
+        # pad first: the square's band is twice sigma's and must be exact
+        self.sigma_squared = multiply(sigma.pad_to(2 * sigma.n), sigma)
 
     @classmethod
     def heat(cls, sigma_value: float = np.sqrt(2.0)) -> "Coefficients":
@@ -89,41 +95,8 @@ class Coefficients:
     def max_harmonic(self) -> int:
         return max(self.b.max_harmonic(), self.sigma.max_harmonic(), 1)
 
-    def sigma_squared(self) -> SpectralField:
-        # pad first: the square's band is twice sigma's and must be exact
-        return multiply(self.sigma.pad_to(2 * self.sigma.n), self.sigma)
-
     def __repr__(self) -> str:
         return f"Coefficients(J={self.max_harmonic})"
-
-
-def _centering(b_grid: np.ndarray, sigma_grid: np.ndarray) -> tuple[float, float]:
-    """|mean(b/sigma^2)| and its bound CENTERING_RTOL * rms(b/sigma^2) on one grid."""
-    ratio = b_grid / sigma_grid**2
-    return abs(float(np.mean(ratio))), CENTERING_RTOL * float(np.sqrt(np.mean(ratio**2)))
-
-
-def validate_coefficients(c: Coefficients, n_grid: int = 2048) -> CheckReport:
-    """Check ellipticity, the centering condition, and smoothness.
-
-    Report-style: every condition is listed with its measured residual.
-    """
-    report = CheckReport("coefficient assumptions")
-    sig = np.real(c.sigma.to_grid(n_grid))
-    report.add("ellipticity: min sigma > 0", bool(sig.min() > 0.0), float(sig.min()), 0.0)
-
-    if sig.min() > 0.0:
-        mean, bound = _centering(np.real(c.b.to_grid(n_grid)), sig)
-        report.add("centering: |mean(b/sigma^2)| <= 1e-10 |b/sigma^2|", mean <= bound, mean,
-                   bound)
-    else:
-        report.add("centering: |mean(b/sigma^2)|", False, float("nan"),
-                   note="sigma touches zero; ratio undefined")
-
-    band = max(c.b.max_harmonic(), c.sigma.max_harmonic())
-    report.add("smoothness: trig-polynomial coefficients", True, float(band),
-               note="finite band implies two continuous derivatives")
-    return report
 
 
 def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = False) -> np.ndarray:
@@ -143,7 +116,7 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     m = ks.size
     # amplitudes at the offsets -(m-1) .. m-1: the band -m .. m-1 without its first entry
     b_off = c.b.truncate(2 * m).coeffs[1:]
-    s2_off = c.sigma_squared().truncate(2 * m).coeffs[1:]
+    s2_off = c.sigma_squared.truncate(2 * m).coeffs[1:]
     idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) + (m - 1)
     bmat = b_off[idx]
     smat = s2_off[idx]
@@ -176,6 +149,13 @@ def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
+def require_slow_mode(eps: float, m: int) -> None:
+    """ValueError unless m is nonzero (mode 0 does not decay) and resolved at eps."""
+    if m == 0:
+        raise ValueError(f"mode m = 0 does not decay at eps = {eps:g}; give a mode m != 0")
+    require_resolved(eps, m)
+
+
 def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     """mu at finite eps: the decay rate of the slow mode e_m over m^2.
 
@@ -189,8 +169,7 @@ def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     isolated, the next real part at least ISOLATION times further left,
     else SolveFailed.
     """
-    if abs(eps * m) >= 0.5:
-        raise ValueError("need eps * |m| < 1/2 for a resolved slow mode")
+    require_slow_mode(eps, m)
     ks = m + cells(eps) * np.arange(-CLASS_OFFSETS, CLASS_OFFSETS + 1)
     evals = np.linalg.eigvals(generator_matrix(c, ks, eps=eps, adjoint=True))
     slow, following = evals[np.argsort(-evals.real)[:2]]
@@ -202,15 +181,15 @@ def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     return float(-slow.real / m**2)
 
 
-def spectral_gap(c: Coefficients, n: int = 96) -> float:
+def spectral_gap(c: Coefficients) -> float:
     """Spectral gap omega: the forgetting rate of the fast flow d/dt g = L* g.
 
     omega = -max Re(lambda) over the nonzero spectrum of the adjoint
-    generator on the wavenumbers -n/2 .. n/2 - 1.  The kernel, spanned by
+    generator on the 96 wavenumbers -48 .. 47.  The kernel, spanned by
     the invariant density, is the eigenvalue of smallest modulus; it must
     vanish to KERNEL_TOL of the spectral radius, else SolveFailed.
     """
-    evals = np.linalg.eigvals(generator_matrix(c, np.arange(-n // 2, n // 2), adjoint=True))
+    evals = np.linalg.eigvals(generator_matrix(c, np.arange(-48, 48), adjoint=True))
     kernel = int(np.argmin(np.abs(evals)))
     if abs(evals[kernel]) > KERNEL_TOL * np.abs(evals).max():
         raise SolveFailed(f"adjoint generator kernel eigenvalue {evals[kernel]:.3e} "
@@ -218,16 +197,21 @@ def spectral_gap(c: Coefficients, n: int = 96) -> float:
     return float(-np.delete(evals, kernel).real.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: == on an array field is ambiguous
 class CellSolution:
-    """Invariant density, corrector and effective diffusivity, with the
-    Galerkin residuals |L* rho| and |L chi + b| that solve_cell checked."""
+    """Invariant density, corrector and effective diffusivity, with what
+    solve_cell checked: the Galerkin residuals |L* rho| and |L chi + b|, min
+    sigma and |mean(b/sigma^2)| on CELL_GRID points, and rho on the
+    max(4n, 256) points where its positivity was checked."""
 
     rho: SpectralField
     chi: SpectralField
     mu: float
     rho_residual: float
     chi_residual: float
+    sigma_min: float
+    centering: float
+    rho_grid: np.ndarray
 
     @property
     def enhancement(self) -> float:
@@ -263,24 +247,28 @@ def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
 
     Contracts against the Galerkin generator on that band: the stationarity
     residual |L* rho| at most RHO_RESIDUAL_TOL |rho|_{H^2}, the corrector
-    residual |L chi + b| at most CHI_RESIDUAL_TOL |b|, and rho positive on a
-    grid.  SolveFailed if one fails, if sigma is not positive on the
-    quadrature grid, or if the cell is not centred to CENTERING_RTOL there.
+    residual |L chi + b| at most CHI_RESIDUAL_TOL |b|, and rho positive on
+    max(4n, 256) points.  SolveFailed if one fails, if sigma is not positive
+    on the quadrature grid, or if the cell is not centred there:
+    |mean(b/sigma^2)| above CENTERING_RTOL times the rms of b/sigma^2.  The
+    solution carries each measured value.
     """
     if n > CELL_GRID:
         raise ResolutionTooSmall(f"n = {n} modes exceed the {CELL_GRID}-point quadrature grid")
     sig = np.real(c.sigma.to_grid(CELL_GRID))
-    if not sig.min() > 0.0:
-        raise SolveFailed(f"sigma is not positive on the grid: min sigma = {sig.min():.3e}")
-    bg = np.real(c.b.to_grid(CELL_GRID))
-    mean, bound = _centering(bg, sig)
-    if not mean <= bound:
-        raise SolveFailed(f"cell is not centred: |mean(b/sigma^2)| = {mean:.3e} "
+    sigma_min = float(sig.min())
+    if not sigma_min > 0.0:
+        raise SolveFailed(f"sigma is not positive on the grid: min sigma = {sigma_min:.3e}")
+    s2 = sig**2
+    ratio = np.real(c.b.to_grid(CELL_GRID)) / s2
+    centering = abs(float(np.mean(ratio)))
+    bound = CENTERING_RTOL * float(np.sqrt(np.mean(ratio**2)))
+    if not centering <= bound:
+        raise SolveFailed(f"cell is not centred: |mean(b/sigma^2)| = {centering:.3e} "
                           f"above {bound:.3e}")
 
-    s2 = sig**2
     ks = np.arange(1, CELL_GRID // 2 + 1)
-    phi_hat = np.fft.rfft(2.0 * bg / s2)
+    phi_hat = np.fft.rfft(2.0 * ratio)
     phi_hat[0] = 0.0
     phi_hat[1:] /= 1j * ks
     phi = np.fft.irfft(phi_hat, CELL_GRID)
@@ -301,7 +289,9 @@ def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
                                         + c.b.truncate(n).coeffs[1:]))
     if not chi_residual <= CHI_RESIDUAL_TOL * l2_norm(c.b):
         raise SolveFailed(f"corrector residual {chi_residual:.3e} above tolerance")
-    if not np.real(rho.to_grid(max(4 * n, 256))).min() > 0.0:
+    rho_grid = np.real(rho.to_grid(max(4 * n, 256)))
+    if not rho_grid.min() > 0.0:
         raise SolveFailed("computed density is not positive on the grid")
     return CellSolution(rho=rho, chi=chi, mu=float(mu), rho_residual=rho_residual,
-                        chi_residual=chi_residual)
+                        chi_residual=chi_residual, sigma_min=sigma_min, centering=centering,
+                        rho_grid=rho_grid)

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import cell as cell_mod
 from . import noise as noise_mod
-from .cell import Coefficients, eigenbasis, generator_matrix, solve_cell, spectral_gap
+from .cell import (Coefficients, eigenbasis, generator_matrix, require_slow_mode, solve_cell,
+                   spectral_gap)
 from .errors import FitFailed
 from .fourier import SpectralField, cells, inner_product, l2_norm, multiply
 from .limit import REGIMES, LimitModel, limit_model, ou_variance
@@ -60,12 +61,12 @@ CONFIG_KEYS = {  # the sections of a config, then every key the studies read in 
               "tail_rate", "ripple", "table", "centered", "mollifier"),
     "solver": ("eps", "t_final", "dt", "n_modes", "watch", "track_norm"),
     "study": ("kind", "seed", "out", "paths", "target", "tolerances", "mode", "mode_cutoff",
-              "s", "k_test"),
-    "tolerances": ("theta_min", "r2_min", "final_gap", "enhancement_min_factor",
-                   "exponent_range", "bl_rate_rtol"),
+              "s"),
+    "tolerances": ("theta_min", "r2_min", "final_gap", "exponent_range", "bl_rate_rtol"),
     "mollifier": ("kind", "radius"),
 }
 BL_FIT_MIN_R2 = 0.99  # the boundary-layer decay must be log-linear to this R^2
+ENHANCEMENT_MIN_FACTOR = 0.9  # measured / classical variance at least this times |rho|^2
 
 
 # -- configuration -----------------------------------------------------------------
@@ -373,10 +374,10 @@ def fit_rate_with_exclusion(eps_list, values) -> dict:
             "excluded_coarsest": excluded}
 
 
-def batch_mean_se(values, n_batches: int = 10) -> tuple[float, float]:
-    """Mean and its standard error via batch means over the path axis."""
+def batch_mean_se(values) -> tuple[float, float]:
+    """Mean and its standard error via 10 batch means over the path axis."""
     vals = np.asarray(values, float)
-    n_batches = min(n_batches, vals.size)
+    n_batches = min(10, vals.size)
     splits = np.array_split(vals, n_batches)
     means = np.array([s.mean() for s in splits])
     se = means.std(ddof=1) / np.sqrt(n_batches) if n_batches > 1 else 0.0
@@ -387,17 +388,14 @@ def batch_mean_se(values, n_batches: int = 10) -> tuple[float, float]:
 
 
 def run_cell_study(config: dict) -> ExperimentReport:
-    """Cell problem summary: rho diagnostics, mu, omega."""
+    """Cell problem summary: rho diagnostics, mu, omega.
+
+    The row and the density table read what solve_cell measured for its
+    contracts; the one verdict is zero flux, which no contract checks.
+    """
     _, seed, c, sol, _ = _prologue(config, reads_eps=False)
     report = ExperimentReport(study="cell", config=config, seed=seed)
-
-    checks = cell_mod.validate_coefficients(c)
-    for row in checks.as_rows():
-        report.verdict(f"assumption: {row['item']}", row["passed"], row["value"],
-                       row["threshold"])
-
-    rho_grid = np.real(sol.rho.to_grid(512))
-
+    rho_grid = sol.rho_grid
     report.rows.append({
         "mu": sol.mu,
         "omega": spectral_gap(c),
@@ -407,16 +405,14 @@ def run_cell_study(config: dict) -> ExperimentReport:
         "rho_mean": float(sol.rho.coeff(0).real),
         "rho_residual": sol.rho_residual,
         "chi_residual": sol.chi_residual,
+        "sigma_min": sol.sigma_min,
+        "centering": sol.centering,
     })
-    report.verdict("<rho, 1> = 1", abs(sol.rho.coeff(0) - 1.0) <= 1e-10,
-                   abs(sol.rho.coeff(0) - 1.0), 1e-10)
-    report.verdict("rho positive on the grid", rho_grid.min() > 0, float(rho_grid.min()), 0.0)
-    report.verdict("|rho| >= 1", l2_norm(sol.rho) >= 1.0 - 1e-8, l2_norm(sol.rho), 1.0)
     drift_mean = abs(multiply(c.b, sol.rho).coeff(0))
     report.verdict("<b rho, 1> = 0", drift_mean <= 1e-8, drift_mean, 1e-8)
     report.tables["density"] = (
         ["x", "rho"],
-        [[float(2 * np.pi * i / 512), float(v)] for i, v in enumerate(rho_grid)],
+        [[float(2 * np.pi * i / rho_grid.size), float(v)] for i, v in enumerate(rho_grid)],
     )
     return report
 
@@ -428,17 +424,16 @@ def run_noise_check(config: dict) -> ExperimentReport:
     seed = int(study.get("seed", 0))
     report = ExperimentReport(study="noise-check", config=config, seed=seed)
     spec = build_noise(config["noise"], eps=None, rho=None)
-    k_test = int(study.get("k_test", min(64, spec.cutoff)))
 
-    reports = [noise_mod.check_decay(spec, k_test)]
+    reports = [noise_mod.check_decay(spec)]
     if spec.tail is not None:
-        reports.append(noise_mod.check_tail_convergence(spec, k_test))
+        reports.append(noise_mod.check_tail_convergence(spec))
         if spec.family == "power":
             # decaying profiles converge to zero, not to the declared tail;
             # the H1 summability condition targets the no-decay regime
             report.notes.append("tail summability skipped: decaying family")
         else:
-            reports.append(noise_mod.check_tail_summability(spec, min(256, spec.cutoff)))
+            reports.append(noise_mod.check_tail_summability(spec))
     for chk in reports:
         for row in chk.as_rows():
             report.rows.append(row)
@@ -566,9 +561,11 @@ def run_variance_study(config: dict) -> ExperimentReport:
     Variances of <u_eps(T), e_m> come from the block Lyapunov equations
     (no Monte Carlo error): the implicit-trapezoid iterate with step dt,
     which exact_mode_covariance evaluates in closed form.  The limit
-    prediction is |c_m|^2 times the finite-horizon OU factor.  For the
-    fluctuation target the measured variance is rescaled by
-    eps^(-2 alpha) and the noise must be centred.
+    prediction is |c_m|^2 times the finite-horizon OU factor.  Both are
+    taken at the last recorded time n_steps dt, which is not t_final when
+    t_final / dt is not a whole number.  For the fluctuation target the
+    measured variance is rescaled by eps^(-2 alpha) and the noise must be
+    centred.
     """
     study, seed, c, cell, eps_list = _prologue(config)
     target = study.get("target", "enhanced")
@@ -589,7 +586,8 @@ def run_variance_study(config: dict) -> ExperimentReport:
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=t_final, watch=watch, dt=dt)
         model = limit_model(target, spec, cell, max(abs(m) for m in watch))
-        predicted = {m: ou_variance(model, m, sc.t_final) for m in watch}
+        t_recorded = sc.n_steps * sc.dt  # the covariance's last time, cov.times[-1]
+        predicted = {m: ou_variance(model, m, t_recorded) for m in watch}
         for m, value in predicted.items():
             if not value > 0.0:
                 raise ValueError(f"the {target} limit predicts variance {value:g} for mode "
@@ -624,10 +622,11 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
     if target in ("enhanced", "smoothed"):
         m0 = watch[0]
-        classical = ou_variance(LimitModel(cell.mu, {m0: 1.0}, abs(m0)), m0, t_final)  # c = 1
+        # c = 1, at the finest eps's recorded time
+        classical = ou_variance(LimitModel(cell.mu, {m0: 1.0}, abs(m0)), m0, t_recorded)
         measured = next(r["variance"] for r in report.rows
                         if r["eps"] == eps_list[-1] and r["m"] == m0)
-        factor_needed = tol.get("enhancement_min_factor", 0.9) * cell.enhancement**2
+        factor_needed = ENHANCEMENT_MIN_FACTOR * cell.enhancement**2
         report.verdict("variance enhancement over the classical prediction",
                        measured / classical >= factor_needed, measured / classical,
                        factor_needed)
@@ -665,9 +664,12 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     decay rate is fitted in L^2(1/rho), where the eigenvectors of a
     reversible L* are orthogonal, and should match the spectral gap omega.
     All flows are eigen-decomposed on the class offsets |l| <= CLASS_OFFSETS.
+    The mode must be a slow one at the largest eps (nonzero, eps |m| < 1/2);
+    that is checked before the cell solve.
     """
-    study, seed, c, cell, eps_list = _prologue(config)
-    m = int(study.get("mode", 1))
+    m = int(config.get("study", {}).get("mode", 1))
+    study, seed, c, cell, eps_list = _prologue(
+        config, before_solve=lambda eps_list: require_slow_mode(eps_list[0], m))
     tol = study.get("tolerances", {})
     omega = spectral_gap(c)
     report = ExperimentReport(study="semigroup", config=config, seed=seed)

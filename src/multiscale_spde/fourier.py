@@ -22,6 +22,7 @@ __all__ = [
     "seminorm_neg",
     "multiply",
     "cells",
+    "require_resolved",
     "oscillate",
     "conjugation_defect",
 ]
@@ -113,8 +114,8 @@ class SpectralField:
         cut = rel_tol * mags.max() if mags.max() > 0 else 0.0
         return self.wavenumbers[mags > cut]
 
-    def max_harmonic(self, rel_tol: float = 0.0) -> int:
-        sup = self.support(rel_tol)
+    def max_harmonic(self) -> int:
+        sup = self.support()
         return int(np.abs(sup).max()) if sup.size else 0
 
     # -- reshaping --------------------------------------------------------
@@ -205,15 +206,15 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
-def seminorm_neg(f: SpectralField, s: float, mean_tol: float = 1e-10) -> float:
+def seminorm_neg(f: SpectralField, s: float) -> float:
     """Negative seminorm (sum_{k != 0} |k|^(-2s) |f_k|^2)^(1/2).
 
     Defined only on mean-zero fields; the k = 0 term is excluded by
-    convention.  Raises MeanNotZero when |<f, 1>| > mean_tol * |f|.
+    convention.  Raises MeanNotZero when |<f, 1>| > 1e-10 |f|.
     """
     mean = abs(f.coeff(0))
-    if mean > mean_tol * l2_norm(f):
-        raise MeanNotZero(f"|<f,1>| = {mean:.3e} exceeds {mean_tol:g} * |f|")
+    if mean > 1e-10 * l2_norm(f):
+        raise MeanNotZero(f"|<f,1>| = {mean:.3e} exceeds 1e-10 * |f|")
     ks = f.wavenumbers.astype(float)
     nz = ks != 0
     w = np.abs(ks[nz]) ** (-2.0 * s)
@@ -241,6 +242,13 @@ def cells(eps: float) -> int:
     if not (r >= 1 and abs(ratio - r) <= 1e-9):
         raise ValueError(f"eps = {eps:g} is not the reciprocal of a positive integer")
     return int(r)
+
+
+def require_resolved(eps: float, m: int) -> None:
+    """ValueError, naming m and eps, unless the slow mode m is resolved: eps |m| < 1/2."""
+    if not abs(eps * m) < 0.5:
+        raise ValueError(f"mode m = {m} is not resolved at eps = {eps:g}: "
+                         "need eps * |m| < 1/2")
 
 
 def oscillate(q: SpectralField, eps: float, k: int, n: int | None = None) -> SpectralField:

@@ -13,20 +13,20 @@ matter how paths are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import TruncationTooSmall
 from .fourier import (SpectralField, cells, conjugation_defect, inner_product, l2_norm,
-                      sobolev_norm)
-from .reporting import CheckReport
+                      require_resolved, sobolev_norm)
 
 __all__ = [
     "NoiseSpec",
     "WienerStream",
     "CouplingSeries",
+    "CheckReport",
     "tent_mollifier",
     "bump_mollifier",
     "check_decay",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_PROFILE_HARMONIC = 16  # keeps oscillate() exact for every profile
+SUMMABILITY_INCREMENT_TOL = 0.1  # last dyadic increment of the summability partial sums
+COUPLING_TAIL_TOL = 0.01  # dyadic tail of the coupling series, relative to Lambda
 
 
 def _check_profile(f: SpectralField, name: str) -> SpectralField:
@@ -179,6 +181,39 @@ def bump_mollifier(radius: float = 2.0):
 # -- assumption validators ----------------------------------------------------
 
 
+@dataclass
+class CheckItem:
+    name: str
+    passed: bool
+    value: float
+    threshold: float | None = None
+    note: str = ""
+
+
+@dataclass
+class CheckReport:
+    """What a validator measured, item by item, each with a verdict.
+
+    Validators never throw on a failed condition: the conditions they probe
+    are asymptotic statements, and at a finite truncation only evidence is
+    available.
+    """
+
+    title: str
+    items: list[CheckItem] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(item.passed for item in self.items)
+
+    def add(self, *args, **kwargs) -> None:
+        self.items.append(CheckItem(*args, **kwargs))
+
+    def as_rows(self) -> list[dict]:
+        return [{"check": self.title, "item": it.name, "passed": it.passed, "value": it.value,
+                 "threshold": it.threshold, "note": it.note} for it in self.items]
+
+
 def _dyadic(k_max: int) -> list[int]:
     ks = []
     k = 1
@@ -232,12 +267,12 @@ def check_tail_convergence(spec: NoiseSpec, k_test: int = 64) -> CheckReport:
     return report
 
 
-def check_tail_summability(spec: NoiseSpec, k_test: int = 256,
-                           increment_tol: float = 0.1) -> CheckReport:
+def check_tail_summability(spec: NoiseSpec, k_test: int = 256) -> CheckReport:
     """Evidence for sum_k (1 v |k|)^-eta |q_k - tail|_H1^2 < infinity.
 
     Partial sums are tabulated at dyadic cutoffs; the verdict is a
-    Cauchy criterion on the last dyadic increment.
+    Cauchy criterion on the last dyadic increment, at most
+    SUMMABILITY_INCREMENT_TOL of the total.
     """
     if spec.tail is None:
         raise ValueError("spec declares no tail profile")
@@ -253,12 +288,9 @@ def check_tail_summability(spec: NoiseSpec, k_test: int = 256,
     for k in dyads:
         report.add(f"partial sum through |k| <= {k}", True, float(partial[k]))
     total = float(partial[dyads[-1]])
-    if total == 0.0:
-        report.add("last dyadic increment / total", True, 0.0, increment_tol)
-    else:
-        inc = float(partial[dyads[-1]] - partial[dyads[-1] // 2]) / total
-        report.add("last dyadic increment / total", bool(inc <= increment_tol),
-                   inc, increment_tol)
+    inc = float(partial[dyads[-1]] - partial[dyads[-1] // 2]) / total if total else 0.0
+    report.add("last dyadic increment / total", bool(inc <= SUMMABILITY_INCREMENT_TOL), inc,
+               SUMMABILITY_INCREMENT_TOL)
     return report
 
 
@@ -273,18 +305,17 @@ class CouplingSeries:
 
 
 def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
-                    rescaled: bool = False, max_offset: int | None = None,
-                    tail_tol: float = 0.01) -> CouplingSeries:
+                    rescaled: bool = False, max_offset: int | None = None) -> CouplingSeries:
     """The series Lambda over offsets l of the couplings at k = m + l/eps.
 
     lambda^l = <q_{m+l/eps} e_l, rho>, optionally rescaled by eps^-alpha.
     Offsets run over every l with |m + l/eps| <= cutoff (and optionally
-    |l| <= max_offset).  Raises TruncationTooSmall when the last dyadic
-    increment of the partial sums exceeds tail_tol * Lambda.
+    |l| <= max_offset).  m must be resolved, eps |m| < 1/2; m = 0 is
+    allowed.  Raises TruncationTooSmall when the last dyadic increment of
+    the partial sums exceeds COUPLING_TAIL_TOL * Lambda.
     """
     r = cells(eps)
-    if abs(eps * m) >= 0.5:
-        raise ValueError("need eps * |m| < 1/2")
+    require_resolved(eps, m)
     scale = eps ** (-spec.alpha) if rescaled else 1.0
 
     l_lo = int(np.floor((-spec.cutoff - m) / r))
@@ -307,10 +338,9 @@ def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
     )))
     series = CouplingSeries(lambdas=lambdas, total=total, tail_estimate=tail,
                             max_offset=big_l)
-    if total > 0 and tail > tail_tol * total:
-        raise TruncationTooSmall(
-            f"dyadic tail {tail:.3e} exceeds {tail_tol:g} * Lambda = {tail_tol * total:.3e}"
-        )
+    if total > 0 and tail > COUPLING_TAIL_TOL * total:
+        raise TruncationTooSmall(f"dyadic tail {tail:.3e} exceeds {COUPLING_TAIL_TOL:g} * "
+                                 f"Lambda = {COUPLING_TAIL_TOL * total:.3e}")
     return series
 
 

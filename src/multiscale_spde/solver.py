@@ -100,7 +100,7 @@ def apply_generator(c: Coefficients, eps: float, u: SpectralField) -> SpectralFi
     if u.n < 2 * (cells(eps) * c.max_harmonic + 1):
         raise ResolutionTooSmall("band cannot even hold the oscillated coefficients")
     b_eps = oscillate(c.b.compress(), eps, 0, u.n)
-    s2_eps = oscillate(c.sigma_squared().compress(), eps, 0, u.n)
+    s2_eps = oscillate(c.sigma_squared.compress(), eps, 0, u.n)
     drift = (1.0 / eps) * multiply(b_eps, u.derivative(1))
     diffusion = 0.5 * multiply(s2_eps, u.derivative(2))
     return drift + diffusion
@@ -159,11 +159,11 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
         driven = ks[np.abs(ks) <= spec.cutoff]
         noise_map = np.zeros((ks.size, driven.size), dtype=complex)
         for col, k in enumerate(driven):
+            # q_j e_{k + j r} sits at row (k - ks[0]) / r + j of the progression ks
             q = spec.profile(int(k))
-            for j in q.wavenumbers:
-                row = np.searchsorted(ks, k + j * r)
-                if row < ks.size and ks[row] == k + j * r:
-                    noise_map[row, col] = q.coeff(int(j))
+            rows = (k - ks[0]) // r + q.wavenumbers
+            inside = (rows >= 0) & (rows < ks.size)
+            noise_map[rows[inside], col] = q.coeffs[inside]
         op.blocks[residue] = ClassBlock(residue=residue, ks=ks, matrix=a,
                                         driven=driven, noise_map=noise_map)
     return op

@@ -1,4 +1,4 @@
-"""Tests for the unit cell: validation, generator matrices, rho, chi, mu, omega."""
+"""Tests for the unit cell: its contracts, generator matrices, rho, chi, mu, omega."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from scipy.special import iv
 
 from multiscale_spde.cell import (
     CELL_GRID,
+    CENTERING_RTOL,
     CHI_RESIDUAL_TOL,
     EIGENBASIS_COND_MAX,
     RHO_RESIDUAL_TOL,
@@ -19,7 +20,6 @@ from multiscale_spde.cell import (
     generator_matrix,
     solve_cell,
     spectral_gap,
-    validate_coefficients,
 )
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed
 from multiscale_spde.fourier import (
@@ -44,7 +44,7 @@ def per_entry_generator_matrix(c, ks, eps=1.0, adjoint=False):
     """generator_matrix with its Toeplitz symbols looked up one coeff call per offset."""
     ks = np.asarray(ks, dtype=int)
     m = ks.size
-    s2 = c.sigma_squared()
+    s2 = c.sigma_squared
     offsets = np.arange(-(m - 1), m)
     b_off = np.array([c.b.coeff(int(l)) for l in offsets])
     s2_off = np.array([s2.coeff(int(l)) for l in offsets])
@@ -117,7 +117,7 @@ def spectral_density(c, n):
 def mu_identity(c, sol):
     """Oracle for mu: <(sigma^2/2) (1 + chi')^2, rho> from the solution's rho and chi."""
     w = sol.chi.derivative() + SpectralField.constant(1.0, 2)
-    return 0.5 * inner_product(multiply(c.sigma_squared(), multiply(w, w)), sol.rho).real
+    return 0.5 * inner_product(multiply(c.sigma_squared, multiply(w, w)), sol.rho).real
 
 
 def galerkin_residuals(c, sol):
@@ -141,24 +141,29 @@ class TestEigenbasis:
 
 
 class TestValidation:
+    """The assumptions on the cell, as solve_cell checks them on CELL_GRID points."""
+
     def test_gradient_drift_passes(self):
-        c = Coefficients.cosine_potential(1.0)
-        assert validate_coefficients(c).passed
+        sol = solve_cell(Coefficients.cosine_potential(1.0))
+        assert sol.sigma_min == 1.0
+        assert sol.centering <= CENTERING_RTOL
 
     def test_uncentred_drift_fails(self):
         c = Coefficients.from_modes({0: 1.0}, {0: 1.0})
-        report = validate_coefficients(c)
-        assert not report.passed
-        failing = [it.name for it in report.items if not it.passed]
-        assert any("centering" in name for name in failing)
+        with pytest.raises(SolveFailed, match=r"cell is not centred: \|mean\(b/sigma\^2\)\| "
+                                              r"= 1\.000e\+00"):
+            solve_cell(c)
 
-    def test_degenerate_diffusion_fails(self):
+    @pytest.mark.parametrize("amplitude, minimum", [(0.75, r"-5\.000e-01"),
+                                                    (0.5, r"0\.000e\+00")],
+                             ids=["sign-change", "touches-zero"])
+    def test_degenerate_diffusion_fails(self, amplitude, minimum):
+        """sigma = 1 + 2 amplitude cos x: it changes sign, or touches 0 at x = pi."""
         c = Coefficients.from_modes({1: -0.5j, -1: 0.5j},
-                                    {0: 1.0, 1: 0.75, -1: 0.75})
-        report = validate_coefficients(c)
-        assert not report.passed
-        failing = [it.name for it in report.items if not it.passed]
-        assert any("ellipticity" in name for name in failing)
+                                    {0: 1.0, 1: amplitude, -1: amplitude})
+        with pytest.raises(SolveFailed, match=r"sigma is not positive on the grid: "
+                                              rf"min sigma = {minimum}"):
+            solve_cell(c)
 
 
 class TestGeneratorMatrix:
@@ -187,6 +192,16 @@ class TestGeneratorMatrix:
         ref = per_entry_generator_matrix(c, ks, eps=eps, adjoint=adjoint)
         assert got.shape == ref.shape == (length, length)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_sigma_squared_is_bitwise_the_padded_product(self, seed, wide):
+        """Coefficients forms sigma^2 once, as the dealiased product on twice sigma's band."""
+        c = random_band_limited(seed, wide)
+        product = multiply(c.sigma.pad_to(2 * c.sigma.n), c.sigma)
+        assert c.sigma_squared.n == product.n == 2 * c.sigma.n
+        assert np.array_equal(c.sigma_squared.coeffs.view(np.uint64),
+                              product.coeffs.view(np.uint64))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1.0, 0.5, 0.25, 0.125]), st.booleans())
@@ -250,7 +265,6 @@ class TestInvariantDensity:
         """The centering identity <b rho, 1> = 0 holds beyond gradient drift."""
         c = Coefficients.from_modes(
             {1: -0.125j, -1: 0.125j}, {0: 1.0, 1: 0.25, -1: 0.25})
-        assert validate_coefficients(c).passed
         rho = solve_cell(c, 128).rho
         assert abs(multiply(c.b, rho).coeff(0)) <= 1e-8
 
@@ -269,7 +283,8 @@ class TestCorrector:
 
     def test_solution_carries_the_residuals_its_contracts_measured(self, cosine):
         """rho_residual and chi_residual are |L* rho| and |L chi + b| on the band
-        -n/2 + 1 .. n/2 - 1 that solve_cell checks, to rounding."""
+        -n/2 + 1 .. n/2 - 1 that solve_cell checks, to rounding; sigma_min,
+        centering and rho_grid are exactly the values its other checks compared."""
         sol = solve_cell(cosine, 128)
         ks = np.arange(-63, 64)
         rho_residual = np.linalg.norm(generator_matrix(cosine, ks, adjoint=True)
@@ -280,6 +295,20 @@ class TestCorrector:
         assert abs(sol.chi_residual - chi_residual) <= 1e-14 * l2_norm(cosine.b)
         assert sol.rho_residual <= RHO_RESIDUAL_TOL * sobolev_norm(sol.rho, 2)
         assert sol.chi_residual <= CHI_RESIDUAL_TOL * l2_norm(cosine.b)
+        nongradient = Coefficients.from_modes({1: -0.125j, -1: 0.125j},
+                                              {0: 1.0, 1: 0.25, -1: 0.25})
+        for c, n in ((cosine, 128), (nongradient, 128), (random_reversible(7), 256)):
+            sol = solve_cell(c, n)
+            sig = np.real(c.sigma.to_grid(CELL_GRID))
+            ratio = np.real(c.b.to_grid(CELL_GRID)) / sig**2
+            assert sol.sigma_min == sig.min() > 0.0
+            assert sol.centering == abs(np.mean(ratio))
+            assert sol.centering <= CENTERING_RTOL * np.sqrt(np.mean(ratio**2))
+            rho_grid = np.real(sol.rho.to_grid(max(4 * n, 256)))
+            assert sol.rho_grid.shape == rho_grid.shape
+            assert np.array_equal(sol.rho_grid.view(np.uint64), rho_grid.view(np.uint64))
+            assert sol.rho_grid.min() > 0.0
+        assert abs(solve_cell(nongradient).sigma_min - 0.5) <= 1e-15
 
     def test_derivative_closed_form(self, cosine, cosine_cell):
         """For V = cos x, sigma = 1: 1 + chi' = exp(2V) / <exp(2V)>."""
@@ -370,9 +399,16 @@ class TestDecayOracle:
         mu_hat = diffusivity_from_decay(c, 1.0 / 16.0, 1)
         assert abs(mu_hat - mu) <= 0.02 * mu
 
-    def test_rejects_unresolved_mode(self, cosine):
-        with pytest.raises(ValueError):
-            diffusivity_from_decay(cosine, 0.5, 1)
+    @pytest.mark.parametrize("eps, m", [(0.5, 1), (0.25, 2), (0.125, -4), (0.125, 8)])
+    def test_rejects_unresolved_mode(self, cosine, eps, m):
+        with pytest.raises(ValueError, match=rf"mode m = {m} is not resolved at eps = {eps:g}: "
+                                             r"need eps \* \|m\| < 1/2"):
+            diffusivity_from_decay(cosine, eps, m)
+
+    def test_rejects_mode_zero(self, cosine):
+        """Mode 0 does not decay: its rate over m^2 is 0/0, once a nan with a warning."""
+        with pytest.raises(ValueError, match=r"mode m = 0 does not decay at eps = 0.25"):
+            diffusivity_from_decay(cosine, 0.25, 0)
 
     @pytest.mark.parametrize("perturb, message", [
         # a second eigenvalue at twice the slow one: only 2x further left

@@ -16,6 +16,7 @@ from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.cli import main
 from multiscale_spde.errors import FitFailed, SolveFailed
 from multiscale_spde.experiments import (
+    ENHANCEMENT_MIN_FACTOR,
     ExperimentReport,
     _check_config,
     batch_mean_se,
@@ -26,10 +27,13 @@ from multiscale_spde.experiments import (
     run_cell_study,
     run_coupling_convergence,
     run_noise_check,
+    run_semigroup_study,
     run_simulate,
     run_study,
     run_variance_study,
 )
+from multiscale_spde.limit import LimitModel, limit_model, ou_variance
+from multiscale_spde.noise import NoiseSpec
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO / "configs" / "demo-variance.json"
@@ -124,6 +128,29 @@ class TestStudies:
         sol = solve_cell(Coefficients.cosine_potential(1.0))
         assert (row["rho_residual"], row["chi_residual"]) == (sol.rho_residual,
                                                               sol.chi_residual)
+
+    def test_cell_report_reads_what_solve_cell_measured(self, tmp_path):
+        """The row's rho, sigma and centering columns and the density table are the
+        values solve_cell checked; zero flux is the one verdict no contract covers."""
+        config = {"coefficients": {"b": [[1, 0.0, -0.125], [-1, 0.0, 0.125]],
+                                   "sigma": [[0, 1.0, 0.0], [1, 0.25, 0.0], [-1, 0.25, 0.0]]},
+                  "study": {"kind": "cell", "seed": 0}}
+        report = run_cell_study(config)
+        sol = solve_cell(Coefficients.from_modes({1: -0.125j, -1: 0.125j},
+                                                 {0: 1.0, 1: 0.25, -1: 0.25}))
+        assert [v["name"] for v in report.verdicts] == ["<b rho, 1> = 0"]
+        assert report.passed
+        row = report.rows[0]
+        assert list(row) == ["mu", "omega", "rho_norm", "rho_min", "rho_at_0", "rho_mean",
+                             "rho_residual", "chi_residual", "sigma_min", "centering"]
+        assert (row["sigma_min"], row["centering"]) == (sol.sigma_min, sol.centering)
+        assert (row["rho_min"], row["rho_at_0"]) == (sol.rho_grid.min(), sol.rho_grid[0])
+        header, density = report.tables["density"]
+        assert header == ["x", "rho"] and len(density) == sol.rho_grid.size == 512
+        assert [v for _, v in density] == sol.rho_grid.tolist()
+        emit_report(report, tmp_path)
+        columns = (tmp_path / "rows.csv").read_text().splitlines()[0].split(",")
+        assert columns[-2:] == ["sigma_min", "centering"]
 
     def test_noise_check_report(self):
         report = run_noise_check({
@@ -235,6 +262,9 @@ class TestStudies:
         ("study", "paths", -4, r"study paths = -4 must be at least 1"),
         ("study", "mode_cutoff", 0, r"study mode_cutoff = 0 must be at least 1"),
         ("solver", "watch", [], r"solver watch is empty; give at least one mode"),
+        ("study", "k_test", 64, r"unknown study key\(s\) k_test; the studies read kind,"),
+        ("study", "tolerances", {"enhancement_min_factor": 0.9},
+         r"unknown tolerances key\(s\) enhancement_min_factor; the studies read theta_min,"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
                                                    value, message):
@@ -287,6 +317,49 @@ class TestStudies:
         with pytest.raises(ValueError, match=r"the averaged limit predicts variance 0 for "
                                              r"mode 1 at eps = 0.25"):
             run_variance_study(config)
+
+    @pytest.mark.parametrize("mode, eps, message", [
+        (0, [0.25, 0.125], r"mode m = 0 does not decay at eps = 0.25"),
+        (8, [0.125, 0.0625], r"mode m = 8 is not resolved at eps = 0.125: "
+                             r"need eps \* \|m\| < 1/2"),
+        (-2, [0.25, 0.125], r"mode m = -2 is not resolved at eps = 0.25"),
+    ])
+    def test_semigroup_mode_must_be_slow_before_any_solve(self, monkeypatch, mode, eps,
+                                                          message):
+        """Mode 0 once gave remainder 0.0 and R^2 = 1; mode 8 at eps = 1/8 passed
+        both verdicts with eps m = 1.  Both are rejected at the largest eps."""
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before the mode was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = {"coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+                  "solver": {"eps": eps, "t_final": 1.0},
+                  "study": {"kind": "semigroup", "mode": mode}}
+        with pytest.raises(ValueError, match=message):
+            run_semigroup_study(config)
+
+    def test_variance_target_is_taken_at_the_recorded_time(self):
+        """With t_final / dt = 3.33 the covariance is recorded at 3 dt = 0.9: the
+        target and the classical prediction are OU variances at 0.9, not 1.0."""
+        config = {"coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+                  "noise": {"family": "white", "cutoff": 8},
+                  "solver": {"eps": [0.25, 0.125], "t_final": 1.0, "dt": 0.3, "watch": [1]},
+                  "study": {"kind": "variance", "target": "enhanced", "seed": 0,
+                            "tolerances": {"final_gap": 1.0}}}
+        report = run_variance_study(config)
+        cell = solve_cell(Coefficients.cosine_potential(1.0))
+        model = limit_model("enhanced", NoiseSpec.white(8), cell, 1)
+        t_recorded = 3 * 0.3
+        for row in report.rows:
+            assert row["target"] == ou_variance(model, 1, t_recorded)
+            assert report.tables[f"covariance_eps_{row['eps']:g}"][1][-1][0] == t_recorded
+        classical = ou_variance(LimitModel(cell.mu, {1: 1.0}, 1), 1, t_recorded)
+        enhancement = report.verdicts[-1]
+        assert enhancement["name"] == "variance enhancement over the classical prediction"
+        assert enhancement["value"] == report.rows[-1]["variance"] / classical
+        assert enhancement["threshold"] == ENHANCEMENT_MIN_FACTOR * cell.enhancement**2
 
     def test_variance_study_rows_and_tables(self):
         report = run_variance_study(SMALL_VARIANCE)

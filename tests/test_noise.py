@@ -265,6 +265,16 @@ class TestCouplingSeries:
         with pytest.raises(TruncationTooSmall):
             coupling_series(NoiseSpec.white(8), cosine_cell.rho, 0.25, 1, max_offset=2)
 
+    def test_mode_zero_is_accepted_and_unresolved_modes_are_not(self, cosine_cell):
+        """Mode 0 has couplings like any resolved mode; eps |m| >= 1/2 is a ValueError
+        naming m and eps, the shared check of the decay oracle."""
+        series = coupling_series(NoiseSpec.white(32), cosine_cell.rho, 0.125, 0)
+        assert_allclose(series.lambdas[0], 1.0, rtol=1e-14)  # <1, rho> = 1
+        for eps, m in ((0.25, 2), (0.125, -4), (1.0, 1)):
+            with pytest.raises(ValueError, match=rf"mode m = {m} is not resolved at "
+                                                 rf"eps = {eps:g}: need eps \* \|m\| < 1/2"):
+                coupling_series(NoiseSpec.white(32), cosine_cell.rho, eps, m)
+
 
 def assembled_increments(gen, n_steps, k_cut, dt):
     """The complex assembly that the in-place increments replaced."""

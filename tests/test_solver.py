@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -186,6 +186,28 @@ class TestApplyGenerator:
             apply_generator(cosine, 1.0 / 16.0, SpectralField.basis(1, 8))
 
 
+def per_entry_noise_map(ks, spec, r):
+    """The noise columns of one class, by one search of ks and one coeff call per entry."""
+    driven = ks[np.abs(ks) <= spec.cutoff]
+    noise_map = np.zeros((ks.size, driven.size), dtype=complex)
+    for col, k in enumerate(driven):
+        q = spec.profile(int(k))
+        for j in q.wavenumbers:
+            row = np.searchsorted(ks, k + j * r)
+            if row < ks.size and ks[row] == k + j * r:
+                noise_map[row, col] = q.coeff(int(j))
+    return noise_map
+
+
+def random_profile(rng, harmonics):
+    """A real profile with a real mean and random amplitudes at 1 .. harmonics."""
+    modes = {0: rng.uniform(-1.0, 1.0)}
+    for j in range(1, harmonics + 1):
+        modes[j] = complex(*rng.uniform(-1.0, 1.0, 2))
+        modes[-j] = np.conj(modes[j])
+    return SpectralField.from_modes(modes)
+
+
 class TestBlocks:
     def test_constant_coefficients_give_diagonal_blocks(self, heat):
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(heat, 0.25, 4), dt=1e-3,
@@ -235,6 +257,28 @@ class TestBlocks:
         a3 = op.blocks[3]
         assert np.array_equal(a1.ks, -a3.ks[::-1])
         assert np.abs(a3.matrix - np.conj(a1.matrix[::-1, ::-1])).max() <= 1e-14
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1.0, 0.5, 0.25, 0.125]), st.integers(min_value=0, max_value=16),
+           st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2))
+    @example(seed=1, eps=0.125, harmonics=16, cutoff=4, extra=0)
+    @settings(max_examples=40, deadline=None)
+    def test_noise_maps_are_bitwise_the_per_entry_search(self, seed, eps, harmonics, cutoff,
+                                                          extra):
+        """Profiles up to 16 harmonics, most wider than their class: the entries that
+        fall outside the class are dropped, the rest placed by index."""
+        rng = np.random.default_rng(seed)
+        c = random_band_limited(seed, wide=False)
+        spec = NoiseSpec.tail_convergent(random_profile(rng, harmonics), 1.0, cutoff,
+                                         ripple=random_profile(rng, int(rng.integers(0, 17))))
+        r = int(round(1.0 / eps))
+        n = 2 * r * (c.max_harmonic + 1 + extra) + 2 * cutoff
+        cfg = SolverConfig(eps=eps, n_modes=n, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
+        op = build_blocks(c, spec, cfg)
+        for blk in op.blocks.values():
+            ref = per_entry_noise_map(blk.ks, spec, r)
+            assert blk.noise_map.shape == ref.shape
+            assert np.array_equal(blk.noise_map.view(np.uint64), ref.view(np.uint64))
 
     def test_eps_must_be_a_reciprocal_integer(self, cosine):
         cfg = SolverConfig(eps=0.3, n_modes=60, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
