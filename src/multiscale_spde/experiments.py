@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -119,31 +120,47 @@ def build_coefficients(cfg: dict) -> Coefficients:
     return Coefficients(_field_from_spec(cfg["b"]), _field_from_spec(cfg["sigma"]))
 
 
+def _whole(name: str, value) -> int:
+    """value as an int; a ValueError naming it unless it is a whole number (2.0 is)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ValueError(f"{name} = {value!r} must be an integer")
+    return int(value)
+
+
 def _mollifier_from(cfg):
     if cfg is None:
         return None
     kind = cfg.get("kind", "tent")
     radius = float(cfg.get("radius", 2.0))
+    if not radius > 0.0:
+        raise ValueError(f"noise mollifier radius = {cfg['radius']!r} must be positive")
     if kind == "tent":
         return tent_mollifier(radius)
     if kind == "bump":
         return bump_mollifier(radius)
-    raise ValueError(f"unknown mollifier {kind!r}")
+    raise ValueError(f"unknown noise mollifier kind {kind!r}; the kinds are tent, bump")
 
 
 def resolve_cutoff(cfg: dict, eps: float | None) -> int:
-    if cfg.get("cutoff") is not None:
-        return int(cfg["cutoff"])
-    factor = cfg.get("cutoff_factor")
-    if factor is None or eps is None:
-        raise ValueError("noise config needs 'cutoff' or 'cutoff_factor' with eps")
+    cutoff, factor = cfg.get("cutoff"), cfg.get("cutoff_factor")
+    if (cutoff is None) == (factor is None):
+        given = "both cutoff and" if factor is not None else "neither cutoff nor"
+        raise ValueError(f"noise gives {given} cutoff_factor; give one")
+    if cutoff is not None:
+        return _whole("noise cutoff", cutoff)
+    if eps is None:
+        raise ValueError(f"noise cutoff_factor = {factor!r} needs an eps to scale; "
+                         "give cutoff for a study that reads no eps")
     return int(round(float(factor) / eps))
 
 
-def build_noise(cfg: dict, eps: float | None = None,
-                rho: SpectralField | None = None) -> NoiseSpec:
+def build_noise(cfg: dict, eps: float | None = None) -> NoiseSpec:
+    """The noise section's spec at eps, not yet centred (see _driving_noise)."""
     cutoff = resolve_cutoff(cfg, eps)
     family = cfg.get("family", "white")
+    if cfg.get("centered") and family == "white":
+        raise ValueError("noise centered = true: the white family centres to zero; "
+                         "nothing left to drive")
     moll = _mollifier_from(cfg.get("mollifier"))
     if family == "white":
         spec = NoiseSpec.white(cutoff, mollifier=moll)
@@ -164,17 +181,19 @@ def build_noise(cfg: dict, eps: float | None = None,
                                 tail=tail, eta=float(cfg.get("eta", 0.0)),
                                 mollifier=moll)
     else:
-        raise ValueError(f"unknown noise family {family!r}")
-    if cfg.get("centered"):
-        if rho is None:
-            raise ValueError("centering requires the invariant density")
-        spec = spec.centered(rho)
+        raise ValueError(f"unknown noise family {family!r}; "
+                         "the families are white, power, tail, custom")
     return spec
 
 
-def _eps_list(solver_cfg: dict) -> list[float]:
+def _driving_noise(config: dict, eps: float, cell) -> NoiseSpec:
+    """The noise at eps, centred against the cell's density when the config asks."""
+    spec = build_noise(config["noise"], eps)
+    return spec.centered(cell.rho) if config["noise"].get("centered") else spec
+
+
+def _eps_list(value) -> list[float]:
     """``solver.eps`` as a list, each the reciprocal of an integer, strictly decreasing."""
-    value = solver_cfg["eps"]
     eps_list = [float(e) for e in (value if isinstance(value, (list, tuple)) else [value])]
     for i, eps in enumerate(eps_list):
         cells(eps)
@@ -184,13 +203,26 @@ def _eps_list(solver_cfg: dict) -> list[float]:
     return eps_list
 
 
-def _check_config(config: dict) -> None:
+def _need_eps(eps_list: list[float] | None, study: str, least: int) -> list[float]:
+    """eps_list, or a ValueError when it holds fewer than `least` values."""
+    given = 0 if eps_list is None else len(eps_list)
+    if given < least:
+        raise ValueError(f"the {study} study needs at least {least} solver eps value(s); "
+                         f"the config gives {given}")
+    return eps_list
+
+
+def _check_config(config: dict) -> tuple[dict, int, list[float] | None]:
     """The checks every study makes before any work; each failure is a ValueError.
 
     Rejected: a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, a non-integer n_modes, an empty watch list, a path count
-    or mode_cutoff below 1, a noise section with both cutoff and
-    cutoff_factor, and a study target that names no limit regime.
+    n_modes <= 0, a count, mode, seed or watch entry that is not an
+    integer, an empty watch list, a path count or mode_cutoff below 1, a
+    centered or track_norm other than true or false, a study target that
+    names no limit regime (or 'smoothed' with no mollifier), a bad eps
+    list, and a noise section that does not build at every eps (see
+    build_noise and resolve_cutoff).  Returns the study section, the seed
+    and the eps list (None when the config gives no eps).
     """
     sections = {**config, "config": config,
                 "tolerances": config.get("study", {}).get("tolerances"),
@@ -204,40 +236,40 @@ def _check_config(config: dict) -> None:
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
-    n_modes = solver_cfg.get("n_modes")
-    if n_modes is not None and float(n_modes) != int(float(n_modes)):
-        raise ValueError(f"solver n_modes = {n_modes!r} must be an integer")
+    study = config.get("study", {})
+    whole = [("solver n_modes", solver_cfg.get("n_modes")), ("study seed", study.get("seed")),
+             *((f"study {key}", study.get(key)) for key in ("paths", "mode", "mode_cutoff")),
+             *(("solver watch entry", m) for m in solver_cfg.get("watch") or ())]
+    for name, value in whole:
+        if value is not None:
+            _whole(name, value)
     if solver_cfg.get("watch") is not None and len(solver_cfg["watch"]) == 0:
         raise ValueError("solver watch is empty; give at least one mode")
-    study = config.get("study", {})
     for key in ("paths", "mode_cutoff"):
-        if study.get(key) is not None and not float(study[key]) >= 1.0:
+        if study.get(key) is not None and not study[key] >= 1:
             raise ValueError(f"study {key} = {study[key]!r} must be at least 1")
     noise_cfg = config.get("noise", {})
-    if noise_cfg.get("cutoff") is not None and noise_cfg.get("cutoff_factor") is not None:
-        raise ValueError("noise gives both cutoff and cutoff_factor; give one")
+    for name, value in (("noise centered", noise_cfg.get("centered")),
+                        ("solver track_norm", solver_cfg.get("track_norm"))):
+        if value is not None and not isinstance(value, bool):
+            raise ValueError(f"{name} = {value!r} must be true or false")
     target = study.get("target")
     if target is not None and target not in REGIMES:
         raise ValueError(f"unknown study target {target!r}; "
                          f"the limit regimes are {', '.join(REGIMES)}")
+    if target == "smoothed" and noise_cfg.get("mollifier") is None:
+        raise ValueError("study target 'smoothed' needs a noise mollifier")
+    eps_list = None if solver_cfg.get("eps") is None else _eps_list(solver_cfg["eps"])
+    if "noise" in config:
+        for eps in eps_list or [None]:
+            build_noise(noise_cfg, eps)  # each spec a study builds, so bad values fail here
+    return study, int(study.get("seed", 0)), eps_list
 
 
-def _prologue(config: dict, reads_eps: bool = True, before_solve=None):
-    """What every cell-based study starts with, the config checks first.
-
-    Returns (study section, seed, coefficients, cell solution, eps list);
-    the eps list is validated, or None when the study reads no eps.
-    ``before_solve``, given the eps list, runs further checks before the
-    cell solve.
-    """
-    _check_config(config)
-    study = config.get("study", {})
-    solver_cfg = config.get("solver", {})
-    eps_list = _eps_list(solver_cfg) if reads_eps else None
-    if before_solve is not None:
-        before_solve(eps_list)
+def _cell(config: dict):
+    """The config's coefficients and their cell solution."""
     c = build_coefficients(config["coefficients"])
-    return study, int(study.get("seed", 0)), c, solve_cell(c), eps_list
+    return c, solve_cell(c)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -393,7 +425,8 @@ def run_cell_study(config: dict) -> ExperimentReport:
     The row and the density table read what solve_cell measured for its
     contracts; the one verdict is zero flux, which no contract checks.
     """
-    _, seed, c, sol, _ = _prologue(config, reads_eps=False)
+    _, seed, _ = _check_config(config)
+    c, sol = _cell(config)
     report = ExperimentReport(study="cell", config=config, seed=seed)
     rho_grid = sol.rho_grid
     report.rows.append({
@@ -418,38 +451,40 @@ def run_cell_study(config: dict) -> ExperimentReport:
 
 
 def run_noise_check(config: dict) -> ExperimentReport:
-    """Run the decay, tail-convergence and summability validators."""
-    _check_config(config)
-    study = config.get("study", {})
-    seed = int(study.get("seed", 0))
-    report = ExperimentReport(study="noise-check", config=config, seed=seed)
-    spec = build_noise(config["noise"], eps=None, rho=None)
+    """Run the decay, tail-convergence and summability validators.
 
-    reports = [noise_mod.check_decay(spec)]
+    Their rows become the report's rows, and each check one verdict: all
+    of its items passed.
+    """
+    _, seed, _ = _check_config(config)
+    report = ExperimentReport(study="noise-check", config=config, seed=seed)
+    spec = build_noise(config["noise"])
+
+    checks = [noise_mod.check_decay(spec)]
     if spec.tail is not None:
-        reports.append(noise_mod.check_tail_convergence(spec))
+        checks.append(noise_mod.check_tail_convergence(spec))
         if spec.family == "power":
             # decaying profiles converge to zero, not to the declared tail;
             # the H1 summability condition targets the no-decay regime
             report.notes.append("tail summability skipped: decaying family")
         else:
-            reports.append(noise_mod.check_tail_summability(spec))
-    for chk in reports:
-        for row in chk.as_rows():
-            report.rows.append(row)
-        report.verdict(chk.title, chk.passed, None)
+            checks.append(noise_mod.check_tail_summability(spec))
+    for rows in checks:
+        report.rows.extend(rows)
+        report.verdict(rows[0]["check"], all(r["passed"] for r in rows), None)
     return report
 
 
 def run_simulate(config: dict) -> ExperimentReport:
-    """Sample paths of the multiscale equation; trajectories become CSV tables."""
-    study, seed, c, cell, eps_list = _prologue(config)
+    """Sample paths of the multiscale equation at the first eps; trajectories become CSV tables."""
+    study, seed, eps_list = _check_config(config)
+    eps = _need_eps(eps_list, "simulate", 1)[0]
+    c, cell = _cell(config)
     n_paths = int(study.get("paths", 2))
     solver_cfg = config["solver"]
-    eps = eps_list[0]
-    spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
+    spec = _driving_noise(config, eps, cell)
     sc = _solver_config(solver_cfg, c, eps, spec.cutoff, seed,
-                        default_t=1.0, watch=tuple(solver_cfg.get("watch", (1,))))
+                        default_t=1.0, watch=[int(m) for m in solver_cfg.get("watch", (1,))])
     report = ExperimentReport(study="simulate", config=config, seed=seed)
     for p in range(n_paths):
         out = simulate_path(c, spec, sc, path_index=p)
@@ -495,18 +530,16 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    study = config.get("study", {})
+    study, seed, eps_list = _check_config(config)
+    _need_eps(eps_list, "converge", 3)
+    if study.get("target") not in (None, "averaged"):
+        raise ValueError(f"converge compares with the averaged limit only; "
+                         f"study target {study['target']!r} is not 'averaged'")
     mode_cutoff = int(study.get("mode_cutoff", 8))
     watch = tuple(range(1, mode_cutoff + 1))
-
-    def check_target_and_driven(eps_list):
-        if study.get("target") not in (None, "averaged"):
-            raise ValueError(f"converge compares with the averaged limit only; "
-                             f"study target {study['target']!r} is not 'averaged'")
-        for eps in eps_list:
-            require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
-
-    _, seed, c, cell, eps_list = _prologue(config, before_solve=check_target_and_driven)
+    for eps in eps_list:
+        require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
+    c, cell = _cell(config)
     n_paths = int(study.get("paths", 200))
     tol = study.get("tolerances", {})
     alpha = float(config["noise"].get("alpha", 0.0))
@@ -515,9 +548,10 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
     for eps in eps_list:
-        spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
+        spec = _driving_noise(config, eps, cell)
         if eps == eps_list[0]:
-            report.verdict("noise decay assumption", noise_mod.check_decay(spec).passed, None)
+            report.verdict("noise decay assumption",
+                           all(r["passed"] for r in noise_mod.check_decay(spec)), None)
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=1.0, watch=watch)
         model = limit_model("averaged", spec, cell, mode_cutoff)
@@ -567,17 +601,19 @@ def run_variance_study(config: dict) -> ExperimentReport:
     measured variance is rescaled by eps^(-2 alpha) and the noise must be
     centred.
     """
-    study, seed, c, cell, eps_list = _prologue(config)
+    study, seed, eps_list = _check_config(config)
+    _need_eps(eps_list, "variance", 1)
+    c, cell = _cell(config)
     target = study.get("target", "enhanced")
     tol = study.get("tolerances", {})
-    watch = tuple(config.get("solver", {}).get("watch") or (int(study.get("mode", 1)),))
+    watch = tuple(int(m) for m in config.get("solver", {}).get("watch") or (study.get("mode", 1),))
 
     report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
     t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
 
     gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:
-        spec = build_noise(config["noise"], eps=eps, rho=cell.rho)
+        spec = _driving_noise(config, eps, cell)
         if target == "fluctuation":
             worst = max(abs(inner_product(spec.profile(k), cell.rho))
                         for k in range(0, min(spec.cutoff, 64) + 1))
@@ -664,12 +700,15 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     decay rate is fitted in L^2(1/rho), where the eigenvectors of a
     reversible L* are orthogonal, and should match the spectral gap omega.
     All flows are eigen-decomposed on the class offsets |l| <= CLASS_OFFSETS.
-    The mode must be a slow one at the largest eps (nonzero, eps |m| < 1/2);
-    that is checked before the cell solve.
+    The mode must be a slow one at the largest eps (nonzero, eps |m| < 1/2),
+    and the exponent fit needs at least two eps; both are checked before
+    the cell solve.
     """
-    m = int(config.get("study", {}).get("mode", 1))
-    study, seed, c, cell, eps_list = _prologue(
-        config, before_solve=lambda eps_list: require_slow_mode(eps_list[0], m))
+    study, seed, eps_list = _check_config(config)
+    _need_eps(eps_list, "semigroup", 2)
+    m = int(study.get("mode", 1))
+    require_slow_mode(eps_list[0], m)
+    c, cell = _cell(config)
     tol = study.get("tolerances", {})
     omega = spectral_gap(c)
     report = ExperimentReport(study="semigroup", config=config, seed=seed)

@@ -13,7 +13,7 @@ matter how paths are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,7 +26,6 @@ __all__ = [
     "NoiseSpec",
     "WienerStream",
     "CouplingSeries",
-    "CheckReport",
     "tent_mollifier",
     "bump_mollifier",
     "check_decay",
@@ -38,6 +37,8 @@ __all__ = [
 MAX_PROFILE_HARMONIC = 16  # keeps oscillate() exact for every profile
 SUMMABILITY_INCREMENT_TOL = 0.1  # last dyadic increment of the summability partial sums
 COUPLING_TAIL_TOL = 0.01  # dyadic tail of the coupling series, relative to Lambda
+K_TEST = 64  # largest |k| the decay and tail-convergence checks probe
+SUMMABILITY_K_TEST = 256  # largest |k| the summability partial sums reach
 
 
 def _check_profile(f: SpectralField, name: str) -> SpectralField:
@@ -100,7 +101,7 @@ class NoiseSpec:
                     profile: SpectralField | None = None, eta: float = 0.0,
                     mollifier=None) -> "NoiseSpec":
         if not 0.0 < alpha < 1.0:
-            raise ValueError("decay exponent must lie in (0, 1)")
+            raise ValueError(f"noise decay exponent alpha = {alpha!r} must lie in (0, 1)")
         p = _check_profile(profile or SpectralField.constant(1.0), "power")
         return cls("power", cutoff, alpha=alpha, tail=p, eta=eta,
                    mollifier=mollifier, label=f"power(alpha={alpha:g})")
@@ -179,39 +180,17 @@ def bump_mollifier(radius: float = 2.0):
 
 
 # -- assumption validators ----------------------------------------------------
+#
+# Each validator returns its report rows, one per measured item, each with a
+# verdict.  Validators never throw on a failed condition: the conditions they
+# probe are asymptotic statements, and at a finite truncation only evidence
+# is available.
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    value: float
-    threshold: float | None = None
-    note: str = ""
-
-
-@dataclass
-class CheckReport:
-    """What a validator measured, item by item, each with a verdict.
-
-    Validators never throw on a failed condition: the conditions they probe
-    are asymptotic statements, and at a finite truncation only evidence is
-    available.
-    """
-
-    title: str
-    items: list[CheckItem] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def add(self, *args, **kwargs) -> None:
-        self.items.append(CheckItem(*args, **kwargs))
-
-    def as_rows(self) -> list[dict]:
-        return [{"check": self.title, "item": it.name, "passed": it.passed, "value": it.value,
-                 "threshold": it.threshold, "note": it.note} for it in self.items]
+def _row(check: str, item: str, passed: bool, value: float, threshold: float | None = None,
+         note: str = "") -> dict:
+    return {"check": check, "item": item, "passed": passed, "value": value,
+            "threshold": threshold, "note": note}
 
 
 def _dyadic(k_max: int) -> list[int]:
@@ -223,75 +202,77 @@ def _dyadic(k_max: int) -> list[int]:
     return ks
 
 
-def check_decay(spec: NoiseSpec, k_test: int = 64) -> CheckReport:
+def check_decay(spec: NoiseSpec) -> list[dict]:
     """Evidence for |q_k| <~ (1 v |k|)^-alpha with the declared alpha.
 
     Reports the constant sup_k |q_k| (1 v |k|)^alpha and the log-log
-    growth slope of that sequence at dyadic k; a positive slope means
-    the declared decay is not really there.
+    growth slope of that sequence at dyadic k <= K_TEST; a positive slope
+    means the declared decay is not really there.
     """
-    report = CheckReport(f"decay check ({spec.label})")
-    ks = _dyadic(min(k_test, spec.cutoff))
+    check = f"decay check ({spec.label})"
+    ks = _dyadic(min(K_TEST, spec.cutoff))
     ratios = np.array([l2_norm(spec.profile(k)) * max(1, k) ** spec.alpha for k in ks])
     live = ratios > 0
-    report.add("decay constant sup |q_k| (1 v |k|)^alpha", True, float(ratios.max()))
+    rows = [_row(check, "decay constant sup |q_k| (1 v |k|)^alpha", True, float(ratios.max()))]
     if live.sum() >= 2:
         slope = np.polyfit(np.log([k for k, a in zip(ks, live) if a]),
                            np.log(ratios[live]), 1)[0]
-        report.add("log-log growth slope of |q_k| |k|^alpha", bool(slope <= 0.05),
-                   float(slope), 0.05)
+        rows.append(_row(check, "log-log growth slope of |q_k| |k|^alpha", bool(slope <= 0.05),
+                         float(slope), 0.05))
     if spec.alpha <= 0.5:
         h1 = [sobolev_norm(spec.profile(k), 1.0) / l2_norm(spec.profile(k))
               for k in ks if l2_norm(spec.profile(k)) > 0]
         if h1:
-            report.add("sup |q_k/|q_k||_H1 (needed for alpha <= 1/2)", True,
-                       float(max(h1)))
-    return report
+            rows.append(_row(check, "sup |q_k/|q_k||_H1 (needed for alpha <= 1/2)", True,
+                             float(max(h1))))
+    return rows
 
 
-def check_tail_convergence(spec: NoiseSpec, k_test: int = 64) -> CheckReport:
-    """Evidence for |k|^alpha q_k -> tail in L2 at dyadic k."""
+def check_tail_convergence(spec: NoiseSpec) -> list[dict]:
+    """Evidence for |k|^alpha q_k -> tail in L2 at dyadic k <= K_TEST."""
     if spec.tail is None:
         raise ValueError("spec declares no tail profile")
-    report = CheckReport(f"tail convergence check ({spec.label})")
-    ks = _dyadic(min(k_test, spec.cutoff))
+    check = f"tail convergence check ({spec.label})"
+    ks = _dyadic(min(K_TEST, spec.cutoff))
     gaps = np.array([
         l2_norm(max(1, k) ** spec.alpha * spec.profile(k) - spec.tail) for k in ks
     ])
-    report.add("final gap ||k|^alpha q_k - tail|", True, float(gaps[-1]))
     scale = max(l2_norm(spec.tail), 1e-30)
     nonincreasing = bool(np.all(np.diff(gaps) <= 1e-12 * scale))
     vanishing = bool(gaps[-1] <= max(0.5 * gaps[0], 1e-10 * scale))
-    report.add("gaps non-increasing at dyadic k", nonincreasing, float(np.max(np.diff(gaps), initial=0.0)))
-    report.add("gaps heading to zero", vanishing, float(gaps[-1]), 0.5 * float(gaps[0]))
-    return report
+    return [
+        _row(check, "final gap ||k|^alpha q_k - tail|", True, float(gaps[-1])),
+        _row(check, "gaps non-increasing at dyadic k", nonincreasing,
+             float(np.max(np.diff(gaps), initial=0.0))),
+        _row(check, "gaps heading to zero", vanishing, float(gaps[-1]), 0.5 * float(gaps[0])),
+    ]
 
 
-def check_tail_summability(spec: NoiseSpec, k_test: int = 256) -> CheckReport:
+def check_tail_summability(spec: NoiseSpec) -> list[dict]:
     """Evidence for sum_k (1 v |k|)^-eta |q_k - tail|_H1^2 < infinity.
 
-    Partial sums are tabulated at dyadic cutoffs; the verdict is a
-    Cauchy criterion on the last dyadic increment, at most
-    SUMMABILITY_INCREMENT_TOL of the total.
+    Partial sums are tabulated at dyadic cutoffs up to SUMMABILITY_K_TEST;
+    the verdict is a Cauchy criterion on the last dyadic increment, at
+    most SUMMABILITY_INCREMENT_TOL of the total.
     """
     if spec.tail is None:
         raise ValueError("spec declares no tail profile")
-    report = CheckReport(f"tail summability check ({spec.label}, eta={spec.eta:g})")
-    k_test = min(k_test, spec.cutoff)
-    terms = np.zeros(k_test + 1)
-    for k in range(0, k_test + 1):
+    check = f"tail summability check ({spec.label}, eta={spec.eta:g})"
+    k_max = min(SUMMABILITY_K_TEST, spec.cutoff)
+    terms = np.zeros(k_max + 1)
+    for k in range(0, k_max + 1):
         diff = sobolev_norm(spec.profile(k) - spec.tail, 1.0) ** 2
         weight = max(1, k) ** (-spec.eta)
         terms[k] = weight * diff * (1 if k == 0 else 2)  # k and -k
     partial = np.cumsum(terms)
-    dyads = _dyadic(k_test)
-    for k in dyads:
-        report.add(f"partial sum through |k| <= {k}", True, float(partial[k]))
+    dyads = _dyadic(k_max)
+    rows = [_row(check, f"partial sum through |k| <= {k}", True, float(partial[k]))
+            for k in dyads]
     total = float(partial[dyads[-1]])
     inc = float(partial[dyads[-1]] - partial[dyads[-1] // 2]) / total if total else 0.0
-    report.add("last dyadic increment / total", bool(inc <= SUMMABILITY_INCREMENT_TOL), inc,
-               SUMMABILITY_INCREMENT_TOL)
-    return report
+    rows.append(_row(check, "last dyadic increment / total", bool(inc <= SUMMABILITY_INCREMENT_TOL),
+                     inc, SUMMABILITY_INCREMENT_TOL))
+    return rows
 
 
 @dataclass(frozen=True)

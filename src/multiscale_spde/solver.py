@@ -51,6 +51,7 @@ DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 la
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
 CHUNK_STEPS = 256  # steps of Wiener increments drawn per path at a time
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
+PATH_BATCH = 64  # paths per engine run in coupled_sup_errors; no path's values depend on it
 
 
 @dataclass(frozen=True)
@@ -384,8 +385,7 @@ def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
 
 
 def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
-                       model: LimitModel, s: float, n_paths: int,
-                       batch: int = 64) -> dict:
+                       model: LimitModel, s: float, n_paths: int) -> dict:
     """Per-path sup_t sum_m (1+m^2)^-s |<u_eps - u, e_m>|^2, coupled noise.
 
     u is the averaged limit advanced by exponential Euler,
@@ -397,8 +397,8 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     feed them.  Returns path arrays under "full", and under "half_modes"
     and "coarse_grid" the same statistic with the mode sum cut at half the
     watch range and with the time grid thinned by two, so the proxy's
-    truncation effects can be reported.  Path p's values do not depend on
-    batch.
+    truncation effects can be reported.  Paths run PATH_BATCH at a time;
+    path p's values do not depend on that batch size.
     """
     require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
@@ -414,8 +414,8 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
 
     keys = ("full", "half_modes", "coarse_grid")
     sups = {key: np.zeros(n_paths) for key in keys}
-    for start in range(0, n_paths, batch):
-        idx = range(start, min(start + batch, n_paths))
+    for start in range(0, n_paths, PATH_BATCH):
+        idx = range(start, min(start + PATH_BATCH, n_paths))
         running = {key: np.zeros(len(idx)) for key in keys}
         for first, count, obs in _engine(op, config, idx, observe, limits):
             current, current_half = np.zeros((len(idx), count)), np.zeros((len(idx), count))
@@ -475,18 +475,13 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     times = rec_steps * config.dt
 
     if modes is None:
-        wanted = {int(k) for blk in op.blocks.values() for k in blk.ks}
-    else:
-        wanted = {m for m, _, _ in _watch_lookup(op, [int(m) for m in modes])}
-    residues = sorted({m % op.cells for m in wanted})
-
-    variances = {m: np.zeros(times.size) for m in wanted}
-    for res in residues:
+        modes = [k for blk in op.blocks.values() for k in blk.ks]
+    variances = {}
+    for res, rows in sorted(_class_rows(_watch_lookup(op, [int(m) for m in modes])).items()):
         blk = op.blocks[res]
-        rows = {int(k): i for i, k in enumerate(blk.ks) if int(k) in wanted}
-        table = _class_variances(blk, config.dt, rec_steps, list(rows.values()))
-        for col, k in enumerate(rows):
-            variances[k][:] = table[:, col]
+        table = _class_variances(blk, config.dt, rec_steps, rows)
+        for col, row in enumerate(rows):
+            variances[int(blk.ks[row])] = table[:, col]
     return CovarianceTable(times=times, variances=variances)
 
 

@@ -33,11 +33,14 @@ from multiscale_spde.experiments import (
     run_variance_study,
 )
 from multiscale_spde.limit import LimitModel, limit_model, ou_variance
-from multiscale_spde.noise import NoiseSpec
+from multiscale_spde.noise import NoiseSpec, bump_mollifier, tent_mollifier
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO / "configs" / "demo-variance.json"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "demo_report.json"
+
+# watched mode 0, white noise: the measured rel_gap at eps = 1/4, 1/8 and 1/16
+MODE_ZERO_GAPS = [0.06669421851018463, 0.016673600027845903, 0.00416840000820309]
 
 SMALL_VARIANCE = {
     "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
@@ -220,12 +223,38 @@ class TestStudies:
         ([0.125, 0.25], r"strictly decreasing: eps = 0.25 follows 0.125"),
         ([0.25, 0.25], r"strictly decreasing: eps = 0.25 follows 0.25"),
         ([0.25, 0.3], r"eps = 0.3 is not the reciprocal of a positive integer"),
+        (None, r"study needs at least \d solver eps value\(s\); the config gives 0$"),
     ])
     def test_bad_eps_fails_before_any_solve(self, monkeypatch, kind, eps, message):
         import multiscale_spde.experiments as experiments
 
         def no_solve(*args, **kwargs):
             raise AssertionError("the cell was solved before eps was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"]["eps"] = eps
+        config["study"]["kind"] = kind
+        with pytest.raises(ValueError, match=message):
+            run_study(config)
+
+    @pytest.mark.parametrize("kind, eps, message", [
+        ("converge", [0.25, 0.125], r"the converge study needs at least 3 solver eps value\(s\); "
+                                    r"the config gives 2$"),
+        ("semigroup", [0.25], r"the semigroup study needs at least 2 solver eps value\(s\); "
+                              r"the config gives 1$"),
+        ("simulate", [], r"the simulate study needs at least 1 solver eps value\(s\); "
+                         r"the config gives 0$"),
+        ("variance", [], r"the variance study needs at least 1 solver eps value\(s\); "
+                         r"the config gives 0$"),
+    ])
+    def test_too_few_eps_fails_before_any_solve(self, monkeypatch, kind, eps, message):
+        """converge fits a rate to at least 3 eps and semigroup an exponent to at least 2;
+        fewer are refused before the cell solve, not after the Monte Carlo."""
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before the eps count was checked")
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
         config = json.loads(json.dumps(SMALL_VARIANCE))
@@ -265,9 +294,29 @@ class TestStudies:
         ("study", "k_test", 64, r"unknown study key\(s\) k_test; the studies read kind,"),
         ("study", "tolerances", {"enhancement_min_factor": 0.9},
          r"unknown tolerances key\(s\) enhancement_min_factor; the studies read theta_min,"),
+        ("noise", "family", "whit", r"unknown noise family 'whit'; the families are white, "
+                                    r"power, tail, custom$"),
+        ("noise", "mollifier", {"kind": "tnet"},
+         r"unknown noise mollifier kind 'tnet'; the kinds are tent, bump$"),
+        ("noise", "mollifier", {"kind": "tent", "radius": 0},
+         r"noise mollifier radius = 0 must be positive$"),
+        ("noise", "cutoff", None, r"noise gives neither cutoff nor cutoff_factor; give one$"),
+        ("noise", None, {"family": "power", "alpha": 1.5},
+         r"noise decay exponent alpha = 1.5 must lie in \(0, 1\)$"),
+        ("noise", "centered", True, r"noise centered = true: the white family centres to zero"),
+        ("noise", "centered", "false", r"noise centered = 'false' must be true or false$"),
+        ("solver", "track_norm", "false", r"solver track_norm = 'false' must be true or false$"),
+        ("noise", "cutoff", 8.5, r"noise cutoff = 8.5 must be an integer$"),
+        ("solver", "watch", [1.5], r"solver watch entry = 1.5 must be an integer$"),
+        ("study", "paths", 2.5, r"study paths = 2.5 must be an integer$"),
+        ("study", "mode", 1.5, r"study mode = 1.5 must be an integer$"),
+        ("study", "mode_cutoff", 2.5, r"study mode_cutoff = 2.5 must be an integer$"),
+        ("study", "seed", 1.5, r"study seed = 1.5 must be an integer$"),
+        ("study", "target", "smoothed", r"study target 'smoothed' needs a noise mollifier$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
                                                    value, message):
+        """key None merges value, a dict, into the section."""
         import multiscale_spde.experiments as experiments
 
         def no_solve(*args, **kwargs):
@@ -275,7 +324,10 @@ class TestStudies:
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
         config = json.loads(json.dumps(SMALL_VARIANCE))
-        config.setdefault(section, {})[key] = value
+        if key is None:
+            config[section].update(value)
+        else:
+            config.setdefault(section, {})[key] = value
         config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
@@ -299,6 +351,7 @@ class TestStudies:
         config["study"]["kind"] = kind
         if kind == "converge":
             del config["study"]["target"]  # converge compares with the averaged limit
+            config["solver"]["eps"] = [0.25, 0.125, 0.0625]  # and fits a rate to >= 3 eps
         with pytest.raises(SolveFailed, match=message):
             run_study(config)
 
@@ -365,6 +418,62 @@ class TestStudies:
         report = run_variance_study(SMALL_VARIANCE)
         assert {r["eps"] for r in report.rows} == {0.25, 0.125}
         assert any(name.startswith("covariance_eps") for name in report.tables)
+
+    def test_whole_floats_read_as_integers(self):
+        """A JSON 2.0 is a whole number: watch [1.0], seed 9.0 and cutoff 8.0 give the
+        rows and tables of watch [1], seed 9 and cutoff 8."""
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"]["watch"] = [1.0]
+        config["study"]["seed"] = 9.0
+        config["noise"]["cutoff"] = 8.0
+        floats, ints = run_study(config), run_study(SMALL_VARIANCE)
+        assert (floats.rows, floats.tables) == (ints.rows, ints.tables)
+        assert floats.verdicts == ints.verdicts and floats.seed == 9
+        config["study"].update({"kind": "simulate", "paths": 1.0})
+        ints = json.loads(json.dumps(config))
+        ints["solver"]["watch"], ints["study"]["paths"] = [1], 1
+        assert run_study(config).tables == run_study(ints).tables
+
+    @pytest.mark.parametrize("mollifier", [{"kind": "tent", "radius": 3}, {"kind": "bump"}],
+                             ids=["tent-3", "bump"])
+    def test_smoothed_target_end_to_end(self, mollifier):
+        """The demo config against the smoothed limit: each row's target is the OU
+        variance of that limit at the recorded time.  No verdict is asserted; with
+        tent radius 3 the demo's verdicts fail, and that is a scientific result."""
+        config = json.loads(DEMO_CONFIG.read_text())
+        config["noise"]["mollifier"] = mollifier
+        config["study"]["target"] = "smoothed"
+        report = run_variance_study(config)
+        cell = solve_cell(Coefficients.cosine_potential(1.0))
+        make = {"tent": tent_mollifier, "bump": bump_mollifier}[mollifier["kind"]]
+        phi = make(float(mollifier.get("radius", 2.0)))
+        assert [row["eps"] for row in report.rows] == [0.25, 0.125]
+        for row in report.rows:
+            spec = NoiseSpec.white(int(round(4.0 / row["eps"])), mollifier=phi)
+            t_recorded = round(5.0 / row["dt"]) * row["dt"]
+            model = limit_model("smoothed", spec, cell, 1)
+            assert row["target"] == ou_variance(model, 1, t_recorded)
+
+    def test_watched_mode_zero_variance(self):
+        """Mode 0 is Brownian in the limit; its exact variance still converges to it."""
+        report = run_variance_study({
+            "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+            "noise": {"family": "white", "cutoff_factor": 8.0},
+            "solver": {"eps": [0.25, 0.125, 0.0625], "t_final": 1.0, "watch": [0]},
+            "study": {"kind": "variance", "seed": 0},
+        })
+        assert report.passed and len(report.verdicts) == 3
+        assert_allclose([row["rel_gap"] for row in report.rows], MODE_ZERO_GAPS, rtol=1e-9)
+
+    def test_watched_mode_zero_path_stays_real(self):
+        """u is real, so <u, e_0> is: its imaginary part stays at rounding."""
+        config = json.loads(DEMO_CONFIG.read_text())
+        config["solver"].update({"eps": [0.125], "t_final": 0.25, "watch": [-1, 0, 1]})
+        config["study"] = {"kind": "simulate", "seed": 3, "paths": 1}
+        _, rows = run_simulate(config).tables["path_000"]
+        scale = max(abs(complex(re, im)) for _, _, re, im in rows)
+        worst = max(abs(im) for _, m, _, im in rows if m == 0)
+        assert scale > 0.01 and worst <= 1e-10 * scale
 
     def test_simulate_study_emits_per_path_tables(self, tmp_path):
         report = run_simulate({

@@ -1,5 +1,7 @@
 """Tests for the block-structured multiscale solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,7 +12,7 @@ from numpy.testing import assert_allclose
 from multiscale_spde import solver
 from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
-from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
+from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model
 from multiscale_spde.noise import NoiseSpec, WienerStream
 from multiscale_spde.solver import (
@@ -418,12 +420,13 @@ class TestBlockedEngine:
             assert_matches_stepping(out.mode(m), ref["modes"][m], f"m = {m}")
         assert_matches_stepping(out.norm_squared, ref["norm2"], "norm")
 
-    def test_sup_errors_match_stepping(self, cosine, cosine_cell):
+    def test_sup_errors_match_stepping(self, cosine, cosine_cell, monkeypatch):
         spec = NoiseSpec.power_decay(0.75, 8)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=3)
         model = limit_model("averaged", spec, cosine_cell, 4)
-        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3, batch=2)
+        monkeypatch.setattr(solver, "PATH_BATCH", 2)  # a full batch and a partial one
+        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3)
         for p in range(3):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
             terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["modes"][m] - ref["limit"][m]) ** 2
@@ -449,7 +452,10 @@ class TestBlockedEngine:
                            coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
                                    for m in range(-2, 3)})
         finals = [final_values(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
-        sups = [coupled_sup_errors(c, spec, cfg, model, 1.0, 5, batch=b) for b in (1, 3, 64)]
+        sups = []
+        for b in (1, 3, 64):
+            with mock.patch.object(solver, "PATH_BATCH", b):
+                sups.append(coupled_sup_errors(c, spec, cfg, model, 1.0, 5))
         for other in finals[1:]:
             for m in cfg.watch:
                 assert np.array_equal(other[m], finals[0][m])
@@ -635,30 +641,3 @@ class TestClosedFormCovariance:
         with pytest.raises(ValueError, match=message):
             exact_mode_covariance(heat, NoiseSpec.white(4), cfg, t_grid=t_grid)
 
-
-class TestBlockVsDensePathwise:
-    def test_block_solver_matches_dense_stepping(self, cosine):
-        """Full dense exponential stepping reproduces the per-class solver."""
-        eps, n, cutoff, dt, t_final, seed = 0.25, 64, 8, 1e-3, 0.5, 21
-        spec = NoiseSpec.white(cutoff)
-        cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=t_final, watch=(1, 2, 3), seed=seed)
-        out = simulate_path(cosine, spec, cfg)
-
-        dense = np.zeros((n, n), dtype=complex)
-        for j in range(-n // 2 + 1, n // 2):
-            col = apply_generator(cosine, eps, SpectralField.basis(j, n))
-            dense[:, j + n // 2] = col.coeffs
-        dense[0, :] = dense[:, 0] = 0.0  # match the solver's symmetric band
-        prop = sla.expm(dense * dt)
-        noise_cols = np.zeros((n, 2 * cutoff + 1), dtype=complex)
-        for k in range(-cutoff, cutoff + 1):
-            noise_cols[:, k + cutoff] = oscillate(
-                spec.profile(k), eps, k, n).coeffs
-        dw = WienerStream(seed, 0).increments(cfg.n_steps, cutoff, dt)
-        x = np.zeros(n, dtype=complex)
-        worst = 0.0
-        for i in range(cfg.n_steps):
-            x = prop @ (x + noise_cols @ dw[i])
-            for m in (1, 2, 3):
-                worst = max(worst, abs(x[m + n // 2] - out.mode(m)[i + 1]))
-        assert worst <= 1e-8
