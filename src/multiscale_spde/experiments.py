@@ -158,6 +158,9 @@ def build_noise(cfg: dict, eps: float | None = None) -> NoiseSpec:
     """The noise section's spec at eps, not yet centred (see _driving_noise)."""
     cutoff = resolve_cutoff(cfg, eps)
     family = cfg.get("family", "white")
+    needed = {"power": "alpha", "custom": "table"}.get(family)
+    if needed is not None and needed not in cfg:
+        raise ValueError(f"noise key {needed} is missing; family {family!r} needs it")
     if cfg.get("centered") and family == "white":
         raise ValueError("noise centered = true: the white family centres to zero; "
                          "nothing left to drive")
@@ -212,18 +215,24 @@ def _need_eps(eps_list: list[float] | None, study: str, least: int) -> list[floa
     return eps_list
 
 
-def _check_config(config: dict) -> tuple[dict, int, list[float] | None]:
+def _check_config(config: dict, kind: str = "",
+                  needs: tuple = ()) -> tuple[dict, int, list[float] | None]:
     """The checks every study makes before any work; each failure is a ValueError.
 
-    Rejected: a section or key no study reads, an explicit dt, t_final or
+    Rejected: a config without one of the sections in `needs` (those the
+    `kind` study reads), a section or key no study reads, an explicit dt, t_final or
     n_modes <= 0, a count, mode, seed or watch entry that is not an
     integer, an empty watch list, a path count or mode_cutoff below 1, a
     centered or track_norm other than true or false, a study target that
     names no limit regime (or 'smoothed' with no mollifier), a bad eps
-    list, and a noise section that does not build at every eps (see
+    list, and a noise section that does not build at every eps (a power
+    family without alpha or a custom one without table, say; see
     build_noise and resolve_cutoff).  Returns the study section, the seed
     and the eps list (None when the config gives no eps).
     """
+    for section in needs:
+        if section not in config:
+            raise ValueError(f"the {kind} study needs a {section} section; the config has none")
     sections = {**config, "config": config,
                 "tolerances": config.get("study", {}).get("tolerances"),
                 "mollifier": config.get("noise", {}).get("mollifier")}
@@ -425,7 +434,7 @@ def run_cell_study(config: dict) -> ExperimentReport:
     The row and the density table read what solve_cell measured for its
     contracts; the one verdict is zero flux, which no contract checks.
     """
-    _, seed, _ = _check_config(config)
+    _, seed, _ = _check_config(config, "cell", ("coefficients",))
     c, sol = _cell(config)
     report = ExperimentReport(study="cell", config=config, seed=seed)
     rho_grid = sol.rho_grid
@@ -456,7 +465,7 @@ def run_noise_check(config: dict) -> ExperimentReport:
     Their rows become the report's rows, and each check one verdict: all
     of its items passed.
     """
-    _, seed, _ = _check_config(config)
+    _, seed, _ = _check_config(config, "noise-check", ("noise",))
     report = ExperimentReport(study="noise-check", config=config, seed=seed)
     spec = build_noise(config["noise"])
 
@@ -477,7 +486,7 @@ def run_noise_check(config: dict) -> ExperimentReport:
 
 def run_simulate(config: dict) -> ExperimentReport:
     """Sample paths of the multiscale equation at the first eps; trajectories become CSV tables."""
-    study, seed, eps_list = _check_config(config)
+    study, seed, eps_list = _check_config(config, "simulate", ("coefficients", "noise"))
     eps = _need_eps(eps_list, "simulate", 1)[0]
     c, cell = _cell(config)
     n_paths = int(study.get("paths", 2))
@@ -530,7 +539,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    study, seed, eps_list = _check_config(config)
+    study, seed, eps_list = _check_config(config, "converge", ("coefficients", "noise"))
     _need_eps(eps_list, "converge", 3)
     if study.get("target") not in (None, "averaged"):
         raise ValueError(f"converge compares with the averaged limit only; "
@@ -601,7 +610,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
     measured variance is rescaled by eps^(-2 alpha) and the noise must be
     centred.
     """
-    study, seed, eps_list = _check_config(config)
+    study, seed, eps_list = _check_config(config, "variance", ("coefficients", "noise"))
     _need_eps(eps_list, "variance", 1)
     c, cell = _cell(config)
     target = study.get("target", "enhanced")
@@ -704,7 +713,7 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     and the exponent fit needs at least two eps; both are checked before
     the cell solve.
     """
-    study, seed, eps_list = _check_config(config)
+    study, seed, eps_list = _check_config(config, "semigroup", ("coefficients",))
     _need_eps(eps_list, "semigroup", 2)
     m = int(study.get("mode", 1))
     require_slow_mode(eps_list[0], m)

@@ -352,15 +352,12 @@ class WienerStream:
         real and imaginary parts of variance dt/2; mode -k is the
         conjugate of mode k.
         """
-        z = self._gen.normal(size=(n_steps, 2 * k_cut + 1))
+        z = self._gen.standard_normal(size=(n_steps, 2 * k_cut + 1))
         dw = np.empty((n_steps, 2 * k_cut + 1), dtype=complex)
-        re, im = dw.real, dw.imag
-        np.multiply(z[:, 0], np.sqrt(dt), out=re[:, k_cut])
-        im[:, k_cut] = 0.0
-        if k_cut > 0:
-            scale = np.sqrt(dt / 2.0)
-            np.multiply(z[:, 1 : 2 * k_cut : 2], scale, out=re[:, k_cut + 1 :])
-            np.multiply(z[:, 2 : 2 * k_cut + 1 : 2], scale, out=im[:, k_cut + 1 :])
-            re[:, :k_cut] = re[:, :k_cut:-1]
-            np.negative(im[:, :k_cut:-1], out=im[:, :k_cut])
+        flat = dw.view(float)  # (re, im) of mode k at columns 2 (k + k_cut) and one after
+        # modes k > 0 take draws 2k - 1 and 2k as (re, im): the draw order, interleaved
+        np.multiply(z[:, 1:], np.sqrt(dt / 2.0), out=flat[:, 2 * k_cut + 2 :])
+        np.multiply(z[:, 0], np.sqrt(dt), out=flat[:, 2 * k_cut])
+        flat[:, 2 * k_cut + 1] = 0.0
+        np.conjugate(dw[:, :k_cut:-1], out=dw[:, :k_cut])
         return dw

@@ -14,11 +14,16 @@ evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
 cost per block.  The propagator and the covariance both work in the
 block's checked eigenbasis (cell.eigenbasis), so every dense kernel
-runs on NumPy alone.
+runs on NumPy alone.  coupled_sup_errors, the converge study's engine,
+runs its path batches on one thread per usable CPU; every product runs
+per path, so within one NumPy/BLAS build its results are bit-for-bit
+the same whatever the core count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +56,7 @@ DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 la
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
 CHUNK_STEPS = 256  # steps of Wiener increments drawn per path at a time
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
-PATH_BATCH = 64  # paths per engine run in coupled_sup_errors; no path's values depend on it
+PATH_BATCH = 64  # most paths per engine run in coupled_sup_errors; no path's values depend on it
 
 
 @dataclass(frozen=True)
@@ -256,48 +261,73 @@ def _block_map(p: np.ndarray, g: np.ndarray, rows, length: int) -> np.ndarray:
     return out
 
 
-class _ClassRun:
-    """One class advanced B steps per product, with buffers reused for the whole run.
+def _block_lengths(n_steps: int, length: int) -> set:
+    """Every block length _ClassRun.advance uses over n_steps in chunks of CHUNK_STEPS."""
+    out = set()
+    for m in {min(CHUNK_STEPS, n_steps), n_steps % CHUNK_STEPS} - {0}:
+        out |= {min(length, m), m % length} - {0}
+    return out
+
+
+class _ClassPlan:
+    """One class's step maps, built once per run and shared read-only by every batch.
 
     B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n carried
     coordinates, o observed rows and d driven columns minimises the
     multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
-    stepping.
+    stepping.  maps holds the _block_map of every block length the run
+    takes: B, and the remainders of the chunks.
     """
 
-    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, rows, limits, n_paths):
+    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, rows, limits):
         blk = op.blocks[res]
-        self.p, self.g = _recursion(blk, config, limits)
-        (n, d), self.rows = self.g.shape, list(rows)
-        o = len(self.rows)
+        p, g = _recursion(blk, config, limits)
+        (n, d), rows = g.shape, list(rows)
+        o = len(rows)
         self.n, self.d, self.o = n, d, o
         self.length = (MAX_BLOCK_STEPS if o * d == 0 else
                        int(np.clip(round(n / np.sqrt(o * d)), 1, MAX_BLOCK_STEPS)))
-        self.maps = {}  # block length -> _block_map
+        self.maps = {length: _block_map(p, g, rows, length)
+                     for length in _block_lengths(config.n_steps, self.length)}
         cols = blk.driven + op.cutoff  # an arithmetic progression with step 1/eps
         self.cols = slice(cols[0], cols[-1] + 1, op.cells) if d else slice(0, 0)
+
+
+def _class_plans(op: BlockOperator, config: SolverConfig, observe: dict,
+                 limits: dict | None = None) -> dict:
+    """residue -> _ClassPlan of each class in observe, limits[residue] appended."""
+    limits = limits or {}
+    return {res: _ClassPlan(op, res, config, rows, limits.get(res, ()))
+            for res, rows in sorted(observe.items())}
+
+
+class _ClassRun:
+    """One class advanced for one batch of paths, with buffers reused for the whole run."""
+
+    def __init__(self, plan: _ClassPlan, n_paths: int):
+        self.plan = plan
+        n, d, o = plan.n, plan.d, plan.o
         # [state slot | the chunk's increments]: the block from step s reads
         # x_s at s*d, over increments already consumed, then w_s, w_s+1, ...
         self.buf = np.zeros((n_paths, n + CHUNK_STEPS * d), dtype=complex)
-        self.out = np.empty((n_paths, self.length * o + n, 1), dtype=complex)
+        self.out = np.empty((n_paths, plan.length * o + n, 1), dtype=complex)
         self.obs = np.empty((n_paths, CHUNK_STEPS, o), dtype=complex)
         self.peak = np.empty((n_paths, n))
 
     def load(self, path: int, dw: np.ndarray) -> None:
         """Copy one path's increments for the coming chunk (dw: steps x all modes)."""
-        m, n, d = dw.shape[0], self.n, self.d
-        self.buf[path, n : n + m * d].reshape(m, d)[...] = dw[:, self.cols]
+        m, n, d = dw.shape[0], self.plan.n, self.plan.d
+        self.buf[path, n : n + m * d].reshape(m, d)[...] = dw[:, self.plan.cols]
 
     def advance(self, first: int, m: int, dt: float) -> np.ndarray:
         """Run the m loaded steps; return the observed rows after each."""
-        n, d, o, buf = self.n, self.d, self.o, self.buf
+        plan, buf = self.plan, self.buf
+        n, d, o = plan.n, plan.d, plan.o
         s = 0
         while s < m:
-            length = min(self.length, m - s)
-            if length not in self.maps:
-                self.maps[length] = _block_map(self.p, self.g, self.rows, length)
+            length = min(plan.length, m - s)
             out = self.out[:, : length * o + n]
-            np.matmul(self.maps[length], buf[:, s * d : s * d + n + length * d, None], out=out)
+            np.matmul(plan.maps[length], buf[:, s * d : s * d + n + length * d, None], out=out)
             self.obs[:, s : s + length] = out[:, : length * o, 0].reshape(len(buf), length, o)
             state = out[:, length * o :, 0]
             s += length
@@ -309,26 +339,27 @@ class _ClassRun:
         return self.obs[:, :m]
 
 
-def _engine(op: BlockOperator, config: SolverConfig, path_indices, observe: dict,
-            limits: dict | None = None):
-    """Advance the classes in observe from u = 0; yield their observed rows.
+def _engine(op: BlockOperator, plans: dict, config: SolverConfig, path_indices):
+    """Advance the planned classes from u = 0 for one batch of paths; yield their observed rows.
 
-    observe maps residue -> rows of the class state to record after every
-    step, where row n + i (n the class size) is the difference coordinate
-    of limits[residue][i] (see _recursion).  Yields (first step, count,
-    obs) once per chunk of `count` steps of increments, obs[residue] of
-    shape (paths, count, rows); the buffers are reused, so consume them
-    before the next iteration.  Raises UnstableStep when the carried state
-    at a block boundary is non-finite or beyond OVERFLOW_GUARD.
+    plans (from _class_plans) maps residue -> the class's shared step maps
+    and the rows to record after every step, where row n + i (n the class
+    size) is the difference coordinate of its i-th limit term (see
+    _recursion).  Yields (first step, count, obs) once per chunk of
+    `count` steps of increments, obs[residue] of shape (paths, count,
+    rows); the buffers are the batch's own and reused, so consume them
+    before the next iteration.  Raises UnstableStep when the carried
+    state at a block boundary is non-finite or beyond OVERFLOW_GUARD.
 
     Every product runs per path (np.matmul with paths as the batch axis),
     so within one NumPy/BLAS build a path's values depend on (seed, path
-    index) and the config, not on which other paths share its batch.
+    index) and the config, not on which other paths share its batch, in
+    what order batches run, or on which thread or core.  Batches share
+    nothing writable, so coupled_sup_errors runs them on one thread per
+    usable CPU.
     """
-    limits = limits or {}
     streams = [WienerStream(config.seed, p) for p in path_indices]
-    runs = {res: _ClassRun(op, res, config, rows, limits.get(res, ()), len(streams))
-            for res, rows in sorted(observe.items())}
+    runs = {res: _ClassRun(plan, len(streams)) for res, plan in plans.items()}
     for first in range(0, config.n_steps, CHUNK_STEPS):
         m = min(CHUNK_STEPS, config.n_steps - first)
         for pi, stream in enumerate(streams):
@@ -336,6 +367,14 @@ def _engine(op: BlockOperator, config: SolverConfig, path_indices, observe: dict
             for run in runs.values():
                 run.load(pi, dw)
         yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _class_rows(lookup) -> dict:
@@ -375,7 +414,8 @@ def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     n_rec = config.n_steps + 1
     trajs = {m: np.zeros(n_rec, dtype=complex) for m in where}
     norm2 = np.zeros(n_rec) if config.track_norm else None
-    for first, count, obs in _engine(op, config, [path_index], observe):
+    for first, count, obs in _engine(op, _class_plans(op, config, observe), config,
+                                     [path_index]):
         slots = slice(first + 1, first + 1 + count)
         for m, (res, k) in where.items():
             trajs[m][slots] = obs[res][0, :, k]
@@ -397,27 +437,37 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     feed them.  Returns path arrays under "full", and under "half_modes"
     and "coarse_grid" the same statistic with the mode sum cut at half the
     watch range and with the time grid thinned by two, so the proxy's
-    truncation effects can be reported.  Paths run PATH_BATCH at a time;
-    path p's values do not depend on that batch size.
+    truncation effects can be reported.
+
+    The paths run in batches of min(PATH_BATCH, ceil(n_paths / workers)),
+    one thread per usable CPU (_workers): the calling thread runs one
+    lane of batches and a pool opened for this call runs the others; on
+    one CPU no thread is started.  The classes' step maps are built once
+    here and shared, and each batch owns its buffers.  Philox draws and
+    the products release the GIL.  Path p's values depend on neither the
+    batch size nor the thread count, so within one NumPy/BLAS build the
+    result is bit-for-bit the same on any number of cores.  An exception
+    in any batch (UnstableStep, say) reaches the caller once every lane
+    has stopped.
     """
     require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
     lookup = _watch_lookup(op, config.watch)
     rows = _class_rows(lookup)
-    limits = _limit_terms(op, config, model, lookup)
     # the difference coordinates follow the class's own rows in its state
     observe = {res: [op.blocks[res].ks.size + i for i in range(len(r))]
                for res, r in rows.items()}
+    plans = _class_plans(op, config, observe, _limit_terms(op, config, model, lookup))
     # (m, weight, residue, column of its difference in obs)
     terms = [(m, (1.0 + m * m) ** (-s), res, rows[res].index(row)) for m, res, row in lookup]
     half_cut = max(abs(m) for m in config.watch) // 2
 
     keys = ("full", "half_modes", "coarse_grid")
     sups = {key: np.zeros(n_paths) for key in keys}
-    for start in range(0, n_paths, PATH_BATCH):
-        idx = range(start, min(start + PATH_BATCH, n_paths))
-        running = {key: np.zeros(len(idx)) for key in keys}
-        for first, count, obs in _engine(op, config, idx, observe, limits):
+
+    def run_batch(idx: range) -> None:
+        running = {key: sups[key][idx.start : idx.stop] for key in keys}
+        for first, count, obs in _engine(op, plans, config, idx):
             current, current_half = np.zeros((len(idx), count)), np.zeros((len(idx), count))
             for m, weight, res, k in terms:
                 term = weight * np.abs(obs[res][:, :, k]) ** 2
@@ -431,8 +481,24 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
             odd = current[:, (first + 1) % 2 :: 2]
             if odd.shape[1]:
                 np.maximum(running["coarse_grid"], odd.max(axis=1), out=running["coarse_grid"])
-        for key in keys:
-            sups[key][idx.start : idx.stop] = running[key]
+
+    workers = _workers()
+    size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
+    batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
+    lanes = max(1, min(workers, len(batches)))  # n_paths = 0 runs one empty lane
+
+    def run_lane(lane: int) -> None:
+        for idx in batches[lane::lanes]:
+            run_batch(idx)
+
+    if lanes == 1:
+        run_lane(0)
+        return sups
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        others = [pool.submit(run_lane, lane) for lane in range(1, lanes)]
+        run_lane(0)
+        for future in others:
+            future.result()
     return sups
 
 

@@ -118,6 +118,22 @@ class TestReports:
         assert config_hash(a) == config_hash(b)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every solve_cell call the studies make; the solve still runs."""
+    import multiscale_spde.experiments as experiments
+
+    calls = []
+    real = experiments.solve_cell
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_cell", counting)
+    return calls
+
+
 class TestStudies:
     def test_cell_study_passes(self):
         report = run_cell_study({
@@ -313,16 +329,14 @@ class TestStudies:
         ("study", "mode_cutoff", 2.5, r"study mode_cutoff = 2.5 must be an integer$"),
         ("study", "seed", 1.5, r"study seed = 1.5 must be an integer$"),
         ("study", "target", "smoothed", r"study target 'smoothed' needs a noise mollifier$"),
+        ("noise", None, {"family": "power"},
+         r"noise key alpha is missing; family 'power' needs it$"),
+        ("noise", None, {"family": "custom"},
+         r"noise key table is missing; family 'custom' needs it$"),
     ])
-    def test_bad_solver_key_fails_before_any_solve(self, monkeypatch, kind, section, key,
+    def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
         """key None merges value, a dict, into the section."""
-        import multiscale_spde.experiments as experiments
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("the cell was solved before the solver keys were checked")
-
-        monkeypatch.setattr(experiments, "solve_cell", no_solve)
         config = json.loads(json.dumps(SMALL_VARIANCE))
         if key is None:
             config[section].update(value)
@@ -331,6 +345,22 @@ class TestStudies:
         config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
+        assert solves == []
+
+    @pytest.mark.parametrize("kind, section", [
+        ("simulate", "noise"), ("converge", "noise"), ("variance", "noise"),
+        ("noise-check", "noise"), ("cell", "coefficients"), ("simulate", "coefficients"),
+        ("converge", "coefficients"), ("variance", "coefficients"),
+        ("semigroup", "coefficients"),
+    ])
+    def test_missing_section_fails_before_any_solve(self, solves, kind, section):
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        del config[section]
+        config["study"]["kind"] = kind
+        with pytest.raises(ValueError, match=rf"the {kind} study needs a {section} section; "
+                                             r"the config has none$"):
+            run_study(config)
+        assert solves == []
 
     @pytest.mark.parametrize("kind", ["cell", "converge", "variance"])
     @pytest.mark.parametrize("coefficients, message", [

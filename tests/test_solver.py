@@ -139,10 +139,11 @@ def final_values(c, spec, config, n_paths, batch):
     op = build_blocks(c, spec, config)
     lookup = solver._watch_lookup(op, config.watch)
     observe = solver._class_rows(lookup)
+    plans = solver._class_plans(op, config, observe)
     out = {m: np.zeros(n_paths, dtype=complex) for m, _, _ in lookup}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
-        for _, _, obs in solver._engine(op, config, idx, observe):
+        for _, _, obs in solver._engine(op, plans, config, idx):
             pass  # only the last chunk's final step is kept
         for m, res, row in lookup:
             out[m][idx.start : idx.stop] = obs[res][:, -1, observe[res].index(row)]
@@ -466,6 +467,66 @@ class TestBlockedEngine:
             out = simulate_path(c, spec, cfg, path_index=p)
             for m in cfg.watch:
                 assert out.mode(m)[-1] == finals[0][m][p]
+
+    @staticmethod
+    def threaded_case(cosine, cosine_cell):
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
+                           t_final=0.3, watch=(1, 2, 3, 4), seed=6)
+        return spec, cfg, limit_model("averaged", spec, cosine_cell, 4)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 7])
+    def test_thread_count_does_not_change_any_path(self, cosine, cosine_cell, n_paths):
+        """Bitwise, within one NumPy/BLAS build, for 1-3 workers and every batch size.
+
+        n_paths 1 and 2 leave workers without a batch.
+        """
+        spec, cfg, model = self.threaded_case(cosine, cosine_cell)
+        runs = {}
+        for workers in (1, 2, 3):
+            for batch in (1, 3, 64):
+                with mock.patch.object(solver, "_workers", lambda w=workers: w), \
+                        mock.patch.object(solver, "PATH_BATCH", batch):
+                    runs[workers, batch] = coupled_sup_errors(cosine, spec, cfg, model, 1.0,
+                                                              n_paths)
+        serial = runs[1, 64]
+        assert serial["full"].min() > 0.0
+        for (workers, batch), sups in runs.items():
+            for key in serial:
+                assert np.array_equal(sups[key], serial[key]), (workers, batch, key)
+
+    def test_unstable_step_in_a_worker_reaches_the_caller(self, cosine, cosine_cell,
+                                                         monkeypatch):
+        """Every lane trips the lowered guard; no pool thread outlives the call."""
+        import threading
+
+        spec, cfg, model = self.threaded_case(cosine, cosine_cell)
+        monkeypatch.setattr(solver, "_workers", lambda: 3)
+        monkeypatch.setattr(solver, "PATH_BATCH", 2)
+        monkeypatch.setattr(solver, "OVERFLOW_GUARD", 1e-12)
+        before = threading.active_count()
+        with pytest.raises(UnstableStep, match="beyond guard"):
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_the_caller(self, cosine, cosine_cell, monkeypatch):
+        """Only the pool's threads fail: the calling thread's own lane runs clean."""
+        import threading
+
+        spec, cfg, model = self.threaded_case(cosine, cosine_cell)
+        advance = solver._ClassRun.advance
+
+        def advance_off_main(self, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise UnstableStep("raised in a worker")
+            return advance(self, *args)
+
+        monkeypatch.setattr(solver, "_workers", lambda: 3)
+        monkeypatch.setattr(solver._ClassRun, "advance", advance_off_main)
+        before = threading.active_count()
+        with pytest.raises(UnstableStep, match="raised in a worker"):
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
+        assert threading.active_count() == before
 
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
