@@ -6,9 +6,9 @@ which makes q_k = 1 reproduce cylindrical space-time white noise under
 the 1/(2*pi)-normalised inner product.  The limit coefficients built
 from these profiles live in ``limit``.
 
-Per-mode increments come from counter-based Philox streams keyed by
-(seed, path index), so parallel path generation is reproducible no
-matter how paths are scheduled.
+The path engine's standard normals come from counter-based Philox
+streams keyed by (seed, path index), so parallel path generation is
+reproducible no matter how paths are scheduled.
 """
 
 from __future__ import annotations
@@ -299,8 +299,8 @@ def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
     require_resolved(eps, m)
     scale = eps ** (-spec.alpha) if rescaled else 1.0
 
-    l_lo = int(np.floor((-spec.cutoff - m) / r))
-    l_hi = int(np.floor((spec.cutoff - m) / r))
+    l_lo = -((spec.cutoff + m) // r)  # ceil((-cutoff - m) / r)
+    l_hi = (spec.cutoff - m) // r
     if max_offset is not None:
         l_lo, l_hi = max(l_lo, -max_offset), min(l_hi, max_offset)
 
@@ -332,9 +332,10 @@ class WienerStream:
     """Counter-based Gaussian stream for one sample path.
 
     Philox keyed by (seed, path index): reproducible for any scheduling
-    of paths, since each path owns its stream.  Increments for step s and
-    mode k sit at a fixed position in the draw order, so stepwise and
-    chunked generation agree.
+    of paths, since each path owns its stream.  The engine reads it as
+    plain standard normals, step by step, each step's draws split across
+    the evolved classes in residue order; the normals fill rows in draw
+    order, so stepwise and chunked draws of the same width agree.
     """
 
     def __init__(self, seed: int, path_index: int = 0):
@@ -345,19 +346,6 @@ class WienerStream:
             dtype=np.uint64,
         )))
 
-    def increments(self, n_steps: int, k_cut: int, dt: float) -> np.ndarray:
-        """Complex increments, shape (n_steps, 2*k_cut + 1), index k + k_cut.
-
-        Mode 0 is real with variance dt; modes k > 0 have independent
-        real and imaginary parts of variance dt/2; mode -k is the
-        conjugate of mode k.
-        """
-        z = self._gen.standard_normal(size=(n_steps, 2 * k_cut + 1))
-        dw = np.empty((n_steps, 2 * k_cut + 1), dtype=complex)
-        flat = dw.view(float)  # (re, im) of mode k at columns 2 (k + k_cut) and one after
-        # modes k > 0 take draws 2k - 1 and 2k as (re, im): the draw order, interleaved
-        np.multiply(z[:, 1:], np.sqrt(dt / 2.0), out=flat[:, 2 * k_cut + 2 :])
-        np.multiply(z[:, 0], np.sqrt(dt), out=flat[:, 2 * k_cut])
-        flat[:, 2 * k_cut + 1] = 0.0
-        np.conjugate(dw[:, :k_cut:-1], out=dw[:, :k_cut])
-        return dw
+    def normals(self, n_steps: int, width: int) -> np.ndarray:
+        """The stream's next n_steps * width standard normals, shape (n_steps, width)."""
+        return self._gen.standard_normal(size=(n_steps, width))

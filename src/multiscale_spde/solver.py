@@ -4,11 +4,14 @@ du = L_eps u dt + sum_k q_k(x/eps) e_k dW_k on [0, 2*pi], u(0) = 0.
 
 In Fourier space both the generator and the noise couple wavenumbers
 only within a residue class modulo 1/eps, so the dynamics splits into
-independent dense blocks of size ~ N eps.  Each block steps by its
-exact matrix exponential with the noise propagated through it,
-x <- e^{A dt} (x + F w); the Monte Carlo engine advances that recursion
-several steps per product and carries the averaged limit as a
-difference coordinate.  Second moments follow the per-block Lyapunov
+independent dense blocks of size ~ N eps.  The Monte Carlo engine steps
+each block by its exact joint Gaussian transition, y <- P y + L z with
+P = e^{A dt} and L L^T = Q(dt), the Van Loan covariance of one step, on
+real coordinates; z are standard normals.  No step is an approximation,
+so dt only sets the time grid a path is recorded on.  The averaged limit
+rides along as a difference coordinate, the engine advances several
+steps per product, and only residues 0 .. r/2 are evolved: the others
+are their conjugates.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
@@ -52,9 +55,12 @@ __all__ = [
 OVERFLOW_GUARD = 1e12
 COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
-DEFAULT_DT_FACTOR = 1e-3  # dt = factor * min(1, 16 eps^2) resolves the eps^2 layer
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
-CHUNK_STEPS = 256  # steps of Wiener increments drawn per path at a time
+CHUNK_NORMALS = 2048  # normals per path and class drawn at a time: sets the chunk in steps
+Q_RANK_CLIP = 1e-14  # eigenvalues of Q(dt) below this fraction of the largest are dropped
+Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the largest
+# (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
+DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
 PATH_BATCH = 64  # most paths per engine run in coupled_sup_errors; no path's values depend on it
 
@@ -82,7 +88,8 @@ class SolverConfig:
 
 
 def default_dt(eps: float) -> float:
-    return DEFAULT_DT_FACTOR * min(1.0, 16.0 * eps * eps)
+    """The time grid the Monte Carlo sup is taken on; the engine's steps are exact at any dt."""
+    return min(1e-3, 0.5 * eps * eps)
 
 
 def suggest_modes(c: Coefficients, eps: float, cutoff: int) -> int:
@@ -202,6 +209,23 @@ def _watch_lookup(op: BlockOperator, watch) -> list:
     return out
 
 
+def _evolved_lookup(op: BlockOperator, watch) -> list:
+    """(m, residue, row, conj) of each watched mode in a class the engine evolves.
+
+    The engine evolves residues 0 .. r/2 only.  A mode whose residue lies
+    above r/2 is read as the conjugate of -m, at the mirrored row of
+    class r - residue (build_blocks keeps every class the mirror of its
+    conjugate class).
+    """
+    out = []
+    for m, res, row in _watch_lookup(op, watch):
+        if 2 * res > op.cells:
+            out.append((m, op.cells - res, op.blocks[res].ks.size - 1 - row, True))
+        else:
+            out.append((m, res, row, False))
+    return out
+
+
 def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched mode") -> None:
     """Raise ValueError unless every watched mode is driven (|m| <= cutoff)."""
     worst = max(abs(m) for m in watch)
@@ -210,47 +234,125 @@ def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched 
                          f"the noise cutoff {cutoff} is below {name} {worst}")
 
 
-def _recursion(blk: ClassBlock, config: SolverConfig, limits) -> tuple:
-    """P = e^{A dt} and G = P F of one class's step x_{k+1} = P x_k + G w_k.
+def _transition(blk: ClassBlock, dt: float, limits) -> tuple:
+    """P = e^{A~ dt} and Q(dt) of one class's state [x; delta], both exact.
 
-    P = V diag(e^{lam dt}) V^-1 on the class's eigenbasis; w_k are the
-    class's driven increments and F its noise map.  Each
-    (row, col, decay, coeff) in limits appends the coordinate
-    delta = x_row - l, where the limit mode l <- decay (l + coeff w_col)
-    consumes the same increment.  Its rows are formed entrywise, so on a
-    flat cell, where x_row follows the same update, they are exactly zero.
+    x is the class's block of u_eps, dx = A x dt + F dW with E dW dW* = dt I.
+    Each (row, col, rate, coeff) in limits appends the coordinate
+    delta = x_row - l of a limit mode dl = -rate l dt + coeff dW_col, driven
+    by the same increment.  In [x; l] the generator is block-diagonal, so
+    on the class's eigenbasis (cell.eigenbasis), V_ext = blockdiag(V, I),
+    Q(dt) = int_0^dt e^{A~ s} G~ G~* e^{A~* s} ds is the Van Loan integral
+    V_ext [(H H*) o (e^{(lam_i + conj lam_j) dt} - 1) / (lam_i + conj lam_j)] V_ext*
+    with H = V_ext^-1 G~; delta is then substituted in its rows and
+    columns.  The coupled generator is never diagonalised: its slow
+    eigenvalue and the limit's rate merge as eps -> 0.  P's delta rows
+    are formed entrywise, so on a flat cell, where x_row follows l, they
+    are exactly zero off the diagonal.  delta's variance in Q is a
+    difference of O(|x_row|^2) terms; where it is within
+    DELTA_CANCEL_TOL of them it holds rounding only (a flat cell whose mu
+    and sigma^2 / 2 differ in the last bits), and delta's row and column
+    of Q are set to exactly zero.
     """
     lam, vecs = eigenbasis(blk.matrix, f"class {blk.residue}")
-    p = (vecs * np.exp(lam * config.dt)) @ np.linalg.inv(vecs)
-    g = p @ blk.noise_map
+    inv = np.linalg.inv(vecs)
+    p = (vecs * np.exp(lam * dt)) @ inv
     n, q = p.shape[0], len(limits)
+    v_ext = np.eye(n + q, dtype=complex)
+    v_ext[:n, :n] = vecs
+    h = np.zeros((n + q, blk.driven.size), dtype=complex)
+    h[:n] = inv @ blk.noise_map
+    lam_ext = np.concatenate([lam, [-rate for _, _, rate, _ in limits]])
+    for i, (_, col, _, coeff) in enumerate(limits):
+        h[n + i, col] = coeff
+    z = lam_ext[:, None] + lam_ext.conj()[None, :]
+    still = z == 0  # the Brownian mode 0: the integral is dt
+    phi = np.where(still, dt, np.expm1(z * dt) / np.where(still, 1.0, z))
+    cov = v_ext @ ((h @ h.conj().T) * phi) @ v_ext.conj().T
+
     p_ext = np.zeros((n + q, n + q), dtype=complex)
-    g_ext = np.zeros((n + q, g.shape[1]), dtype=complex)
     p_ext[:n, :n] = p
-    g_ext[:n] = g
-    for i, (row, col, decay, coeff) in enumerate(limits):
+    terms = cov.diagonal().real.copy()
+    for i, (row, _, rate, _) in enumerate(limits):
+        decay = np.exp(-rate * dt)
         p_ext[n + i, :n] = p[row]
         p_ext[n + i, row] -= decay
         p_ext[n + i, n + i] = decay
-        g_ext[n + i] = g[row]
-        g_ext[n + i, col] -= decay * coeff
-    return p_ext, g_ext
+        cov[n + i] = cov[row] - cov[n + i]
+    for i, (row, *_) in enumerate(limits):
+        cov[:, n + i] = cov[:, row] - cov[:, n + i]
+        if abs(cov[n + i, n + i]) <= DELTA_CANCEL_TOL * (terms[row] + terms[n + i]):
+            cov[n + i] = cov[:, n + i] = 0.0
+    return p_ext, cov
 
 
-def _block_map(p: np.ndarray, g: np.ndarray, rows, length: int) -> np.ndarray:
+def _real_form(p: np.ndarray, cov: np.ndarray, partner: np.ndarray) -> tuple:
+    """P and Q(dt) of a conjugate-symmetric state X on real coordinates y.
+
+    partner[i] is the coordinate with X_partner = conj X_i (i itself for
+    a real one).  y holds Re X_i for every i <= partner[i], then Im X_i for
+    every i < partner[i], so X = U y with X_i = y[cos_i] + 1j sgn_i y[sin_i]
+    (sgn_i = 1, -1 for the two of a pair, 0 for a real X_i) and
+    y = U^-1 X, P_y = U^-1 P U and Q_y = U^-1 Q U^-*, real to rounding.
+    Returns (P_y, Q_y, (cos, sin, sgn)).
+    """
+    k = partner.size
+    idx = np.arange(k)
+    first = idx <= partner
+    cos = np.empty(k, dtype=int)
+    cos[first] = np.arange(first.sum())
+    cos[~first] = cos[partner[~first]]
+    paired = idx < partner
+    sin = cos.copy()
+    sin[paired] = first.sum() + np.arange(paired.sum())
+    sin[partner[paired]] = sin[paired]
+    sgn = np.where(paired, 1, np.where(idx == partner, 0, -1))
+    u = np.zeros((k, k), dtype=complex)
+    u_inv = np.zeros((k, k), dtype=complex)
+    u[idx, cos] = 1.0
+    u[idx, sin] += 1j * sgn
+    u_inv[cos, idx] = np.where(sgn == 0, 1.0, 0.5)
+    u_inv[sin, idx] += -0.5j * sgn
+    p_y = (u_inv @ p @ u).real
+    q_y = (u_inv @ cov @ u_inv.conj().T).real
+    return p_y, 0.5 * (q_y + q_y.T), (cos, sin, sgn)
+
+
+def _factor(q: np.ndarray, name: str) -> np.ndarray:
+    """L with L L^T = Q(dt), from the eigen-square-root of the PSD matrix Q.
+
+    Raises SolveFailed, naming the class, when an eigenvalue lies below
+    -Q_PSD_TOL times the largest.  Eigenvalues below Q_RANK_CLIP times the
+    largest are dropped, so L has one column per kept eigenvalue.  A
+    coordinate whose variance Q_ii is exactly zero is left out of the
+    eigen-problem and gets an exactly zero row of L.
+    """
+    live = np.diag(q) != 0.0
+    w, vecs = np.linalg.eigh(q[np.ix_(live, live)])
+    top = w.max(initial=0.0)
+    if w.min(initial=0.0) < -Q_PSD_TOL * top:
+        raise SolveFailed(f"{name}: transition covariance eigenvalue {w.min():.3e} "
+                          f"below -{Q_PSD_TOL:g} x {top:.3e}")
+    keep = w > Q_RANK_CLIP * top
+    out = np.zeros((q.shape[0], int(keep.sum())))
+    out[live] = vecs[:, keep] * np.sqrt(w[keep])
+    return out
+
+
+def _block_map(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
     """One product advancing `length` steps and observing `rows` after each.
 
-    Applied to [x_0; w_0; ...; w_{L-1}], its first L*o rows are C x_i,
-    i = 1..L (C P^i and the Toeplitz blocks C P^(i-1-j) G, j < i), and its
-    last n rows are x_L (P^L and P^(L-1-j) G).
+    Applied to [y_0; z_0; ...; z_{L-1}], its first L*o rows are C y_i,
+    i = 1..L (C P^i and the Toeplitz blocks C P^(i-1-j) L, j < i), and its
+    last n rows are y_L (P^L and P^(L-1-j) L).
     """
-    n, d = g.shape
+    n, d = l.shape
     o = len(rows)
     powers = [np.eye(n), p]
     for _ in range(length - 1):
         powers.append(p @ powers[-1])
-    kicks = [g] + [pw @ g for pw in powers[1:length]]  # P^k G
-    out = np.zeros((length * o + n, n + length * d), dtype=complex)
+    kicks = [l] + [pw @ l for pw in powers[1:length]]  # P^k L
+    out = np.zeros((length * o + n, n + length * d))
     for i in range(1, length + 1):
         out[(i - 1) * o : i * o, :n] = powers[i][rows]
         for j in range(i):
@@ -261,44 +363,94 @@ def _block_map(p: np.ndarray, g: np.ndarray, rows, length: int) -> np.ndarray:
     return out
 
 
-def _block_lengths(n_steps: int, length: int) -> set:
-    """Every block length _ClassRun.advance uses over n_steps in chunks of CHUNK_STEPS."""
+def _block_lengths(n_steps: int, length: int, chunk: int) -> set:
+    """Every block length _ClassRun.advance uses over n_steps in chunks of `chunk` steps."""
     out = set()
-    for m in {min(CHUNK_STEPS, n_steps), n_steps % CHUNK_STEPS} - {0}:
+    for m in {min(chunk, n_steps), n_steps % chunk} - {0}:
         out |= {min(length, m), m % length} - {0}
     return out
 
 
 class _ClassPlan:
-    """One class's step maps, built once per run and shared read-only by every batch.
+    """One class's exact transition on real coordinates, built once per run.
 
-    B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n carried
-    coordinates, o observed rows and d driven columns minimises the
+    The state is [x; delta] (_transition).  A self-conjugate class
+    (2 residue = 0 mod r) is carried in the cos/sin coordinates of its
+    conjugate pairs k <-> -k, so mode 0 is real and x_-k = conj x_k by
+    construction; any other class is carried as [Re x; Im x], and its
+    conjugate class is its mirror (_real_form on the pair of them).  The
+    step is y <- P y + L z with z the class's own standard normals, L from
+    _factor.  observe lists the complex coordinates to read after every
+    step (None: all of them); rows are the real coordinates that holds.
+
+    B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n real
+    coordinates, o observed rows and d normals per step minimises the
     multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
     stepping.  maps holds the _block_map of every block length the run
-    takes: B, and the remainders of the chunks.
+    takes once set_chunk has fixed the chunk.
     """
 
-    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, rows, limits):
+    def __init__(self, op: BlockOperator, res: int, dt: float, observe, limits):
         blk = op.blocks[res]
-        p, g = _recursion(blk, config, limits)
-        (n, d), rows = g.shape, list(rows)
-        o = len(rows)
-        self.n, self.d, self.o = n, d, o
-        self.length = (MAX_BLOCK_STEPS if o * d == 0 else
-                       int(np.clip(round(n / np.sqrt(o * d)), 1, MAX_BLOCK_STEPS)))
-        self.maps = {length: _block_map(p, g, rows, length)
-                     for length in _block_lengths(config.n_steps, self.length)}
-        cols = blk.driven + op.cutoff  # an arithmetic progression with step 1/eps
-        self.cols = slice(cols[0], cols[-1] + 1, op.cells) if d else slice(0, 0)
+        p, cov = _transition(blk, dt, limits)
+        k, n_x = p.shape[0], blk.ks.size
+        if (2 * res) % op.cells == 0:
+            mirror = {row: n_x + i for i, (row, *_) in enumerate(limits)}
+            partner = np.array([n_x - 1 - i for i in range(n_x)]
+                               + [mirror[n_x - 1 - row] for row, *_ in limits])
+        else:
+            zero = np.zeros((k, k))
+            p, cov = np.block([[p, zero], [zero, p.conj()]]), np.block([[cov, zero],
+                                                                        [zero, cov.conj()]])
+            partner = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
+        self.p, q, (cos, sin, sgn) = _real_form(p, cov, partner)
+        self.l = _factor(q, f"class {res}")
+        self.n, self.d = self.l.shape
+        observe = range(k) if observe is None else observe
+        self.coords = (cos[:k], sin[:k], sgn[:k])  # X_i = y[cos_i] + 1j sgn_i y[sin_i]
+        self.rows = sorted({int(j) for i in observe for j in (cos[i], sin[i])})
+        where = {j: a for a, j in enumerate(self.rows)}
+        # complex coordinate i of X is obs[..., c] + 1j sgn obs[..., s], (c, s, sgn) = read[i]
+        self.read = {i: (where[cos[i]], where[sin[i]], int(sgn[i])) for i in observe}
+        # |X|^2 summed over the class and its conjugate class, per observed row
+        real = set(cos[sgn == 0].tolist())
+        self.weight = np.array([1.0 if j in real else 2.0 for j in self.rows])
+        self.o = len(self.rows)
+        self.length = (MAX_BLOCK_STEPS if self.o * self.d == 0 else
+                       int(np.clip(round(self.n / np.sqrt(self.o * self.d)), 1,
+                                   MAX_BLOCK_STEPS)))
+        self.chunk, self.maps = 0, {}
+
+    def set_chunk(self, chunk: int, n_steps: int) -> None:
+        self.chunk = chunk
+        self.maps = {length: _block_map(self.p, self.l, self.rows, length)
+                     for length in _block_lengths(n_steps, self.length, chunk)}
+
+    def value(self, obs: np.ndarray, i: int) -> np.ndarray:
+        """Complex coordinate i from the observed rows (last axis of obs)."""
+        c, s, sgn = self.read[i]
+        return obs[..., c] + 1j * sgn * obs[..., s] if sgn else obs[..., c] + 0j
+
+    def power(self, obs: np.ndarray, i: int) -> np.ndarray:
+        """|X_i|^2 from the observed rows."""
+        c, s, sgn = self.read[i]
+        return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
 
 
 def _class_plans(op: BlockOperator, config: SolverConfig, observe: dict,
                  limits: dict | None = None) -> dict:
-    """residue -> _ClassPlan of each class in observe, limits[residue] appended."""
+    """residue -> _ClassPlan of each class in observe, limits[residue] appended.
+
+    The chunk, in steps, is CHUNK_NORMALS over the largest class's normals
+    per step, so every class's buffer stays within that budget.
+    """
     limits = limits or {}
-    return {res: _ClassPlan(op, res, config, rows, limits.get(res, ()))
-            for res, rows in sorted(observe.items())}
+    plans = {res: _ClassPlan(op, res, config.dt, rows, limits.get(res, ()))
+             for res, rows in sorted(observe.items())}
+    chunk = max(1, CHUNK_NORMALS // max([plan.d for plan in plans.values()] + [1]))
+    for plan in plans.values():
+        plan.set_chunk(chunk, config.n_steps)
+    return plans
 
 
 class _ClassRun:
@@ -307,17 +459,17 @@ class _ClassRun:
     def __init__(self, plan: _ClassPlan, n_paths: int):
         self.plan = plan
         n, d, o = plan.n, plan.d, plan.o
-        # [state slot | the chunk's increments]: the block from step s reads
-        # x_s at s*d, over increments already consumed, then w_s, w_s+1, ...
-        self.buf = np.zeros((n_paths, n + CHUNK_STEPS * d), dtype=complex)
-        self.out = np.empty((n_paths, plan.length * o + n, 1), dtype=complex)
-        self.obs = np.empty((n_paths, CHUNK_STEPS, o), dtype=complex)
+        # [state slot | the chunk's normals]: the block from step s reads
+        # y_s at s*d, over normals already consumed, then z_s, z_s+1, ...
+        self.buf = np.zeros((n_paths, n + plan.chunk * d))
+        self.out = np.empty((n_paths, plan.length * o + n, 1))
+        self.obs = np.empty((n_paths, plan.chunk, o))
         self.peak = np.empty((n_paths, n))
 
-    def load(self, path: int, dw: np.ndarray) -> None:
-        """Copy one path's increments for the coming chunk (dw: steps x all modes)."""
-        m, n, d = dw.shape[0], self.plan.n, self.plan.d
-        self.buf[path, n : n + m * d].reshape(m, d)[...] = dw[:, self.plan.cols]
+    def load(self, path: int, z: np.ndarray) -> None:
+        """Copy one path's normals for the coming chunk (z: steps x the class's normals)."""
+        m, n, d = z.shape[0], self.plan.n, self.plan.d
+        self.buf[path, n : n + m * d].reshape(m, d)[...] = z
 
     def advance(self, first: int, m: int, dt: float) -> np.ndarray:
         """Run the m loaded steps; return the observed rows after each."""
@@ -339,33 +491,36 @@ class _ClassRun:
         return self.obs[:, :m]
 
 
-def _engine(op: BlockOperator, plans: dict, config: SolverConfig, path_indices):
+def _engine(plans: dict, config: SolverConfig, path_indices):
     """Advance the planned classes from u = 0 for one batch of paths; yield their observed rows.
 
-    plans (from _class_plans) maps residue -> the class's shared step maps
-    and the rows to record after every step, where row n + i (n the class
-    size) is the difference coordinate of its i-th limit term (see
-    _recursion).  Yields (first step, count, obs) once per chunk of
-    `count` steps of increments, obs[residue] of shape (paths, count,
-    rows); the buffers are the batch's own and reused, so consume them
-    before the next iteration.  Raises UnstableStep when the carried
-    state at a block boundary is non-finite or beyond OVERFLOW_GUARD.
+    plans (from _class_plans) maps residue -> the class's shared
+    transition and the real rows to record after every step.  Each path
+    draws, per chunk, one block of standard normals from its own
+    WienerStream: per step, the normals of every planned class in residue
+    order.  Yields (first step, count, obs) once per chunk of `count`
+    steps, obs[residue] of shape (paths, count, rows); the buffers are the
+    batch's own and reused, so consume them before the next iteration.
+    Raises UnstableStep when a carried coordinate at a block boundary is
+    non-finite or beyond OVERFLOW_GUARD.
 
     Every product runs per path (np.matmul with paths as the batch axis),
     so within one NumPy/BLAS build a path's values depend on (seed, path
-    index) and the config, not on which other paths share its batch, in
-    what order batches run, or on which thread or core.  Batches share
-    nothing writable, so coupled_sup_errors runs them on one thread per
-    usable CPU.
+    index), the config and the set of planned classes, not on which other
+    paths share its batch, in what order batches run, or on which thread
+    or core.  Batches share nothing writable, so coupled_sup_errors runs
+    them on one thread per usable CPU.
     """
     streams = [WienerStream(config.seed, p) for p in path_indices]
     runs = {res: _ClassRun(plan, len(streams)) for res, plan in plans.items()}
-    for first in range(0, config.n_steps, CHUNK_STEPS):
-        m = min(CHUNK_STEPS, config.n_steps - first)
+    bounds = np.cumsum([0] + [plan.d for plan in plans.values()])
+    chunk = min([plan.chunk for plan in plans.values()] + [config.n_steps])
+    for first in range(0, config.n_steps, chunk):
+        m = min(chunk, config.n_steps - first)
         for pi, stream in enumerate(streams):
-            dw = stream.increments(m, op.cutoff, config.dt)
-            for run in runs.values():
-                run.load(pi, dw)
+            z = stream.normals(m, int(bounds[-1]))
+            for run, a, b in zip(runs.values(), bounds[:-1], bounds[1:]):
+                run.load(pi, z[:, a:b])
         yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
 
 
@@ -380,19 +535,31 @@ def _workers() -> int:
 def _class_rows(lookup) -> dict:
     """residue -> block rows of its watched modes, in watch order."""
     rows = {}
-    for _, res, row in lookup:
+    for _, res, row, *_ in lookup:
         rows.setdefault(res, []).append(row)
     return rows
 
 
-def _limit_terms(op: BlockOperator, config: SolverConfig, model: LimitModel,
-                 lookup) -> dict:
-    """residue -> (row, driven column, decay, coeff) of each watched limit mode."""
+def _limit_terms(op: BlockOperator, model: LimitModel, lookup) -> dict:
+    """residue -> (row, driven column, rate, coeff) of each limit mode, by row.
+
+    A self-conjugate class carries the mirror row of each watched row
+    too, so its state stays conjugate-symmetric.  Sorting by row makes
+    the layout depend on the set of evolved rows alone, not on the order
+    or the sign of the watched modes.
+    """
+    rows = {}
+    for _, res, row, _ in lookup:
+        mirror = op.blocks[res].ks.size - 1 - row
+        rows.setdefault(res, set()).update({row, mirror} if (2 * res) % op.cells == 0
+                                           else {row})
     terms = {}
-    for m, res, row in lookup:
-        col = int(np.searchsorted(op.blocks[res].driven, m))
-        decay = np.exp(-model.mu * m * m * config.dt)
-        terms.setdefault(res, []).append((row, col, decay, model.coeff(m)))
+    for res, chosen in sorted(rows.items()):
+        blk = op.blocks[res]
+        for row in sorted(chosen):
+            m = int(blk.ks[row])
+            col = int(np.searchsorted(blk.driven, m))
+            terms.setdefault(res, []).append((row, col, model.mu * m * m, model.coeff(m)))
     return terms
 
 
@@ -400,27 +567,29 @@ def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                   path_index: int = 0) -> PathOutput:
     """One sample path of the multiscale equation from u = 0.
 
-    Every class is evolved, so OVERFLOW_GUARD sees the whole state; only
-    watched rows are observed unless track_norm asks for |u|^2, which
-    observes every row of every class.
+    Every class with residue 0 .. r/2 is evolved by its exact transition,
+    so OVERFLOW_GUARD sees the whole state; the classes above r/2 are
+    their conjugates, so the field is real by construction.  Only watched
+    rows are observed unless track_norm asks for |u|^2, which observes
+    every coordinate and counts each paired class twice, once for its
+    conjugate.
     """
     op = build_blocks(c, spec, config)
-    lookup = _watch_lookup(op, config.watch)
-    if config.track_norm:
-        observe = {res: list(range(blk.ks.size)) for res, blk in op.blocks.items()}
-    else:
-        observe = {res: [] for res in op.blocks} | _class_rows(lookup)
-    where = {m: (res, observe[res].index(row)) for m, res, row in lookup}
+    lookup = _evolved_lookup(op, config.watch)
+    evolved = range(op.cells // 2 + 1)
+    observe = ({res: None for res in evolved} if config.track_norm else
+               {res: [] for res in evolved} | _class_rows(lookup))
+    plans = _class_plans(op, config, observe)
     n_rec = config.n_steps + 1
-    trajs = {m: np.zeros(n_rec, dtype=complex) for m in where}
+    trajs = {m: np.zeros(n_rec, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_rec) if config.track_norm else None
-    for first, count, obs in _engine(op, _class_plans(op, config, observe), config,
-                                     [path_index]):
+    for first, count, obs in _engine(plans, config, [path_index]):
         slots = slice(first + 1, first + 1 + count)
-        for m, (res, k) in where.items():
-            trajs[m][slots] = obs[res][0, :, k]
+        for m, res, row, conj in lookup:
+            value = plans[res].value(obs[res][0], row)
+            trajs[m][slots] = value.conj() if conj else value
         if norm2 is not None:
-            norm2[slots] = sum(np.sum(np.abs(x[0]) ** 2, axis=1) for x in obs.values())
+            norm2[slots] = sum(obs[res][0] ** 2 @ plan.weight for res, plan in plans.items())
     return PathOutput(times=np.arange(n_rec) * config.dt, modes=trajs, norm_squared=norm2)
 
 
@@ -428,21 +597,24 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                        model: LimitModel, s: float, n_paths: int) -> dict:
     """Per-path sup_t sum_m (1+m^2)^-s |<u_eps - u, e_m>|^2, coupled noise.
 
-    u is the averaged limit advanced by exponential Euler,
-    u_m <- exp(-mu m^2 dt) (u_m + c_m dW_m), consuming exactly the dW_m
-    that u_eps consumes, so the difference measures the homogenisation
-    error rather than a mismatch between schemes.  The engine carries
-    u_eps - u of each watched mode as a difference coordinate; only the
-    residue classes of watched modes are evolved, since the others never
-    feed them.  Returns path arrays under "full", and under "half_modes"
-    and "coarse_grid" the same statistic with the mode sum cut at half the
-    watch range and with the time grid thinned by two, so the proxy's
-    truncation effects can be reported.
+    u is the averaged limit, each mode the OU process
+    du_m = -mu m^2 u_m dt + c_m dW_m driven by exactly the dW_m that u_eps
+    consumes, so the difference measures the homogenisation error rather
+    than a mismatch between schemes.  The engine carries u_eps - u of each
+    watched mode as a difference coordinate and steps the pair by their
+    exact joint Gaussian transition, so dt only sets the time grid the sup
+    is taken on.  Only the classes of watched modes are evolved, since the
+    others never feed them; a mode whose residue lies above r/2 is read
+    from its conjugate -m, with |delta_-m| = |delta_m|.  Returns path
+    arrays under "full", and under "half_modes" and "coarse_grid" the same
+    statistic with the mode sum cut at half the watch range and with the
+    time grid thinned by two, so the proxy's truncation effects can be
+    reported.
 
     The paths run in batches of min(PATH_BATCH, ceil(n_paths / workers)),
     one thread per usable CPU (_workers): the calling thread runs one
     lane of batches and a pool opened for this call runs the others; on
-    one CPU no thread is started.  The classes' step maps are built once
+    one CPU no thread is started.  The classes' transitions are built once
     here and shared, and each batch owns its buffers.  Philox draws and
     the products release the GIL.  Path p's values depend on neither the
     batch size nor the thread count, so within one NumPy/BLAS build the
@@ -452,14 +624,15 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     """
     require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
-    lookup = _watch_lookup(op, config.watch)
-    rows = _class_rows(lookup)
+    lookup = _evolved_lookup(op, config.watch)
+    limits = _limit_terms(op, model, lookup)
     # the difference coordinates follow the class's own rows in its state
-    observe = {res: [op.blocks[res].ks.size + i for i in range(len(r))]
-               for res, r in rows.items()}
-    plans = _class_plans(op, config, observe, _limit_terms(op, config, model, lookup))
-    # (m, weight, residue, column of its difference in obs)
-    terms = [(m, (1.0 + m * m) ** (-s), res, rows[res].index(row)) for m, res, row in lookup]
+    delta = {res: {row: op.blocks[res].ks.size + i for i, (row, *_) in enumerate(terms)}
+             for res, terms in limits.items()}
+    observe = {res: sorted(d.values()) for res, d in delta.items()}
+    plans = _class_plans(op, config, observe, limits)
+    # (m, weight, residue, difference coordinate)
+    terms = [(m, (1.0 + m * m) ** (-s), res, delta[res][row]) for m, res, row, _ in lookup]
     half_cut = max(abs(m) for m in config.watch) // 2
 
     keys = ("full", "half_modes", "coarse_grid")
@@ -467,10 +640,10 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
 
     def run_batch(idx: range) -> None:
         running = {key: sups[key][idx.start : idx.stop] for key in keys}
-        for first, count, obs in _engine(op, plans, config, idx):
+        for first, count, obs in _engine(plans, config, idx):
             current, current_half = np.zeros((len(idx), count)), np.zeros((len(idx), count))
-            for m, weight, res, k in terms:
-                term = weight * np.abs(obs[res][:, :, k]) ** 2
+            for m, weight, res, i in terms:
+                term = weight * plans[res].power(obs[res], i)
                 current += term
                 if abs(m) <= half_cut:
                     current_half += term

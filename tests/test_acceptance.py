@@ -21,9 +21,11 @@ from multiscale_spde.experiments import (
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
 from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_step_params, ou_variance
 from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series
+from multiscale_spde import solver
 from multiscale_spde.solver import (
     SolverConfig,
     apply_generator,
+    build_blocks,
     simulate_path,
     suggest_modes,
 )
@@ -264,6 +266,9 @@ def test_criterion8c_density_norm_dichotomy(heat, cosine_cell):
 
 
 def test_criterion8d_block_vs_dense_pathwise(cosine):
+    """The dense propagator expm(dense dt), built from apply_generator, applied to the
+    engine's own kicks U L z reproduces simulate_path; and the dense Van Loan Q, built
+    from the independently oscillated noise columns, is each class's U L L^T U*."""
     eps, n, cutoff, dt, seed = 0.25, 64, 8, 1e-3, 21
     spec = NoiseSpec.white(cutoff)
     cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=0.5, watch=(1, 2, 3), seed=seed)
@@ -277,15 +282,45 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     cols = np.zeros((n, 2 * cutoff + 1), dtype=complex)
     for k in range(-cutoff, cutoff + 1):
         cols[:, k + cutoff] = oscillate(spec.profile(k), eps, k, n).coeffs
-    dw = WienerStream(seed, 0).increments(cfg.n_steps, cutoff, dt)
+    big = np.block([[dense, cols @ cols.conj().T], [np.zeros((n, n)), -dense.conj().T]])
+    vl = sla.expm(big * dt)
+    q_dense = vl[:n, n:] @ vl[:n, :n].conj().T
+
+    # the engine's classes (residues 0 .. r/2) and their maps X = U y on the dense band
+    op = build_blocks(cosine, spec, cfg)
+    observe = {res: [] for res in range(op.cells // 2 + 1)}
+    plans = solver._class_plans(op, cfg, observe)
+    maps, q_blocks = [], np.zeros((n, n), dtype=complex)
+    for res, plan in plans.items():
+        ks = op.blocks[res].ks
+        u = np.zeros((ks.size, plan.n), dtype=complex)
+        cos, sin, sgn = plan.coords
+        u[np.arange(ks.size), cos] += 1.0
+        u[np.arange(ks.size), sin] += 1j * sgn
+        q_class = u @ plan.l @ plan.l.T @ u.conj().T
+        q_blocks[np.ix_(ks + n // 2, ks + n // 2)] = q_class
+        mirror = (2 * res) % op.cells != 0  # the conjugate class: X_-k = conj X_k
+        if mirror:
+            q_blocks[np.ix_(n // 2 - ks, n // 2 - ks)] = q_class.conj()
+        maps.append((plan, ks, u, mirror))
+    q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
+
+    z = WienerStream(seed, 0).normals(cfg.n_steps, sum(plan.d for plan, *_ in maps))
     x = np.zeros(n, dtype=complex)
     worst = 0.0
     for i in range(cfg.n_steps):
-        x = prop @ (x + cols @ dw[i])
+        kick, a = np.zeros(n, dtype=complex), 0
+        for plan, ks, u, mirror in maps:
+            kick[ks + n // 2] = u @ (plan.l @ z[i, a : a + plan.d])
+            if mirror:
+                kick[n // 2 - ks] = kick[ks + n // 2].conj()
+            a += plan.d
+        x = prop @ x + kick
         worst = max(worst, max(abs(x[m + n // 2] - out.mode(m)[i + 1])
                                for m in (1, 2, 3)))
-    check("8d block vs dense pathwise", worst <= 1e-8,
-          f"max pathwise gap = {worst:.2e} (tol 1e-8, N = 64)")
+    check("8d block vs dense pathwise", worst <= 1e-8 and q_gap <= 1e-12,
+          f"max pathwise gap = {worst:.2e} (tol 1e-8, N = 64), "
+          f"Q(dt) gap = {q_gap:.2e} (tol 1e-12 relative)")
 
 
 def test_criterion8e_parseval():

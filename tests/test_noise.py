@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
@@ -28,6 +29,7 @@ from multiscale_spde.noise import (
     coupling_series,
     tent_mollifier,
 )
+from multiscale_spde.solver import SolverConfig, build_blocks, suggest_modes
 
 I0_2 = iv(0, 2.0)
 I0_4 = iv(0, 4.0)
@@ -266,6 +268,21 @@ class TestCouplingSeries:
             gaps.append(abs(series.total - target))
         assert gaps[2] < gaps[1] < gaps[0]
 
+    @pytest.mark.parametrize("eps, m, cutoff", [(0.125, 1, 64), (0.125, -3, 64), (0.25, 0, 30),
+                                                (0.25, 1, 9), (0.0625, 7, 40)])
+    def test_offsets_are_the_driven_wavenumbers_of_the_class(self, cosine, eps, m, cutoff):
+        """With no max_offset, m + l / eps runs over exactly what build_blocks drives.
+
+        (0.125, 1, 64) is the case the floor bound got wrong: it added l = -9, k = -71.
+        """
+        flat = SpectralField.constant(1.0)
+        series = coupling_series(NoiseSpec.white(cutoff), flat, eps, m)
+        r = int(round(1.0 / eps))
+        cfg = SolverConfig(eps=eps, n_modes=suggest_modes(cosine, eps, cutoff), dt=1e-3,
+                           t_final=1.0, watch=(1,), seed=0)
+        driven = build_blocks(cosine, NoiseSpec.white(cutoff), cfg).block_of(m).driven
+        assert sorted(m + l * r for l in series.lambdas) == driven.tolist()
+
     def test_truncation_guard(self, cosine_cell):
         with pytest.raises(TruncationTooSmall):
             coupling_series(NoiseSpec.white(8), cosine_cell.rho, 0.25, 1, max_offset=2)
@@ -281,51 +298,28 @@ class TestCouplingSeries:
                 coupling_series(NoiseSpec.white(32), cosine_cell.rho, eps, m)
 
 
-def assembled_increments(gen, n_steps, k_cut, dt):
-    """The complex assembly that the in-place increments replaced."""
-    z = gen.normal(size=(n_steps, 2 * k_cut + 1))
-    dw = np.empty((n_steps, 2 * k_cut + 1), dtype=complex)
-    dw[:, k_cut] = np.sqrt(dt) * z[:, 0]
-    if k_cut > 0:
-        a = z[:, 1 : 2 * k_cut : 2]
-        b = z[:, 2 : 2 * k_cut + 1 : 2]
-        pos = np.sqrt(dt / 2.0) * (a + 1j * b)
-        dw[:, k_cut + 1 :] = pos
-        dw[:, :k_cut] = np.conj(pos[:, ::-1])
-    return dw
-
-
 class TestWienerSampling:
-    @pytest.mark.parametrize("k_cut", [0, 1, 32, 64, 128])
-    def test_in_place_assembly_is_bitwise_the_complex_formula(self, k_cut):
-        stream, oracle = WienerStream(5, 3), WienerStream(5, 3)
+    def test_normals_are_the_philox_stream_in_draw_order(self):
+        stream = WienerStream(5, 3)
+        oracle = Generator(Philox(key=np.array([5, 3], dtype=np.uint64)))
         for _ in range(2):  # the second call checks the stream position too
-            got = stream.increments(256, k_cut, 0.003)
-            want = assembled_increments(oracle._gen, 256, k_cut, 0.003)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(stream.normals(64, 7), oracle.standard_normal((64, 7)))
 
-    def test_conjugate_symmetry_is_exact(self):
-        row = WienerStream(11, 0).increments(1, 5, 0.01)[0]
-        for k in range(0, 6):
-            assert row[5 - k] == np.conj(row[5 + k])
-
-    def test_determinism_across_batching(self):
-        a = WienerStream(3, 7).increments(64, 4, 0.5)
+    def test_chunked_draws_agree_with_one_draw(self):
+        whole = WienerStream(3, 7).normals(64, 5)
         stream = WienerStream(3, 7)
-        b = np.vstack([stream.increments(16, 4, 0.5) for _ in range(4)])
-        assert np.array_equal(a, b)
+        chunks = np.vstack([stream.normals(n, 5) for n in (1, 15, 32, 16)])
+        assert np.array_equal(whole, chunks)
+
+    def test_paths_and_seeds_own_their_streams(self):
+        draws = [WienerStream(seed, path).normals(4, 4) for seed, path in
+                 ((1, 0), (1, 1), (2, 0))]
+        for a in range(3):
+            for b in range(a + 1, 3):
+                assert not np.any(draws[a] == draws[b])
 
     def test_moments(self):
-        n = 100_000
-        dt = 0.2
-        dw = WienerStream(123, 0).increments(n, 4, dt)
-        mode3 = dw[:, 4 + 3]
-        se_mean = np.sqrt(dt / n)
-        assert abs(mode3.real.mean()) <= 4 * se_mean
-        assert abs(mode3.imag.mean()) <= 4 * se_mean
-        second = np.abs(mode3) ** 2
-        se_second = second.std(ddof=1) / np.sqrt(n)
-        assert abs(second.mean() - dt) <= 3 * se_second
-        mode0 = dw[:, 4]
-        assert np.abs(mode0.imag).max() == 0.0
-        assert abs((mode0.real**2).mean() - dt) <= 3 * se_second * 2
+        z = WienerStream(123, 0).normals(50_000, 4).ravel()
+        se = 1.0 / np.sqrt(z.size)
+        assert abs(z.mean()) <= 4.0 * se
+        assert abs((z**2).mean() - 1.0) <= 4.0 * np.sqrt(2.0) * se

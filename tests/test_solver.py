@@ -106,47 +106,94 @@ def random_coefficients(rng) -> Coefficients:
 
 
 def stepped_reference(c, spec, config, path_index=0, model=None):
-    """Reference: the per-step recursion that the blocked engine replaces.
+    """Reference: the exact transitions stepped one step per product.
 
-    Every class steps one increment at a time, x <- P (x + F w) with
-    P = expm(A dt), on the path's own Wiener stream; each watched limit
-    mode follows l <- exp(-mu m^2 dt) (l + c_m w_m).  Returns the watched modes, |u|^2
-    and the limit modes at every step, step 0 included.
+    Each evolved class (residues 0 .. r/2, or the watched classes with
+    their difference coordinates when a model is given) follows
+    y <- P y + L z on its share of the path's normals, with P and L the
+    engine's own; every coordinate is read back through the class's
+    coordinate map.  Returns the watched modes, |u|^2 summed over every
+    class (a paired class counts twice, once for its conjugate) and the
+    watched differences u_eps - u, at every step, step 0 included.
     """
     op = build_blocks(c, spec, config)
-    n_steps, dt, k_cut = config.n_steps, config.dt, spec.cutoff
-    dw = WienerStream(config.seed, path_index).increments(n_steps, k_cut, dt)
-    props = {res: sla.expm(blk.matrix * dt) for res, blk in op.blocks.items()}
-    states = {res: np.zeros(blk.ks.size, dtype=complex) for res, blk in op.blocks.items()}
+    lookup = solver._evolved_lookup(op, config.watch)
+    limits = {} if model is None else solver._limit_terms(op, model, lookup)
+    residues = range(op.cells // 2 + 1) if model is None else sorted(limits)
+    plans = solver._class_plans(op, config, {res: None for res in residues}, limits)
+    n_steps = config.n_steps
+    z = WienerStream(config.seed, path_index).normals(n_steps, sum(p.d for p in plans.values()))
+    states = {res: np.zeros(plan.n) for res, plan in plans.items()}
     modes = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
-    limit = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
+    delta = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_steps + 1)
     for i in range(n_steps):
-        for res, blk in op.blocks.items():
-            states[res] = props[res] @ (states[res] + blk.noise_map @ dw[i, blk.driven + k_cut])
-        for m in config.watch:
-            blk = op.block_of(m)
-            modes[m][i + 1] = states[blk.residue][np.searchsorted(blk.ks, m)]
+        a = 0
+        for res, plan in plans.items():
+            states[res] = plan.p @ states[res] + plan.l @ z[i, a : a + plan.d]
+            a += plan.d
+        for m, res, row, conj in lookup:
+            value = plans[res].value(states[res], row)
+            modes[m][i + 1] = np.conj(value) if conj else value
             if model is not None:
-                decay = np.exp(-model.mu * m * m * dt)
-                limit[m][i + 1] = decay * (limit[m][i] + model.coeff(m) * dw[i, m + k_cut])
-        norm2[i + 1] = sum(float(np.sum(np.abs(x) ** 2)) for x in states.values())
-    return {"modes": modes, "limit": limit, "norm2": norm2}
+                rows = [r for r, *_ in limits[res]]
+                size = op.blocks[res].ks.size
+                delta[m][i + 1] = plans[res].value(states[res], size + rows.index(row))
+        for res, plan in plans.items():
+            size = op.blocks[res].ks.size
+            power = sum(abs(plan.value(states[res], k)) ** 2 for k in range(size))
+            norm2[i + 1] = norm2[i + 1] + (power if (2 * res) % op.cells == 0 else 2 * power)
+    return {"modes": modes, "delta": delta, "norm2": norm2}
 
 
 def final_values(c, spec, config, n_paths, batch):
-    """Final-time watched-mode values of paths 0 .. n_paths - 1, batch paths per engine run."""
+    """Final-time watched-mode values of paths 0 .. n_paths - 1, batch paths per engine run.
+
+    The classes and observed rows are simulate_path's, so path p's values
+    are its values bit for bit.
+    """
     op = build_blocks(c, spec, config)
-    lookup = solver._watch_lookup(op, config.watch)
-    observe = solver._class_rows(lookup)
+    lookup = solver._evolved_lookup(op, config.watch)
+    observe = {res: [] for res in range(op.cells // 2 + 1)} | solver._class_rows(lookup)
     plans = solver._class_plans(op, config, observe)
-    out = {m: np.zeros(n_paths, dtype=complex) for m, _, _ in lookup}
+    out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in lookup}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
-        for _, _, obs in solver._engine(op, plans, config, idx):
+        for _, _, obs in solver._engine(plans, config, idx):
             pass  # only the last chunk's final step is kept
-        for m, res, row in lookup:
-            out[m][idx.start : idx.stop] = obs[res][:, -1, observe[res].index(row)]
+        for m, res, row, conj in lookup:
+            value = plans[res].value(obs[res][:, -1], row)
+            out[m][idx.start : idx.stop] = np.conj(value) if conj else value
+    return out
+
+
+def final_differences(c, spec, config, model, n_paths):
+    """Final-time u_eps - u of each watched mode, set up as coupled_sup_errors sets it up."""
+    op = build_blocks(c, spec, config)
+    lookup = solver._evolved_lookup(op, config.watch)
+    limits = solver._limit_terms(op, model, lookup)
+    coord = {(res, row): op.blocks[res].ks.size + i
+             for res, terms in limits.items() for i, (row, *_) in enumerate(terms)}
+    observe = {res: [coord[res, row] for row, *_ in terms] for res, terms in limits.items()}
+    plans = solver._class_plans(op, config, observe, limits)
+    for _, _, obs in solver._engine(plans, config, range(n_paths)):
+        pass
+    out = {}
+    for m, res, row, conj in lookup:
+        value = plans[res].value(obs[res][:, -1], coord[res, row])
+        out[m] = np.conj(value) if conj else value
+    return out, op, limits
+
+
+def exact_second_moments(op, config, limits):
+    """E|X_i(t_f)|^2 of every complex coordinate of each class, by S <- P S P* + Q."""
+    out = {}
+    for res, terms in limits.items():
+        p, q = solver._transition(op.blocks[res], config.dt, terms)
+        s = np.zeros_like(q)
+        for _ in range(config.n_steps):
+            s = p @ s @ p.conj().T + q
+        out[res] = s.diagonal().real
     return out
 
 
@@ -380,6 +427,102 @@ class TestCoupled:
         assert means[1] < means[0] / 1.3
 
 
+def van_loan(a, g, dt):
+    """P = e^{a dt} and Q = int_0^dt e^{a s} g g* e^{a* s} ds from one SciPy expm.
+
+    expm([[a, g g*], [0, -a*]] dt) = [[P, F], [0, e^{-a* dt}]] with F P* = Q.
+    """
+    n = a.shape[0]
+    big = np.zeros((2 * n, 2 * n), dtype=complex)
+    big[:n, :n], big[:n, n:], big[n:, n:] = a, g @ g.conj().T, -a.conj().T
+    e = sla.expm(big * dt)
+    return e[:n, :n], e[:n, n:] @ e[:n, :n].conj().T
+
+
+def extended_system(blk, limits):
+    """Generator and noise columns of [x; delta], delta_i = x_row - l_i, built directly."""
+    n, q = blk.ks.size, len(limits)
+    a = np.zeros((n + q, n + q), dtype=complex)
+    g = np.zeros((n + q, blk.driven.size), dtype=complex)
+    a[:n, :n], g[:n] = blk.matrix, blk.noise_map
+    t = np.eye(n + q)
+    for i, (row, col, rate, coeff) in enumerate(limits):
+        a[n + i, n + i], g[n + i, col] = -rate, coeff
+        t[n + i, row], t[n + i, n + i] = 1.0, -1.0
+    return t @ a @ t, t @ g  # t is its own inverse
+
+
+def coordinate_map(plan, size):
+    """U with X = U y for the class's complex coordinates X and the plan's real ones y."""
+    u = np.zeros((size, plan.n), dtype=complex)
+    for i in range(size):
+        c, s, sgn = plan.coords[0][i], plan.coords[1][i], plan.coords[2][i]
+        u[i, c] += 1.0
+        u[i, s] += 1j * sgn
+    return u
+
+
+# a limit with its own rate and coefficients (c_-m = conj c_m), whatever the cell
+DRAWN_LIMIT = LimitModel(mu=0.37, mode_cutoff=4,
+                         coeffs={m: (0.9 - 0.1 * abs(m)) + 0.05j * m for m in range(-4, 5)})
+
+
+class TestTransition:
+    """Each class's exact step against SciPy's Van Loan expm, on the engine's own coordinates."""
+
+    @pytest.mark.parametrize("with_limits", [False, True], ids=["x", "x-delta"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_step_matches_van_loan(self, name, with_limits):
+        """U P_y = P U, U L L^T U* = Q and U L L^T U^T = E[X X^T] to 1e-12 of the largest entry.
+
+        eps = 1/4: class 0 and class 2 are self-conjugate, class 1 is paired
+        (its pseudo-covariance is zero).  U is X = U y, rebuilt from the
+        plan's coordinate map, so the three identities fix P_y and L L^T.
+        """
+        c = ENGINE_CASES[name]
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
+                           t_final=0.3, watch=(1, 2, 3, 4), seed=5)
+        op = build_blocks(c, spec, cfg)
+        limits = (solver._limit_terms(op, DRAWN_LIMIT, solver._evolved_lookup(op, cfg.watch))
+                  if with_limits else {})
+        for res in range(op.cells // 2 + 1):
+            blk, terms = op.blocks[res], limits.get(res, ())
+            plan = solver._ClassPlan(op, res, cfg.dt, None, terms)
+            p, q = van_loan(*extended_system(blk, terms), cfg.dt)
+            size = p.shape[0]
+            u = coordinate_map(plan, size)
+            waves = np.concatenate([blk.ks, [blk.ks[row] for row, *_ in terms]])
+            kinds = np.arange(size) >= blk.ks.size
+            if (2 * res) % op.cells == 0:  # X_partner = conj X: E[X X^T] = Q[:, partner]
+                partner = [int(np.flatnonzero((waves == -k) & (kinds == kind))[0])
+                           for k, kind in zip(waves, kinds)]
+                pseudo = q[:, partner]
+            else:
+                pseudo = np.zeros_like(q)
+            cov = plan.l @ plan.l.T
+            assert np.abs(u @ plan.p - p @ u).max() <= 1e-12 * np.abs(p).max(), res
+            assert np.abs(u @ cov @ u.conj().T - q).max() <= 1e-12 * np.abs(q).max(), res
+            assert np.abs(u @ cov @ u.T - pseudo).max() <= 1e-12 * np.abs(q).max(), res
+            assert plan.d < plan.n  # the rank clip drops the unresolved directions
+
+    def test_indefinite_covariance_fails_the_psd_contract(self):
+        q = np.diag([1.0, -1e-6, 0.0])
+        with pytest.raises(SolveFailed, match=r"class 7: transition covariance eigenvalue"):
+            solver._factor(q, "class 7")
+
+    def test_factor_keeps_zero_variance_rows_exactly_zero(self):
+        """Q_ii = 0 gives an exactly zero row of L; eigenvalues below the clip are dropped."""
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((4, 2))
+        q = np.zeros((5, 5))
+        q[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = b @ b.T
+        l = solver._factor(q, "class 0")
+        assert l.shape == (5, 2)
+        assert np.array_equal(l[2], np.zeros(2))
+        assert np.abs(l @ l.T - q).max() <= 1e-14 * np.abs(q).max()
+
+
 class TestBlockedEngine:
     """The engine advances B steps per product; stepping one at a time is the oracle."""
 
@@ -394,7 +537,7 @@ class TestBlockedEngine:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1,), seed=5)
         for blk in build_blocks(c, NoiseSpec.white(8), cfg).blocks.values():
-            p, _ = solver._recursion(blk, cfg, ())
+            p, _ = solver._transition(blk, cfg.dt, ())
             ref = sla.expm(blk.matrix * cfg.dt)
             if name == "heat":
                 assert np.array_equal(p, ref), blk.residue
@@ -430,8 +573,7 @@ class TestBlockedEngine:
         sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3)
         for p in range(3):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
-            terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["modes"][m] - ref["limit"][m]) ** 2
-                     for m in cfg.watch}
+            terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["delta"][m]) ** 2 for m in cfg.watch}
             full = sum(terms.values())
             want = {"full": full.max(), "half_modes": (terms[1] + terms[2]).max(),
                     "coarse_grid": full[::2].max()}  # states after an even step count
@@ -528,6 +670,24 @@ class TestBlockedEngine:
             coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
         assert threading.active_count() == before
 
+    def test_conjugate_watch_gives_the_same_sups(self, cosine, cosine_cell):
+        """Watching -1 .. -8 reads every mode through its conjugate: same sups as 1 .. 8.
+
+        At eps = 1/8 the residues of -1 .. -8 are 7 .. 0: six are read from
+        the mirrored class, and 4 and 8 (residues 4 and 0) from the
+        self-conjugate ones.
+        """
+        spec = NoiseSpec.power_decay(0.75, 16)
+        model = limit_model("averaged", spec, cosine_cell, 8)
+        sups = {}
+        for sign in (1, -1):
+            cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 16), dt=1e-3,
+                               t_final=0.1, watch=tuple(sign * m for m in range(1, 9)), seed=9)
+            sups[sign] = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 4)
+        assert sups[1]["full"].min() > 0.0
+        for key, value in sups[1].items():
+            assert_allclose(sups[-1][key], value, rtol=1e-12, atol=0.0, err_msg=key)
+
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
@@ -535,6 +695,46 @@ class TestBlockedEngine:
         model = limit_model("averaged", spec, cosine_cell, 3)
         with pytest.raises(ValueError, match="eps = 0.25 the noise cutoff 2 is below"):
             coupled_sup_errors(cosine, spec, cfg, model, 1.0, 2)
+
+
+class TestEngineLaw:
+    """Monte Carlo second moments of the engine against S <- P S P* + Q stepped exactly.
+
+    eps = 1/4 with watch 1, 2, 3: class 1 is paired, class 2 self-conjugate,
+    and mode 3 is read as the conjugate of -3 in class 1.  dt = 0.02 is a
+    step no exponential-Euler scheme would resolve at this band.
+    """
+
+    N_PATHS = 4000  # measured: Q scaled by 1.1 moves the three means by 4.0-6.3 SE
+
+    @staticmethod
+    def config(cosine, seed):
+        return SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=0.02,
+                            t_final=0.4, watch=(1, 2, 3), seed=seed)
+
+    def test_difference_second_moment(self, cosine, cosine_cell):
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = self.config(cosine, 17)
+        model = limit_model("averaged", spec, cosine_cell, 3)
+        finals, op, limits = final_differences(cosine, spec, cfg, model, self.N_PATHS)
+        exact = exact_second_moments(op, cfg, limits)
+        for m, res, row, _ in solver._evolved_lookup(op, cfg.watch):
+            rows = [r for r, *_ in limits[res]]
+            want = exact[res][op.blocks[res].ks.size + rows.index(row)]
+            samples = np.abs(finals[m]) ** 2
+            se = samples.std(ddof=1) / np.sqrt(samples.size)
+            assert abs(samples.mean() - want) <= 4.0 * se, (m, samples.mean(), want, se)
+
+    def test_path_second_moment(self, cosine):
+        spec = NoiseSpec.white(8)
+        cfg = self.config(cosine, 19)
+        op = build_blocks(cosine, spec, cfg)
+        finals = final_values(cosine, spec, cfg, self.N_PATHS, batch=256)
+        exact = exact_second_moments(op, cfg, {res: () for res in (1, 2)})
+        for m, res, row, _ in solver._evolved_lookup(op, cfg.watch):
+            samples = np.abs(finals[m]) ** 2
+            se = samples.std(ddof=1) / np.sqrt(samples.size)
+            assert abs(samples.mean() - exact[res][row]) <= 4.0 * se, m
 
 
 class TestExactCovariance:
