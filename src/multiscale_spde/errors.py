@@ -26,4 +26,8 @@ class TruncationTooSmall(RuntimeError):
 
 
 class UnstableStep(RuntimeError):
-    """A time step blew past the overflow guard; reduce dt."""
+    """A state grew past the overflow guard or a result lost finiteness.
+
+    Path steps are exact transitions, so dt neither causes this nor cures
+    it: the noise or the coefficients drive the state that far.
+    """

@@ -3,9 +3,13 @@
 A single JSON document with sections ``coefficients``, ``noise``,
 ``solver`` and ``study`` declares an experiment; every study returns an
 ExperimentReport whose JSON and CSV renderings are bit-for-bit
-reproducible given (config, seed) within one NumPy/BLAS build.  Across
-builds, floats agree to about 1e-12 relative; everything else is
-identical.  The package needs NumPy alone: every eigen-decomposition,
+reproducible given (config, seed) within one NumPy/BLAS build, at any
+core count.  Across builds, the studies without Monte Carlo agree to
+about 1e-12 relative in their floats and exactly in everything else;
+converge and simulate are only statistically equivalent, since the
+engine's draws go through eigenvectors of each class's transition
+covariance whose signs and repeated-eigenvalue bases a LAPACK build
+does not fix.  The package needs NumPy alone: every eigen-decomposition,
 the semigroup flows' included, is cell.eigenbasis.
 """
 
@@ -534,8 +538,9 @@ def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
 def run_coupling_convergence(config: dict) -> ExperimentReport:
     """Pathwise comparison of u_eps with its homogenised limit as eps shrinks.
 
-    For each eps the multiscale solver and the limit recursion consume
-    identical increments; the Monte Carlo average of the per-path sup
+    For each eps the engine steps u_eps and its limit by their exact
+    joint transition, both driven by the same Wiener increments
+    (coupled_sup_errors); the Monte Carlo average of the per-path sup
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """

@@ -2,8 +2,9 @@
 
 Every Fourier mode of a constant-coefficient stochastic heat equation
 du = mu u_xx dt + sum_k c_k e_k dW_k is an independent complex OU
-process, so its exact one-step transition and its second moments are
-available in closed form.  The regime fixes the coefficient rule c_m,
+process, so its second moments are available in closed form (its exact
+step rides inside the path engine's class transitions, solver._transition).
+The regime fixes the coefficient rule c_m,
 and ``limit_model(regime, ...)`` is the one place that chooses it:
 
   averaged     c_m = <q_m, rho>            (mode-wise weighted mean)
@@ -31,7 +32,6 @@ __all__ = [
     "fluctuation_coefficient",
     "enhanced_coefficient",
     "smoothed_coefficient",
-    "ou_step_params",
     "ou_variance",
 ]
 
@@ -127,16 +127,6 @@ def limit_model(regime: str, spec: NoiseSpec, cell: CellSolution,
 
 
 # -- exact OU moments -----------------------------------------------------------
-
-
-def ou_step_params(model: LimitModel, m: int, delta: float) -> tuple[float, float]:
-    """(decay factor, innovation variance E|xi|^2) for one exact step."""
-    a = model.mu * m * m
-    c2 = abs(model.coeff(m)) ** 2
-    if a == 0.0:
-        return 1.0, c2 * delta
-    decay = np.exp(-a * delta)
-    return float(decay), float(c2 * (1.0 - decay * decay) / (2.0 * a))
 
 
 def ou_variance(model: LimitModel, m: int, t: float) -> float:

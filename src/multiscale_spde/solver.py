@@ -209,23 +209,6 @@ def _watch_lookup(op: BlockOperator, watch) -> list:
     return out
 
 
-def _evolved_lookup(op: BlockOperator, watch) -> list:
-    """(m, residue, row, conj) of each watched mode in a class the engine evolves.
-
-    The engine evolves residues 0 .. r/2 only.  A mode whose residue lies
-    above r/2 is read as the conjugate of -m, at the mirrored row of
-    class r - residue (build_blocks keeps every class the mirror of its
-    conjugate class).
-    """
-    out = []
-    for m, res, row in _watch_lookup(op, watch):
-        if 2 * res > op.cells:
-            out.append((m, op.cells - res, op.blocks[res].ks.size - 1 - row, True))
-        else:
-            out.append((m, res, row, False))
-    return out
-
-
 def require_driven(eps: float, cutoff: int, watch, name: str = "largest watched mode") -> None:
     """Raise ValueError unless every watched mode is driven (|m| <= cutoff)."""
     worst = max(abs(m) for m in watch)
@@ -374,14 +357,23 @@ def _block_lengths(n_steps: int, length: int, chunk: int) -> set:
 class _ClassPlan:
     """One class's exact transition on real coordinates, built once per run.
 
-    The state is [x; delta] (_transition).  A self-conjugate class
-    (2 residue = 0 mod r) is carried in the cos/sin coordinates of its
+    The state is [x; delta] (_transition).  With a model, each watched
+    row carries its difference coordinate delta = x_row - l, and a
+    self-conjugate class (2 residue = 0 mod r) carries the mirror row's
+    too, so its state stays conjugate-symmetric; limits holds the
+    (row, driven column, rate, coeff) of each, sorted by row, so the
+    layout depends on the set of evolved rows alone, not on the order or
+    the sign of the watched modes.  delta maps each such row to its
+    difference coordinate.
+
+    A self-conjugate class is carried in the cos/sin coordinates of its
     conjugate pairs k <-> -k, so mode 0 is real and x_-k = conj x_k by
     construction; any other class is carried as [Re x; Im x], and its
     conjugate class is its mirror (_real_form on the pair of them).  The
     step is y <- P y + L z with z the class's own standard normals, L from
-    _factor.  observe lists the complex coordinates to read after every
-    step (None: all of them); rows are the real coordinates that holds.
+    _factor.  The complex coordinates read after every step are every one
+    (every_row), else the differences (with a model), else the watched
+    rows; rows are the real coordinates that holds.
 
     B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n real
     coordinates, o observed rows and d normals per step minimises the
@@ -390,14 +382,25 @@ class _ClassPlan:
     takes once set_chunk has fixed the chunk.
     """
 
-    def __init__(self, op: BlockOperator, res: int, dt: float, observe, limits):
+    def __init__(self, op: BlockOperator, res: int, dt: float, watched: set,
+                 model: LimitModel | None, every_row: bool):
         blk = op.blocks[res]
-        p, cov = _transition(blk, dt, limits)
-        k, n_x = p.shape[0], blk.ks.size
-        if (2 * res) % op.cells == 0:
-            mirror = {row: n_x + i for i, (row, *_) in enumerate(limits)}
+        n_x = blk.ks.size
+        self_conjugate = (2 * res) % op.cells == 0
+        rows = set() if model is None else set(watched)
+        if self_conjugate:
+            rows |= {n_x - 1 - row for row in rows}
+        self.limits = []
+        for row in sorted(rows):
+            m = int(blk.ks[row])
+            col = int(np.searchsorted(blk.driven, m))
+            self.limits.append((row, col, model.mu * m * m, model.coeff(m)))
+        self.delta = {row: n_x + i for i, (row, *_) in enumerate(self.limits)}
+        p, cov = _transition(blk, dt, self.limits)
+        k = p.shape[0]
+        if self_conjugate:
             partner = np.array([n_x - 1 - i for i in range(n_x)]
-                               + [mirror[n_x - 1 - row] for row, *_ in limits])
+                               + [self.delta[n_x - 1 - row] for row, *_ in self.limits])
         else:
             zero = np.zeros((k, k))
             p, cov = np.block([[p, zero], [zero, p.conj()]]), np.block([[cov, zero],
@@ -406,7 +409,7 @@ class _ClassPlan:
         self.p, q, (cos, sin, sgn) = _real_form(p, cov, partner)
         self.l = _factor(q, f"class {res}")
         self.n, self.d = self.l.shape
-        observe = range(k) if observe is None else observe
+        observe = range(k) if every_row else range(n_x, k) if model is not None else watched
         self.coords = (cos[:k], sin[:k], sgn[:k])  # X_i = y[cos_i] + 1j sgn_i y[sin_i]
         self.rows = sorted({int(j) for i in observe for j in (cos[i], sin[i])})
         where = {j: a for a, j in enumerate(self.rows)}
@@ -437,20 +440,40 @@ class _ClassPlan:
         return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
 
 
-def _class_plans(op: BlockOperator, config: SolverConfig, observe: dict,
-                 limits: dict | None = None) -> dict:
-    """residue -> _ClassPlan of each class in observe, limits[residue] appended.
+def _class_plans(op: BlockOperator, config: SolverConfig, watch,
+                 model: LimitModel | None = None, every_row: bool = False) -> tuple:
+    """The evolved classes' plans, and where each watched mode is read in them.
 
-    The chunk, in steps, is CHUNK_NORMALS over the largest class's normals
+    Returns (plans, reads): plans maps residue -> _ClassPlan in residue
+    order, and reads holds one (m, residue, coordinate, conj) per watched
+    mode, in watch order: mode m is plans[residue].value(obs, coordinate),
+    conjugated when conj.  The engine evolves residues 0 .. r/2 only; a
+    mode whose residue lies above r/2 is read as the conjugate of -m, at
+    the mirrored row of class r - residue (build_blocks keeps every class
+    the mirror of its conjugate class).
+
+    Without a model every class 0 .. r/2 is evolved, so OVERFLOW_GUARD
+    sees the whole state, and a mode is read at its own row.  With one,
+    only the watched classes are evolved, since the others never feed
+    them, and a mode is read at its difference coordinate x_m - l_m.  The
+    chunk, in steps, is CHUNK_NORMALS over the largest class's normals
     per step, so every class's buffer stays within that budget.
     """
-    limits = limits or {}
-    plans = {res: _ClassPlan(op, res, config.dt, rows, limits.get(res, ()))
-             for res, rows in sorted(observe.items())}
+    watched, found = {}, []
+    for m, res, row in _watch_lookup(op, watch):
+        conj = 2 * res > op.cells
+        if conj:
+            res, row = op.cells - res, op.blocks[res].ks.size - 1 - row
+        watched.setdefault(res, set()).add(row)
+        found.append((m, res, row, conj))
+    evolved = range(op.cells // 2 + 1) if model is None else sorted(watched)
+    plans = {res: _ClassPlan(op, res, config.dt, watched.get(res, set()), model, every_row)
+             for res in evolved}
     chunk = max(1, CHUNK_NORMALS // max([plan.d for plan in plans.values()] + [1]))
     for plan in plans.values():
         plan.set_chunk(chunk, config.n_steps)
-    return plans
+    return plans, [(m, res, plans[res].delta.get(row, row), conj)
+                   for m, res, row, conj in found]
 
 
 class _ClassRun:
@@ -532,61 +555,25 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _class_rows(lookup) -> dict:
-    """residue -> block rows of its watched modes, in watch order."""
-    rows = {}
-    for _, res, row, *_ in lookup:
-        rows.setdefault(res, []).append(row)
-    return rows
-
-
-def _limit_terms(op: BlockOperator, model: LimitModel, lookup) -> dict:
-    """residue -> (row, driven column, rate, coeff) of each limit mode, by row.
-
-    A self-conjugate class carries the mirror row of each watched row
-    too, so its state stays conjugate-symmetric.  Sorting by row makes
-    the layout depend on the set of evolved rows alone, not on the order
-    or the sign of the watched modes.
-    """
-    rows = {}
-    for _, res, row, _ in lookup:
-        mirror = op.blocks[res].ks.size - 1 - row
-        rows.setdefault(res, set()).update({row, mirror} if (2 * res) % op.cells == 0
-                                           else {row})
-    terms = {}
-    for res, chosen in sorted(rows.items()):
-        blk = op.blocks[res]
-        for row in sorted(chosen):
-            m = int(blk.ks[row])
-            col = int(np.searchsorted(blk.driven, m))
-            terms.setdefault(res, []).append((row, col, model.mu * m * m, model.coeff(m)))
-    return terms
-
-
 def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                   path_index: int = 0) -> PathOutput:
     """One sample path of the multiscale equation from u = 0.
 
-    Every class with residue 0 .. r/2 is evolved by its exact transition,
-    so OVERFLOW_GUARD sees the whole state; the classes above r/2 are
-    their conjugates, so the field is real by construction.  Only watched
-    rows are observed unless track_norm asks for |u|^2, which observes
-    every coordinate and counts each paired class twice, once for its
-    conjugate.
+    Every class with residue 0 .. r/2 is evolved by its exact transition
+    (_class_plans); the classes above r/2 are their conjugates, so the
+    field is real by construction.  Only watched rows are observed unless
+    track_norm asks for |u|^2, which observes every coordinate and counts
+    each paired class twice, once for its conjugate.
     """
     op = build_blocks(c, spec, config)
-    lookup = _evolved_lookup(op, config.watch)
-    evolved = range(op.cells // 2 + 1)
-    observe = ({res: None for res in evolved} if config.track_norm else
-               {res: [] for res in evolved} | _class_rows(lookup))
-    plans = _class_plans(op, config, observe)
+    plans, reads = _class_plans(op, config, config.watch, every_row=config.track_norm)
     n_rec = config.n_steps + 1
     trajs = {m: np.zeros(n_rec, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_rec) if config.track_norm else None
     for first, count, obs in _engine(plans, config, [path_index]):
         slots = slice(first + 1, first + 1 + count)
-        for m, res, row, conj in lookup:
-            value = plans[res].value(obs[res][0], row)
+        for m, res, i, conj in reads:
+            value = plans[res].value(obs[res][0], i)
             trajs[m][slots] = value.conj() if conj else value
         if norm2 is not None:
             norm2[slots] = sum(obs[res][0] ** 2 @ plan.weight for res, plan in plans.items())
@@ -603,36 +590,30 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     than a mismatch between schemes.  The engine carries u_eps - u of each
     watched mode as a difference coordinate and steps the pair by their
     exact joint Gaussian transition, so dt only sets the time grid the sup
-    is taken on.  Only the classes of watched modes are evolved, since the
-    others never feed them; a mode whose residue lies above r/2 is read
-    from its conjugate -m, with |delta_-m| = |delta_m|.  Returns path
+    is taken on.  Only the classes of watched modes are evolved
+    (_class_plans); a mode whose residue lies above r/2 is read from its
+    conjugate -m, with |delta_-m| = |delta_m|.  Returns path
     arrays under "full", and under "half_modes" and "coarse_grid" the same
     statistic with the mode sum cut at half the watch range and with the
     time grid thinned by two, so the proxy's truncation effects can be
     reported.
 
     The paths run in batches of min(PATH_BATCH, ceil(n_paths / workers)),
-    one thread per usable CPU (_workers): the calling thread runs one
-    lane of batches and a pool opened for this call runs the others; on
-    one CPU no thread is started.  The classes' transitions are built once
-    here and shared, and each batch owns its buffers.  Philox draws and
-    the products release the GIL.  Path p's values depend on neither the
-    batch size nor the thread count, so within one NumPy/BLAS build the
-    result is bit-for-bit the same on any number of cores.  An exception
-    in any batch (UnstableStep, say) reaches the caller once every lane
-    has stopped.
+    mapped over a pool of one thread per usable CPU (_workers) that lives
+    for this call; with one CPU or one batch they run on the calling
+    thread.  The classes' transitions are built once here and shared, and
+    each batch owns its buffers.  Philox draws and the products release
+    the GIL.  Path p's values depend on neither the batch size nor the
+    thread count, so within one NumPy/BLAS build the result is bit-for-bit
+    the same on any number of cores.  An exception in any batch
+    (UnstableStep, say) reaches the caller once every running batch has
+    stopped; batches not yet started are cancelled.
     """
     require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
-    lookup = _evolved_lookup(op, config.watch)
-    limits = _limit_terms(op, model, lookup)
-    # the difference coordinates follow the class's own rows in its state
-    delta = {res: {row: op.blocks[res].ks.size + i for i, (row, *_) in enumerate(terms)}
-             for res, terms in limits.items()}
-    observe = {res: sorted(d.values()) for res, d in delta.items()}
-    plans = _class_plans(op, config, observe, limits)
+    plans, reads = _class_plans(op, config, config.watch, model)
     # (m, weight, residue, difference coordinate)
-    terms = [(m, (1.0 + m * m) ** (-s), res, delta[res][row]) for m, res, row, _ in lookup]
+    terms = [(m, (1.0 + m * m) ** (-s), res, i) for m, res, i, _ in reads]
     half_cut = max(abs(m) for m in config.watch) // 2
 
     keys = ("full", "half_modes", "coarse_grid")
@@ -658,20 +639,12 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     workers = _workers()
     size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
     batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
-    lanes = max(1, min(workers, len(batches)))  # n_paths = 0 runs one empty lane
-
-    def run_lane(lane: int) -> None:
-        for idx in batches[lane::lanes]:
+    if workers == 1 or len(batches) <= 1:
+        for idx in batches:
             run_batch(idx)
-
-    if lanes == 1:
-        run_lane(0)
         return sups
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        others = [pool.submit(run_lane, lane) for lane in range(1, lanes)]
-        run_lane(0)
-        for future in others:
-            future.result()
+    with ThreadPoolExecutor(min(workers, len(batches))) as pool:
+        list(pool.map(run_batch, batches))
     return sups
 
 
@@ -715,8 +688,10 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
 
     if modes is None:
         modes = [k for blk in op.blocks.values() for k in blk.ks]
-    variances = {}
-    for res, rows in sorted(_class_rows(_watch_lookup(op, [int(m) for m in modes])).items()):
+    class_rows, variances = {}, {}
+    for _, res, row in _watch_lookup(op, [int(m) for m in modes]):
+        class_rows.setdefault(res, []).append(row)
+    for res, rows in sorted(class_rows.items()):
         blk = op.blocks[res]
         table = _class_variances(blk, config.dt, rec_steps, rows)
         for col, row in enumerate(rows):

@@ -19,7 +19,7 @@ from multiscale_spde.experiments import (
     run_variance_study,
 )
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
-from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_step_params, ou_variance
+from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_variance
 from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series
 from multiscale_spde import solver
 from multiscale_spde.solver import (
@@ -288,8 +288,7 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
 
     # the engine's classes (residues 0 .. r/2) and their maps X = U y on the dense band
     op = build_blocks(cosine, spec, cfg)
-    observe = {res: [] for res in range(op.cells // 2 + 1)}
-    plans = solver._class_plans(op, cfg, observe)
+    plans, _ = solver._class_plans(op, cfg, cfg.watch)
     maps, q_blocks = [], np.zeros((n, n), dtype=complex)
     for res, plan in plans.items():
         ks = op.blocks[res].ks
@@ -339,16 +338,17 @@ def test_criterion8e_parseval():
 
 
 def test_criterion8f_exact_sampler_identity(cosine_cell):
+    """The closed-form OU variance propagated by v(t + h) = e^{-2 mu m^2 h} v(t) + v(h)."""
     model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)
     t_grid = np.linspace(0.0, 3.0, 61)
     worst = 0.0
     for m in (1, 2):
         var = 0.0
         for i in range(1, t_grid.size):
-            decay, xi_var = ou_step_params(model, m, t_grid[i] - t_grid[i - 1])
-            var = decay**2 * var + xi_var
+            h = t_grid[i] - t_grid[i - 1]
+            var = np.exp(-2.0 * model.mu * m * m * h) * var + ou_variance(model, m, h)
             worst = max(worst, abs(var - ou_variance(model, m, t_grid[i])))
-    check("8f exact-sampler variance identity", worst <= 1e-12,
+    check("8f OU variance one-step identity", worst <= 1e-12,
           f"worst gap = {worst:.2e} (tol 1e-12)")
 
 

@@ -10,7 +10,6 @@ from multiscale_spde.limit import (
     REGIMES,
     LimitModel,
     limit_model,
-    ou_step_params,
     ou_variance,
 )
 from multiscale_spde.noise import NoiseSpec, tent_mollifier
@@ -25,15 +24,15 @@ def scalar_model(mu=1.0, coeff=1.0, cutoff=4):
 
 class TestExactSampler:
     def test_variance_identity_against_scalar_lyapunov(self):
-        """Recursion-propagated variance equals the closed form at 1e-12."""
+        """v(t + h) = e^{-2 mu m^2 h} v(t) + v(h), propagated over the grid, at 1e-12."""
         model = scalar_model(mu=0.7, coeff=1.3)
         t_grid = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(
             0.05, 3.0, 40))])
         for m in (1, 3):
             var = 0.0
             for i in range(1, t_grid.size):
-                decay, xi_var = ou_step_params(model, m, t_grid[i] - t_grid[i - 1])
-                var = decay**2 * var + xi_var
+                h = t_grid[i] - t_grid[i - 1]
+                var = np.exp(-2.0 * model.mu * m * m * h) * var + ou_variance(model, m, h)
                 assert abs(var - ou_variance(model, m, t_grid[i])) <= 1e-12
 
     def test_mode_zero_is_real_brownian(self):

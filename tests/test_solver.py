@@ -112,38 +112,31 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     their difference coordinates when a model is given) follows
     y <- P y + L z on its share of the path's normals, with P and L the
     engine's own; every coordinate is read back through the class's
-    coordinate map.  Returns the watched modes, |u|^2 summed over every
-    class (a paired class counts twice, once for its conjugate) and the
-    watched differences u_eps - u, at every step, step 0 included.
+    coordinate map.  Returns under "watched" each watched mode (with a
+    model, its difference u_eps - u), and |u|^2 summed over every class
+    (a paired class counts twice, once for its conjugate), at every step,
+    step 0 included.
     """
     op = build_blocks(c, spec, config)
-    lookup = solver._evolved_lookup(op, config.watch)
-    limits = {} if model is None else solver._limit_terms(op, model, lookup)
-    residues = range(op.cells // 2 + 1) if model is None else sorted(limits)
-    plans = solver._class_plans(op, config, {res: None for res in residues}, limits)
+    plans, reads = solver._class_plans(op, config, config.watch, model, every_row=True)
     n_steps = config.n_steps
     z = WienerStream(config.seed, path_index).normals(n_steps, sum(p.d for p in plans.values()))
     states = {res: np.zeros(plan.n) for res, plan in plans.items()}
-    modes = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
-    delta = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
+    watched = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_steps + 1)
     for i in range(n_steps):
         a = 0
         for res, plan in plans.items():
             states[res] = plan.p @ states[res] + plan.l @ z[i, a : a + plan.d]
             a += plan.d
-        for m, res, row, conj in lookup:
-            value = plans[res].value(states[res], row)
-            modes[m][i + 1] = np.conj(value) if conj else value
-            if model is not None:
-                rows = [r for r, *_ in limits[res]]
-                size = op.blocks[res].ks.size
-                delta[m][i + 1] = plans[res].value(states[res], size + rows.index(row))
+        for m, res, coord, conj in reads:
+            value = plans[res].value(states[res], coord)
+            watched[m][i + 1] = np.conj(value) if conj else value
         for res, plan in plans.items():
             size = op.blocks[res].ks.size
             power = sum(abs(plan.value(states[res], k)) ** 2 for k in range(size))
             norm2[i + 1] = norm2[i + 1] + (power if (2 * res) % op.cells == 0 else 2 * power)
-    return {"modes": modes, "delta": delta, "norm2": norm2}
+    return {"watched": watched, "norm2": norm2}
 
 
 def final_values(c, spec, config, n_paths, batch):
@@ -153,16 +146,14 @@ def final_values(c, spec, config, n_paths, batch):
     are its values bit for bit.
     """
     op = build_blocks(c, spec, config)
-    lookup = solver._evolved_lookup(op, config.watch)
-    observe = {res: [] for res in range(op.cells // 2 + 1)} | solver._class_rows(lookup)
-    plans = solver._class_plans(op, config, observe)
-    out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in lookup}
+    plans, reads = solver._class_plans(op, config, config.watch)
+    out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in reads}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
         for _, _, obs in solver._engine(plans, config, idx):
             pass  # only the last chunk's final step is kept
-        for m, res, row, conj in lookup:
-            value = plans[res].value(obs[res][:, -1], row)
+        for m, res, coord, conj in reads:
+            value = plans[res].value(obs[res][:, -1], coord)
             out[m][idx.start : idx.stop] = np.conj(value) if conj else value
     return out
 
@@ -170,23 +161,22 @@ def final_values(c, spec, config, n_paths, batch):
 def final_differences(c, spec, config, model, n_paths):
     """Final-time u_eps - u of each watched mode, set up as coupled_sup_errors sets it up."""
     op = build_blocks(c, spec, config)
-    lookup = solver._evolved_lookup(op, config.watch)
-    limits = solver._limit_terms(op, model, lookup)
-    coord = {(res, row): op.blocks[res].ks.size + i
-             for res, terms in limits.items() for i, (row, *_) in enumerate(terms)}
-    observe = {res: [coord[res, row] for row, *_ in terms] for res, terms in limits.items()}
-    plans = solver._class_plans(op, config, observe, limits)
+    plans, reads = solver._class_plans(op, config, config.watch, model)
     for _, _, obs in solver._engine(plans, config, range(n_paths)):
         pass
     out = {}
-    for m, res, row, conj in lookup:
-        value = plans[res].value(obs[res][:, -1], coord[res, row])
+    for m, res, coord, conj in reads:
+        value = plans[res].value(obs[res][:, -1], coord)
         out[m] = np.conj(value) if conj else value
-    return out, op, limits
+    return out
 
 
 def exact_second_moments(op, config, limits):
-    """E|X_i(t_f)|^2 of every complex coordinate of each class, by S <- P S P* + Q."""
+    """E|X_i(t_f)|^2 of every complex coordinate of each class, by S <- P S P* + Q.
+
+    limits maps residue -> the (row, driven column, rate, coeff) of each
+    limit mode appended to that class (_transition).
+    """
     out = {}
     for res, terms in limits.items():
         p, q = solver._transition(op.blocks[res], config.dt, terms)
@@ -369,6 +359,18 @@ class TestSimulatePath:
         assert np.abs(out.mode(0).imag).max() <= 1e-10 * scale
         assert out.times[0] == 0.0 and np.abs(out.mode(1)[0]) == 0.0
 
+    def test_watch_order_does_not_change_any_mode(self, cosine):
+        """Bitwise: the evolved classes and their observed rows do not depend on watch order."""
+        watch = (-3, -1, 0, 1, 2, 5)
+        outs = []
+        for order in (watch, watch[::-1]):
+            cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
+                               t_final=0.1, watch=order, seed=3)
+            outs.append(simulate_path(cosine, NoiseSpec.white(8), cfg))
+        assert np.abs(outs[0].mode(1)).max() > 0.0
+        for m in watch:
+            assert np.array_equal(outs[0].mode(m), outs[1].mode(m)), m
+
     def test_overflow_guard(self, heat):
         big = NoiseSpec.custom({1: 1e13 * SpectralField.constant(1.0)}, cutoff=1)
         cfg = SolverConfig(eps=1.0, n_modes=8, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
@@ -484,11 +486,11 @@ class TestTransition:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=5)
         op = build_blocks(c, spec, cfg)
-        limits = (solver._limit_terms(op, DRAWN_LIMIT, solver._evolved_lookup(op, cfg.watch))
-                  if with_limits else {})
-        for res in range(op.cells // 2 + 1):
-            blk, terms = op.blocks[res], limits.get(res, ())
-            plan = solver._ClassPlan(op, res, cfg.dt, None, terms)
+        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT if with_limits else None,
+                                       every_row=True)
+        assert sorted(plans) == [0, 1, 2]  # every evolved class, with or without the limit
+        for res, plan in plans.items():
+            blk, terms = op.blocks[res], plan.limits
             p, q = van_loan(*extended_system(blk, terms), cfg.dt)
             size = p.shape[0]
             u = coordinate_map(plan, size)
@@ -552,7 +554,7 @@ class TestBlockedEngine:
         out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
         ref = stepped_reference(c, NoiseSpec.white(8), cfg, path_index=2)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["modes"][m], f"{name}, m = {m}")
+            assert_matches_stepping(out.mode(m), ref["watched"][m], f"{name}, m = {m}")
 
     def test_norm_matches_stepping(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
@@ -561,7 +563,7 @@ class TestBlockedEngine:
         ref = stepped_reference(cosine, NoiseSpec.white(8), cfg)
         assert np.array_equal(out.times, np.arange(301) * cfg.dt)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["modes"][m], f"m = {m}")
+            assert_matches_stepping(out.mode(m), ref["watched"][m], f"m = {m}")
         assert_matches_stepping(out.norm_squared, ref["norm2"], "norm")
 
     def test_sup_errors_match_stepping(self, cosine, cosine_cell, monkeypatch):
@@ -573,7 +575,8 @@ class TestBlockedEngine:
         sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3)
         for p in range(3):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
-            terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["delta"][m]) ** 2 for m in cfg.watch}
+            terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["watched"][m]) ** 2
+                     for m in cfg.watch}
             full = sum(terms.values())
             want = {"full": full.max(), "half_modes": (terms[1] + terms[2]).max(),
                     "coarse_grid": full[::2].max()}  # states after an even step count
@@ -639,7 +642,7 @@ class TestBlockedEngine:
 
     def test_unstable_step_in_a_worker_reaches_the_caller(self, cosine, cosine_cell,
                                                          monkeypatch):
-        """Every lane trips the lowered guard; no pool thread outlives the call."""
+        """Every batch trips the lowered guard; no pool thread outlives the call."""
         import threading
 
         spec, cfg, model = self.threaded_case(cosine, cosine_cell)
@@ -652,41 +655,51 @@ class TestBlockedEngine:
         assert threading.active_count() == before
 
     def test_worker_exception_reaches_the_caller(self, cosine, cosine_cell, monkeypatch):
-        """Only the pool's threads fail: the calling thread's own lane runs clean."""
+        """Only the last of three batches fails, on a pool thread; the others run clean.
+
+        No batch runs on the calling thread, and no pool thread outlives the call.
+        """
         import threading
 
         spec, cfg, model = self.threaded_case(cosine, cosine_cell)
-        advance = solver._ClassRun.advance
+        engine, ran_on = solver._engine, []
 
-        def advance_off_main(self, *args):
-            if threading.current_thread() is not threading.main_thread():
+        def engine_failing_last(plans, config, path_indices):
+            ran_on.append(threading.current_thread())
+            if path_indices.start == 4:
                 raise UnstableStep("raised in a worker")
-            return advance(self, *args)
+            yield from engine(plans, config, path_indices)
 
         monkeypatch.setattr(solver, "_workers", lambda: 3)
-        monkeypatch.setattr(solver._ClassRun, "advance", advance_off_main)
+        monkeypatch.setattr(solver, "_engine", engine_failing_last)
         before = threading.active_count()
         with pytest.raises(UnstableStep, match="raised in a worker"):
             coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
         assert threading.active_count() == before
+        assert ran_on and threading.main_thread() not in ran_on
 
     def test_conjugate_watch_gives_the_same_sups(self, cosine, cosine_cell):
-        """Watching -1 .. -8 reads every mode through its conjugate: same sups as 1 .. 8.
+        """Watching -1 .. -8, or 1 .. 8 in a mixed order and sign: same sups as 1 .. 8.
 
         At eps = 1/8 the residues of -1 .. -8 are 7 .. 0: six are read from
         the mirrored class, and 4 and 8 (residues 4 and 0) from the
-        self-conjugate ones.
+        self-conjugate ones.  The class layout depends on the set of
+        evolved rows alone, not on the watch order.
         """
         spec = NoiseSpec.power_decay(0.75, 16)
         model = limit_model("averaged", spec, cosine_cell, 8)
+        watches = {"positive": tuple(range(1, 9)), "negative": tuple(range(-1, -9, -1)),
+                   "mixed": (5, -2, 8, 1, -7, 3, 6, 4)}
         sups = {}
-        for sign in (1, -1):
+        for name, watch in watches.items():
             cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 16), dt=1e-3,
-                               t_final=0.1, watch=tuple(sign * m for m in range(1, 9)), seed=9)
-            sups[sign] = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 4)
-        assert sups[1]["full"].min() > 0.0
-        for key, value in sups[1].items():
-            assert_allclose(sups[-1][key], value, rtol=1e-12, atol=0.0, err_msg=key)
+                               t_final=0.1, watch=watch, seed=9)
+            sups[name] = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 4)
+        assert sups["positive"]["full"].min() > 0.0
+        for name in ("negative", "mixed"):
+            for key, value in sups["positive"].items():
+                assert_allclose(sups[name][key], value, rtol=1e-12, atol=0.0,
+                                err_msg=f"{name}, {key}")
 
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
@@ -701,8 +714,9 @@ class TestEngineLaw:
     """Monte Carlo second moments of the engine against S <- P S P* + Q stepped exactly.
 
     eps = 1/4 with watch 1, 2, 3: class 1 is paired, class 2 self-conjugate,
-    and mode 3 is read as the conjugate of -3 in class 1.  dt = 0.02 is a
-    step no exponential-Euler scheme would resolve at this band.
+    and mode 3 is read as the conjugate of -3 in class 1; the exact moments
+    are stepped in each mode's own class, class 3 for mode 3.  dt = 0.02 is
+    a step no exponential-Euler scheme would resolve at this band.
     """
 
     N_PATHS = 4000  # measured: Q scaled by 1.1 moves the three means by 4.0-6.3 SE
@@ -716,11 +730,15 @@ class TestEngineLaw:
         spec = NoiseSpec.power_decay(0.75, 8)
         cfg = self.config(cosine, 17)
         model = limit_model("averaged", spec, cosine_cell, 3)
-        finals, op, limits = final_differences(cosine, spec, cfg, model, self.N_PATHS)
+        finals = final_differences(cosine, spec, cfg, model, self.N_PATHS)
+        # each mode differenced in its own class, 3 in class 3 rather than as conj of -3
+        op = build_blocks(cosine, spec, cfg)
+        rows = {m: int(np.searchsorted(op.block_of(m).ks, m)) for m in cfg.watch}
+        limits = {m % op.cells: [(rows[m], int(np.searchsorted(op.block_of(m).driven, m)),
+                                  model.mu * m * m, model.coeff(m))] for m in cfg.watch}
         exact = exact_second_moments(op, cfg, limits)
-        for m, res, row, _ in solver._evolved_lookup(op, cfg.watch):
-            rows = [r for r, *_ in limits[res]]
-            want = exact[res][op.blocks[res].ks.size + rows.index(row)]
+        for m in cfg.watch:
+            want = exact[m % op.cells][op.block_of(m).ks.size]
             samples = np.abs(finals[m]) ** 2
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - want) <= 4.0 * se, (m, samples.mean(), want, se)
@@ -730,11 +748,13 @@ class TestEngineLaw:
         cfg = self.config(cosine, 19)
         op = build_blocks(cosine, spec, cfg)
         finals = final_values(cosine, spec, cfg, self.N_PATHS, batch=256)
-        exact = exact_second_moments(op, cfg, {res: () for res in (1, 2)})
-        for m, res, row, _ in solver._evolved_lookup(op, cfg.watch):
+        # each mode in its own class: 3 in class 3 rather than as the conjugate of -3
+        exact = exact_second_moments(op, cfg, {res: () for res in range(op.cells)})
+        for m in cfg.watch:
+            want = exact[m % op.cells][int(np.searchsorted(op.block_of(m).ks, m))]
             samples = np.abs(finals[m]) ** 2
             se = samples.std(ddof=1) / np.sqrt(samples.size)
-            assert abs(samples.mean() - exact[res][row]) <= 4.0 * se, m
+            assert abs(samples.mean() - want) <= 4.0 * se, m
 
 
 class TestExactCovariance:
