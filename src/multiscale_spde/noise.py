@@ -7,8 +7,9 @@ the 1/(2*pi)-normalised inner product.  The limit coefficients built
 from these profiles live in ``limit``.
 
 The path engine's standard normals come from counter-based Philox
-streams keyed by (seed, path index), so parallel path generation is
-reproducible no matter how paths are scheduled.
+streams keyed by (seed, path index, residue class), so parallel path
+generation is reproducible no matter how paths are scheduled, and a
+class's draws do not depend on which other classes are evolved.
 """
 
 from __future__ import annotations
@@ -329,22 +330,28 @@ def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
 
 
 class WienerStream:
-    """Counter-based Gaussian stream for one sample path.
+    """Counter-based Gaussian stream for one residue class of one sample path.
 
-    Philox keyed by (seed, path index): reproducible for any scheduling
-    of paths, since each path owns its stream.  The engine reads it as
-    plain standard normals, step by step, each step's draws split across
-    the evolved classes in residue order; the normals fill rows in draw
-    order, so stepwise and chunked draws of the same width agree.
+    Philox keyed by (seed, path index), with the residue in the high word
+    of its 256-bit counter: each class of each path owns a stream, so its
+    draws are reproducible for any scheduling of paths and do not depend
+    on which other classes are evolved.  Residue 0 starts at counter 0,
+    the plain (seed, path) stream; residue r starts at r * 2^192, beyond
+    any run's reach of another residue's counters.  The engine reads it as
+    plain standard normals, one row of the class's width per step; the
+    normals fill rows in draw order, so stepwise and chunked draws of the
+    same width agree.
     """
 
-    def __init__(self, seed: int, path_index: int = 0):
+    def __init__(self, seed: int, path_index: int = 0, residue: int = 0):
         self.seed = int(seed)
         self.path_index = int(path_index)
-        self._gen = Generator(Philox(key=np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.path_index & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )))
+        self.residue = int(residue)
+        self._gen = Generator(Philox(
+            key=np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.path_index & 0xFFFFFFFFFFFFFFFF],
+                         dtype=np.uint64),
+            counter=np.array([0, 0, 0, self.residue], dtype=np.uint64),
+        ))
 
     def normals(self, n_steps: int, width: int) -> np.ndarray:
         """The stream's next n_steps * width standard normals, shape (n_steps, width)."""

@@ -17,10 +17,13 @@ evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
 cost per block.  The propagator and the covariance both work in the
 block's checked eigenbasis (cell.eigenbasis), so every dense kernel
-runs on NumPy alone.  coupled_sup_errors, the converge study's engine,
-runs its path batches on one thread per usable CPU; every product runs
-per path, so within one NumPy/BLAS build its results are bit-for-bit
-the same whatever the core count.
+runs on NumPy alone.  Each evolved class of each path draws from its own
+Philox stream, keyed by (seed, path, residue), and the classes of a
+batch run one after another, each on its own chunk of steps.
+coupled_sup_errors, the converge study's engine, runs its path batches
+on one thread per usable CPU; every product runs per path, so within
+one NumPy/BLAS build its results are bit-for-bit the same whatever the
+core count.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ OVERFLOW_GUARD = 1e12
 COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
-CHUNK_NORMALS = 2048  # normals per path and class drawn at a time: sets the chunk in steps
+CHUNK_NORMALS = 2048  # normals per path and class drawn at a time: sets each class's chunk
 Q_RANK_CLIP = 1e-14  # eigenvalues of Q(dt) below this fraction of the largest are dropped
 Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the largest
 # (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
@@ -134,7 +137,6 @@ class ClassBlock:
 class BlockOperator:
     cells: int
     n_modes: int
-    cutoff: int  # the noise spec's: the largest driven wavenumber
     blocks: dict = field(default_factory=dict)  # residue -> ClassBlock
 
     def block_of(self, m: int) -> ClassBlock:
@@ -164,7 +166,7 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
     need = 2 * r * (c.max_harmonic + 1) + 2 * spec.cutoff
     if n < need:
         raise ResolutionTooSmall(f"n_modes = {n} below the required {need}")
-    op = BlockOperator(cells=r, n_modes=n, cutoff=spec.cutoff)
+    op = BlockOperator(cells=r, n_modes=n)
     all_ks = np.arange(-n // 2 + 1, n // 2)
     for residue in range(r):
         ks = all_ks[all_ks % r == residue]
@@ -347,9 +349,9 @@ def _block_map(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
 
 
 def _block_lengths(n_steps: int, length: int, chunk: int) -> set:
-    """Every block length _ClassRun.advance uses over n_steps in chunks of `chunk` steps."""
+    """Every block length _engine uses over n_steps in chunks of `chunk` <= n_steps steps."""
     out = set()
-    for m in {min(chunk, n_steps), n_steps % chunk} - {0}:
+    for m in {chunk, n_steps % chunk} - {0}:
         out |= {min(length, m), m % length} - {0}
     return out
 
@@ -378,11 +380,12 @@ class _ClassPlan:
     B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n real
     coordinates, o observed rows and d normals per step minimises the
     multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
-    stepping.  maps holds the _block_map of every block length the run
-    takes once set_chunk has fixed the chunk.
+    stepping.  The class runs in chunks of CHUNK_NORMALS // d steps (at
+    most n_steps), its own normals for a chunk drawn at once, and maps
+    holds the _block_map of every block length the run takes.
     """
 
-    def __init__(self, op: BlockOperator, res: int, dt: float, watched: set,
+    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, watched: set,
                  model: LimitModel | None, every_row: bool):
         blk = op.blocks[res]
         n_x = blk.ks.size
@@ -396,7 +399,7 @@ class _ClassPlan:
             col = int(np.searchsorted(blk.driven, m))
             self.limits.append((row, col, model.mu * m * m, model.coeff(m)))
         self.delta = {row: n_x + i for i, (row, *_) in enumerate(self.limits)}
-        p, cov = _transition(blk, dt, self.limits)
+        p, cov = _transition(blk, config.dt, self.limits)
         k = p.shape[0]
         if self_conjugate:
             partner = np.array([n_x - 1 - i for i in range(n_x)]
@@ -422,12 +425,9 @@ class _ClassPlan:
         self.length = (MAX_BLOCK_STEPS if self.o * self.d == 0 else
                        int(np.clip(round(self.n / np.sqrt(self.o * self.d)), 1,
                                    MAX_BLOCK_STEPS)))
-        self.chunk, self.maps = 0, {}
-
-    def set_chunk(self, chunk: int, n_steps: int) -> None:
-        self.chunk = chunk
+        self.chunk = min(config.n_steps, max(1, CHUNK_NORMALS // max(self.d, 1)))
         self.maps = {length: _block_map(self.p, self.l, self.rows, length)
-                     for length in _block_lengths(n_steps, self.length, chunk)}
+                     for length in _block_lengths(config.n_steps, self.length, self.chunk)}
 
     def value(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Complex coordinate i from the observed rows (last axis of obs)."""
@@ -455,9 +455,9 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
     Without a model every class 0 .. r/2 is evolved, so OVERFLOW_GUARD
     sees the whole state, and a mode is read at its own row.  With one,
     only the watched classes are evolved, since the others never feed
-    them, and a mode is read at its difference coordinate x_m - l_m.  The
-    chunk, in steps, is CHUNK_NORMALS over the largest class's normals
-    per step, so every class's buffer stays within that budget.
+    them, and a mode is read at its difference coordinate x_m - l_m.  A
+    class's plan depends on its own evolved rows alone, not on which other
+    classes are evolved.
     """
     watched, found = {}, []
     for m, res, row in _watch_lookup(op, watch):
@@ -467,84 +467,63 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
         watched.setdefault(res, set()).add(row)
         found.append((m, res, row, conj))
     evolved = range(op.cells // 2 + 1) if model is None else sorted(watched)
-    plans = {res: _ClassPlan(op, res, config.dt, watched.get(res, set()), model, every_row)
+    plans = {res: _ClassPlan(op, res, config, watched.get(res, set()), model, every_row)
              for res in evolved}
-    chunk = max(1, CHUNK_NORMALS // max([plan.d for plan in plans.values()] + [1]))
-    for plan in plans.values():
-        plan.set_chunk(chunk, config.n_steps)
     return plans, [(m, res, plans[res].delta.get(row, row), conj)
                    for m, res, row, conj in found]
-
-
-class _ClassRun:
-    """One class advanced for one batch of paths, with buffers reused for the whole run."""
-
-    def __init__(self, plan: _ClassPlan, n_paths: int):
-        self.plan = plan
-        n, d, o = plan.n, plan.d, plan.o
-        # [state slot | the chunk's normals]: the block from step s reads
-        # y_s at s*d, over normals already consumed, then z_s, z_s+1, ...
-        self.buf = np.zeros((n_paths, n + plan.chunk * d))
-        self.out = np.empty((n_paths, plan.length * o + n, 1))
-        self.obs = np.empty((n_paths, plan.chunk, o))
-        self.peak = np.empty((n_paths, n))
-
-    def load(self, path: int, z: np.ndarray) -> None:
-        """Copy one path's normals for the coming chunk (z: steps x the class's normals)."""
-        m, n, d = z.shape[0], self.plan.n, self.plan.d
-        self.buf[path, n : n + m * d].reshape(m, d)[...] = z
-
-    def advance(self, first: int, m: int, dt: float) -> np.ndarray:
-        """Run the m loaded steps; return the observed rows after each."""
-        plan, buf = self.plan, self.buf
-        n, d, o = plan.n, plan.d, plan.o
-        s = 0
-        while s < m:
-            length = min(plan.length, m - s)
-            out = self.out[:, : length * o + n]
-            np.matmul(plan.maps[length], buf[:, s * d : s * d + n + length * d, None], out=out)
-            self.obs[:, s : s + length] = out[:, : length * o, 0].reshape(len(buf), length, o)
-            state = out[:, length * o :, 0]
-            s += length
-            peak = np.abs(state, out=self.peak).max(initial=0.0)
-            if not np.isfinite(peak) or peak > OVERFLOW_GUARD:
-                raise UnstableStep(
-                    f"mode amplitude {peak:.3e} beyond guard at t = {(first + s) * dt:g}")
-            (buf[:, s * d : s * d + n] if s < m else buf[:, :n])[...] = state
-        return self.obs[:, :m]
 
 
 def _engine(plans: dict, config: SolverConfig, path_indices):
     """Advance the planned classes from u = 0 for one batch of paths; yield their observed rows.
 
     plans (from _class_plans) maps residue -> the class's shared
-    transition and the real rows to record after every step.  Each path
-    draws, per chunk, one block of standard normals from its own
-    WienerStream: per step, the normals of every planned class in residue
-    order.  Yields (first step, count, obs) once per chunk of `count`
-    steps, obs[residue] of shape (paths, count, rows); the buffers are the
-    batch's own and reused, so consume them before the next iteration.
-    Raises UnstableStep when a carried coordinate at a block boundary is
-    non-finite or beyond OVERFLOW_GUARD.
+    transition and the real rows to record after every step.  The classes
+    run one after another, in residue order, each over the whole time
+    grid in chunks of its own plan.chunk steps: per chunk, every path
+    draws the class's normals from its own WienerStream(seed, path,
+    residue) into the class's buffer, unsplit.  Yields (residue, first
+    step, count, obs) once per chunk of `count` steps, obs of shape
+    (paths, count, rows); the buffers are reused, so consume obs before
+    the next iteration.  Raises UnstableStep when a carried coordinate at
+    a block boundary is non-finite or beyond OVERFLOW_GUARD.  Only one
+    class's buffers are live at a time.
 
     Every product runs per path (np.matmul with paths as the batch axis),
-    so within one NumPy/BLAS build a path's values depend on (seed, path
-    index), the config and the set of planned classes, not on which other
-    paths share its batch, in what order batches run, or on which thread
-    or core.  Batches share nothing writable, so coupled_sup_errors runs
-    them on one thread per usable CPU.
+    so within one NumPy/BLAS build a class's values depend on (seed, path
+    index, residue), the config and the class's own plan, not on which
+    other classes are planned, which other paths share its batch, in what
+    order batches run, or on which thread or core.  Batches share nothing
+    writable, so coupled_sup_errors runs them on one thread per usable CPU.
     """
-    streams = [WienerStream(config.seed, p) for p in path_indices]
-    runs = {res: _ClassRun(plan, len(streams)) for res, plan in plans.items()}
-    bounds = np.cumsum([0] + [plan.d for plan in plans.values()])
-    chunk = min([plan.chunk for plan in plans.values()] + [config.n_steps])
-    for first in range(0, config.n_steps, chunk):
-        m = min(chunk, config.n_steps - first)
-        for pi, stream in enumerate(streams):
-            z = stream.normals(m, int(bounds[-1]))
-            for run, a, b in zip(runs.values(), bounds[:-1], bounds[1:]):
-                run.load(pi, z[:, a:b])
-        yield first, m, {res: run.advance(first, m, config.dt) for res, run in runs.items()}
+    n_paths = len(path_indices)
+    for res, plan in plans.items():
+        n, d, o = plan.n, plan.d, plan.o
+        streams = [WienerStream(config.seed, p, res) for p in path_indices]
+        # [state slot | the chunk's normals]: the block from step s reads
+        # y_s at s*d, over normals already consumed, then z_s, z_s+1, ...
+        buf = np.zeros((n_paths, n + plan.chunk * d))
+        out = np.empty((n_paths, plan.length * o + n, 1))
+        obs = np.empty((n_paths, plan.chunk, o))
+        peak = np.empty((n_paths, n))
+        for first in range(0, config.n_steps, plan.chunk):
+            m = min(plan.chunk, config.n_steps - first)
+            for pi, stream in enumerate(streams):
+                buf[pi, n : n + m * d] = stream.normals(m, d).ravel()
+            s = 0
+            while s < m:
+                length = min(plan.length, m - s)
+                block = out[:, : length * o + n]
+                np.matmul(plan.maps[length], buf[:, s * d : s * d + n + length * d, None],
+                          out=block)
+                obs[:, s : s + length] = block[:, : length * o, 0].reshape(n_paths, length, o)
+                state = block[:, length * o :, 0]
+                s += length
+                top = np.abs(state, out=peak).max(initial=0.0)
+                if not np.isfinite(top) or top > OVERFLOW_GUARD:
+                    raise UnstableStep(f"mode amplitude {top:.3e} beyond guard at "
+                                       f"t = {(first + s) * config.dt:g}")
+                (buf[:, s * d : s * d + n] if s < m else buf[:, :n])[...] = state
+            yield res, first, m, obs[:, :m]
 
 
 def _workers() -> int:
@@ -563,20 +542,22 @@ def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     (_class_plans); the classes above r/2 are their conjugates, so the
     field is real by construction.  Only watched rows are observed unless
     track_norm asks for |u|^2, which observes every coordinate and counts
-    each paired class twice, once for its conjugate.
+    each paired class twice, once for its conjugate.  The classes run one
+    after another (_engine): each fills its own watched modes and adds its
+    share of |u|^2 at every recorded step.
     """
     op = build_blocks(c, spec, config)
     plans, reads = _class_plans(op, config, config.watch, every_row=config.track_norm)
     n_rec = config.n_steps + 1
     trajs = {m: np.zeros(n_rec, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_rec) if config.track_norm else None
-    for first, count, obs in _engine(plans, config, [path_index]):
+    for res, first, count, obs in _engine(plans, config, [path_index]):
         slots = slice(first + 1, first + 1 + count)
-        for m, res, i, conj in reads:
-            value = plans[res].value(obs[res][0], i)
+        for m, _, i, conj in (read for read in reads if read[1] == res):
+            value = plans[res].value(obs[0], i)
             trajs[m][slots] = value.conj() if conj else value
         if norm2 is not None:
-            norm2[slots] = sum(obs[res][0] ** 2 @ plan.weight for res, plan in plans.items())
+            norm2[slots] += obs[0] ** 2 @ plans[res].weight
     return PathOutput(times=np.arange(n_rec) * config.dt, modes=trajs, norm_squared=norm2)
 
 
@@ -599,15 +580,22 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     reported.
 
     The paths run in batches of min(PATH_BATCH, ceil(n_paths / workers)),
-    mapped over a pool of one thread per usable CPU (_workers) that lives
-    for this call; with one CPU or one batch they run on the calling
-    thread.  The classes' transitions are built once here and shared, and
-    each batch owns its buffers.  Philox draws and the products release
-    the GIL.  Path p's values depend on neither the batch size nor the
-    thread count, so within one NumPy/BLAS build the result is bit-for-bit
-    the same on any number of cores.  An exception in any batch
-    (UnstableStep, say) reaches the caller once every running batch has
-    stopped; batches not yet started are cancelled.
+    mapped over a pool of min(workers, batches) threads (_workers counts
+    the usable CPUs) that lives for this call.  The classes' transitions
+    are built once here and shared, and each batch owns its buffers.  The
+    classes of a batch run one after another (_engine), each adding its
+    weighted |delta_m|^2 into two (paths x n_steps) sums, over all watched
+    modes and over the half range; the three sups are taken from them at
+    the end, the coarse grid from the odd columns (states after an even
+    step count).  The sums hold 2 x batch x n_steps floats per batch, one
+    batch per thread at a time: 128 KB for 32 paths of 250 steps, 2 MB for
+    64 paths of 2,048 steps (eps = 1/32, t_final = 1).
+    Philox draws and the products release the GIL.  Path p's values depend
+    on neither the batch size nor the thread count, so within one
+    NumPy/BLAS build the result is bit-for-bit the same on any number of
+    cores.  An exception in any batch (UnstableStep, say) reaches the
+    caller once every running batch has stopped; batches not yet started
+    are cancelled.
     """
     require_driven(config.eps, spec.cutoff, config.watch)
     op = build_blocks(c, spec, config)
@@ -616,33 +604,24 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     terms = [(m, (1.0 + m * m) ** (-s), res, i) for m, res, i, _ in reads]
     half_cut = max(abs(m) for m in config.watch) // 2
 
-    keys = ("full", "half_modes", "coarse_grid")
-    sups = {key: np.zeros(n_paths) for key in keys}
+    sups = {key: np.zeros(n_paths) for key in ("full", "half_modes", "coarse_grid")}
 
     def run_batch(idx: range) -> None:
-        running = {key: sups[key][idx.start : idx.stop] for key in keys}
-        for first, count, obs in _engine(plans, config, idx):
-            current, current_half = np.zeros((len(idx), count)), np.zeros((len(idx), count))
-            for m, weight, res, i in terms:
-                term = weight * plans[res].power(obs[res], i)
-                current += term
+        full, half = np.zeros((2, len(idx), config.n_steps))
+        for res, first, count, obs in _engine(plans, config, idx):
+            steps = slice(first, first + count)
+            for m, weight, _, i in (term for term in terms if term[2] == res):
+                term = weight * plans[res].power(obs, i)
+                full[:, steps] += term
                 if abs(m) <= half_cut:
-                    current_half += term
-            np.maximum(running["full"], current.max(axis=1), out=running["full"])
-            np.maximum(running["half_modes"], current_half.max(axis=1),
-                       out=running["half_modes"])
-            # odd step indices: the grid thinned by two
-            odd = current[:, (first + 1) % 2 :: 2]
-            if odd.shape[1]:
-                np.maximum(running["coarse_grid"], odd.max(axis=1), out=running["coarse_grid"])
+                    half[:, steps] += term
+        # column j holds the state after step j + 1: odd columns are the grid thinned by two
+        for key, total in (("full", full), ("half_modes", half), ("coarse_grid", full[:, 1::2])):
+            sups[key][idx.start : idx.stop] = total.max(axis=1, initial=0.0)
 
     workers = _workers()
     size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
     batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
-    if workers == 1 or len(batches) <= 1:
-        for idx in batches:
-            run_batch(idx)
-        return sups
     with ThreadPoolExecutor(min(workers, len(batches))) as pool:
         list(pool.map(run_batch, batches))
     return sups

@@ -304,16 +304,15 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
         maps.append((plan, ks, u, mirror))
     q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
 
-    z = WienerStream(seed, 0).normals(cfg.n_steps, sum(plan.d for plan, *_ in maps))
+    z = [WienerStream(seed, 0, res).normals(cfg.n_steps, plan.d) for res, plan in plans.items()]
     x = np.zeros(n, dtype=complex)
     worst = 0.0
     for i in range(cfg.n_steps):
-        kick, a = np.zeros(n, dtype=complex), 0
-        for plan, ks, u, mirror in maps:
-            kick[ks + n // 2] = u @ (plan.l @ z[i, a : a + plan.d])
+        kick = np.zeros(n, dtype=complex)
+        for (plan, ks, u, mirror), zc in zip(maps, z):
+            kick[ks + n // 2] = u @ (plan.l @ zc[i])
             if mirror:
                 kick[n // 2 - ks] = kick[ks + n // 2].conj()
-            a += plan.d
         x = prop @ x + kick
         worst = max(worst, max(abs(x[m + n // 2] - out.mode(m)[i + 1])
                                for m in (1, 2, 3)))

@@ -300,7 +300,8 @@ class TestCouplingSeries:
 
 class TestWienerSampling:
     def test_normals_are_the_philox_stream_in_draw_order(self):
-        stream = WienerStream(5, 3)
+        """Residue 0 is the plain (seed, path) Philox stream."""
+        stream = WienerStream(5, 3, 0)
         oracle = Generator(Philox(key=np.array([5, 3], dtype=np.uint64)))
         for _ in range(2):  # the second call checks the stream position too
             assert np.array_equal(stream.normals(64, 7), oracle.standard_normal((64, 7)))
@@ -312,11 +313,12 @@ class TestWienerSampling:
         assert np.array_equal(whole, chunks)
 
     def test_paths_and_seeds_own_their_streams(self):
-        draws = [WienerStream(seed, path).normals(4, 4) for seed, path in
-                 ((1, 0), (1, 1), (2, 0))]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                assert not np.any(draws[a] == draws[b])
+        """So do the residues of one path: no two streams share any of their first 1,000 normals."""
+        draws = [WienerStream(seed, path, res).normals(250, 4) for seed, path, res in
+                 ((1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1))]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                assert np.intersect1d(draws[a], draws[b]).size == 0, (a, b)
 
     def test_moments(self):
         z = WienerStream(123, 0).normals(50_000, 4).ravel()

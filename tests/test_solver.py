@@ -110,9 +110,9 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
 
     Each evolved class (residues 0 .. r/2, or the watched classes with
     their difference coordinates when a model is given) follows
-    y <- P y + L z on its share of the path's normals, with P and L the
-    engine's own; every coordinate is read back through the class's
-    coordinate map.  Returns under "watched" each watched mode (with a
+    y <- P y + L z on its own normals, WienerStream(seed, path, residue),
+    with P and L the engine's own; every coordinate is read back through
+    the class's coordinate map.  Returns under "watched" each watched mode (with a
     model, its difference u_eps - u), and |u|^2 summed over every class
     (a paired class counts twice, once for its conjugate), at every step,
     step 0 included.
@@ -120,15 +120,14 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     op = build_blocks(c, spec, config)
     plans, reads = solver._class_plans(op, config, config.watch, model, every_row=True)
     n_steps = config.n_steps
-    z = WienerStream(config.seed, path_index).normals(n_steps, sum(p.d for p in plans.values()))
+    z = {res: WienerStream(config.seed, path_index, res).normals(n_steps, plan.d)
+         for res, plan in plans.items()}
     states = {res: np.zeros(plan.n) for res, plan in plans.items()}
     watched = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
     norm2 = np.zeros(n_steps + 1)
     for i in range(n_steps):
-        a = 0
         for res, plan in plans.items():
-            states[res] = plan.p @ states[res] + plan.l @ z[i, a : a + plan.d]
-            a += plan.d
+            states[res] = plan.p @ states[res] + plan.l @ z[res][i]
         for m, res, coord, conj in reads:
             value = plans[res].value(states[res], coord)
             watched[m][i + 1] = np.conj(value) if conj else value
@@ -150,10 +149,10 @@ def final_values(c, spec, config, n_paths, batch):
     out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in reads}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
-        for _, _, obs in solver._engine(plans, config, idx):
-            pass  # only the last chunk's final step is kept
+        # each class's last chunk ends at the final step
+        final = {res: obs[:, -1].copy() for res, _, _, obs in solver._engine(plans, config, idx)}
         for m, res, coord, conj in reads:
-            value = plans[res].value(obs[res][:, -1], coord)
+            value = plans[res].value(final[res], coord)
             out[m][idx.start : idx.stop] = np.conj(value) if conj else value
     return out
 
@@ -162,11 +161,11 @@ def final_differences(c, spec, config, model, n_paths):
     """Final-time u_eps - u of each watched mode, set up as coupled_sup_errors sets it up."""
     op = build_blocks(c, spec, config)
     plans, reads = solver._class_plans(op, config, config.watch, model)
-    for _, _, obs in solver._engine(plans, config, range(n_paths)):
-        pass
+    final = {res: obs[:, -1].copy()
+             for res, _, _, obs in solver._engine(plans, config, range(n_paths))}
     out = {}
     for m, res, coord, conj in reads:
-        value = plans[res].value(obs[res][:, -1], coord)
+        value = plans[res].value(final[res], coord)
         out[m] = np.conj(value) if conj else value
     return out
 
@@ -548,7 +547,7 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
     def test_paths_match_stepping(self, name):
         c = ENGINE_CASES[name]
-        # 300 steps: one full chunk of increments and a partial one
+        # 300 steps: a full chunk of increments and a partial one in most classes
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(-3, 0, 1, 2, 5), seed=5)
         out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
@@ -700,6 +699,23 @@ class TestBlockedEngine:
             for key, value in sups["positive"].items():
                 assert_allclose(sups[name][key], value, rtol=1e-12, atol=0.0,
                                 err_msg=f"{name}, {key}")
+
+    def test_a_class_does_not_depend_on_the_other_evolved_classes(self, cosine, cosine_cell):
+        """Bitwise: watching 3 too evolves class 3 and leaves classes 1 and 2 as they were.
+
+        A class draws from WienerStream(seed, path, residue) and runs on its
+        own plan, so its values do not change when another class joins.
+        """
+        spec = NoiseSpec.power_decay(0.75, 16)
+        model = limit_model("averaged", spec, cosine_cell, 3)
+        finals = []
+        for watch in ((1, 2), (1, 2, 3)):
+            cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 16), dt=1e-3,
+                               t_final=0.1, watch=watch, seed=4)
+            finals.append(final_differences(cosine, spec, cfg, model, 3))
+        for m in (1, 2):
+            assert np.abs(finals[0][m]).min() > 0.0, m
+            assert np.array_equal(finals[1][m], finals[0][m]), m
 
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
