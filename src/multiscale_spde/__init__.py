@@ -40,7 +40,7 @@ from .solver import (
     apply_generator,
     build_blocks,
     exact_mode_covariance,
-    simulate_path,
+    simulate_paths,
     suggest_modes,
 )
 

@@ -36,8 +36,9 @@ from .solver import (
     coupled_sup_errors,
     default_dt,
     exact_mode_covariance,
+    min_modes,
     require_driven,
-    simulate_path,
+    simulate_paths,
     suggest_modes,
 )
 
@@ -225,7 +226,9 @@ def _check_config(config: dict, kind: str = "",
 
     Rejected: a config without one of the sections in `needs` (those the
     `kind` study reads), a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, a count, mode, seed or watch entry that is not an
+    n_modes <= 0, an explicit dt above an explicit t_final, an explicit
+    n_modes below the band minimum (min_modes) at any eps of the list, a
+    count, mode, seed or watch entry that is not an
     integer, an empty watch list, a path count or mode_cutoff below 1, a
     centered or track_norm other than true or false, a study target that
     names no limit regime (or 'smoothed' with no mollifier), a bad eps
@@ -249,8 +252,11 @@ def _check_config(config: dict, kind: str = "",
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
+    dt, t_final, n_modes = (solver_cfg.get(key) for key in ("dt", "t_final", "n_modes"))
+    if dt is not None and t_final is not None and float(dt) > float(t_final):
+        raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
     study = config.get("study", {})
-    whole = [("solver n_modes", solver_cfg.get("n_modes")), ("study seed", study.get("seed")),
+    whole = [("solver n_modes", n_modes), ("study seed", study.get("seed")),
              *((f"study {key}", study.get(key)) for key in ("paths", "mode", "mode_cutoff")),
              *(("solver watch entry", m) for m in solver_cfg.get("watch") or ())]
     for name, value in whole:
@@ -275,7 +281,13 @@ def _check_config(config: dict, kind: str = "",
     eps_list = None if solver_cfg.get("eps") is None else _eps_list(solver_cfg["eps"])
     if "noise" in config:
         for eps in eps_list or [None]:
-            build_noise(noise_cfg, eps)  # each spec a study builds, so bad values fail here
+            # each spec a study builds, so bad values fail here
+            cutoff = build_noise(noise_cfg, eps).cutoff
+            if n_modes is not None and eps is not None and "coefficients" in config:
+                need = min_modes(build_coefficients(config["coefficients"]), eps, cutoff)
+                if int(n_modes) < need:
+                    raise ValueError(f"solver n_modes = {n_modes!r} is below {need}, the band "
+                                     f"minimum 2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
     return study, int(study.get("seed", 0)), eps_list
 
 
@@ -489,7 +501,12 @@ def run_noise_check(config: dict) -> ExperimentReport:
 
 
 def run_simulate(config: dict) -> ExperimentReport:
-    """Sample paths of the multiscale equation at the first eps; trajectories become CSV tables."""
+    """Sample paths of the multiscale equation at the first eps; trajectories become CSV tables.
+
+    One simulate_paths call runs every path; path p's table path_{p:03d}
+    holds its watched modes, and with track_norm its norm_path_{p:03d}
+    holds |u|^2, both at every recorded step.
+    """
     study, seed, eps_list = _check_config(config, "simulate", ("coefficients", "noise"))
     eps = _need_eps(eps_list, "simulate", 1)[0]
     c, cell = _cell(config)
@@ -499,18 +516,14 @@ def run_simulate(config: dict) -> ExperimentReport:
     sc = _solver_config(solver_cfg, c, eps, spec.cutoff, seed,
                         default_t=1.0, watch=[int(m) for m in solver_cfg.get("watch", (1,))])
     report = ExperimentReport(study="simulate", config=config, seed=seed)
+    out = simulate_paths(c, spec, sc, n_paths)
     for p in range(n_paths):
-        out = simulate_path(c, spec, sc, path_index=p)
-        rows = []
-        for m, traj in sorted(out.modes.items()):
-            for t, z in zip(out.times, traj):
-                rows.append([float(t), int(m), float(z.real), float(z.imag)])
-        report.tables[f"path_{p:03d}"] = (["t", "m", "re", "im"], rows)
+        report.tables[f"path_{p:03d}"] = (["t", "m", "re", "im"], [
+            [float(t), int(m), float(z.real), float(z.imag)]
+            for m, traj in sorted(out.modes.items()) for t, z in zip(out.times, traj[p])])
         if out.norm_squared is not None:
-            report.tables[f"norm_path_{p:03d}"] = (
-                ["t", "norm_squared"],
-                [[float(t), float(v)] for t, v in zip(out.times, out.norm_squared)],
-            )
+            report.tables[f"norm_path_{p:03d}"] = (["t", "norm_squared"], [
+                [float(t), float(v)] for t, v in zip(out.times, out.norm_squared[p])])
     report.rows.append({"paths": n_paths, "eps": eps, "dt": sc.dt,
                         "n_modes": sc.n_modes, "cutoff": spec.cutoff,
                         "steps": sc.n_steps})

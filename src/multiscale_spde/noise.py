@@ -121,7 +121,15 @@ class NoiseSpec:
     def custom(cls, table: dict, cutoff: int, *, alpha: float = 0.0,
                tail: SpectralField | None = None, eta: float = 0.0,
                mollifier=None) -> "NoiseSpec":
-        table = {abs(int(k)): _check_profile(f, f"q_{k}") for k, f in table.items()}
+        """q_k from table, keyed by k or -k; giving k and -k different profiles is an error."""
+        checked = {}  # |k| -> (the first key given for it, its profile)
+        for k, f in table.items():
+            f = _check_profile(f, f"q_{k}")
+            first, g = checked.setdefault(abs(int(k)), (k, f))
+            if l2_norm(f - g) > 0.0:
+                raise ValueError(f"noise table gives q_{first} and q_{k} different profiles; "
+                                 "the profiles must obey q_k = q_-k")
+        table = {j: f for j, (_, f) in checked.items()}
         return cls("custom", cutoff, alpha=alpha, table=table, tail=tail, eta=eta,
                    mollifier=mollifier, label="custom")
 

@@ -19,11 +19,13 @@ cost per block.  The propagator and the covariance both work in the
 block's checked eigenbasis (cell.eigenbasis), so every dense kernel
 runs on NumPy alone.  Each evolved class of each path draws from its own
 Philox stream, keyed by (seed, path, residue), and the classes of a
-batch run one after another, each on its own chunk of steps.
-coupled_sup_errors, the converge study's engine, runs its path batches
-on one thread per usable CPU; every product runs per path, so within
-one NumPy/BLAS build its results are bit-for-bit the same whatever the
-core count.
+batch run one after another, each on its own chunk of steps.  Both Monte
+Carlo entry points, simulate_paths (the simulate study's trajectories)
+and coupled_sup_errors (the converge study's sup errors), are per-batch
+reductions over one scheduler, _map_paths, which builds the classes' plans
+once and runs the path batches on one thread per usable CPU; every
+product runs per path, so within one NumPy/BLAS build their results are
+bit-for-bit the same whatever the core count.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
     "suggest_modes",
     "apply_generator",
     "build_blocks",
-    "simulate_path",
+    "simulate_paths",
     "coupled_sup_errors",
     "require_driven",
     "exact_mode_covariance",
@@ -65,7 +67,7 @@ Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the 
 # (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
 DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
-PATH_BATCH = 64  # most paths per engine run in coupled_sup_errors; no path's values depend on it
+PATH_BATCH = 64  # most paths per engine run in _map_paths; no path's values depend on it
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,17 @@ def default_dt(eps: float) -> float:
     return min(1e-3, 0.5 * eps * eps)
 
 
+def min_modes(c: Coefficients, eps: float, cutoff: int) -> int:
+    """The smallest band build_blocks accepts: 2 (1/eps) (J+1) + 2 cutoff."""
+    return 2 * cells(eps) * (c.max_harmonic + 1) + 2 * cutoff
+
+
 def suggest_modes(c: Coefficients, eps: float, cutoff: int) -> int:
     """Band (a multiple of 2/eps) meeting the invariant with cell headroom.
 
-    The minimum 2 (1/eps) (J+1) + 2 cutoff only fits the operator; each
-    residue class must also hold the harmonics of the invariant density,
-    so the per-class offset range is widened to at least CELL_BAND.
+    The minimum (min_modes) only fits the operator; each residue class
+    must also hold the harmonics of the invariant density, so the
+    per-class offset range is widened to at least CELL_BAND.
     """
     r = cells(eps)
     need = 2 * r * max(c.max_harmonic + 1, CELL_BAND) + 2 * cutoff
@@ -163,7 +170,7 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
         raise ValueError("need 0 < dt <= t_final")
     r = cells(config.eps)
     n = config.n_modes
-    need = 2 * r * (c.max_harmonic + 1) + 2 * spec.cutoff
+    need = min_modes(c, config.eps, spec.cutoff)
     if n < need:
         raise ResolutionTooSmall(f"n_modes = {n} below the required {need}")
     op = BlockOperator(cells=r, n_modes=n)
@@ -189,14 +196,15 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
 
 @dataclass(frozen=True)
 class PathOutput:
-    """Recorded trajectories of the watched modes for one path."""
+    """Recorded trajectories of the watched modes, one row per path.
+
+    modes[m] is (paths, steps + 1) complex, norm_squared (paths, steps + 1)
+    or None; column j is the state at times[j].
+    """
 
     times: np.ndarray
     modes: dict
     norm_squared: np.ndarray | None = None
-
-    def mode(self, m: int) -> np.ndarray:
-        return self.modes[m]
 
 
 def _watch_lookup(op: BlockOperator, watch) -> list:
@@ -493,7 +501,7 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     index, residue), the config and the class's own plan, not on which
     other classes are planned, which other paths share its batch, in what
     order batches run, or on which thread or core.  Batches share nothing
-    writable, so coupled_sup_errors runs them on one thread per usable CPU.
+    writable, so _map_paths runs them on one thread per usable CPU.
     """
     n_paths = len(path_indices)
     for res, plan in plans.items():
@@ -534,30 +542,68 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def simulate_path(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
-                  path_index: int = 0) -> PathOutput:
-    """One sample path of the multiscale equation from u = 0.
+def _map_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig, n_paths: int,
+               reduce_batch, model: LimitModel | None = None, every_row: bool = False) -> None:
+    """Run paths 0 .. n_paths - 1 in batches and hand each batch to reduce_batch.
+
+    The blocks and the classes' plans (_class_plans, with model and
+    every_row) are built once here and shared by every batch.  The paths
+    run in batches of min(PATH_BATCH, ceil(n_paths / workers)), mapped
+    over a pool of min(workers, batches) threads (_workers counts the
+    usable CPUs) that lives for this call.  reduce_batch(idx, chunks) gets
+    the batch's path indices, a range, and the engine's chunks for them
+    (_engine), each as (plan, reads, first, count, obs) with reads the
+    (m, coordinate, conj) of the watched modes read in plan's class; it
+    owns its buffers and writes only the rows idx of its outputs, so
+    batches share nothing writable.  Philox draws and the products release
+    the GIL.  Path p's values depend on neither the batch size nor the
+    thread count, so within one NumPy/BLAS build every result is bit for
+    bit the same on any number of cores.  An exception in any batch
+    (UnstableStep, say) reaches the caller once every running batch has
+    stopped; batches not yet started are cancelled.
+    """
+    op = build_blocks(c, spec, config)
+    plans, reads = _class_plans(op, config, config.watch, model, every_row)
+    by_class = {res: [(m, i, conj) for m, r, i, conj in reads if r == res] for res in plans}
+
+    def run_batch(idx: range) -> None:
+        reduce_batch(idx, ((plans[res], by_class[res], first, count, obs)
+                           for res, first, count, obs in _engine(plans, config, idx)))
+
+    workers = _workers()
+    size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
+    batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
+    with ThreadPoolExecutor(min(workers, len(batches))) as pool:
+        list(pool.map(run_batch, batches))
+
+
+def simulate_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
+                   n_paths: int) -> PathOutput:
+    """Sample paths 0 .. n_paths - 1 of the multiscale equation from u = 0.
 
     Every class with residue 0 .. r/2 is evolved by its exact transition
     (_class_plans); the classes above r/2 are their conjugates, so the
     field is real by construction.  Only watched rows are observed unless
     track_norm asks for |u|^2, which observes every coordinate and counts
-    each paired class twice, once for its conjugate.  The classes run one
-    after another (_engine): each fills its own watched modes and adds its
-    share of |u|^2 at every recorded step.
+    each paired class twice, once for its conjugate.  The paths run in
+    batches on one thread per usable CPU (_map_paths); in each batch the
+    classes run one after another (_engine), each filling its own watched
+    modes and adding its share of |u|^2 at every recorded step.
     """
-    op = build_blocks(c, spec, config)
-    plans, reads = _class_plans(op, config, config.watch, every_row=config.track_norm)
     n_rec = config.n_steps + 1
-    trajs = {m: np.zeros(n_rec, dtype=complex) for m in config.watch}
-    norm2 = np.zeros(n_rec) if config.track_norm else None
-    for res, first, count, obs in _engine(plans, config, [path_index]):
-        slots = slice(first + 1, first + 1 + count)
-        for m, _, i, conj in (read for read in reads if read[1] == res):
-            value = plans[res].value(obs[0], i)
-            trajs[m][slots] = value.conj() if conj else value
-        if norm2 is not None:
-            norm2[slots] += obs[0] ** 2 @ plans[res].weight
+    trajs = {m: np.zeros((n_paths, n_rec), dtype=complex) for m in config.watch}
+    norm2 = np.zeros((n_paths, n_rec)) if config.track_norm else None
+
+    def reduce_batch(idx: range, chunks) -> None:
+        for plan, reads, first, count, obs in chunks:
+            at = (slice(idx.start, idx.stop), slice(first + 1, first + 1 + count))
+            for m, i, conj in reads:
+                value = plan.value(obs, i)
+                trajs[m][at] = value.conj() if conj else value
+            if norm2 is not None:
+                norm2[at] += obs ** 2 @ plan.weight
+
+    _map_paths(c, spec, config, n_paths, reduce_batch, every_row=config.track_norm)
     return PathOutput(times=np.arange(n_rec) * config.dt, modes=trajs, norm_squared=norm2)
 
 
@@ -579,51 +625,31 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     time grid thinned by two, so the proxy's truncation effects can be
     reported.
 
-    The paths run in batches of min(PATH_BATCH, ceil(n_paths / workers)),
-    mapped over a pool of min(workers, batches) threads (_workers counts
-    the usable CPUs) that lives for this call.  The classes' transitions
-    are built once here and shared, and each batch owns its buffers.  The
-    classes of a batch run one after another (_engine), each adding its
-    weighted |delta_m|^2 into two (paths x n_steps) sums, over all watched
-    modes and over the half range; the three sups are taken from them at
-    the end, the coarse grid from the odd columns (states after an even
-    step count).  The sums hold 2 x batch x n_steps floats per batch, one
-    batch per thread at a time: 128 KB for 32 paths of 250 steps, 2 MB for
-    64 paths of 2,048 steps (eps = 1/32, t_final = 1).
-    Philox draws and the products release the GIL.  Path p's values depend
-    on neither the batch size nor the thread count, so within one
-    NumPy/BLAS build the result is bit-for-bit the same on any number of
-    cores.  An exception in any batch (UnstableStep, say) reaches the
-    caller once every running batch has stopped; batches not yet started
-    are cancelled.
+    The paths run in batches on one thread per usable CPU (_map_paths).
+    The classes of a batch run one after another (_engine), each adding
+    its weighted |delta_m|^2 into two (paths x n_steps) sums, over all
+    watched modes and over the half range; the three sups are taken from
+    them at the end, the coarse grid from the odd columns (states after an
+    even step count).  The sums hold 2 x batch x n_steps floats per batch,
+    one batch per thread at a time: 128 KB for 32 paths of 250 steps, 2 MB
+    for 64 paths of 2,048 steps (eps = 1/32, t_final = 1).
     """
     require_driven(config.eps, spec.cutoff, config.watch)
-    op = build_blocks(c, spec, config)
-    plans, reads = _class_plans(op, config, config.watch, model)
-    # (m, weight, residue, difference coordinate)
-    terms = [(m, (1.0 + m * m) ** (-s), res, i) for m, res, i, _ in reads]
     half_cut = max(abs(m) for m in config.watch) // 2
-
     sups = {key: np.zeros(n_paths) for key in ("full", "half_modes", "coarse_grid")}
 
-    def run_batch(idx: range) -> None:
+    def reduce_batch(idx: range, chunks) -> None:
         full, half = np.zeros((2, len(idx), config.n_steps))
-        for res, first, count, obs in _engine(plans, config, idx):
-            steps = slice(first, first + count)
-            for m, weight, _, i in (term for term in terms if term[2] == res):
-                term = weight * plans[res].power(obs, i)
-                full[:, steps] += term
-                if abs(m) <= half_cut:
-                    half[:, steps] += term
+        for plan, reads, first, count, obs in chunks:
+            for m, i, _ in reads:
+                term = (1.0 + m * m) ** (-s) * plan.power(obs, i)
+                for total in (full, half) if abs(m) <= half_cut else (full,):
+                    total[:, first : first + count] += term
         # column j holds the state after step j + 1: odd columns are the grid thinned by two
         for key, total in (("full", full), ("half_modes", half), ("coarse_grid", full[:, 1::2])):
             sups[key][idx.start : idx.stop] = total.max(axis=1, initial=0.0)
 
-    workers = _workers()
-    size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
-    batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
-    with ThreadPoolExecutor(min(workers, len(batches))) as pool:
-        list(pool.map(run_batch, batches))
+    _map_paths(c, spec, config, n_paths, reduce_batch, model)
     return sups
 
 

@@ -26,7 +26,7 @@ from multiscale_spde.solver import (
     SolverConfig,
     apply_generator,
     build_blocks,
-    simulate_path,
+    simulate_paths,
     suggest_modes,
 )
 
@@ -243,10 +243,10 @@ def test_criterion7b_rate_across_amplitudes(amplitude):
 def test_criterion8a_realness_and_conjugacy(cosine):
     cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 4), dt=1e-3,
                        t_final=0.2, watch=(-2, -1, 0, 1, 2), seed=3)
-    out = simulate_path(cosine, NoiseSpec.white(4), cfg)
-    scale = max(np.abs(out.mode(1)).max(), 1e-30)
-    worst = max(np.abs(out.mode(-m) - np.conj(out.mode(m))).max() for m in (1, 2))
-    worst = max(worst, np.abs(out.mode(0).imag).max())
+    out = simulate_paths(cosine, NoiseSpec.white(4), cfg, 1)
+    scale = max(np.abs(out.modes[1][0]).max(), 1e-30)
+    worst = max(np.abs(out.modes[-m][0] - np.conj(out.modes[m][0])).max() for m in (1, 2))
+    worst = max(worst, np.abs(out.modes[0][0].imag).max())
     check("8a conjugate symmetry / realness", worst <= 1e-10 * scale,
           f"defect = {worst:.2e} (tol 1e-10 relative)")
 
@@ -267,12 +267,12 @@ def test_criterion8c_density_norm_dichotomy(heat, cosine_cell):
 
 def test_criterion8d_block_vs_dense_pathwise(cosine):
     """The dense propagator expm(dense dt), built from apply_generator, applied to the
-    engine's own kicks U L z reproduces simulate_path; and the dense Van Loan Q, built
+    engine's own kicks U L z reproduces simulate_paths; and the dense Van Loan Q, built
     from the independently oscillated noise columns, is each class's U L L^T U*."""
     eps, n, cutoff, dt, seed = 0.25, 64, 8, 1e-3, 21
     spec = NoiseSpec.white(cutoff)
     cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=0.5, watch=(1, 2, 3), seed=seed)
-    out = simulate_path(cosine, spec, cfg)
+    out = simulate_paths(cosine, spec, cfg, 1)
     dense = np.zeros((n, n), dtype=complex)
     for j in range(-n // 2 + 1, n // 2):
         dense[:, j + n // 2] = apply_generator(cosine, eps,
@@ -314,7 +314,7 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
             if mirror:
                 kick[n // 2 - ks] = kick[ks + n // 2].conj()
         x = prop @ x + kick
-        worst = max(worst, max(abs(x[m + n // 2] - out.mode(m)[i + 1])
+        worst = max(worst, max(abs(x[m + n // 2] - out.modes[m][0][i + 1])
                                for m in (1, 2, 3)))
     check("8d block vs dense pathwise", worst <= 1e-8 and q_gap <= 1e-12,
           f"max pathwise gap = {worst:.2e} (tol 1e-8, N = 64), "

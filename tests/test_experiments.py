@@ -19,7 +19,9 @@ from multiscale_spde.experiments import (
     ENHANCEMENT_MIN_FACTOR,
     ExperimentReport,
     _check_config,
+    _fit_log_decay,
     batch_mean_se,
+    build_noise,
     config_hash,
     emit_report,
     fit_rate_with_exclusion,
@@ -32,6 +34,7 @@ from multiscale_spde.experiments import (
     run_study,
     run_variance_study,
 )
+from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model, ou_variance
 from multiscale_spde.noise import NoiseSpec, bump_mollifier, tent_mollifier
 
@@ -70,6 +73,15 @@ class TestFitting:
     def test_too_few_points(self):
         with pytest.raises(FitFailed):
             fit_rate_with_exclusion([0.25, 0.125], [1.0, 0.5])
+
+    @pytest.mark.parametrize("ts, values, message", [
+        (np.arange(7.0), np.exp(-np.arange(7.0)), r"only 7 samples in the fit window$"),
+        (np.arange(12.0), np.exp(-np.arange(12.0)) * (1.0 + 0.9 * (-1.0) ** np.arange(12)),
+         r"fit R\^2 = 0\.\d+ below 0\.99$"),
+    ])
+    def test_boundary_layer_fit_failures(self, ts, values, message):
+        with pytest.raises(FitFailed, match=rf"boundary layer: {message}"):
+            _fit_log_decay(ts, values)
 
     def test_batch_mean_se(self):
         rng = np.random.default_rng(0)
@@ -111,6 +123,18 @@ class TestReports:
         text = (tmp_path / "t.csv").read_bytes()
         assert b"\r" not in text
         assert text.decode().splitlines() == ["x,y", "0.5,1", "1.5,2", "6.983938917678365,3"]
+
+    def test_summary_lines(self):
+        report = ExperimentReport(study="demo", config={}, seed=0)
+        report.verdict("rate", True, 0.5, 0.3)
+        report.verdict("decreasing", False, None)
+        report.fit = {"theta": 0.123456, "r_squared": 1.0, "note": "text"}
+        assert report.summary_lines() == [
+            "study: demo  (FAIL)",
+            "  pass rate = 0.5  (threshold 0.3)",
+            "  FAIL decreasing",
+            "  fit: theta = 0.1235, r_squared = 1",
+        ]
 
     def test_config_hash_is_order_insensitive(self):
         a = {"x": 1, "y": {"b": 2.0, "a": [1, 2]}}
@@ -290,6 +314,12 @@ class TestStudies:
         ("solver", "n_modes", 0, r"solver n_modes = 0 must be positive"),
         ("noise", "cutoff_factor", 2.0, r"noise gives both cutoff and cutoff_factor"),
         ("solver", "n_modes", 0.5, r"solver n_modes = 0.5 must be an integer"),
+        ("solver", "dt", 10.0, r"solver dt = 10.0 is above solver t_final = 5.0$"),
+        ("solver", "n_modes", 8, r"solver n_modes = 8 is below 32, the band minimum "
+                                 r"2 \(1/eps\) \(J \+ 1\) \+ 2 cutoff at eps = 0.25$"),
+        ("noise", None, {"family": "custom", "table": {"1": "one", "-1": "cos"}},
+         r"noise table gives q_1 and q_-1 different profiles; the profiles must obey "
+         r"q_k = q_-k$"),
         ("study", "target", "enhancd", r"unknown study target 'enhancd'; the limit regimes "
                                        r"are averaged, fluctuation, enhanced, smoothed"),
         ("sovler", "eps", 0.25, r"unknown config key\(s\) sovler; the studies read "
@@ -518,6 +548,47 @@ class TestStudies:
         header = (tmp_path / "path_000.csv").read_text().splitlines()[0]
         assert header == "t,m,re,im"
 
+    def test_simulate_norm_tables_sum_the_driven_modes(self, tmp_path):
+        """On the heat flow only the driven modes |k| <= 2 move, and all are watched."""
+        report = run_simulate({
+            "coefficients": {"name": "heat"},
+            "noise": {"family": "white", "cutoff": 2},
+            "solver": {"eps": [0.5], "t_final": 0.05, "watch": [-2, -1, 0, 1, 2],
+                       "track_norm": True},
+            "study": {"kind": "simulate", "seed": 1, "paths": 2},
+        })
+        emit_report(report, tmp_path)
+        for p in range(2):
+            path = tmp_path / f"norm_path_{p:03d}.csv"
+            assert path.read_text().startswith("t,norm_squared\n")
+            norm = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+            _, rows = report.tables[f"path_{p:03d}"]
+            power = np.zeros(norm.size)
+            for i, (_, _, re, im) in enumerate(rows):  # mode by mode, each over the time grid
+                power[i % norm.size] += re * re + im * im
+            assert norm[0] == 0.0 and norm[-1] > 0.0
+            assert np.abs(norm - power).max() <= 1e-12 * norm.max()
+
+    def test_simulate_builds_blocks_and_plans_once(self, monkeypatch):
+        """Every path of one simulate study shares the blocks and the class plans."""
+        from multiscale_spde import solver
+
+        calls = {"build_blocks": 0, "_class_plans": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(solver, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counting)
+        report = run_simulate({
+            "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+            "noise": {"family": "white", "cutoff": 4},
+            "solver": {"eps": [0.25], "t_final": 0.01, "watch": [1]},
+            "study": {"kind": "simulate", "seed": 1, "paths": 3},
+        })
+        assert sorted(report.tables) == ["path_000", "path_001", "path_002"]
+        assert calls == {"build_blocks": 1, "_class_plans": 1}
+
 
 class TestConfigBuilders:
     def test_explicit_mode_lists_match_builtin(self):
@@ -542,6 +613,17 @@ class TestConfigBuilders:
                             c, 0.25, 8, seed=1, default_t=2.0, watch=(1,))
         assert sc.dt == 5e-4 and sc.n_modes == 96 and sc.track_norm
         assert sc.t_final == 2.0
+
+    def test_custom_noise_table(self):
+        spec = build_noise({"family": "custom", "cutoff": 4, "alpha": 0.5, "eta": 0.25,
+                            "table": {"0": "one", "-2": "cos", "2": "cos"},
+                            "tail": "one-plus-cos"})
+        assert (spec.family, spec.cutoff, spec.alpha, spec.eta) == ("custom", 4, 0.5, 0.25)
+        cos = SpectralField.from_modes({1: 0.5, -1: 0.5})
+        assert l2_norm(spec.profile(0) - SpectralField.constant(1.0)) == 0.0
+        assert l2_norm(spec.profile(-2) - cos) == 0.0 and l2_norm(spec.profile(2) - cos) == 0.0
+        assert l2_norm(spec.profile(1)) == 0.0 and l2_norm(spec.profile(3)) == 0.0
+        assert l2_norm(spec.tail - SpectralField.from_modes({0: 1.0, 1: 0.5, -1: 0.5})) == 0.0
 
     def test_cutoff_factor_scales_with_eps(self):
         from multiscale_spde.experiments import resolve_cutoff
@@ -595,6 +677,35 @@ class TestCli:
                      "--quiet"])
         assert code == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    def test_summary_is_printed_unless_quiet(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coefficients": {"name": "heat"}, "study": {"seed": 1}}))
+        out = tmp_path / "out"
+        assert main(["cell", "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:4] == [f"wrote {out / name}"
+                               for name in ("report.json", "rows.csv", "density.csv")] + [
+            "study: cell  (pass)"]
+        assert printed[4].startswith("  pass <b rho, 1> = 0 = ")
+        assert printed[4].endswith("  (threshold 1e-08)") and len(printed) == 5
+
+    def test_paths_override(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "coefficients": {"name": "heat"},
+            "noise": {"family": "white", "cutoff": 2},
+            "solver": {"eps": [0.5], "t_final": 0.01, "watch": [1]},
+            "study": {"seed": 1, "paths": 2},
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--paths", "3",
+                     "--quiet"]) == 0
+        assert sorted(f.name for f in out.glob("path_*.csv")) == [
+            "path_000.csv", "path_001.csv", "path_002.csv"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["rows"][0]["paths"] == 3
+        assert report["provenance"]["config"]["study"]["paths"] == 3
 
     def test_seed_override_changes_provenance(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -45,6 +45,16 @@ class TestFamilies:
             assert l2_norm(spec.profile(k) - spec.profile(-k)) == 0.0
             assert conjugation_defect(spec.profile(k)) < 1e-14
 
+    @pytest.mark.parametrize("keys", [(1, -1), (-1, 1)])
+    def test_custom_table_must_give_k_and_minus_k_one_profile(self, keys):
+        """Keyed by |k|, a contradictory table would keep whichever key came last."""
+        first, second = keys
+        with pytest.raises(ValueError, match=rf"noise table gives q_{first} and q_{second} "
+                                             r"different profiles; the profiles must obey"):
+            NoiseSpec.custom({first: ONE_PLUS_COS, second: SpectralField.constant(1.0)}, 4)
+        spec = NoiseSpec.custom({first: ONE_PLUS_COS, second: ONE_PLUS_COS.copy()}, 4)
+        assert l2_norm(spec.profile(1) - ONE_PLUS_COS) == 0.0
+
     def test_white_centering_is_rejected(self, cosine_cell):
         with pytest.raises(ValueError):
             NoiseSpec.white(8).centered(cosine_cell.rho)

@@ -1,5 +1,6 @@
 """Tests for the block-structured multiscale solver."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from multiscale_spde.solver import (
     build_blocks,
     coupled_sup_errors,
     exact_mode_covariance,
-    simulate_path,
+    simulate_paths,
     suggest_modes,
 )
 from test_cell import random_band_limited
@@ -141,7 +142,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
 def final_values(c, spec, config, n_paths, batch):
     """Final-time watched-mode values of paths 0 .. n_paths - 1, batch paths per engine run.
 
-    The classes and observed rows are simulate_path's, so path p's values
+    The classes and observed rows are simulate_paths', so path p's values
     are its values bit for bit.
     """
     op = build_blocks(c, spec, config)
@@ -330,8 +331,8 @@ class TestSimulatePath:
         spec = NoiseSpec.custom({}, cutoff=2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
                            t_final=0.1, watch=(1, 2), seed=0)
-        out = simulate_path(cosine, spec, cfg)
-        assert max(np.abs(out.mode(m)).max() for m in (1, 2)) == 0.0
+        out = simulate_paths(cosine, spec, cfg, 1)
+        assert max(np.abs(out.modes[m][0]).max() for m in (1, 2)) == 0.0
 
     def test_single_mode_ou_statistics(self, heat):
         """Driven mode 1 of the pure heat flow is an exact OU process."""
@@ -344,19 +345,19 @@ class TestSimulatePath:
     def test_batched_sampler_reproduces_single_paths(self, heat):
         cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, watch=(1,), seed=7)
         vals = final_values(heat, DELTA_ONE, cfg, 3, batch=256)
+        out = simulate_paths(heat, DELTA_ONE, cfg, 3)
         for p in range(3):
-            ref = simulate_path(heat, DELTA_ONE, cfg, path_index=p).mode(1)[-1]
-            assert vals[1][p] == ref
+            assert vals[1][p] == out.modes[1][p][-1]
 
     def test_realness_and_conjugacy(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 4),
                            dt=1e-3, t_final=0.2, watch=(-3, -2, -1, 0, 1, 2, 3), seed=3)
-        out = simulate_path(cosine, NoiseSpec.white(4), cfg)
-        scale = max(np.abs(out.mode(1)).max(), 1e-30)
+        out = simulate_paths(cosine, NoiseSpec.white(4), cfg, 1)
+        scale = max(np.abs(out.modes[1][0]).max(), 1e-30)
         for m in (1, 2, 3):
-            assert np.abs(out.mode(-m) - np.conj(out.mode(m))).max() <= 1e-10 * scale
-        assert np.abs(out.mode(0).imag).max() <= 1e-10 * scale
-        assert out.times[0] == 0.0 and np.abs(out.mode(1)[0]) == 0.0
+            assert np.abs(out.modes[-m][0] - np.conj(out.modes[m][0])).max() <= 1e-10 * scale
+        assert np.abs(out.modes[0][0].imag).max() <= 1e-10 * scale
+        assert out.times[0] == 0.0 and np.abs(out.modes[1][0][0]) == 0.0
 
     def test_watch_order_does_not_change_any_mode(self, cosine):
         """Bitwise: the evolved classes and their observed rows do not depend on watch order."""
@@ -365,16 +366,16 @@ class TestSimulatePath:
         for order in (watch, watch[::-1]):
             cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
                                t_final=0.1, watch=order, seed=3)
-            outs.append(simulate_path(cosine, NoiseSpec.white(8), cfg))
-        assert np.abs(outs[0].mode(1)).max() > 0.0
+            outs.append(simulate_paths(cosine, NoiseSpec.white(8), cfg, 1))
+        assert np.abs(outs[0].modes[1][0]).max() > 0.0
         for m in watch:
-            assert np.array_equal(outs[0].mode(m), outs[1].mode(m)), m
+            assert np.array_equal(outs[0].modes[m][0], outs[1].modes[m][0]), m
 
     def test_overflow_guard(self, heat):
         big = NoiseSpec.custom({1: 1e13 * SpectralField.constant(1.0)}, cutoff=1)
         cfg = SolverConfig(eps=1.0, n_modes=8, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
-            simulate_path(heat, big, cfg)
+            simulate_paths(heat, big, cfg, 1)
 
     def test_overflow_guard_sees_unwatched_classes(self, heat):
         """Mode 2 sits in the other class of eps = 1/2; watching mode 1 still trips."""
@@ -382,15 +383,15 @@ class TestSimulatePath:
                                 2: 1e13 * SpectralField.constant(1.0)}, cutoff=2)
         cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(UnstableStep):
-            simulate_path(heat, big, cfg)
+            simulate_paths(heat, big, cfg, 1)
 
     def test_norm_tracking(self, heat):
         """With only modes +-1 driven, |u|^2 is twice the watched mode power."""
         cfg = SolverConfig(eps=1.0, n_modes=16, dt=1e-3, t_final=0.5, watch=(1,), seed=4,
                            track_norm=True)
-        out = simulate_path(heat, DELTA_ONE, cfg)
-        expected = 2.0 * np.abs(out.mode(1)) ** 2
-        assert np.abs(out.norm_squared - expected).max() <= 1e-12
+        out = simulate_paths(heat, DELTA_ONE, cfg, 1)
+        expected = 2.0 * np.abs(out.modes[1][0]) ** 2
+        assert np.abs(out.norm_squared[0] - expected).max() <= 1e-12
 
 
 class TestCoupled:
@@ -550,20 +551,20 @@ class TestBlockedEngine:
         # 300 steps: a full chunk of increments and a partial one in most classes
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(-3, 0, 1, 2, 5), seed=5)
-        out = simulate_path(c, NoiseSpec.white(8), cfg, path_index=2)
+        out = simulate_paths(c, NoiseSpec.white(8), cfg, 3)
         ref = stepped_reference(c, NoiseSpec.white(8), cfg, path_index=2)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["watched"][m], f"{name}, m = {m}")
+            assert_matches_stepping(out.modes[m][2], ref["watched"][m], f"{name}, m = {m}")
 
     def test_norm_matches_stepping(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 4), seed=8, track_norm=True)
-        out = simulate_path(cosine, NoiseSpec.white(8), cfg)
+        out = simulate_paths(cosine, NoiseSpec.white(8), cfg, 1)
         ref = stepped_reference(cosine, NoiseSpec.white(8), cfg)
         assert np.array_equal(out.times, np.arange(301) * cfg.dt)
         for m in cfg.watch:
-            assert_matches_stepping(out.mode(m), ref["watched"][m], f"m = {m}")
-        assert_matches_stepping(out.norm_squared, ref["norm2"], "norm")
+            assert_matches_stepping(out.modes[m][0], ref["watched"][m], f"m = {m}")
+        assert_matches_stepping(out.norm_squared[0], ref["norm2"], "norm")
 
     def test_sup_errors_match_stepping(self, cosine, cosine_cell, monkeypatch):
         spec = NoiseSpec.power_decay(0.75, 8)
@@ -607,10 +608,10 @@ class TestBlockedEngine:
         for other in sups[1:]:
             for key in other:
                 assert np.array_equal(other[key], sups[0][key])
+        out = simulate_paths(c, spec, cfg, 5)
         for p in range(5):
-            out = simulate_path(c, spec, cfg, path_index=p)
             for m in cfg.watch:
-                assert out.mode(m)[-1] == finals[0][m][p]
+                assert out.modes[m][p][-1] == finals[0][m][p]
 
     @staticmethod
     def threaded_case(cosine, cosine_cell):
@@ -623,21 +624,30 @@ class TestBlockedEngine:
     def test_thread_count_does_not_change_any_path(self, cosine, cosine_cell, n_paths):
         """Bitwise, within one NumPy/BLAS build, for 1-3 workers and every batch size.
 
-        n_paths 1 and 2 leave workers without a batch.
+        Both entry points: coupled_sup_errors' sups, and simulate_paths'
+        trajectories and |u|^2.  n_paths 1 and 2 leave workers without a batch.
         """
         spec, cfg, model = self.threaded_case(cosine, cosine_cell)
-        runs = {}
+        tracked = replace(cfg, track_norm=True)
+        runs, paths = {}, {}
         for workers in (1, 2, 3):
             for batch in (1, 3, 64):
                 with mock.patch.object(solver, "_workers", lambda w=workers: w), \
                         mock.patch.object(solver, "PATH_BATCH", batch):
                     runs[workers, batch] = coupled_sup_errors(cosine, spec, cfg, model, 1.0,
                                                               n_paths)
+                    paths[workers, batch] = simulate_paths(cosine, spec, tracked, n_paths)
         serial = runs[1, 64]
         assert serial["full"].min() > 0.0
         for (workers, batch), sups in runs.items():
             for key in serial:
                 assert np.array_equal(sups[key], serial[key]), (workers, batch, key)
+        serial = paths[1, 64]
+        assert np.abs(serial.modes[1][:, -1]).min() > 0.0
+        for (workers, batch), out in paths.items():
+            for m in cfg.watch:
+                assert np.array_equal(out.modes[m], serial.modes[m]), (workers, batch, m)
+            assert np.array_equal(out.norm_squared, serial.norm_squared), (workers, batch)
 
     def test_unstable_step_in_a_worker_reaches_the_caller(self, cosine, cosine_cell,
                                                          monkeypatch):
@@ -905,7 +915,7 @@ class TestClosedFormCovariance:
             if flow == "covariance":
                 exact_mode_covariance(cosine, NoiseSpec.white(4), cfg, t_grid=[1.0], modes=[1])
             elif flow == "engine":
-                simulate_path(cosine, NoiseSpec.white(4), cfg)
+                simulate_paths(cosine, NoiseSpec.white(4), cfg, 1)
             else:
                 experiments.run_semigroup_study({
                     "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
