@@ -341,6 +341,10 @@ class ExperimentReport:
         return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode()
 
     def summary_lines(self) -> list[str]:
+        """The report as text; a bool in the fit prints as report.json spells it."""
+        def show(v) -> str:
+            return ("true" if v else "false") if isinstance(v, (bool, np.bool_)) else f"{v:.4g}"
+
         lines = [f"study: {self.study}  ({'pass' if self.passed else 'FAIL'})"]
         for v in self.verdicts:
             status = "pass" if v["passed"] else "FAIL"
@@ -348,8 +352,8 @@ class ExperimentReport:
             val = "" if v["value"] is None else f" = {v['value']:.6g}"
             lines.append(f"  {status:4s} {v['name']}{val}{thr}")
         if self.fit:
-            pieces = ", ".join(f"{k} = {v:.4g}" for k, v in self.fit.items()
-                               if isinstance(v, (int, float)))
+            pieces = ", ".join(f"{k} = {show(v)}" for k, v in self.fit.items()
+                               if isinstance(v, (int, float, np.bool_)))
             lines.append(f"  fit: {pieces}")
         return lines
 

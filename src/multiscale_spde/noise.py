@@ -6,10 +6,10 @@ which makes q_k = 1 reproduce cylindrical space-time white noise under
 the 1/(2*pi)-normalised inner product.  The limit coefficients built
 from these profiles live in ``limit``.
 
-The path engine's standard normals come from counter-based Philox
-streams keyed by (seed, path index, residue class), so parallel path
-generation is reproducible no matter how paths are scheduled, and a
-class's draws do not depend on which other classes are evolved.
+The path engine's standard normals come from SFC64 streams addressed by
+(seed, path index, residue class), so parallel path generation is
+reproducible no matter how paths are scheduled, and a class's draws do
+not depend on which other classes are evolved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import TruncationTooSmall
 from .fourier import (SpectralField, cells, conjugation_defect, inner_product, l2_norm,
@@ -338,29 +338,30 @@ def coupling_series(spec: NoiseSpec, rho: SpectralField, eps: float, m: int,
 
 
 class WienerStream:
-    """Counter-based Gaussian stream for one residue class of one sample path.
+    """Gaussian stream for one residue class of one sample path.
 
-    Philox keyed by (seed, path index), with the residue in the high word
-    of its 256-bit counter: each class of each path owns a stream, so its
-    draws are reproducible for any scheduling of paths and do not depend
-    on which other classes are evolved.  Residue 0 starts at counter 0,
-    the plain (seed, path) stream; residue r starts at r * 2^192, beyond
-    any run's reach of another residue's counters.  The engine reads it as
-    plain standard normals, one row of the class's width per step; the
-    normals fill rows in draw order, so stepwise and chunked draws of the
-    same width agree.
+    SFC64 seeded by SeedSequence(seed, spawn_key=(path index, residue)):
+    the stream is the child (path, residue) of the seed's SeedSequence
+    tree, the one SeedSequence(seed).spawn(...) would address, so each
+    class of each path owns a stream, reproducible for any scheduling of
+    paths and independent of which other classes are evolved.  The seed
+    is taken modulo 2^64.  The normals come in draw order, so stepwise,
+    chunked and in-place draws of the same stream agree; the engine fills
+    each chunk of a class's normals in place (fill), one row of the
+    class's width per step.
     """
 
     def __init__(self, seed: int, path_index: int = 0, residue: int = 0):
         self.seed = int(seed)
         self.path_index = int(path_index)
         self.residue = int(residue)
-        self._gen = Generator(Philox(
-            key=np.array([self.seed & 0xFFFFFFFFFFFFFFFF, self.path_index & 0xFFFFFFFFFFFFFFFF],
-                         dtype=np.uint64),
-            counter=np.array([0, 0, 0, self.residue], dtype=np.uint64),
-        ))
+        self._gen = Generator(SFC64(SeedSequence(self.seed & 0xFFFFFFFFFFFFFFFF,
+                                                 spawn_key=(self.path_index, self.residue))))
 
     def normals(self, n_steps: int, width: int) -> np.ndarray:
         """The stream's next n_steps * width standard normals, shape (n_steps, width)."""
         return self._gen.standard_normal(size=(n_steps, width))
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the stream's next out.size standard normals into the contiguous float64 out."""
+        self._gen.standard_normal(out=out)

@@ -18,14 +18,15 @@ limit variances can be verified without Monte Carlo error at O(n^3)
 cost per block.  The propagator and the covariance both work in the
 block's checked eigenbasis (cell.eigenbasis), so every dense kernel
 runs on NumPy alone.  Each evolved class of each path draws from its own
-Philox stream, keyed by (seed, path, residue), and the classes of a
+SFC64 stream, addressed by (seed, path, residue), and the classes of a
 batch run one after another, each on its own chunk of steps.  Both Monte
 Carlo entry points, simulate_paths (the simulate study's trajectories)
 and coupled_sup_errors (the converge study's sup errors), are per-batch
-reductions over one scheduler, _map_paths, which builds the classes' plans
-once and runs the path batches on one thread per usable CPU; every
-product runs per path, so within one NumPy/BLAS build their results are
-bit-for-bit the same whatever the core count.
+reductions over one scheduler, _map_paths, which builds the evolved
+classes' plans once and runs the path batches on one thread per usable
+CPU; every product is one GEMM over a fixed group of PATH_GROUP paths,
+so within one NumPy/BLAS build their results are bit-for-bit the same
+whatever the core count, the BLAS thread count or the number of paths.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the 
 # (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
 DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
-PATH_BATCH = 64  # most paths per engine run in _map_paths; no path's values depend on it
+PATH_GROUP = 16  # paths per block product: index-aligned groups, the last padded with zeros
+PATH_BATCH = 64  # paths per engine run in _map_paths, at most, rounded up to whole groups
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,15 @@ class BlockOperator:
         return out
 
 
-def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> BlockOperator:
-    """Assemble the per-residue generator blocks and their noise columns.
+def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
+                 residues=None) -> BlockOperator:
+    """Assemble the generator blocks and noise columns of the given residues (default all).
 
-    The unpaired wavenumber -N/2 is left out so that every class is
-    mirror-symmetric to its conjugate class; keeping it would break the
-    realness of simulated fields at the band edge.
+    Each class's block depends on its residue alone, so building a subset
+    gives those classes exactly as building them all does.  The unpaired
+    wavenumber -N/2 is left out so that every class is mirror-symmetric
+    to its conjugate class; keeping it would break the realness of
+    simulated fields at the band edge.
     """
     if config.dt <= 0 or config.dt > config.t_final:
         raise ValueError("need 0 < dt <= t_final")
@@ -175,7 +180,7 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig) -> Bloc
         raise ResolutionTooSmall(f"n_modes = {n} below the required {need}")
     op = BlockOperator(cells=r, n_modes=n)
     all_ks = np.arange(-n // 2 + 1, n // 2)
-    for residue in range(r):
+    for residue in sorted(set(range(r) if residues is None else residues)):
         ks = all_ks[all_ks % r == residue]
         a = generator_matrix(c, ks, eps=config.eps, adjoint=False)
         driven = ks[np.abs(ks) <= spec.cutoff]
@@ -208,14 +213,18 @@ class PathOutput:
 
 
 def _watch_lookup(op: BlockOperator, watch) -> list:
+    """(m, residue, row) of each mode: its class and its row in the class's ks.
+
+    The band is -N/2 < k < N/2 (build_blocks), so the rows of a class
+    follow from N and r alone, whether or not its block is built.
+    """
+    lowest = -op.n_modes // 2 + 1
     out = []
     for m in watch:
-        blk = op.block_of(m)
-        row = int(np.searchsorted(blk.ks, m))
-        if row >= blk.ks.size or blk.ks[row] != m:
+        if not lowest <= m < op.n_modes // 2:
             raise ResolutionTooSmall(
                 f"watched mode {m} outside the band |k| < {op.n_modes // 2}")
-        out.append((m, blk.residue, row))
+        out.append((m, m % op.cells, (m - lowest) // op.cells))
     return out
 
 
@@ -285,9 +294,12 @@ def _real_form(p: np.ndarray, cov: np.ndarray, partner: np.ndarray) -> tuple:
     partner[i] is the coordinate with X_partner = conj X_i (i itself for
     a real one).  y holds Re X_i for every i <= partner[i], then Im X_i for
     every i < partner[i], so X = U y with X_i = y[cos_i] + 1j sgn_i y[sin_i]
-    (sgn_i = 1, -1 for the two of a pair, 0 for a real X_i) and
-    y = U^-1 X, P_y = U^-1 P U and Q_y = U^-1 Q U^-*, real to rounding.
-    Returns (P_y, Q_y, (cos, sin, sgn)).
+    (sgn_i = 1, -1 for the two of a pair, 0 for a real X_i), and
+    P_y = U^-1 P U, Q_y = U^-1 Q U^-*.  U is a signed permutation up to
+    the factors 1/2 and 1j, so both are gathered and added entrywise, with
+    no dense U and no matrix product (_gather).  A paired class, X = [x;
+    conj x], gives P_y = [[Re P, -Im P], [Im P, Re P]].  Returns (P_y, Q_y,
+    (cos, sin, sgn)).
     """
     k = partner.size
     idx = np.arange(k)
@@ -300,15 +312,27 @@ def _real_form(p: np.ndarray, cov: np.ndarray, partner: np.ndarray) -> tuple:
     sin[paired] = first.sum() + np.arange(paired.sum())
     sin[partner[paired]] = sin[paired]
     sgn = np.where(paired, 1, np.where(idx == partner, 0, -1))
-    u = np.zeros((k, k), dtype=complex)
-    u_inv = np.zeros((k, k), dtype=complex)
-    u[idx, cos] = 1.0
-    u[idx, sin] += 1j * sgn
-    u_inv[cos, idx] = np.where(sgn == 0, 1.0, 0.5)
-    u_inv[sin, idx] += -0.5j * sgn
-    p_y = (u_inv @ p @ u).real
-    q_y = (u_inv @ cov @ u_inv.conj().T).real
-    return p_y, 0.5 * (q_y + q_y.T), (cos, sin, sgn)
+    q_y = _gather(cov, partner, first, paired, 0.5)
+    return _gather(p, partner, first, paired, 1.0), 0.5 * (q_y + q_y.T), (cos, sin, sgn)
+
+
+def _gather(m: np.ndarray, partner: np.ndarray, first: np.ndarray, paired: np.ndarray,
+            w: float) -> np.ndarray:
+    """U^-1 M U (w = 1) or U^-1 M U^-* (w = 1/2) of a conjugate-symmetric M, for _real_form.
+
+    The columns of M U (of M U^-*) are M_j for a real j, w (M_j + M_j')
+    for the cos and 1j w (M_j - M_j') for the sin coordinate of a pair
+    j, j' = partner[j].  Conjugate symmetry makes row i' of those the
+    conjugate of row i, so U^-1 takes the real part of row i for its cos
+    coordinate and the imaginary part for its sin coordinate.
+    """
+    pair_of_first = paired[first]
+    cos_cols = m[:, first]
+    cos_cols[:, pair_of_first] = w * (cos_cols[:, pair_of_first]
+                                      + m[:, partner[first][pair_of_first]])
+    sin_cols = w * (m[:, paired] - m[:, partner[paired]])  # 1j times these
+    return np.block([[cos_cols[first].real, -sin_cols[first].imag],
+                     [cos_cols[paired].imag, sin_cols[paired].real]])
 
 
 def _factor(q: np.ndarray, name: str) -> np.ndarray:
@@ -389,8 +413,9 @@ class _ClassPlan:
     coordinates, o observed rows and d normals per step minimises the
     multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
     stepping.  The class runs in chunks of CHUNK_NORMALS // d steps (at
-    most n_steps), its own normals for a chunk drawn at once, and maps
-    holds the _block_map of every block length the run takes.
+    most n_steps), its own normals for a chunk drawn at once, and maps_t
+    holds the transposed _block_map of every block length the run takes,
+    the right factor of the engine's (paths x state) products.
     """
 
     def __init__(self, op: BlockOperator, res: int, config: SolverConfig, watched: set,
@@ -434,8 +459,9 @@ class _ClassPlan:
                        int(np.clip(round(self.n / np.sqrt(self.o * self.d)), 1,
                                    MAX_BLOCK_STEPS)))
         self.chunk = min(config.n_steps, max(1, CHUNK_NORMALS // max(self.d, 1)))
-        self.maps = {length: _block_map(self.p, self.l, self.rows, length)
-                     for length in _block_lengths(config.n_steps, self.length, self.chunk)}
+        self.maps_t = {length: np.ascontiguousarray(_block_map(self.p, self.l, self.rows,
+                                                               length).T)
+                       for length in _block_lengths(config.n_steps, self.length, self.chunk)}
 
     def value(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Complex coordinate i from the observed rows (last axis of obs)."""
@@ -448,6 +474,14 @@ class _ClassPlan:
         return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
 
 
+def _evolved(r: int, watch, model: LimitModel | None) -> list:
+    """The residues the engine evolves: 0 .. r/2, or with a model those the watched modes
+    are read in (a residue above r/2 through its conjugate class r - residue)."""
+    if model is None:
+        return list(range(r // 2 + 1))
+    return sorted({min(m % r, -m % r) for m in watch})
+
+
 def _class_plans(op: BlockOperator, config: SolverConfig, watch,
                  model: LimitModel | None = None, every_row: bool = False) -> tuple:
     """The evolved classes' plans, and where each watched mode is read in them.
@@ -457,8 +491,9 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
     mode, in watch order: mode m is plans[residue].value(obs, coordinate),
     conjugated when conj.  The engine evolves residues 0 .. r/2 only; a
     mode whose residue lies above r/2 is read as the conjugate of -m, at
-    the mirrored row of class r - residue (build_blocks keeps every class
-    the mirror of its conjugate class).
+    the mirrored row of class r - residue, the row of -m (build_blocks keeps
+    every class the mirror of its conjugate class).  op needs the blocks
+    of the evolved classes (_evolved) only.
 
     Without a model every class 0 .. r/2 is evolved, so OVERFLOW_GUARD
     sees the whole state, and a mode is read at its own row.  With one,
@@ -471,12 +506,11 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
     for m, res, row in _watch_lookup(op, watch):
         conj = 2 * res > op.cells
         if conj:
-            res, row = op.cells - res, op.blocks[res].ks.size - 1 - row
+            [(_, res, row)] = _watch_lookup(op, [-m])
         watched.setdefault(res, set()).add(row)
         found.append((m, res, row, conj))
-    evolved = range(op.cells // 2 + 1) if model is None else sorted(watched)
     plans = {res: _ClassPlan(op, res, config, watched.get(res, set()), model, every_row)
-             for res in evolved}
+             for res in _evolved(op.cells, watch, model)}
     return plans, [(m, res, plans[res].delta.get(row, row), conj)
                    for m, res, row, conj in found]
 
@@ -488,50 +522,59 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     transition and the real rows to record after every step.  The classes
     run one after another, in residue order, each over the whole time
     grid in chunks of its own plan.chunk steps: per chunk, every path
-    draws the class's normals from its own WienerStream(seed, path,
-    residue) into the class's buffer, unsplit.  Yields (residue, first
-    step, count, obs) once per chunk of `count` steps, obs of shape
+    fills its row of the class's buffer in place with the class's normals
+    from its own WienerStream(seed, path, residue).  Yields (residue,
+    first step, count, obs) once per chunk of `count` steps, obs of shape
     (paths, count, rows); the buffers are reused, so consume obs before
     the next iteration.  Raises UnstableStep when a carried coordinate at
     a block boundary is non-finite or beyond OVERFLOW_GUARD.  Only one
     class's buffers are live at a time.
 
-    Every product runs per path (np.matmul with paths as the batch axis),
-    so within one NumPy/BLAS build a class's values depend on (seed, path
-    index, residue), the config and the class's own plan, not on which
-    other classes are planned, which other paths share its batch, in what
-    order batches run, or on which thread or core.  Batches share nothing
-    writable, so _map_paths runs them on one thread per usable CPU.
+    The batch's paths sit in groups of PATH_GROUP rows, the last padded
+    with rows of zeros, and each block is one (PATH_GROUP x state)
+    product per group (np.matmul with plan.maps_t).  Every product has the
+    same shape whatever the batch, so within one NumPy/BLAS build a
+    class's values depend on (seed, path index, residue), the path's row
+    in its group, the config and the class's own plan, not on which other
+    classes are planned, which other paths share its group or batch, in
+    what order batches run, or on which thread or core.  _map_paths starts
+    every batch at a multiple of PATH_GROUP, so path p always sits in row
+    p mod PATH_GROUP.  Batches share nothing writable, so _map_paths runs
+    them on one thread per usable CPU.
     """
     n_paths = len(path_indices)
+    rows = -(-n_paths // PATH_GROUP) * PATH_GROUP
     for res, plan in plans.items():
         n, d, o = plan.n, plan.d, plan.o
         streams = [WienerStream(config.seed, p, res) for p in path_indices]
         # [state slot | the chunk's normals]: the block from step s reads
         # y_s at s*d, over normals already consumed, then z_s, z_s+1, ...
-        buf = np.zeros((n_paths, n + plan.chunk * d))
-        out = np.empty((n_paths, plan.length * o + n, 1))
-        obs = np.empty((n_paths, plan.chunk, o))
-        peak = np.empty((n_paths, n))
+        buf = np.zeros((rows, n + plan.chunk * d))
+        # [observed rows of each step | n spare]: the block from step s
+        # writes C y_s+1, ..., C y_s+L at s*o, then y_s+L, which the next
+        # block overwrites once it is copied back into buf
+        obs = np.empty((rows, plan.chunk * o + n))
+        peak = np.empty((rows, n))
         for first in range(0, config.n_steps, plan.chunk):
             m = min(plan.chunk, config.n_steps - first)
             for pi, stream in enumerate(streams):
-                buf[pi, n : n + m * d] = stream.normals(m, d).ravel()
+                stream.fill(buf[pi, n : n + m * d])
             s = 0
             while s < m:
                 length = min(plan.length, m - s)
-                block = out[:, : length * o + n]
-                np.matmul(plan.maps[length], buf[:, s * d : s * d + n + length * d, None],
-                          out=block)
-                obs[:, s : s + length] = block[:, : length * o, 0].reshape(n_paths, length, o)
-                state = block[:, length * o :, 0]
+                x = buf[:, s * d : s * d + n + length * d]
+                block = obs[:, s * o : (s + length) * o + n]
+                for g in range(0, rows, PATH_GROUP):
+                    np.matmul(x[g : g + PATH_GROUP], plan.maps_t[length],
+                              out=block[g : g + PATH_GROUP])
+                state = block[:, length * o :]
                 s += length
                 top = np.abs(state, out=peak).max(initial=0.0)
                 if not np.isfinite(top) or top > OVERFLOW_GUARD:
                     raise UnstableStep(f"mode amplitude {top:.3e} beyond guard at "
                                        f"t = {(first + s) * config.dt:g}")
                 (buf[:, s * d : s * d + n] if s < m else buf[:, :n])[...] = state
-            yield res, first, m, obs[:, :m]
+            yield res, first, m, obs[:n_paths, : m * o].reshape(n_paths, m, o)
 
 
 def _workers() -> int:
@@ -546,23 +589,25 @@ def _map_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig, n_paths: 
                reduce_batch, model: LimitModel | None = None, every_row: bool = False) -> None:
     """Run paths 0 .. n_paths - 1 in batches and hand each batch to reduce_batch.
 
-    The blocks and the classes' plans (_class_plans, with model and
-    every_row) are built once here and shared by every batch.  The paths
-    run in batches of min(PATH_BATCH, ceil(n_paths / workers)), mapped
+    The blocks of the evolved classes (_evolved) and their plans
+    (_class_plans, with model and every_row) are built once here and
+    shared by every batch.  The paths run in batches of
+    min(PATH_BATCH, ceil(n_paths / workers)) rounded up to whole groups of
+    PATH_GROUP, so every batch starts at a multiple of PATH_GROUP, mapped
     over a pool of min(workers, batches) threads (_workers counts the
     usable CPUs) that lives for this call.  reduce_batch(idx, chunks) gets
     the batch's path indices, a range, and the engine's chunks for them
     (_engine), each as (plan, reads, first, count, obs) with reads the
     (m, coordinate, conj) of the watched modes read in plan's class; it
     owns its buffers and writes only the rows idx of its outputs, so
-    batches share nothing writable.  Philox draws and the products release
-    the GIL.  Path p's values depend on neither the batch size nor the
-    thread count, so within one NumPy/BLAS build every result is bit for
-    bit the same on any number of cores.  An exception in any batch
+    batches share nothing writable.  The draws and the products release
+    the GIL.  Path p's values depend on neither the worker count,
+    PATH_BATCH nor n_paths (_engine), so within one NumPy/BLAS build every
+    result is bit for bit the same on any number of cores.  An exception in any batch
     (UnstableStep, say) reaches the caller once every running batch has
     stopped; batches not yet started are cancelled.
     """
-    op = build_blocks(c, spec, config)
+    op = build_blocks(c, spec, config, _evolved(cells(config.eps), config.watch, model))
     plans, reads = _class_plans(op, config, config.watch, model, every_row)
     by_class = {res: [(m, i, conj) for m, r, i, conj in reads if r == res] for res in plans}
 
@@ -572,6 +617,7 @@ def _map_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig, n_paths: 
 
     workers = _workers()
     size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
+    size = -(-size // PATH_GROUP) * PATH_GROUP
     batches = [range(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
     with ThreadPoolExecutor(min(workers, len(batches))) as pool:
         list(pool.map(run_batch, batches))
@@ -677,8 +723,9 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     do not drift.  The recursion is not stepped: in the eigenbasis of A it
     decouples into scalar geometric series, and its iterate at every
     recorded step is evaluated at once in closed form (_class_variances).
-    An empty or non-finite t_grid is rejected before any block is built; a
-    requested mode outside the band raises ResolutionTooSmall.
+    Only the classes of the requested modes are built (all without
+    modes).  An empty or non-finite t_grid is rejected before any block is
+    built; a requested mode outside the band raises ResolutionTooSmall.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
@@ -687,7 +734,8 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
         raise ValueError(f"t_grid holds non-finite times: {t_grid[~np.isfinite(t_grid)]}")
     if np.any(t_grid < 0) or np.any(t_grid > config.t_final + 1e-9):
         raise ValueError("t_grid must lie inside [0, t_final]")
-    op = build_blocks(c, spec, config)
+    r = cells(config.eps)
+    op = build_blocks(c, spec, config, None if modes is None else {int(m) % r for m in modes})
     rec_steps = np.unique(np.round(t_grid / config.dt).astype(int))
     times = rec_steps * config.dt
 

@@ -136,6 +136,15 @@ class TestReports:
             "  fit: theta = 0.1235, r_squared = 1",
         ]
 
+    def test_summary_lines_print_booleans_as_booleans(self):
+        """Not as 0 and 1: bool is an int, and the number formats would print it as one."""
+        report = ExperimentReport(study="demo", config={}, seed=0)
+        report.fit = {"excluded_coarsest": False, "kept": np.bool_(True), "theta": 0.5}
+        assert report.summary_lines() == [
+            "study: demo  (pass)",
+            "  fit: excluded_coarsest = false, kept = true, theta = 0.5",
+        ]
+
     def test_config_hash_is_order_insensitive(self):
         a = {"x": 1, "y": {"b": 2.0, "a": [1, 2]}}
         b = {"y": {"a": [1, 2], "b": 2.0}, "x": 1}

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
@@ -309,12 +309,23 @@ class TestCouplingSeries:
 
 
 class TestWienerSampling:
-    def test_normals_are_the_philox_stream_in_draw_order(self):
-        """Residue 0 is the plain (seed, path) Philox stream."""
-        stream = WienerStream(5, 3, 0)
-        oracle = Generator(Philox(key=np.array([5, 3], dtype=np.uint64)))
+    def test_normals_are_the_spawned_sfc64_stream_in_draw_order(self):
+        """Stream (seed, path, residue) is SFC64 on child (path, residue) of the seed's tree."""
+        stream = WienerStream(5, 3, 2)
+        oracle = Generator(SFC64(SeedSequence(5).spawn(4)[3].spawn(3)[2]))
         for _ in range(2):  # the second call checks the stream position too
             assert np.array_equal(stream.normals(64, 7), oracle.standard_normal((64, 7)))
+
+    def test_in_place_fill_continues_the_stream(self):
+        """fill writes the next normals into a row slice, exactly as normals returns them."""
+        whole = WienerStream(3, 7, 1).normals(3, 40).ravel()
+        stream = WienerStream(3, 7, 1)
+        buf = np.zeros((2, 90))
+        stream.fill(buf[1, 5:45])
+        stream.fill(buf[0, 10:90])
+        assert np.array_equal(buf[1, 5:45], whole[:40])
+        assert np.array_equal(buf[0, 10:90], whole[40:])
+        assert not buf[1, :5].any() and not buf[1, 45:].any() and not buf[0, :10].any()
 
     def test_chunked_draws_agree_with_one_draw(self):
         whole = WienerStream(3, 7).normals(64, 5)
@@ -323,12 +334,17 @@ class TestWienerSampling:
         assert np.array_equal(whole, chunks)
 
     def test_paths_and_seeds_own_their_streams(self):
-        """So do the residues of one path: no two streams share any of their first 1,000 normals."""
-        draws = [WienerStream(seed, path, res).normals(250, 4) for seed, path, res in
-                 ((1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1))]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                assert np.intersect1d(draws[a], draws[b]).size == 0, (a, b)
+        """So do the residues of one path: no two streams share any of their first 1,000 normals.
+
+        The last two keys would share one stream if (seed, path, residue)
+        were concatenated into one entropy list, where the seed's two
+        32-bit words can pass for a seed and a path.
+        """
+        keys = ((1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1), (1 + 3 * 2**32, 7, 0), (1, 3, 7))
+        draws = [WienerStream(*key).normals(250, 4) for key in keys]
+        for a in range(len(keys)):
+            for b in range(a + 1, len(keys)):
+                assert np.intersect1d(draws[a], draws[b]).size == 0, (keys[a], keys[b])
 
     def test_moments(self):
         z = WienerStream(123, 0).normals(50_000, 4).ravel()

@@ -142,9 +142,11 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
 def final_values(c, spec, config, n_paths, batch):
     """Final-time watched-mode values of paths 0 .. n_paths - 1, batch paths per engine run.
 
-    The classes and observed rows are simulate_paths', so path p's values
-    are its values bit for bit.
+    The classes and observed rows are simulate_paths', and batch is a
+    whole number of path groups, as in _map_paths, so path p's values are
+    its values bit for bit.
     """
+    assert batch % solver.PATH_GROUP == 0
     op = build_blocks(c, spec, config)
     plans, reads = solver._class_plans(op, config, config.watch)
     out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in reads}
@@ -464,6 +466,28 @@ def coordinate_map(plan, size):
     return u
 
 
+def dense_real_form(p, cov, partner):
+    """U^-1 P U and U^-1 Q U^-* by dense complex products, with _real_form's coordinates."""
+    _, _, (cos, sin, sgn) = solver._real_form(p, cov, partner)
+    k = partner.size
+    idx = np.arange(k)
+    u = np.zeros((k, k), dtype=complex)
+    u_inv = np.zeros((k, k), dtype=complex)
+    u[idx, cos] = 1.0
+    u[idx, sin] += 1j * sgn
+    u_inv[cos, idx] = np.where(sgn == 0, 1.0, 0.5)
+    u_inv[sin, idx] += -0.5j * sgn
+    q_y = (u_inv @ cov @ u_inv.conj().T).real
+    return (u_inv @ p @ u).real, 0.5 * (q_y + q_y.T)
+
+
+def conjugate_symmetric(rng, partner):
+    """A random M with M[partner i, partner j] = conj M[i, j] exactly."""
+    k = partner.size
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return 0.5 * (a + a[np.ix_(partner, partner)].conj())
+
+
 # a limit with its own rate and coefficients (c_-m = conj c_m), whatever the cell
 DRAWN_LIMIT = LimitModel(mu=0.37, mode_cutoff=4,
                          coeffs={m: (0.9 - 0.1 * abs(m)) + 0.05j * m for m in range(-4, 5)})
@@ -507,6 +531,30 @@ class TestTransition:
             assert np.abs(u @ cov @ u.conj().T - q).max() <= 1e-12 * np.abs(q).max(), res
             assert np.abs(u @ cov @ u.T - pseudo).max() <= 1e-12 * np.abs(q).max(), res
             assert plan.d < plan.n  # the rank clip drops the unresolved directions
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_real_form_is_the_dense_change_of_basis(self, seed, pairs, real):
+        """Bitwise: the gathered P_y and Q_y equal the dense U^-1 P U and U^-1 Q U^-*.
+
+        Any layout of conjugate pairs and real coordinates, on exactly
+        conjugate-symmetric P and Q.  The engine's self-conjugate classes
+        are conjugate-symmetric only to rounding; U L L^T U* = Q holds there
+        (test_step_matches_van_loan).
+        """
+        rng = np.random.default_rng(seed)
+        k = 2 * pairs + real
+        if k == 0:
+            return
+        order = rng.permutation(k)
+        partner = np.arange(k)
+        partner[order[:pairs]], partner[order[pairs : 2 * pairs]] = (order[pairs : 2 * pairs],
+                                                                     order[:pairs])
+        p, cov = conjugate_symmetric(rng, partner), conjugate_symmetric(rng, partner)
+        p_y, q_y, _ = solver._real_form(p, cov, partner)
+        want_p, want_q = dense_real_form(p, cov, partner)
+        assert np.array_equal(p_y, want_p)
+        assert np.array_equal(q_y, want_q)
 
     def test_indefinite_covariance_fails_the_psd_contract(self):
         q = np.diag([1.0, -1e-6, 0.0])
@@ -571,9 +619,10 @@ class TestBlockedEngine:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=3)
         model = limit_model("averaged", spec, cosine_cell, 4)
-        monkeypatch.setattr(solver, "PATH_BATCH", 2)  # a full batch and a partial one
-        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 3)
-        for p in range(3):
+        # batches of 16: paths 0 and 15 in a full group, 16 alone in a padded one
+        monkeypatch.setattr(solver, "PATH_BATCH", 2)
+        sups = coupled_sup_errors(cosine, spec, cfg, model, 1.0, 17)
+        for p in (0, 15, 16):
             ref = stepped_reference(cosine, spec, cfg, path_index=p, model=model)
             terms = {m: (1.0 + m * m) ** -1.0 * np.abs(ref["watched"][m]) ** 2
                      for m in cfg.watch}
@@ -586,7 +635,10 @@ class TestBlockedEngine:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=6, deadline=None)
     def test_batch_size_does_not_change_any_path(self, seed):
-        """Bitwise, within one NumPy/BLAS build: products run per path."""
+        """Bitwise, within one NumPy/BLAS build: every product is one fixed-shape group.
+
+        20 paths: one or two batches, the last group padded with zeros.
+        """
         rng = np.random.default_rng(seed)
         c = random_coefficients(rng)
         spec = NoiseSpec.power_decay(0.75, 4)
@@ -597,19 +649,20 @@ class TestBlockedEngine:
         model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), mode_cutoff=2,
                            coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
                                    for m in range(-2, 3)})
-        finals = [final_values(c, spec, cfg, 5, batch=b) for b in (1, 3, 64)]
+        finals = [final_values(c, spec, cfg, 20, batch=b) for b in (16, 32)]
         sups = []
         for b in (1, 3, 64):
-            with mock.patch.object(solver, "PATH_BATCH", b):
-                sups.append(coupled_sup_errors(c, spec, cfg, model, 1.0, 5))
+            with mock.patch.object(solver, "PATH_BATCH", b), \
+                    mock.patch.object(solver, "_workers", lambda: 2):
+                sups.append(coupled_sup_errors(c, spec, cfg, model, 1.0, 20))
         for other in finals[1:]:
             for m in cfg.watch:
                 assert np.array_equal(other[m], finals[0][m])
         for other in sups[1:]:
             for key in other:
                 assert np.array_equal(other[key], sups[0][key])
-        out = simulate_paths(c, spec, cfg, 5)
-        for p in range(5):
+        out = simulate_paths(c, spec, cfg, 20)
+        for p in range(20):
             for m in cfg.watch:
                 assert out.modes[m][p][-1] == finals[0][m][p]
 
@@ -620,12 +673,13 @@ class TestBlockedEngine:
                            t_final=0.3, watch=(1, 2, 3, 4), seed=6)
         return spec, cfg, limit_model("averaged", spec, cosine_cell, 4)
 
-    @pytest.mark.parametrize("n_paths", [1, 2, 7])
+    @pytest.mark.parametrize("n_paths", [1, 7, 40])
     def test_thread_count_does_not_change_any_path(self, cosine, cosine_cell, n_paths):
         """Bitwise, within one NumPy/BLAS build, for 1-3 workers and every batch size.
 
         Both entry points: coupled_sup_errors' sups, and simulate_paths'
-        trajectories and |u|^2.  n_paths 1 and 2 leave workers without a batch.
+        trajectories and |u|^2.  n_paths 1 and 7 fill one padded group and
+        leave workers without a batch; 40 paths run in one to three batches.
         """
         spec, cfg, model = self.threaded_case(cosine, cosine_cell)
         tracked = replace(cfg, track_norm=True)
@@ -660,13 +714,15 @@ class TestBlockedEngine:
         monkeypatch.setattr(solver, "OVERFLOW_GUARD", 1e-12)
         before = threading.active_count()
         with pytest.raises(UnstableStep, match="beyond guard"):
-            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 40)
         assert threading.active_count() == before
 
     def test_worker_exception_reaches_the_caller(self, cosine, cosine_cell, monkeypatch):
         """Only the last of three batches fails, on a pool thread; the others run clean.
 
-        No batch runs on the calling thread, and no pool thread outlives the call.
+        40 paths on three workers run in batches of 16, 16 and 8 paths (three
+        groups).  No batch runs on the calling thread, and no pool thread
+        outlives the call.
         """
         import threading
 
@@ -675,7 +731,7 @@ class TestBlockedEngine:
 
         def engine_failing_last(plans, config, path_indices):
             ran_on.append(threading.current_thread())
-            if path_indices.start == 4:
+            if path_indices.start == 32:
                 raise UnstableStep("raised in a worker")
             yield from engine(plans, config, path_indices)
 
@@ -683,9 +739,27 @@ class TestBlockedEngine:
         monkeypatch.setattr(solver, "_engine", engine_failing_last)
         before = threading.active_count()
         with pytest.raises(UnstableStep, match="raised in a worker"):
-            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 6)
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 40)
         assert threading.active_count() == before
-        assert ran_on and threading.main_thread() not in ran_on
+        assert len(ran_on) == 3 and threading.main_thread() not in ran_on
+
+    def test_path_count_does_not_change_any_path(self, cosine, cosine_cell):
+        """Bitwise: paths 0 .. 6 have the same sups, trajectories and |u|^2 out of 7 or 64.
+
+        Seven paths fill one padded group; 64 run in full groups over
+        several batches.
+        """
+        spec, cfg, model = self.threaded_case(cosine, cosine_cell)
+        tracked = replace(cfg, track_norm=True)
+        few, many = (coupled_sup_errors(cosine, spec, cfg, model, 1.0, n) for n in (7, 64))
+        assert few["full"].min() > 0.0
+        for key in few:
+            assert np.array_equal(many[key][:7], few[key]), key
+        few, many = (simulate_paths(cosine, spec, tracked, n) for n in (7, 64))
+        assert np.abs(few.modes[1][:, -1]).min() > 0.0
+        for m in cfg.watch:
+            assert np.array_equal(many.modes[m][:7], few.modes[m]), m
+        assert np.array_equal(many.norm_squared[:7], few.norm_squared)
 
     def test_conjugate_watch_gives_the_same_sups(self, cosine, cosine_cell):
         """Watching -1 .. -8, or 1 .. 8 in a mixed order and sign: same sups as 1 .. 8.
