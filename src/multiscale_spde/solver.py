@@ -68,7 +68,9 @@ Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the 
 # (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
 DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
-PATH_GROUP = 16  # paths per block product: index-aligned groups, the last padded with zeros
+# paths per block product: index-aligned groups, the last padded with zeros, so a
+# run of fewer than PATH_GROUP paths pays for a whole group's product on one thread
+PATH_GROUP = 16
 PATH_BATCH = 64  # paths per engine run in _map_paths, at most, rounded up to whole groups
 
 
@@ -474,12 +476,18 @@ class _ClassPlan:
         return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
 
 
+def _read_from(m: int, r: int) -> tuple:
+    """(mode, conj): the engine evolves residues 0 .. r/2 only, so mode m is
+    read as the mode -m, conjugated, when its residue lies above r/2."""
+    return (-m, True) if 2 * (m % r) > r else (m, False)
+
+
 def _evolved(r: int, watch, model: LimitModel | None) -> list:
-    """The residues the engine evolves: 0 .. r/2, or with a model those the watched modes
-    are read in (a residue above r/2 through its conjugate class r - residue)."""
+    """The residues the engine evolves: 0 .. r/2, or with a model those the
+    watched modes are read in (_read_from)."""
     if model is None:
         return list(range(r // 2 + 1))
-    return sorted({min(m % r, -m % r) for m in watch})
+    return sorted({_read_from(m, r)[0] % r for m in watch})
 
 
 def _class_plans(op: BlockOperator, config: SolverConfig, watch,
@@ -503,10 +511,9 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
     classes are evolved.
     """
     watched, found = {}, []
-    for m, res, row in _watch_lookup(op, watch):
-        conj = 2 * res > op.cells
-        if conj:
-            [(_, res, row)] = _watch_lookup(op, [-m])
+    for m, _, _ in _watch_lookup(op, watch):  # raises if m lies outside the band
+        source, conj = _read_from(m, op.cells)
+        [(_, res, row)] = _watch_lookup(op, [source])
         watched.setdefault(res, set()).add(row)
         found.append((m, res, row, conj))
     plans = {res: _ClassPlan(op, res, config, watched.get(res, set()), model, every_row)

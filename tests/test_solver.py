@@ -637,7 +637,9 @@ class TestBlockedEngine:
     def test_batch_size_does_not_change_any_path(self, seed):
         """Bitwise, within one NumPy/BLAS build: every product is one fixed-shape group.
 
-        20 paths: one or two batches, the last group padded with zeros.
+        40 paths on one worker: PATH_BATCH 1, 17 and 64 give batches of 16,
+        32 and 48 paths, so the engine runs three different schedules, the
+        last group padded with zeros in each.
         """
         rng = np.random.default_rng(seed)
         c = random_coefficients(rng)
@@ -649,20 +651,29 @@ class TestBlockedEngine:
         model = LimitModel(mu=float(rng.uniform(0.1, 1.0)), mode_cutoff=2,
                            coeffs={m: coeffs[abs(m)] if m >= 0 else np.conj(coeffs[-m])
                                    for m in range(-2, 3)})
-        finals = [final_values(c, spec, cfg, 20, batch=b) for b in (16, 32)]
-        sups = []
-        for b in (1, 3, 64):
+        finals = [final_values(c, spec, cfg, 40, batch=b) for b in (16, 32, 48)]
+        engine, sups, schedules = solver._engine, [], []
+
+        def recording_engine(plans, config, path_indices):
+            schedules[-1].append(path_indices)
+            return engine(plans, config, path_indices)
+
+        for b in (1, 17, 64):
+            schedules.append([])
             with mock.patch.object(solver, "PATH_BATCH", b), \
-                    mock.patch.object(solver, "_workers", lambda: 2):
-                sups.append(coupled_sup_errors(c, spec, cfg, model, 1.0, 20))
+                    mock.patch.object(solver, "_workers", lambda: 1), \
+                    mock.patch.object(solver, "_engine", recording_engine):
+                sups.append(coupled_sup_errors(c, spec, cfg, model, 1.0, 40))
+        assert schedules == [[range(0, 16), range(16, 32), range(32, 40)],
+                             [range(0, 32), range(32, 40)], [range(0, 40)]]
         for other in finals[1:]:
             for m in cfg.watch:
                 assert np.array_equal(other[m], finals[0][m])
         for other in sups[1:]:
             for key in other:
                 assert np.array_equal(other[key], sups[0][key])
-        out = simulate_paths(c, spec, cfg, 20)
-        for p in range(20):
+        out = simulate_paths(c, spec, cfg, 40)
+        for p in range(40):
             for m in cfg.watch:
                 assert out.modes[m][p][-1] == finals[0][m][p]
 
