@@ -11,9 +11,14 @@ The spectral gap omega of the fast dynamics, and the finite-eps decay
 rates that cross-check mu, come from the spectrum of the generator
 restricted to a uniformly spaced set of wavenumbers, a small dense
 matrix built from the coefficient convolutions.  eigenbasis is the one
-checked eigen-decomposition of such a matrix; every flow exp(A t) in the
-package (the path propagators, the covariance, the semigroup flows) is
-evaluated on it, with NumPy's LAPACK alone.
+checked eigen-decomposition of such a matrix, A = V diag(lam) V^-1, and
+returns V^-1 with it; every flow exp(A t) in the package (the path
+propagators, the semigroup flows) is V diag(exp(lam t)) V^-1 on it, with
+NumPy's LAPACK alone.  gram is the one formula for a Gaussian second
+moment on that basis: the covariance int_0^t e^{A s} G G* e^{A* s} ds of
+dx = A x dt + G dW is V gram(lam, V^-1 G, t) V*, so the path engine's
+one-step covariance, the exact variance tables and the limit's OU
+variance are each a call to it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "CellSolution",
     "generator_matrix",
     "eigenbasis",
+    "gram",
     "require_slow_mode",
     "diffusivity_from_decay",
     "spectral_gap",
@@ -128,12 +134,14 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     return (1j * kf[None, :]) * bmat / eps + (-0.5 * kf[None, :] ** 2) * smat
 
 
-def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues lam and eigenvectors V of a generator block, A = V diag(lam) V^-1.
+def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, V^-1) of a generator block, A = V diag(lam) V^-1.
 
     Every flow exp(A t) of the package is V diag(exp(lam t)) V^-1 on this
-    basis.  SolveFailed, naming the block, unless the eigen-residual and
-    cond(V) meet EIGEN_RESIDUAL_TOL and EIGENBASIS_COND_MAX.
+    basis, and every second moment V gram(lam, V^-1 G, t) V*, so no caller
+    inverts or solves with V itself.  SolveFailed, naming the block, unless
+    the eigen-residual and cond(V) meet EIGEN_RESIDUAL_TOL and
+    EIGENBASIS_COND_MAX.
     """
     lam, vecs = np.linalg.eig(matrix)
     norm = np.linalg.norm
@@ -146,7 +154,27 @@ def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray]:
     if not cond <= EIGENBASIS_COND_MAX:
         raise SolveFailed(f"{block}: eigenvector condition number {cond:.3e} above "
                           f"{EIGENBASIS_COND_MAX:g}")
-    return lam, vecs
+    return lam, vecs, np.linalg.inv(vecs)
+
+
+def gram(lam: np.ndarray, h: np.ndarray, t, rate=None) -> np.ndarray:
+    """(H H*) o expm1(t rate(s)) / s with s = lam_i + conj lam_j, and t H H* where s = 0.
+
+    With rate(s) = s (rate None) this is int_0^t e^{lam_i u} (H H*)_ij
+    e^{conj lam_j u} du, so for dx = A x dt + G dW on the eigenbasis
+    (lam, V, V^-1) of A, the covariance of x(t) from x(0) = 0 is
+    V gram(lam, V^-1 G, t) V*.  A 1 x 1 lam = -a, h = c is the OU variance
+    |c|^2 (1 - e^{-2 a t}) / (2 a), t |c|^2 at a = 0, |c|^2 / (2 a) at
+    t = inf.  Another rate gives another scheme's iterate: rate(s) =
+    2 atanh(dt s / 2) / dt is the implicit trapezoid rule's at t = k dt.
+    An array t gives one matrix per time, stacked along a leading axis.
+    """
+    s = lam[:, None] + lam.conj()[None, :]
+    still = s == 0
+    t = np.asarray(t, dtype=float)[..., None, None]
+    phi = np.where(still, t, np.expm1(t * (s if rate is None else rate(s)))
+                   / np.where(still, 1.0, s))
+    return (h @ h.conj().T) * phi
 
 
 def require_slow_mode(eps: float, m: int) -> None:

@@ -226,9 +226,10 @@ def _check_config(config: dict, kind: str = "",
 
     Rejected: a config without one of the sections in `needs` (those the
     `kind` study reads), a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, an explicit dt above an explicit t_final, an explicit
-    n_modes below the band minimum (min_modes) at any eps of the list, a
-    count, mode, seed or watch entry that is not an
+    n_modes <= 0, an explicit dt above an explicit t_final, an odd explicit
+    n_modes (build_blocks' band is symmetric only for an even one), an
+    explicit n_modes below the band minimum (min_modes) at any eps of the
+    list, a count, mode, seed or watch entry that is not an
     integer, an empty watch list, a path count or mode_cutoff below 1, a
     centered or track_norm other than true or false, a study target that
     names no limit regime (or 'smoothed' with no mollifier), a bad eps
@@ -262,6 +263,10 @@ def _check_config(config: dict, kind: str = "",
     for name, value in whole:
         if value is not None:
             _whole(name, value)
+    if n_modes is not None and int(n_modes) % 2:
+        raise ValueError(f"solver n_modes = {n_modes!r} must be even: the band "
+                         "-n_modes/2 < k < n_modes/2 is symmetric, and the fields real, "
+                         "only then")
     if solver_cfg.get("watch") is not None and len(solver_cfg["watch"]) == 0:
         raise ValueError("solver watch is empty; give at least one mode")
     for key in ("paths", "mode_cutoff"):
@@ -705,9 +710,9 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
 def _adjoint_flow(c: Coefficients, ks: np.ndarray, eps: float, f0: np.ndarray):
     """ts -> exp(t L_eps*) f0 on the wavenumbers ks, one column per time."""
-    evals, vecs = eigenbasis(generator_matrix(c, ks, eps=eps, adjoint=True),
-                             f"adjoint flow on k = {ks[0]} .. {ks[-1]} at eps = {eps:g}")
-    coef = np.linalg.solve(vecs, f0)
+    evals, vecs, inv = eigenbasis(generator_matrix(c, ks, eps=eps, adjoint=True),
+                                  f"adjoint flow on k = {ks[0]} .. {ks[-1]} at eps = {eps:g}")
+    coef = inv @ f0
     return lambda ts: vecs @ (np.exp(np.multiply.outer(evals, ts)) * coef[:, None])
 
 

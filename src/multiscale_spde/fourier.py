@@ -180,9 +180,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(-self.coeffs)
-
     def __repr__(self) -> str:
         return f"SpectralField(n={self.n}, |f|={l2_norm(self):.6g})"
 

@@ -2,8 +2,9 @@
 
 Every Fourier mode of a constant-coefficient stochastic heat equation
 du = mu u_xx dt + sum_k c_k e_k dW_k is an independent complex OU
-process, so its second moments are available in closed form (its exact
-step rides inside the path engine's class transitions, solver._transition).
+process, so its second moments are available in closed form: its
+variance is cell.gram on the 1 x 1 generator -mu m^2, the same formula
+the path engine's class transitions (solver._transition) step it by.
 The regime fixes the coefficient rule c_m,
 and ``limit_model(regime, ...)`` is the one place that chooses it:
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import CellSolution
+from .cell import CellSolution, gram
 from .errors import NegativeRadicand
 from .fourier import SpectralField, inner_product, l2_norm, multiply, seminorm_neg
 from .noise import NoiseSpec
@@ -130,17 +131,14 @@ def limit_model(regime: str, spec: NoiseSpec, cell: CellSolution,
 
 
 def ou_variance(model: LimitModel, m: int, t: float) -> float:
-    """E |x_m(t)|^2 for the zero-started mode, in closed form.
+    """E |x_m(t)|^2 for the zero-started mode: gram(-mu m^2, c_m, t).
 
-    t = np.inf gives the stationary variance |c_m|^2 / (2 mu m^2); a mode
-    with mu m^2 = 0 (the Brownian mode 0) has none, and asking for it at a
-    non-finite t is a ValueError.
+    That is |c_m|^2 (1 - e^{-2 mu m^2 t}) / (2 mu m^2), and t = np.inf
+    gives the stationary variance |c_m|^2 / (2 mu m^2); a mode with
+    mu m^2 = 0 (the Brownian mode 0) has variance |c_m|^2 t and no
+    stationary one, and asking for it at a non-finite t is a ValueError.
     """
     a = model.mu * m * m
-    c2 = abs(model.coeff(m)) ** 2
-    if a == 0.0:
-        if not np.isfinite(t):
-            raise ValueError(f"mode {m} has no stationary variance: its decay rate "
-                             "mu m^2 is 0")
-        return c2 * t
-    return c2 * (1.0 - np.exp(-2.0 * a * t)) / (2.0 * a)
+    if a == 0.0 and not np.isfinite(t):
+        raise ValueError(f"mode {m} has no stationary variance: its decay rate mu m^2 is 0")
+    return float(gram(np.array([-a]), np.array([[model.coeff(m)]]), t)[0, 0].real)

@@ -358,10 +358,6 @@ class WienerStream:
         self._gen = Generator(SFC64(SeedSequence(self.seed & 0xFFFFFFFFFFFFFFFF,
                                                  spawn_key=(self.path_index, self.residue))))
 
-    def normals(self, n_steps: int, width: int) -> np.ndarray:
-        """The stream's next n_steps * width standard normals, shape (n_steps, width)."""
-        return self._gen.standard_normal(size=(n_steps, width))
-
     def fill(self, out: np.ndarray) -> None:
         """Write the stream's next out.size standard normals into the contiguous float64 out."""
         self._gen.standard_normal(out=out)

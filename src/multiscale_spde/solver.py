@@ -16,8 +16,10 @@ equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
 cost per block.  The propagator and the covariance both work in the
-block's checked eigenbasis (cell.eigenbasis), so every dense kernel
-runs on NumPy alone.  Each evolved class of each path draws from its own
+block's checked eigenbasis (lam, V, V^-1 from cell.eigenbasis), and
+both second moments, the step's Q(dt) and the trapezoid iterate, are
+cell.gram on it with two rates, so every dense kernel runs on NumPy
+alone.  Each evolved class of each path draws from its own
 SFC64 stream, addressed by (seed, path, residue), and the classes of a
 batch run one after another, each on its own chunk of steps.  Both Monte
 Carlo entry points, simulate_paths (the simulate study's trajectories)
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import Coefficients, eigenbasis, generator_matrix
+from .cell import Coefficients, eigenbasis, generator_matrix, gram
 from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from .fourier import SpectralField, cells, multiply, oscillate
 from .limit import LimitModel
@@ -150,9 +152,6 @@ class BlockOperator:
     n_modes: int
     blocks: dict = field(default_factory=dict)  # residue -> ClassBlock
 
-    def block_of(self, m: int) -> ClassBlock:
-        return self.blocks[m % self.cells]
-
     def dense(self) -> np.ndarray:
         """Full band matrix reassembled from the blocks (diagnostic)."""
         n = self.n_modes
@@ -168,10 +167,11 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     """Assemble the generator blocks and noise columns of the given residues (default all).
 
     Each class's block depends on its residue alone, so building a subset
-    gives those classes exactly as building them all does.  The unpaired
-    wavenumber -N/2 is left out so that every class is mirror-symmetric
-    to its conjugate class; keeping it would break the realness of
-    simulated fields at the band edge.
+    gives those classes exactly as building them all does.  The band is
+    -N/2 < k < N/2: the unpaired wavenumber -N/2 is left out so that every
+    class is mirror-symmetric to its conjugate class, which needs N even
+    (ResolutionTooSmall otherwise); an asymmetric band would break the
+    realness of simulated fields.
     """
     if config.dt <= 0 or config.dt > config.t_final:
         raise ValueError("need 0 < dt <= t_final")
@@ -180,6 +180,9 @@ def build_blocks(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     need = min_modes(c, config.eps, spec.cutoff)
     if n < need:
         raise ResolutionTooSmall(f"n_modes = {n} below the required {need}")
+    if n % 2:
+        raise ResolutionTooSmall(f"n_modes = {n} is odd; the band -N/2 < k < N/2 is "
+                                 "symmetric only for an even N")
     op = BlockOperator(cells=r, n_modes=n)
     all_ks = np.arange(-n // 2 + 1, n // 2)
     for residue in sorted(set(range(r) if residues is None else residues)):
@@ -247,10 +250,10 @@ def _transition(blk: ClassBlock, dt: float, limits) -> tuple:
     by the same increment.  In [x; l] the generator is block-diagonal, so
     on the class's eigenbasis (cell.eigenbasis), V_ext = blockdiag(V, I),
     Q(dt) = int_0^dt e^{A~ s} G~ G~* e^{A~* s} ds is the Van Loan integral
-    V_ext [(H H*) o (e^{(lam_i + conj lam_j) dt} - 1) / (lam_i + conj lam_j)] V_ext*
-    with H = V_ext^-1 G~; delta is then substituted in its rows and
-    columns.  The coupled generator is never diagonalised: its slow
-    eigenvalue and the limit's rate merge as eps -> 0.  P's delta rows
+    V_ext gram(lam_ext, H, dt) V_ext* (cell.gram) with H = V_ext^-1 G~;
+    delta is then substituted in its rows and columns.  The coupled
+    generator is never diagonalised: its slow eigenvalue and the limit's
+    rate merge as eps -> 0.  P's delta rows
     are formed entrywise, so on a flat cell, where x_row follows l, they
     are exactly zero off the diagonal.  delta's variance in Q is a
     difference of O(|x_row|^2) terms; where it is within
@@ -258,8 +261,7 @@ def _transition(blk: ClassBlock, dt: float, limits) -> tuple:
     and sigma^2 / 2 differ in the last bits), and delta's row and column
     of Q are set to exactly zero.
     """
-    lam, vecs = eigenbasis(blk.matrix, f"class {blk.residue}")
-    inv = np.linalg.inv(vecs)
+    lam, vecs, inv = eigenbasis(blk.matrix, f"class {blk.residue}")
     p = (vecs * np.exp(lam * dt)) @ inv
     n, q = p.shape[0], len(limits)
     v_ext = np.eye(n + q, dtype=complex)
@@ -269,10 +271,7 @@ def _transition(blk: ClassBlock, dt: float, limits) -> tuple:
     lam_ext = np.concatenate([lam, [-rate for _, _, rate, _ in limits]])
     for i, (_, col, _, coeff) in enumerate(limits):
         h[n + i, col] = coeff
-    z = lam_ext[:, None] + lam_ext.conj()[None, :]
-    still = z == 0  # the Brownian mode 0: the integral is dt
-    phi = np.where(still, dt, np.expm1(z * dt) / np.where(still, 1.0, z))
-    cov = v_ext @ ((h @ h.conj().T) * phi) @ v_ext.conj().T
+    cov = v_ext @ gram(lam_ext, h, dt) @ v_ext.conj().T
 
     p_ext = np.zeros((n + q, n + q), dtype=complex)
     p_ext[:n, :n] = p
@@ -729,7 +728,9 @@ def exact_mode_covariance(c: Coefficients, spec: NoiseSpec, config: SolverConfig
     recursion is the exact stationary covariance, so long-horizon values
     do not drift.  The recursion is not stepped: in the eigenbasis of A it
     decouples into scalar geometric series, and its iterate at every
-    recorded step is evaluated at once in closed form (_class_variances).
+    recorded step k is V gram(lam, V^-1 G, k dt, rate) V* (cell.gram),
+    rate(s) = 2 atanh(dt s / 2) / dt, evaluated at once (_class_variances);
+    with gram's default rate the same call is the continuous covariance.
     Only the classes of the requested modes are built (all without
     modes).  An empty or non-finite t_grid is rejected before any block is
     built; a requested mode outside the band raises ResolutionTooSmall.
@@ -764,12 +765,15 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
 
     The recursion (S_{k+1} - S_k) / dt = (A Sig + Sig A*) / 2 + G G*, with
     Sig = S_{k+1} + S_k and S_0 = 0, decouples entrywise in the basis
-    A = V diag(lam) V^-1.  With W = V^-1 G and z_ij = dt (lam_i + conj lam_j) / 2,
-    the entries of V^-1 S V^-* follow s <- r s + dt (W W*)_ij / (1 - z),
-    r = (1 + z) / (1 - z), so S_k = V [dt W W* / (1 - z) * (r^k - 1) / (r - 1)] V*.
-    log r = 2 atanh(z) equals log1p(z) - log1p(-z) but stays accurate for
-    small complex z, where NumPy's complex log1p loses digits; where
-    log r = 0 (the Brownian k = 0 mode) the geometric factor is exactly k.
+    A = V diag(lam) V^-1.  With W = V^-1 G and z_ij = dt s / 2, s = lam_i +
+    conj lam_j, the entries e of V^-1 S_k V^-* follow e <- r e + dt
+    (W W*)_ij / (1 - z), r = (1 + z) / (1 - z), whose sum is (W W*)_ij
+    (r^k - 1) / s: S_k = V gram(lam, W, k dt, rate) V* (cell.gram) with
+    rate(s) = log(r) / dt.  log r = 2 atanh(z) equals log1p(z) - log1p(-z)
+    but stays accurate for small complex z, where NumPy's complex log1p
+    loses digits; at z = -1, r = 0 (one step forgets S) where atanh is
+    -inf, so log r is the log of the smallest normal float there, and
+    r^k < 1e-307.
 
     The eigenbasis is cell.eigenbasis, checked before it is used.
 
@@ -780,26 +784,19 @@ def _class_variances(blk: ClassBlock, dt: float, steps: np.ndarray, rows: list) 
     flags an inaccurate eigenbasis.
     """
     a = blk.matrix
-    lam, vecs = eigenbasis(a, f"class {blk.residue}")
-    w = np.linalg.solve(vecs, blk.noise_map)
-    z = 0.5 * dt * (lam[:, None] + lam.conj()[None, :])
-    # z = -1 gives r = 0 (one step forgets S) where atanh is -inf; there
-    # log r is the log of the smallest normal float, so r^k < 1e-307
-    one_step = z == -1
-    log_r = np.where(one_step, LOG_TINY, 2.0 * np.arctanh(np.where(one_step, 0.0, z)))
-    brownian = log_r == 0
-    weight = (w @ w.conj().T) * (dt / (1.0 - z))
-    denominator = np.where(brownian, 1.0, np.expm1(log_r))
+    lam, vecs, inv = eigenbasis(a, f"class {blk.residue}")
+    w = inv @ blk.noise_map
 
-    def iterates(ks) -> np.ndarray:
-        k = np.asarray(ks, dtype=float)[:, None, None]
-        return weight * np.where(brownian, k, np.expm1(k * log_r) / denominator)
+    def rate(s: np.ndarray) -> np.ndarray:
+        z = 0.5 * dt * s
+        one_step = z == -1
+        return np.where(one_step, LOG_TINY, 2.0 * np.arctanh(np.where(one_step, 0.0, z))) / dt
 
-    v_rows = vecs[rows]
-    table = np.einsum("mi,kij,mj->km", v_rows, iterates(steps), v_rows.conj(),
-                      optimize=True).real
     k_f = max(int(steps[-1]), 1)
-    s_prev, s_last = vecs @ iterates([k_f - 1, k_f]) @ vecs.conj().T
+    moments = gram(lam, w, np.concatenate([steps, [k_f - 1, k_f]]) * dt, rate)
+    v_rows = vecs[rows]
+    table = np.einsum("mi,kij,mj->km", v_rows, moments[:-2], v_rows.conj(), optimize=True).real
+    s_prev, s_last = vecs @ moments[-2:] @ vecs.conj().T
     if not (np.isfinite(table).all() and np.isfinite(s_last).all()):
         raise UnstableStep("covariance lost finiteness")
 

@@ -29,6 +29,7 @@ from multiscale_spde.solver import (
     simulate_paths,
     suggest_modes,
 )
+from test_noise import drawn
 
 I0_2, I0_4 = iv(0, 2.0), iv(0, 4.0)
 
@@ -304,7 +305,8 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
         maps.append((plan, ks, u, mirror))
     q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
 
-    z = [WienerStream(seed, 0, res).normals(cfg.n_steps, plan.d) for res, plan in plans.items()]
+    z = [drawn(WienerStream(seed, 0, res), cfg.n_steps, plan.d)
+         for res, plan in plans.items()]
     x = np.zeros(n, dtype=complex)
     worst = 0.0
     for i in range(cfg.n_steps):

@@ -18,6 +18,7 @@ from multiscale_spde.cell import (
     diffusivity_from_decay,
     eigenbasis,
     generator_matrix,
+    gram,
     solve_cell,
     spectral_gap,
 )
@@ -140,6 +141,52 @@ class TestEigenbasis:
             eigenbasis(jordan, "jordan")
 
 
+def stable_system(seed, n=6, d=3):
+    """A random diagonalisable A with spectrum in Re < 0, one zero eigenvalue, and G."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lam = -rng.uniform(0.5, 4.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    lam[0] = 0.0
+    a = vecs @ np.diag(lam) @ np.linalg.inv(vecs)
+    return a, rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+
+
+class TestGram:
+    """V gram(lam, V^-1 G, t, rate) V* against the integral and the recursion it stands for."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_rate_is_the_van_loan_integral(self, seed):
+        a, g = stable_system(seed)
+        lam, vecs, inv = eigenbasis(a, "random")
+        n = a.shape[0]
+        for t in (0.3, 1.0):
+            big = np.zeros((2 * n, 2 * n), dtype=complex)
+            big[:n, :n], big[:n, n:], big[n:, n:] = a, g @ g.conj().T, -a.conj().T
+            e = sla.expm(big * t)
+            want = e[:n, n:] @ e[:n, :n].conj().T
+            got = vecs @ gram(lam, inv @ g, t) @ vecs.conj().T
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trapezoid_rate_is_the_stepped_recursion(self, seed):
+        """rate(s) = 2 atanh(dt s / 2) / dt at t = k dt is the k-th implicit-trapezoid iterate."""
+        a, g = stable_system(seed)
+        lam, vecs, inv = eigenbasis(a, "random")
+        dt, n = 0.05, a.shape[0]
+        steps = np.array([0, 1, 7, 40])
+        got = vecs @ gram(lam, inv @ g, steps * dt,
+                          lambda s: 2.0 * np.arctanh(0.5 * dt * s) / dt) @ vecs.conj().T
+        half = 0.5 * np.eye(n) - 0.5 * dt * a  # S_k+1 - dt (A S_k+1 + S_k+1 A*) / 2 = rhs
+        stepped = [np.zeros((n, n), dtype=complex)]
+        for _ in range(steps[-1]):
+            s_k = stepped[-1]
+            rhs = s_k + 0.5 * dt * (a @ s_k + s_k @ a.conj().T) + dt * g @ g.conj().T
+            stepped.append(sla.solve_sylvester(half, half.conj().T, rhs))
+        for k, have in zip(steps, got):
+            want = stepped[k]
+            assert np.abs(have - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0), k
+
+
 class TestValidation:
     """The assumptions on the cell, as solve_cell checks them on CELL_GRID points."""
 
@@ -172,6 +219,12 @@ class TestGeneratorMatrix:
         fwd = generator_matrix(cosine, ks, adjoint=False)
         adj = generator_matrix(cosine, ks, adjoint=True)
         assert np.abs(adj - fwd.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("ks", [[1, 5, 8], [1, 3, 5]], ids=["uneven", "wrong-step"])
+    def test_wavenumbers_must_step_by_the_cell_count(self, cosine, ks):
+        with pytest.raises(ValueError, match=r"wavenumbers must be consecutive in steps of "
+                                             r"1/eps$"):
+            generator_matrix(cosine, ks, eps=0.25)
 
     def test_heat_is_diagonal(self, heat):
         ks = np.arange(-4, 4)

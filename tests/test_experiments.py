@@ -212,6 +212,20 @@ class TestStudies:
         })
         assert report.passed
         assert len(report.verdicts) == 3
+        assert report.notes == []
+
+    def test_noise_check_skips_summability_of_a_decaying_family(self):
+        """A power family converges to zero, not to its tail: no summability verdict, a note."""
+        report = run_noise_check({
+            "noise": {"family": "power", "alpha": 0.75, "profile": "one-plus-cos",
+                      "cutoff": 256},
+            "study": {"kind": "noise-check", "seed": 0},
+        })
+        assert report.passed
+        assert [v["name"] for v in report.verdicts] == ["decay check (power(alpha=0.75))",
+                                                        "tail convergence check "
+                                                        "(power(alpha=0.75))"]
+        assert report.notes == ["tail summability skipped: decaying family"]
 
     def test_trivial_cell_convergence_hits_floor(self):
         report = run_coupling_convergence({
@@ -326,6 +340,7 @@ class TestStudies:
         ("solver", "dt", 10.0, r"solver dt = 10.0 is above solver t_final = 5.0$"),
         ("solver", "n_modes", 8, r"solver n_modes = 8 is below 32, the band minimum "
                                  r"2 \(1/eps\) \(J \+ 1\) \+ 2 cutoff at eps = 0.25$"),
+        ("solver", "n_modes", 65, r"solver n_modes = 65 must be even: the band "),
         ("noise", None, {"family": "custom", "table": {"1": "one", "-1": "cos"}},
          r"noise table gives q_1 and q_-1 different profiles; the profiles must obey "
          r"q_k = q_-k$"),
@@ -372,6 +387,8 @@ class TestStudies:
          r"noise key alpha is missing; family 'power' needs it$"),
         ("noise", None, {"family": "custom"},
          r"noise key table is missing; family 'custom' needs it$"),
+        ("noise", None, {"family": "power", "alpha": 0.5, "profile": "ones"},
+         r"unknown profile name 'ones'$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
@@ -640,6 +657,24 @@ class TestConfigBuilders:
         assert resolve_cutoff({"cutoff": 12}, 0.125) == 12
         with pytest.raises(ValueError):
             resolve_cutoff({}, None)
+        with pytest.raises(ValueError, match=r"noise cutoff_factor = 2.0 needs an eps to scale; "
+                                             r"give cutoff for a study that reads no eps$"):
+            resolve_cutoff({"cutoff_factor": 2.0}, None)
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"name": "cosine"}, r"unknown coefficient set 'cosine'$"),
+        ({"b": "sine", "sigma": "one"}, r"unknown profile name 'sine'$"),
+    ], ids=["set", "profile"])
+    def test_unknown_coefficient_names_are_rejected(self, cfg, message):
+        from multiscale_spde.experiments import build_coefficients
+        with pytest.raises(ValueError, match=message):
+            build_coefficients(cfg)
+
+    def test_unknown_study_kind_is_rejected(self):
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["study"]["kind"] = "variance-exact"
+        with pytest.raises(ValueError, match=r"unknown study kind 'variance-exact'$"):
+            run_study(config)
 
 
 # Runs studies with every import of SciPy failing, and prints each report's hash.

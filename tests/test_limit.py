@@ -53,6 +53,17 @@ class TestStationaryVariance:
             ou_variance(model, 0, np.inf)
         assert ou_variance(model, 0, 0.7) == abs(c0) ** 2 * 0.7
 
+    @pytest.mark.parametrize("mu, m, t", [(0.7, 2, 0.3), (0.7, 2, 40.0), (0.7, -2, np.inf),
+                                          (0.7, 0, 2.5), (0.0, 3, 0.3)],
+                             ids=["finite", "long", "stationary", "mode-0", "mu-0"])
+    def test_is_the_ou_closed_form(self, mu, m, t):
+        """c^2 (1 - e^{-2 a t}) / (2 a), a = mu m^2, its t = inf limit, and c^2 t at a = 0."""
+        c = 0.8 - 0.3j
+        model = LimitModel(mu, {m: c}, abs(m))
+        a = mu * m * m
+        want = abs(c) ** 2 * (t if a == 0.0 else (1.0 - np.exp(-2.0 * a * t)) / (2.0 * a))
+        assert abs(ou_variance(model, m, t) - want) <= 1e-15 * want
+
     def test_enhanced_cosine_value(self, cosine_cell):
         """|rho|^2 / (2 mu) collapses to I0(4) for the unit cosine potential."""
         model = limit_model("enhanced", NoiseSpec.white(4), cosine_cell, 2)
@@ -76,6 +87,10 @@ class TestModels:
         assert model.mu == cosine_cell.mu and model.mode_cutoff == 3
         for m in range(0, 4):
             assert model.coeff(-m) == np.conj(model.coeff(m))
+
+    def test_mode_beyond_the_cutoff_is_rejected(self):
+        with pytest.raises(KeyError, match=r"mode 5 beyond the model cutoff 4"):
+            scalar_model(cutoff=4).coeff(5)
 
     def test_unknown_regime_is_rejected(self, cosine_cell):
         with pytest.raises(ValueError, match=r"unknown limit regime 'enhancd'; the regimes "

@@ -55,6 +55,22 @@ class TestFamilies:
         spec = NoiseSpec.custom({first: ONE_PLUS_COS, second: ONE_PLUS_COS.copy()}, 4)
         assert l2_norm(spec.profile(1) - ONE_PLUS_COS) == 0.0
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NoiseSpec.white(0), r"cutoff must be at least 1$"),
+        (lambda: NoiseSpec.power_decay(0.5, 8, profile=SpectralField.from_modes(
+            {17: 0.5, -17: 0.5})), r"power profile exceeds 16 harmonics$"),
+        (lambda: NoiseSpec.tail_convergent(SpectralField.from_modes({1: 1.0}), 1.0, 8),
+         r"tail profile must be real-valued$"),
+    ], ids=["cutoff", "harmonics", "not-real"])
+    def test_bad_spec_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_power_profile_that_centres_to_zero_is_rejected(self, cosine_cell):
+        """A constant profile minus its density mean <1, rho> = 1 leaves nothing to drive."""
+        with pytest.raises(ValueError, match=r"centred profile vanishes; nothing left to drive$"):
+            NoiseSpec.power_decay(0.5, 8).centered(cosine_cell.rho)
+
     def test_white_centering_is_rejected(self, cosine_cell):
         with pytest.raises(ValueError):
             NoiseSpec.white(8).centered(cosine_cell.rho)
@@ -290,7 +306,7 @@ class TestCouplingSeries:
         r = int(round(1.0 / eps))
         cfg = SolverConfig(eps=eps, n_modes=suggest_modes(cosine, eps, cutoff), dt=1e-3,
                            t_final=1.0, watch=(1,), seed=0)
-        driven = build_blocks(cosine, NoiseSpec.white(cutoff), cfg).block_of(m).driven
+        driven = build_blocks(cosine, NoiseSpec.white(cutoff), cfg).blocks[m % r].driven
         assert sorted(m + l * r for l in series.lambdas) == driven.tolist()
 
     def test_truncation_guard(self, cosine_cell):
@@ -308,17 +324,24 @@ class TestCouplingSeries:
                 coupling_series(NoiseSpec.white(32), cosine_cell.rho, eps, m)
 
 
+def drawn(stream, n_steps, width):
+    """The stream's next n_steps * width normals, shape (n_steps, width), through fill."""
+    out = np.empty((n_steps, width))
+    stream.fill(out)
+    return out
+
+
 class TestWienerSampling:
     def test_normals_are_the_spawned_sfc64_stream_in_draw_order(self):
         """Stream (seed, path, residue) is SFC64 on child (path, residue) of the seed's tree."""
         stream = WienerStream(5, 3, 2)
         oracle = Generator(SFC64(SeedSequence(5).spawn(4)[3].spawn(3)[2]))
         for _ in range(2):  # the second call checks the stream position too
-            assert np.array_equal(stream.normals(64, 7), oracle.standard_normal((64, 7)))
+            assert np.array_equal(drawn(stream, 64, 7), oracle.standard_normal((64, 7)))
 
     def test_in_place_fill_continues_the_stream(self):
-        """fill writes the next normals into a row slice, exactly as normals returns them."""
-        whole = WienerStream(3, 7, 1).normals(3, 40).ravel()
+        """fill writes the next normals into a row slice, exactly as into a whole array."""
+        whole = drawn(WienerStream(3, 7, 1), 3, 40).ravel()
         stream = WienerStream(3, 7, 1)
         buf = np.zeros((2, 90))
         stream.fill(buf[1, 5:45])
@@ -328,9 +351,9 @@ class TestWienerSampling:
         assert not buf[1, :5].any() and not buf[1, 45:].any() and not buf[0, :10].any()
 
     def test_chunked_draws_agree_with_one_draw(self):
-        whole = WienerStream(3, 7).normals(64, 5)
+        whole = drawn(WienerStream(3, 7), 64, 5)
         stream = WienerStream(3, 7)
-        chunks = np.vstack([stream.normals(n, 5) for n in (1, 15, 32, 16)])
+        chunks = np.vstack([drawn(stream, n, 5) for n in (1, 15, 32, 16)])
         assert np.array_equal(whole, chunks)
 
     def test_paths_and_seeds_own_their_streams(self):
@@ -341,13 +364,13 @@ class TestWienerSampling:
         32-bit words can pass for a seed and a path.
         """
         keys = ((1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1), (1 + 3 * 2**32, 7, 0), (1, 3, 7))
-        draws = [WienerStream(*key).normals(250, 4) for key in keys]
+        draws = [drawn(WienerStream(*key), 250, 4) for key in keys]
         for a in range(len(keys)):
             for b in range(a + 1, len(keys)):
                 assert np.intersect1d(draws[a], draws[b]).size == 0, (keys[a], keys[b])
 
     def test_moments(self):
-        z = WienerStream(123, 0).normals(50_000, 4).ravel()
+        z = drawn(WienerStream(123, 0), 50_000, 4).ravel()
         se = 1.0 / np.sqrt(z.size)
         assert abs(z.mean()) <= 4.0 * se
         assert abs((z**2).mean() - 1.0) <= 4.0 * np.sqrt(2.0) * se

@@ -26,6 +26,7 @@ from multiscale_spde.solver import (
     suggest_modes,
 )
 from test_cell import random_band_limited
+from test_noise import drawn
 
 DELTA_ONE = NoiseSpec.custom({1: SpectralField.constant(1.0)}, cutoff=1)
 # b = cos x, sigma = 1 + 0.4 sin x: drift that is not a gradient against sigma^2
@@ -121,7 +122,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     op = build_blocks(c, spec, config)
     plans, reads = solver._class_plans(op, config, config.watch, model, every_row=True)
     n_steps = config.n_steps
-    z = {res: WienerStream(config.seed, path_index, res).normals(n_steps, plan.d)
+    z = {res: drawn(WienerStream(config.seed, path_index, res), n_steps, plan.d)
          for res, plan in plans.items()}
     states = {res: np.zeros(plan.n) for res, plan in plans.items()}
     watched = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
@@ -322,6 +323,19 @@ class TestBlocks:
             assert blk.noise_map.shape == ref.shape
             assert np.array_equal(blk.noise_map.view(np.uint64), ref.view(np.uint64))
 
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"dt": 0.0}, ValueError, r"need 0 < dt <= t_final"),
+        ({"dt": 2.0}, ValueError, r"need 0 < dt <= t_final"),
+        ({"n_modes": 30}, ResolutionTooSmall, r"n_modes = 30 below the required 32$"),
+        ({"n_modes": 65}, ResolutionTooSmall, r"n_modes = 65 is odd; the band -N/2 < k < N/2"),
+    ], ids=["dt-zero", "dt-above-t_final", "below-minimum", "odd"])
+    def test_bad_config_is_refused(self, cosine, changes, error, message):
+        """An odd band -N/2 < k < N/2 is not symmetric, so no class would mirror its
+        conjugate; at N = 65 the simulated mode 0 would not be real."""
+        cfg = SolverConfig(eps=0.25, n_modes=64, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
+        with pytest.raises(error, match=message):
+            build_blocks(cosine, NoiseSpec.white(8), replace(cfg, **changes))
+
     def test_eps_must_be_a_reciprocal_integer(self, cosine):
         cfg = SolverConfig(eps=0.3, n_modes=60, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(ValueError, match="eps = 0.3 is not the reciprocal of a positive"):
@@ -493,6 +507,40 @@ DRAWN_LIMIT = LimitModel(mu=0.37, mode_cutoff=4,
                          coeffs={m: (0.9 - 0.1 * abs(m)) + 0.05j * m for m in range(-4, 5)})
 
 
+def written_out_transition(blk, dt, limits):
+    """_transition with V^-1 from its own inv call and the Van Loan integral's
+    entrywise factor (e^{z dt} - 1) / z, z = lam_i + conj lam_j, formed inline."""
+    lam, vecs, _ = solver.eigenbasis(blk.matrix, "written out")
+    inv = np.linalg.inv(vecs)
+    p = (vecs * np.exp(lam * dt)) @ inv
+    n, q = p.shape[0], len(limits)
+    v_ext = np.eye(n + q, dtype=complex)
+    v_ext[:n, :n] = vecs
+    h = np.zeros((n + q, blk.driven.size), dtype=complex)
+    h[:n] = inv @ blk.noise_map
+    lam_ext = np.concatenate([lam, [-rate for _, _, rate, _ in limits]])
+    for i, (_, col, _, coeff) in enumerate(limits):
+        h[n + i, col] = coeff
+    z = lam_ext[:, None] + lam_ext.conj()[None, :]
+    still = z == 0
+    phi = np.where(still, dt, np.expm1(z * dt) / np.where(still, 1.0, z))
+    cov = v_ext @ ((h @ h.conj().T) * phi) @ v_ext.conj().T
+    p_ext = np.zeros((n + q, n + q), dtype=complex)
+    p_ext[:n, :n] = p
+    terms = cov.diagonal().real.copy()
+    for i, (row, _, rate, _) in enumerate(limits):
+        decay = np.exp(-rate * dt)
+        p_ext[n + i, :n] = p[row]
+        p_ext[n + i, row] -= decay
+        p_ext[n + i, n + i] = decay
+        cov[n + i] = cov[row] - cov[n + i]
+    for i, (row, *_) in enumerate(limits):
+        cov[:, n + i] = cov[:, row] - cov[:, n + i]
+        if abs(cov[n + i, n + i]) <= solver.DELTA_CANCEL_TOL * (terms[row] + terms[n + i]):
+            cov[n + i] = cov[:, n + i] = 0.0
+    return p_ext, cov
+
+
 class TestTransition:
     """Each class's exact step against SciPy's Van Loan expm, on the engine's own coordinates."""
 
@@ -531,6 +579,24 @@ class TestTransition:
             assert np.abs(u @ cov @ u.conj().T - q).max() <= 1e-12 * np.abs(q).max(), res
             assert np.abs(u @ cov @ u.T - pseudo).max() <= 1e-12 * np.abs(q).max(), res
             assert plan.d < plan.n  # the rank clip drops the unresolved directions
+
+    @pytest.mark.parametrize("eps", [0.25, 0.125])
+    def test_step_is_bitwise_the_written_out_formula(self, eps):
+        """P and Q from cell.gram equal the inline Van Loan formula bit for bit, on
+        every evolved cosine class with its limit coordinates, so the engine's
+        transitions, and with them every Monte Carlo path, do not depend on who
+        forms the integral."""
+        c = Coefficients.cosine_potential(1.0)
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 8), dt=1e-3,
+                           t_final=0.3, watch=(1, 2, 3, 4), seed=5)
+        op = build_blocks(c, spec, cfg)
+        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT)
+        assert any(plan.limits for plan in plans.values())
+        for res, plan in plans.items():
+            got = solver._transition(op.blocks[res], cfg.dt, plan.limits)
+            want = written_out_transition(op.blocks[res], cfg.dt, plan.limits)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), res
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 3))
     @settings(max_examples=25, deadline=None)
@@ -844,12 +910,12 @@ class TestEngineLaw:
         finals = final_differences(cosine, spec, cfg, model, self.N_PATHS)
         # each mode differenced in its own class, 3 in class 3 rather than as conj of -3
         op = build_blocks(cosine, spec, cfg)
-        rows = {m: int(np.searchsorted(op.block_of(m).ks, m)) for m in cfg.watch}
-        limits = {m % op.cells: [(rows[m], int(np.searchsorted(op.block_of(m).driven, m)),
+        rows = {m: int(np.searchsorted(op.blocks[m % op.cells].ks, m)) for m in cfg.watch}
+        limits = {m % op.cells: [(rows[m], int(np.searchsorted(op.blocks[m % op.cells].driven, m)),
                                   model.mu * m * m, model.coeff(m))] for m in cfg.watch}
         exact = exact_second_moments(op, cfg, limits)
         for m in cfg.watch:
-            want = exact[m % op.cells][op.block_of(m).ks.size]
+            want = exact[m % op.cells][op.blocks[m % op.cells].ks.size]
             samples = np.abs(finals[m]) ** 2
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - want) <= 4.0 * se, (m, samples.mean(), want, se)
@@ -862,7 +928,7 @@ class TestEngineLaw:
         # each mode in its own class: 3 in class 3 rather than as the conjugate of -3
         exact = exact_second_moments(op, cfg, {res: () for res in range(op.cells)})
         for m in cfg.watch:
-            want = exact[m % op.cells][int(np.searchsorted(op.block_of(m).ks, m))]
+            want = exact[m % op.cells][int(np.searchsorted(op.blocks[m % op.cells].ks, m))]
             samples = np.abs(finals[m]) ** 2
             se = samples.std(ddof=1) / np.sqrt(samples.size)
             assert abs(samples.mean() - want) <= 4.0 * se, m
@@ -991,9 +1057,13 @@ class TestClosedFormCovariance:
             lam, vecs = real_eig(a)
             return lam, vecs + 1e-6 * np.random.default_rng(0).standard_normal(vecs.shape)
 
+        def unchecked_basis(a, block):
+            lam, vecs = np.linalg.eig(a)
+            return lam, vecs, np.linalg.inv(vecs)
+
         monkeypatch.setattr(np.linalg, "eig", perturbed)
         if unchecked:
-            monkeypatch.setattr(solver, "eigenbasis", lambda a, block: np.linalg.eig(a))
+            monkeypatch.setattr(solver, "eigenbasis", unchecked_basis)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
                            t_final=1.0, watch=(1,), seed=0)
         with pytest.raises(SolveFailed, match=message):
@@ -1025,6 +1095,8 @@ class TestClosedFormCovariance:
         ([], "t_grid is empty"),
         ([0.5, np.nan], "non-finite"),
         ([np.inf], "non-finite"),
+        ([-0.5, 0.5], r"t_grid must lie inside \[0, t_final\]$"),
+        ([0.5, 1.5], r"t_grid must lie inside \[0, t_final\]$"),
     ])
     def test_bad_time_grid_fails_before_blocks(self, heat, t_grid, message):
         # n_modes is too small for build_blocks, so the t_grid message shows
