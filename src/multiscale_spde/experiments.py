@@ -220,13 +220,14 @@ def _need_eps(eps_list: list[float] | None, study: str, least: int) -> list[floa
     return eps_list
 
 
-def _check_config(config: dict, kind: str = "",
-                  needs: tuple = ()) -> tuple[dict, int, list[float] | None]:
+def _check_config(config: dict, kind: str = "", needs: tuple = (),
+                  default_t: float | None = None) -> tuple[dict, int, list[float] | None]:
     """The checks every study makes before any work; each failure is a ValueError.
 
     Rejected: a config without one of the sections in `needs` (those the
     `kind` study reads), a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, an explicit dt above an explicit t_final, an odd explicit
+    n_modes <= 0, an explicit dt above the horizon (_check_dt: an explicit
+    t_final, else default_t, the study's fixed default), an odd explicit
     n_modes (build_blocks' band is symmetric only for an even one), an
     explicit n_modes below the band minimum (min_modes) at any eps of the
     list, a count, mode, seed or watch entry that is not an
@@ -253,9 +254,8 @@ def _check_config(config: dict, kind: str = "",
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
-    dt, t_final, n_modes = (solver_cfg.get(key) for key in ("dt", "t_final", "n_modes"))
-    if dt is not None and t_final is not None and float(dt) > float(t_final):
-        raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
+    _check_dt(solver_cfg, kind, default_t)
+    n_modes = solver_cfg.get("n_modes")
     study = config.get("study", {})
     whole = [("solver n_modes", n_modes), ("study seed", study.get("seed")),
              *((f"study {key}", study.get(key)) for key in ("paths", "mode", "mode_cutoff")),
@@ -294,6 +294,19 @@ def _check_config(config: dict, kind: str = "",
                     raise ValueError(f"solver n_modes = {n_modes!r} is below {need}, the band "
                                      f"minimum 2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
     return study, int(study.get("seed", 0)), eps_list
+
+
+def _check_dt(solver_cfg: dict, kind: str, default_t: float | None) -> None:
+    """Refuse an explicit dt above the horizon: t_final, else the study's default_t if given."""
+    dt, t_final = solver_cfg.get("dt"), solver_cfg.get("t_final")
+    if dt is None:
+        return
+    if t_final is not None:
+        if float(dt) > float(t_final):
+            raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
+    elif default_t is not None and float(dt) > default_t:
+        raise ValueError(f"solver dt = {dt!r} is above t_final = {default_t:g}, the {kind} "
+                         "study's default horizon (the config gives no solver t_final)")
 
 
 def _cell(config: dict):
@@ -516,7 +529,8 @@ def run_simulate(config: dict) -> ExperimentReport:
     holds its watched modes, and with track_norm its norm_path_{p:03d}
     holds |u|^2, both at every recorded step.
     """
-    study, seed, eps_list = _check_config(config, "simulate", ("coefficients", "noise"))
+    study, seed, eps_list = _check_config(config, "simulate", ("coefficients", "noise"),
+                                          default_t=1.0)
     eps = _need_eps(eps_list, "simulate", 1)[0]
     c, cell = _cell(config)
     n_paths = int(study.get("paths", 2))
@@ -566,7 +580,8 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    study, seed, eps_list = _check_config(config, "converge", ("coefficients", "noise"))
+    study, seed, eps_list = _check_config(config, "converge", ("coefficients", "noise"),
+                                          default_t=1.0)
     _need_eps(eps_list, "converge", 3)
     if study.get("target") not in (None, "averaged"):
         raise ValueError(f"converge compares with the averaged limit only; "
@@ -646,6 +661,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
     report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
     t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
+    _check_dt(config.get("solver", {}), "variance", t_final)
 
     gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:

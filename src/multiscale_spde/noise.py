@@ -347,8 +347,8 @@ class WienerStream:
     paths and independent of which other classes are evolved.  The seed
     is taken modulo 2^64.  The normals come in draw order, so stepwise,
     chunked and in-place draws of the same stream agree; the engine fills
-    each chunk of a class's normals in place (fill), one row of the
-    class's width per step.
+    each chunk of a class's normals in place (fill), the normals of one
+    block after another.
     """
 
     def __init__(self, seed: int, path_index: int = 0, residue: int = 0):

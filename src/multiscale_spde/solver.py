@@ -9,9 +9,14 @@ each block by its exact joint Gaussian transition, y <- P y + L z with
 P = e^{A dt} and L L^T = Q(dt), the Van Loan covariance of one step, on
 real coordinates; z are standard normals.  No step is an approximation,
 so dt only sets the time grid a path is recorded on.  The averaged limit
-rides along as a difference coordinate, the engine advances several
-steps per product, and only residues 0 .. r/2 are evolved: the others
-are their conjugates.  Second moments follow the per-block Lyapunov
+rides along as a difference coordinate, and only residues 0 .. r/2 are
+evolved: the others are their conjugates.  The engine advances a block
+of B steps per product and reads only what it records, a class's
+observed rows after each step and its state at the block's end; given
+the state at the block's start, those are Gaussian with the block's
+joint covariance G, and each block draws rank(G) normals through G's
+eigen-factor, fewer than the B steps' own normals when few rows are
+observed.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
@@ -65,9 +70,12 @@ COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
 CHUNK_NORMALS = 2048  # normals per path and class drawn at a time: sets each class's chunk
-Q_RANK_CLIP = 1e-14  # eigenvalues of Q(dt) below this fraction of the largest are dropped
-Q_PSD_TOL = 1e-10  # most negative eigenvalue of Q(dt) allowed, relative to the largest
-# (measured at worst -1.7e-13 on the cosine A <= 3 converge classes)
+# eigenvalues of a transition covariance (Q(dt) or a block's G) below this fraction
+# of the largest are dropped
+Q_RANK_CLIP = 1e-14
+Q_PSD_TOL = 1e-10  # most negative eigenvalue of a transition covariance allowed, relative
+# to the largest (measured at worst -1.7e-13 for Q(dt) and -3.1e-16 for G on the
+# cosine A <= 3 converge classes)
 DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
 # paths per block product: index-aligned groups, the last padded with zeros, so a
@@ -337,13 +345,14 @@ def _gather(m: np.ndarray, partner: np.ndarray, first: np.ndarray, paired: np.nd
 
 
 def _factor(q: np.ndarray, name: str) -> np.ndarray:
-    """L with L L^T = Q(dt), from the eigen-square-root of the PSD matrix Q.
+    """F with F F^T = Q, from the eigen-square-root of the PSD matrix Q.
 
+    Q is a transition covariance: one step's Q(dt) or a block's G.
     Raises SolveFailed, naming the class, when an eigenvalue lies below
     -Q_PSD_TOL times the largest.  Eigenvalues below Q_RANK_CLIP times the
-    largest are dropped, so L has one column per kept eigenvalue.  A
+    largest are dropped, so F has one column per kept eigenvalue.  A
     coordinate whose variance Q_ii is exactly zero is left out of the
-    eigen-problem and gets an exactly zero row of L.
+    eigen-problem and gets an exactly zero row of F.
     """
     live = np.diag(q) != 0.0
     w, vecs = np.linalg.eigh(q[np.ix_(live, live)])
@@ -357,36 +366,64 @@ def _factor(q: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _block_map(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
-    """One product advancing `length` steps and observing `rows` after each.
+def _propagation(p: np.ndarray, rows, length: int) -> np.ndarray:
+    """What a block of `length` steps outputs, as a map of its first state y_0.
 
-    Applied to [y_0; z_0; ...; z_{L-1}], its first L*o rows are C y_i,
-    i = 1..L (C P^i and the Toeplitz blocks C P^(i-1-j) L, j < i), and its
-    last n rows are y_L (P^L and P^(L-1-j) L).
+    The block outputs C y_i, i = 1 .. length (C the observed rows), then
+    y_length; without noise those are C P^i y_0 and P^length y_0.
+    """
+    n, o = p.shape[0], len(rows)
+    out = np.empty((length * o + n, n))
+    power = p
+    for i in range(length):
+        if i:
+            power = p @ power
+        out[i * o : (i + 1) * o] = power[rows]
+    out[length * o :] = power
+    return out
+
+
+def _kicks(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
+    """K: the same outputs as _propagation's as a map of the steps' normals z_0 .. z_{L-1}.
+
+    The Toeplitz blocks C P^(i-1-j) L, j < i, then P^(L-1-j) L.
     """
     n, d = l.shape
     o = len(rows)
-    powers = [np.eye(n), p]
+    kicks = [l]  # P^k L
     for _ in range(length - 1):
-        powers.append(p @ powers[-1])
-    kicks = [l] + [pw @ l for pw in powers[1:length]]  # P^k L
-    out = np.zeros((length * o + n, n + length * d))
+        kicks.append(p @ kicks[-1])
+    out = np.zeros((length * o + n, length * d))
     for i in range(1, length + 1):
-        out[(i - 1) * o : i * o, :n] = powers[i][rows]
         for j in range(i):
-            out[(i - 1) * o : i * o, n + j * d : n + (j + 1) * d] = kicks[i - 1 - j][rows]
-    out[length * o :, :n] = powers[length]
+            out[(i - 1) * o : i * o, j * d : (j + 1) * d] = kicks[i - 1 - j][rows]
     for j in range(length):
-        out[length * o :, n + j * d : n + (j + 1) * d] = kicks[length - 1 - j]
+        out[length * o :, j * d : (j + 1) * d] = kicks[length - 1 - j]
     return out
 
 
-def _block_lengths(n_steps: int, length: int, chunk: int) -> set:
-    """Every block length _engine uses over n_steps in chunks of `chunk` <= n_steps steps."""
-    out = set()
-    for m in {chunk, n_steps % chunk} - {0}:
-        out |= {min(length, m), m % length} - {0}
-    return out
+def _joint_covariance(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
+    """G = K K^T (_kicks), the covariance of a block's outputs given y_0, without K.
+
+    With S_i = Cov y_i from y_0 = 0, S_i = P S_(i-1) P^T + L L^T, and
+    Cov(y_i, y_j) = P^(i-j) S_j for i >= j: the observed blocks are
+    C P^(i-j) S_j C^T, the state's are P^(L-j) S_j C^T and S_L.  cross
+    holds P^(i-j) S_j C^T for j <= i after step i, one column block per j.
+    Only the lower triangle is formed; the upper is its mirror.
+    """
+    n, o = p.shape[0], len(rows)
+    q = l @ l.T
+    g = np.zeros((length * o + n, length * o + n))
+    s = np.zeros((n, n))
+    cross = np.empty((n, length * o))
+    for i in range(length):
+        s = p @ s @ p.T + q
+        cross[:, : i * o] = p @ cross[:, : i * o]
+        cross[:, i * o : (i + 1) * o] = s[:, rows]
+        g[i * o : (i + 1) * o, : (i + 1) * o] = cross[rows, : (i + 1) * o]
+    g[length * o :, : length * o] = cross
+    g[length * o :, length * o :] = s
+    return np.tril(g) + np.tril(g, -1).T
 
 
 class _ClassPlan:
@@ -404,19 +441,26 @@ class _ClassPlan:
     A self-conjugate class is carried in the cos/sin coordinates of its
     conjugate pairs k <-> -k, so mode 0 is real and x_-k = conj x_k by
     construction; any other class is carried as [Re x; Im x], and its
-    conjugate class is its mirror (_real_form on the pair of them).  The
-    step is y <- P y + L z with z the class's own standard normals, L from
-    _factor.  The complex coordinates read after every step are every one
+    conjugate class is its mirror (_real_form on the pair of them).  One
+    step is y <- P y + L z, L L^T = Q(dt) from _factor, with d = rank Q
+    normals z.  The complex coordinates read after every step are every one
     (every_row), else the differences (with a model), else the watched
-    rows; rows are the real coordinates that holds.
+    rows; rows are the o real coordinates that holds.
 
-    B = clip(round(n / sqrt(o d)), 1, MAX_BLOCK_STEPS) for n real
-    coordinates, o observed rows and d normals per step minimises the
-    multiplies per step, o n + o d B + n^2 / B + n d; B = 1 is plain
-    stepping.  The class runs in chunks of CHUNK_NORMALS // d steps (at
-    most n_steps), its own normals for a chunk drawn at once, and maps_t
-    holds the transposed _block_map of every block length the run takes,
-    the right factor of the engine's (paths x state) products.
+    The engine advances blocks of `length` = B = clip(round(n / o), 1,
+    MAX_BLOCK_STEPS) steps (MAX_BLOCK_STEPS when o = 0), at most n_steps,
+    for n real coordinates, and reads only the block's outputs, C y_i
+    after each step i and the state y_B: [C P; ..; C P^B; P^B] y_0 (the
+    _propagation map) plus a Gaussian of covariance G = K K^T, K the
+    Toeplitz kicks of the B steps (_kicks).  f is a factor of G: K itself
+    when B d <= B o + n, as on every every_row plan (B = 1, f = [C L; L]),
+    else G's eigen-factor (_factor on _joint_covariance), whose
+    r = rank G <= B o + n columns are the normals a block draws.  map_t
+    is [propagation | f] transposed, the right factor of the engine's
+    (paths x [y_0; w]) products.  The class runs in chunks of `chunk`
+    steps, a whole number of blocks of about CHUNK_NORMALS normals, at
+    most n_steps rounded up to whole blocks; the last block of a run may
+    pass n_steps, and its extra outputs are dropped.
     """
 
     def __init__(self, op: BlockOperator, res: int, config: SolverConfig, watched: set,
@@ -456,13 +500,18 @@ class _ClassPlan:
         real = set(cos[sgn == 0].tolist())
         self.weight = np.array([1.0 if j in real else 2.0 for j in self.rows])
         self.o = len(self.rows)
-        self.length = (MAX_BLOCK_STEPS if self.o * self.d == 0 else
-                       int(np.clip(round(self.n / np.sqrt(self.o * self.d)), 1,
-                                   MAX_BLOCK_STEPS)))
-        self.chunk = min(config.n_steps, max(1, CHUNK_NORMALS // max(self.d, 1)))
-        self.maps_t = {length: np.ascontiguousarray(_block_map(self.p, self.l, self.rows,
-                                                               length).T)
-                       for length in _block_lengths(config.n_steps, self.length, self.chunk)}
+        self.length = min(config.n_steps, MAX_BLOCK_STEPS if self.o == 0 else
+                          int(np.clip(round(self.n / self.o), 1, MAX_BLOCK_STEPS)))
+        args = (self.p, self.l, self.rows, self.length)
+        if self.length * self.d <= self.length * self.o + self.n:
+            self.f = _kicks(*args)
+        else:
+            self.f = _factor(_joint_covariance(*args), f"class {res} ({self.length}-step block)")
+        self.r = self.f.shape[1]
+        blocks = min(max(1, CHUNK_NORMALS // max(self.r, 1)), -(-config.n_steps // self.length))
+        self.chunk = blocks * self.length
+        self.map_t = np.ascontiguousarray(
+            np.hstack([_propagation(self.p, self.rows, self.length), self.f]).T)
 
     def value(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Complex coordinate i from the observed rows (last axis of obs)."""
@@ -524,21 +573,22 @@ def _class_plans(op: BlockOperator, config: SolverConfig, watch,
 def _engine(plans: dict, config: SolverConfig, path_indices):
     """Advance the planned classes from u = 0 for one batch of paths; yield their observed rows.
 
-    plans (from _class_plans) maps residue -> the class's shared
-    transition and the real rows to record after every step.  The classes
-    run one after another, in residue order, each over the whole time
-    grid in chunks of its own plan.chunk steps: per chunk, every path
-    fills its row of the class's buffer in place with the class's normals
-    from its own WienerStream(seed, path, residue).  Yields (residue,
-    first step, count, obs) once per chunk of `count` steps, obs of shape
-    (paths, count, rows); the buffers are reused, so consume obs before
-    the next iteration.  Raises UnstableStep when a carried coordinate at
-    a block boundary is non-finite or beyond OVERFLOW_GUARD.  Only one
-    class's buffers are live at a time.
+    plans (from _class_plans) maps residue -> the class's shared block
+    map and the real rows to record after every step.  The classes run
+    one after another, in residue order, each over the whole time grid in
+    chunks of its own plan.chunk steps: per chunk, every path fills its
+    row of the class's buffer in place with the normals of the chunk's
+    blocks, plan.r per block, from its own WienerStream(seed, path,
+    residue).  Yields (residue, first step, count, obs) once per chunk of
+    `count` steps, obs of shape (paths, count, rows); a block that passes
+    n_steps has its extra rows dropped.  The buffers are reused, so
+    consume obs before the next iteration.  Raises UnstableStep when a
+    carried coordinate at a block boundary is non-finite or beyond
+    OVERFLOW_GUARD.  Only one class's buffers are live at a time.
 
     The batch's paths sit in groups of PATH_GROUP rows, the last padded
-    with rows of zeros, and each block is one (PATH_GROUP x state)
-    product per group (np.matmul with plan.maps_t).  Every product has the
+    with rows of zeros, and each block is one (PATH_GROUP x [y_0; w])
+    product per group (np.matmul with plan.map_t).  Every product has the
     same shape whatever the batch, so within one NumPy/BLAS build a
     class's values depend on (seed, path index, residue), the path's row
     in its group, the config and the class's own plan, not on which other
@@ -551,35 +601,33 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     n_paths = len(path_indices)
     rows = -(-n_paths // PATH_GROUP) * PATH_GROUP
     for res, plan in plans.items():
-        n, d, o = plan.n, plan.d, plan.o
+        n, r, o, length = plan.n, plan.r, plan.o, plan.length
         streams = [WienerStream(config.seed, p, res) for p in path_indices]
-        # [state slot | the chunk's normals]: the block from step s reads
-        # y_s at s*d, over normals already consumed, then z_s, z_s+1, ...
-        buf = np.zeros((rows, n + plan.chunk * d))
-        # [observed rows of each step | n spare]: the block from step s
-        # writes C y_s+1, ..., C y_s+L at s*o, then y_s+L, which the next
-        # block overwrites once it is copied back into buf
+        # [state slot | the chunk's normals]: block b reads y_0 at b*r, over
+        # normals already consumed, then its own r normals w_b
+        buf = np.zeros((rows, n + plan.chunk // length * r))
+        # [observed rows of each step | n spare]: block b writes its
+        # length*o observed rows at b*length*o, then its last state, which
+        # the next block overwrites once it is copied back into buf
         obs = np.empty((rows, plan.chunk * o + n))
         peak = np.empty((rows, n))
         for first in range(0, config.n_steps, plan.chunk):
             m = min(plan.chunk, config.n_steps - first)
+            count = -(-m // length)  # blocks; the last may pass n_steps
             for pi, stream in enumerate(streams):
-                stream.fill(buf[pi, n : n + m * d])
-            s = 0
-            while s < m:
-                length = min(plan.length, m - s)
-                x = buf[:, s * d : s * d + n + length * d]
-                block = obs[:, s * o : (s + length) * o + n]
+                stream.fill(buf[pi, n : n + count * r])
+            for b in range(count):
+                x = buf[:, b * r : (b + 1) * r + n]
+                block = obs[:, b * length * o : (b + 1) * length * o + n]
                 for g in range(0, rows, PATH_GROUP):
-                    np.matmul(x[g : g + PATH_GROUP], plan.maps_t[length],
-                              out=block[g : g + PATH_GROUP])
+                    np.matmul(x[g : g + PATH_GROUP], plan.map_t, out=block[g : g + PATH_GROUP])
                 state = block[:, length * o :]
-                s += length
                 top = np.abs(state, out=peak).max(initial=0.0)
                 if not np.isfinite(top) or top > OVERFLOW_GUARD:
                     raise UnstableStep(f"mode amplitude {top:.3e} beyond guard at "
-                                       f"t = {(first + s) * config.dt:g}")
-                (buf[:, s * d : s * d + n] if s < m else buf[:, :n])[...] = state
+                                       f"t = {(first + (b + 1) * length) * config.dt:g}")
+                at = (b + 1) * r if b + 1 < count else 0
+                buf[:, at : at + n] = state
             yield res, first, m, obs[:n_paths, : m * o].reshape(n_paths, m, o)
 
 

@@ -267,9 +267,17 @@ def test_criterion8c_density_norm_dichotomy(heat, cosine_cell):
 
 
 def test_criterion8d_block_vs_dense_pathwise(cosine):
-    """The dense propagator expm(dense dt), built from apply_generator, applied to the
-    engine's own kicks U L z reproduces simulate_paths; and the dense Van Loan Q, built
-    from the independently oscillated noise columns, is each class's U L L^T U*."""
+    """The dense band against the engine's classes, both built independently.
+
+    The dense propagator expm(dense dt), built from apply_generator, steps
+    each class's state through its blocks, and the engine's own block
+    normals w enter through the U-mapped factor f: U f w at the block's
+    end, and f's observed rows after each step.  That reproduces
+    simulate_paths.  The dense Van Loan Q, built from the independently
+    oscillated noise columns, is each class's U L L^T U*, and the dense
+    joint covariance of a block's outputs (S_i <- prop S prop* + Q, the
+    cross terms prop^(i-j) S_j) is U f f^T U*.
+    """
     eps, n, cutoff, dt, seed = 0.25, 64, 8, 1e-3, 21
     spec = NoiseSpec.white(cutoff)
     cfg = SolverConfig(eps=eps, n_modes=n, dt=dt, t_final=0.5, watch=(1, 2, 3), seed=seed)
@@ -289,8 +297,9 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
 
     # the engine's classes (residues 0 .. r/2) and their maps X = U y on the dense band
     op = build_blocks(cosine, spec, cfg)
-    plans, _ = solver._class_plans(op, cfg, cfg.watch)
-    maps, q_blocks = [], np.zeros((n, n), dtype=complex)
+    plans, reads = solver._class_plans(op, cfg, cfg.watch)
+    q_blocks = np.zeros((n, n), dtype=complex)
+    worst = g_gap = 0.0
     for res, plan in plans.items():
         ks = op.blocks[res].ks
         u = np.zeros((ks.size, plan.n), dtype=complex)
@@ -302,25 +311,60 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
         mirror = (2 * res) % op.cells != 0  # the conjugate class: X_-k = conj X_k
         if mirror:
             q_blocks[np.ix_(n // 2 - ks, n // 2 - ks)] = q_class.conj()
-        maps.append((plan, ks, u, mirror))
-    q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
 
-    z = [drawn(WienerStream(seed, 0, res), cfg.n_steps, plan.d)
-         for res, plan in plans.items()]
-    x = np.zeros(n, dtype=complex)
-    worst = 0.0
-    for i in range(cfg.n_steps):
-        kick = np.zeros(n, dtype=complex)
-        for (plan, ks, u, mirror), zc in zip(maps, z):
-            kick[ks + n // 2] = u @ (plan.l @ zc[i])
+        # complex outputs of a block: the observed coordinates after each step, then U y_B
+        length, o = plan.length, plan.o
+        observed = sorted(plan.read)
+        outputs = np.zeros((length * len(observed) + ks.size, length * o + plan.n),
+                           dtype=complex)
+        for i in range(length):
+            for a, k in enumerate(observed):
+                c, s, sg = plan.read[k]
+                outputs[i * len(observed) + a, i * o + c] += 1.0
+                outputs[i * len(observed) + a, i * o + s] += 1j * sg
+        outputs[length * len(observed):, length * o:] = u
+        mapped = outputs @ plan.f
+
+        idx = ks[observed] + n // 2
+        joint = np.zeros((length * len(observed) + ks.size,) * 2, dtype=complex)
+        s_i, cross = np.zeros((n, n), dtype=complex), []
+        for i in range(length):
+            s_i = prop @ s_i @ prop.conj().T + q_dense
+            cross = [prop @ c for c in cross] + [s_i]  # prop^(i-j) S_j, j = 0 .. i
+            for j, c in enumerate(cross):
+                rows = slice(i * len(observed), (i + 1) * len(observed))
+                joint[rows, j * len(observed) : (j + 1) * len(observed)] = c[np.ix_(idx, idx)]
+        for j, c in enumerate(cross):
+            joint[length * len(observed):, j * len(observed) : (j + 1) * len(observed)] = (
+                c[np.ix_(ks + n // 2, idx)])
+        joint[length * len(observed):, length * len(observed):] = (
+            s_i[np.ix_(ks + n // 2, ks + n // 2)])
+        joint = np.tril(joint) + np.tril(joint, -1).conj().T
+        g_gap = max(g_gap, np.abs(mapped @ mapped.conj().T - joint).max() / np.abs(joint).max())
+
+        # the path: dense free flow of the class's state plus the mapped kicks
+        modes = [(m, coord, conj) for m, r, coord, conj in reads if r == res]
+        w = drawn(WienerStream(seed, 0, res), -(-cfg.n_steps // length), plan.r)
+        x = np.zeros(n, dtype=complex)
+        for b, wb in enumerate(w):
+            kick = mapped @ wb
+            for i in range(1, length + 1):
+                x = prop @ x
+                step = b * length + i
+                if step > cfg.n_steps:
+                    continue
+                for m, coord, conj in modes:
+                    value = kick[(i - 1) * len(observed) + observed.index(coord)]
+                    got = x[m + n // 2] + (np.conj(value) if conj else value)
+                    worst = max(worst, abs(got - out.modes[m][0][step]))
+            x[ks + n // 2] += kick[length * len(observed):]
             if mirror:
-                kick[n // 2 - ks] = kick[ks + n // 2].conj()
-        x = prop @ x + kick
-        worst = max(worst, max(abs(x[m + n // 2] - out.modes[m][0][i + 1])
-                               for m in (1, 2, 3)))
-    check("8d block vs dense pathwise", worst <= 1e-8 and q_gap <= 1e-12,
+                x[n // 2 - ks] += kick[length * len(observed):].conj()
+    q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
+    check("8d block vs dense pathwise", worst <= 1e-8 and q_gap <= 1e-12 and g_gap <= 1e-12,
           f"max pathwise gap = {worst:.2e} (tol 1e-8, N = 64), "
-          f"Q(dt) gap = {q_gap:.2e} (tol 1e-12 relative)")
+          f"Q(dt) gap = {q_gap:.2e} (tol 1e-12 relative), "
+          f"block covariance gap = {g_gap:.2e} (tol 1e-12 relative)")
 
 
 def test_criterion8e_parseval():

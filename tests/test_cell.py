@@ -201,6 +201,18 @@ class TestValidation:
                                               r"= 1\.000e\+00"):
             solve_cell(c)
 
+    @pytest.mark.parametrize("tolerance, message", [
+        ("RHO_RESIDUAL_TOL", r"^stationarity residual \d\.\d{3}e-\d+ above tolerance$"),
+        ("CHI_RESIDUAL_TOL", r"^corrector residual \d\.\d{3}e-\d+ above tolerance$"),
+    ])
+    def test_residual_contracts_fire(self, monkeypatch, tolerance, message):
+        """With the tolerance at 0, the cosine cell's rounding-level residual fails it."""
+        from multiscale_spde import cell
+
+        monkeypatch.setattr(cell, tolerance, 0.0)
+        with pytest.raises(SolveFailed, match=message):
+            solve_cell(Coefficients.cosine_potential(1.0))
+
     @pytest.mark.parametrize("amplitude, minimum", [(0.75, r"-5\.000e-01"),
                                                     (0.5, r"0\.000e\+00")],
                              ids=["sign-change", "touches-zero"])

@@ -275,6 +275,41 @@ class TestStudies:
                 "study": {"kind": "converge", "target": "enhanced", "seed": 1, "paths": 8},
             })
 
+    @pytest.mark.parametrize("kind", ["converge", "simulate"])
+    def test_dt_above_the_default_horizon_fails_before_any_solve(self, monkeypatch, kind):
+        """Both studies default to t_final = 1, so dt = 2 is refused by the config check."""
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before dt was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"] = {"eps": [0.25, 0.125, 0.0625], "dt": 2.0}
+        config["study"] = {"kind": kind, "seed": 1, "paths": 2}
+        with pytest.raises(ValueError, match=rf"solver dt = 2.0 is above t_final = 1, the "
+                                             rf"{kind} study's default horizon \(the config "
+                                             rf"gives no solver t_final\)$"):
+            run_study(config)
+
+    def test_variance_dt_above_the_default_horizon_fails_before_any_covariance(
+            self, monkeypatch):
+        """The variance study's default horizon, 3 / mu (31.2 on this cell), is known
+        only after the cell solve; dt above it is refused before any block is built."""
+        import multiscale_spde.experiments as experiments
+
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("a covariance was computed before dt was checked")
+
+        monkeypatch.setattr(experiments, "exact_mode_covariance", no_covariance)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        del config["solver"]["t_final"]
+        config["solver"]["dt"] = 100.0
+        with pytest.raises(ValueError, match=r"solver dt = 100.0 is above t_final = 31\.\d+, "
+                                             r"the variance study's default horizon \(the "
+                                             r"config gives no solver t_final\)$"):
+            run_study(config)
+
     @pytest.mark.parametrize("path", [*sorted((REPO / "configs").glob("*.json")), GOLDEN],
                              ids=lambda p: p.name)
     def test_shipped_configs_pass_the_config_check(self, path):

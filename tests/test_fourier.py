@@ -33,6 +33,24 @@ def random_real_field(rng, band, n):
 
 
 class TestBasics:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: SpectralField(np.zeros(3)), ValueError,
+         r"^coefficients must be a 1-D vector of even length >= 2$"),
+        (lambda: SpectralField(np.zeros(0)), ValueError,
+         r"^coefficients must be a 1-D vector of even length >= 2$"),
+        (lambda: SpectralField.from_modes({4: 1.0}, n=8), ResolutionTooSmall,
+         r"^wavenumber 4 outside band of n=8$"),
+        (lambda: SpectralField.from_grid(np.ones(5)), ValueError, r"^grid size must be even$"),
+        (lambda: SpectralField.zero(8).pad_to(4), ValueError,
+         r"^pad_to cannot shrink; use truncate$"),
+        (lambda: SpectralField.zero(8).to_grid(4), ResolutionTooSmall,
+         r"^grid coarser than the stored band$"),
+    ], ids=["odd-vector", "short-vector", "outside-band", "odd-grid", "pad-shrinks",
+            "coarse-grid"])
+    def test_guards(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_grid_round_trip(self):
         rng = np.random.default_rng(0)
         f = random_real_field(rng, 10, 64)

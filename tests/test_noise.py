@@ -6,7 +6,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from numpy.testing import assert_allclose
 from scipy.special import iv
 
-from multiscale_spde.errors import MeanNotZero, TruncationTooSmall
+from multiscale_spde.errors import MeanNotZero, NegativeRadicand, TruncationTooSmall
 from multiscale_spde.fourier import (
     SpectralField,
     conjugation_defect,
@@ -39,6 +39,10 @@ ONE_PLUS_COS = SpectralField.from_modes({0: 1.0, 1: 0.5, -1: 0.5})
 
 
 class TestFamilies:
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown noise family 'pink'$"):
+            NoiseSpec("pink", 4)
+
     def test_profiles_are_symmetric_and_real(self):
         spec = NoiseSpec.power_decay(0.6, 32, profile=ONE_PLUS_COS)
         for k in (0, 1, 5, 17):
@@ -172,6 +176,29 @@ class TestValidators:
 
 
 class TestLimitCoefficients:
+    @pytest.mark.parametrize("use", [
+        check_tail_convergence,
+        check_tail_summability,
+        lambda spec: fluctuation_coefficient(spec, SpectralField.constant(1.0)),
+        lambda spec: enhanced_coefficient(spec, SpectralField.constant(1.0), 1),
+    ], ids=["tail-convergence", "tail-summability", "fluctuation", "enhanced"])
+    def test_a_spec_without_tail_is_refused(self, use):
+        """A custom table declares no tail profile unless given one."""
+        spec = NoiseSpec.custom({1: SpectralField.constant(1.0)}, cutoff=4)
+        with pytest.raises(ValueError, match=r"^spec declares no tail profile$"):
+            use(spec)
+
+    def test_smoothed_needs_a_mollifier(self, cosine_cell):
+        with pytest.raises(ValueError, match=r"^spec declares no mollifier symbol$"):
+            smoothed_coefficient(NoiseSpec.white(8), cosine_cell.rho, 1)
+
+    def test_negative_radicand_is_refused(self):
+        """|<q_1, 1>|^2 - |<tail, 1>|^2 = 0.01 - 1 with the tail energy filtered out."""
+        spec = NoiseSpec.custom({1: SpectralField.constant(0.1)}, cutoff=4,
+                                tail=SpectralField.constant(1.0), mollifier=lambda xi: 0.0)
+        with pytest.raises(NegativeRadicand, match=r"^coefficient radicand -9\.900e-01 < 0$"):
+            smoothed_coefficient(spec, SpectralField.constant(1.0), 1)
+
     def test_averaged_white_is_one(self, cosine_cell):
         assert_allclose(averaged_coefficient(NoiseSpec.white(8), cosine_cell.rho, 3), 1.0)
 

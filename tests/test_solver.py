@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from multiscale_spde import solver
 from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
+from multiscale_spde.experiments import build_noise
 from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model
 from multiscale_spde.noise import NoiseSpec, WienerStream
@@ -108,36 +109,49 @@ def random_coefficients(rng) -> Coefficients:
 
 
 def stepped_reference(c, spec, config, path_index=0, model=None):
-    """Reference: the exact transitions stepped one step per product.
+    """Reference: each block replayed from the plan's P and f, one step at a time.
 
     Each evolved class (residues 0 .. r/2, or the watched classes with
-    their difference coordinates when a model is given) follows
-    y <- P y + L z on its own normals, WienerStream(seed, path, residue),
-    with P and L the engine's own; every coordinate is read back through
-    the class's coordinate map.  Returns under "watched" each watched mode (with a
-    model, its difference u_eps - u), and |u|^2 summed over every class
-    (a paired class counts twice, once for its conjugate), at every step,
-    step 0 included.
+    their difference coordinates when a model is given) is planned as the
+    engine plans it, observing every coordinate when config.track_norm.
+    Block b reads the class's own normals w_b, its plan.r next ones from
+    WienerStream(seed, path, residue): after step i of the block the
+    observed rows are (P^i y_0)[rows] plus rows (i-1) o .. i o of f w_b,
+    and the block ends in P^B y_0 plus f's last n rows times w_b, P^i y_0
+    stepped by P alone.  Returns under "watched" each watched mode (with a
+    model, its difference u_eps - u), and with track_norm |u|^2 summed
+    over every class (a paired class counts twice, once for its
+    conjugate), at every step, step 0 included.
     """
     op = build_blocks(c, spec, config)
-    plans, reads = solver._class_plans(op, config, config.watch, model, every_row=True)
+    plans, reads = solver._class_plans(op, config, config.watch, model,
+                                       every_row=config.track_norm)
     n_steps = config.n_steps
-    z = {res: drawn(WienerStream(config.seed, path_index, res), n_steps, plan.d)
-         for res, plan in plans.items()}
-    states = {res: np.zeros(plan.n) for res, plan in plans.items()}
-    watched = {m: np.zeros(n_steps + 1, dtype=complex) for m in config.watch}
-    norm2 = np.zeros(n_steps + 1)
-    for i in range(n_steps):
-        for res, plan in plans.items():
-            states[res] = plan.p @ states[res] + plan.l @ z[res][i]
-        for m, res, coord, conj in reads:
-            value = plans[res].value(states[res], coord)
-            watched[m][i + 1] = np.conj(value) if conj else value
-        for res, plan in plans.items():
-            size = op.blocks[res].ks.size
-            power = sum(abs(plan.value(states[res], k)) ** 2 for k in range(size))
-            norm2[i + 1] = norm2[i + 1] + (power if (2 * res) % op.cells == 0 else 2 * power)
-    return {"watched": watched, "norm2": norm2}
+    obs = {}
+    for res, plan in plans.items():
+        n, o, length = plan.n, plan.o, plan.length
+        n_blocks = -(-n_steps // length)
+        w = drawn(WienerStream(config.seed, path_index, res), n_blocks, plan.r)
+        rows = np.zeros((n_blocks * length + 1, o))
+        y = np.zeros(n)
+        for b in range(n_blocks):
+            kick, free = plan.f @ w[b], y
+            for i in range(1, length + 1):
+                free = plan.p @ free
+                rows[b * length + i] = free[plan.rows] + kick[(i - 1) * o : i * o]
+            y = free + kick[length * o :]
+        obs[res] = rows[: n_steps + 1]
+    watched = {}
+    for m, res, coord, conj in reads:
+        value = plans[res].value(obs[res], coord)
+        watched[m] = np.conj(value) if conj else value
+    out = {"watched": watched}
+    if config.track_norm:
+        out["norm2"] = sum((1.0 if (2 * res) % op.cells == 0 else 2.0)
+                           * sum(plans[res].power(obs[res], k)
+                                 for k in range(op.blocks[res].ks.size))
+                           for res in plans)
+    return out
 
 
 def final_values(c, spec, config, n_paths, batch):
@@ -194,6 +208,25 @@ def assert_matches_stepping(got, ref, label):
     """Equal to 1e-12 of the reference's largest magnitude, at every recorded step."""
     assert got.shape == ref.shape, label
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), label
+
+
+def stepped_kicks(plan):
+    """K: each step's normals L z_j carried through the block by P one step at a time.
+
+    Rows are the block's outputs (the observed rows after each of its
+    plan.length steps, then the state at its end), columns the steps'
+    normals; K K^T is the stepped chain's joint covariance of the outputs.
+    """
+    (n, d), o, length = plan.l.shape, plan.o, plan.length
+    out = np.zeros((length * o + n, length * d))
+    for j in range(length):
+        v = plan.l
+        for i in range(j + 1, length + 1):
+            out[(i - 1) * o : i * o, j * d : (j + 1) * d] = v[plan.rows]
+            if i < length:
+                v = plan.p @ v
+        out[length * o :, j * d : (j + 1) * d] = v
+    return out
 
 
 # P = V e^{lam dt} V^-1 against expm, 2.5x the largest deviation measured
@@ -659,10 +692,61 @@ class TestBlockedEngine:
                 assert np.array_equal(p, ref), blk.residue
             assert np.abs(p - ref).max() <= PROPAGATOR_RTOL * np.abs(ref).max(), blk.residue
 
+    @pytest.mark.parametrize("every_row", [False, True], ids=["watched", "every-row"])
+    @pytest.mark.parametrize("with_limits", [False, True], ids=["x", "x-delta"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_block_factor_is_the_stepped_law(self, name, with_limits, every_row):
+        """f f^T = K K^T, the stepped chain's joint covariance of a block's outputs.
+
+        To 1e-12 of its largest entry, and each observed row's variance to
+        1e-8 of its own (measured: 2.7e-14 and 7.3e-14 at worst); a row of
+        zero variance stays exactly zero.  A block draws at most B o + n
+        normals, and f is K itself where B d is no more.
+        """
+        c = ENGINE_CASES[name]
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
+                           t_final=0.3, watch=(1, 2, 3, 4), seed=5)
+        op = build_blocks(c, spec, cfg)
+        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT if with_limits else None,
+                                       every_row=every_row)
+        for res, plan in plans.items():
+            k = stepped_kicks(plan)
+            want, got = k @ k.T, plan.f @ plan.f.T
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), res
+            var = np.diag(want)[: plan.length * plan.o]
+            assert np.all(np.abs(np.diag(got)[: var.size] - var) <= 1e-8 * var), res
+            assert plan.r <= plan.length * plan.o + plan.n, res
+            if plan.length * plan.d <= plan.length * plan.o + plan.n:
+                assert np.array_equal(plan.f, k), res
+            assert (plan.length == 1) == every_row, res  # every row observed: o = n
+
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    def test_watched_plans_draw_fewer_normals_than_steps(self, amplitude):
+        """Counts, on criterion 4's converge classes: each block of a watched-only plan
+        draws fewer normals than its B steps' B d, and an every-row plan exactly B d."""
+        c = Coefficients.cosine_potential(amplitude)
+        cell = solve_cell(c)
+        noise = {"family": "power", "alpha": 0.75, "profile": "one", "cutoff_factor": 2.0}
+        watch = tuple(range(1, 9))
+        for eps in (0.25, 0.125, 0.0625, 0.03125):
+            spec = build_noise(noise, eps)
+            cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, spec.cutoff),
+                               dt=solver.default_dt(eps), t_final=1.0, watch=watch, seed=0)
+            op = build_blocks(c, spec, cfg)
+            model = limit_model("averaged", spec, cell, 8)
+            watched, _ = solver._class_plans(op, cfg, watch, model)
+            every, _ = solver._class_plans(op, cfg, watch, every_row=True)
+            for res, plan in watched.items():
+                assert plan.r < plan.length * plan.d, (eps, res, plan.r, plan.length, plan.d)
+            for res, plan in every.items():
+                assert plan.r == plan.length * plan.d == plan.d, (eps, res)
+
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
     def test_paths_match_stepping(self, name):
         c = ENGINE_CASES[name]
-        # 300 steps: a full chunk of increments and a partial one in most classes
+        # 300 steps: class 1 runs a full chunk and a partial one, and in most
+        # classes the last block passes the final step
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(-3, 0, 1, 2, 5), seed=5)
         out = simulate_paths(c, NoiseSpec.white(8), cfg, 3)
