@@ -227,7 +227,9 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     Rejected: a config without one of the sections in `needs` (those the
     `kind` study reads), a section or key no study reads, an explicit dt, t_final or
     n_modes <= 0, an explicit dt above the horizon (_check_dt: an explicit
-    t_final, else default_t, the study's fixed default), an odd explicit
+    t_final, else default_t, the study's fixed default), an explicit
+    t_final below default_dt at an eps of the list when the study passes
+    default_t and the config gives no dt, an odd explicit
     n_modes (build_blocks' band is symmetric only for an even one), an
     explicit n_modes below the band minimum (min_modes) at any eps of the
     list, a count, mode, seed or watch entry that is not an
@@ -254,7 +256,6 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
-    _check_dt(solver_cfg, kind, default_t)
     n_modes = solver_cfg.get("n_modes")
     study = config.get("study", {})
     whole = [("solver n_modes", n_modes), ("study seed", study.get("seed")),
@@ -284,6 +285,8 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     if target == "smoothed" and noise_cfg.get("mollifier") is None:
         raise ValueError("study target 'smoothed' needs a noise mollifier")
     eps_list = None if solver_cfg.get("eps") is None else _eps_list(solver_cfg["eps"])
+    # a study that passes default_t steps on default_dt's grid
+    _check_dt(solver_cfg, kind, default_t, eps_list if default_t is not None else None)
     if "noise" in config:
         for eps in eps_list or [None]:
             # each spec a study builds, so bad values fail here
@@ -296,10 +299,18 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     return study, int(study.get("seed", 0)), eps_list
 
 
-def _check_dt(solver_cfg: dict, kind: str, default_t: float | None) -> None:
-    """Refuse an explicit dt above the horizon: t_final, else the study's default_t if given."""
+def _check_dt(solver_cfg: dict, kind: str, default_t: float | None, eps_list=None,
+              dt_of=default_dt) -> None:
+    """Refuse a dt above the horizon: an explicit dt above t_final, else above the study's
+    default_t if given; without an explicit dt, an explicit t_final below the study's
+    default dt, dt_of(eps), at any eps of eps_list."""
     dt, t_final = solver_cfg.get("dt"), solver_cfg.get("t_final")
     if dt is None:
+        for eps in (eps_list or ()) if t_final is not None else ():
+            if dt_of(eps) > float(t_final):
+                raise ValueError(f"solver t_final = {t_final!r} is below {dt_of(eps):g}, the "
+                                 f"{kind} study's default dt at eps = {eps:g} (the config "
+                                 "gives no solver dt)")
         return
     if t_final is not None:
         if float(dt) > float(t_final):
@@ -640,6 +651,11 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
 # -- variance study -------------------------------------------------------------------
 
 
+def _variance_dt(eps: float) -> float:
+    """The variance study's default dt: the trapezoid recursion's step, finer than default_dt."""
+    return min(1e-3, eps * eps / 4.0)
+
+
 def run_variance_study(config: dict) -> ExperimentReport:
     """Exact mode variances against the limiting OU prediction.
 
@@ -661,7 +677,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
 
     report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
     t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
-    _check_dt(config.get("solver", {}), "variance", t_final)
+    _check_dt(config.get("solver", {}), "variance", t_final, eps_list, _variance_dt)
 
     gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:
@@ -670,7 +686,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
             worst = max(abs(inner_product(spec.profile(k), cell.rho))
                         for k in range(0, min(spec.cutoff, 64) + 1))
             report.verdict(f"centred profiles at eps = {eps:g}", worst <= 1e-8, worst, 1e-8)
-        dt = config.get("solver", {}).get("dt") or min(1e-3, eps * eps / 4.0)
+        dt = config.get("solver", {}).get("dt") or _variance_dt(eps)
         sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
                             default_t=t_final, watch=watch, dt=dt)
         model = limit_model(target, spec, cell, max(abs(m) for m in watch))

@@ -213,6 +213,17 @@ class TestValidation:
         with pytest.raises(SolveFailed, match=message):
             solve_cell(Coefficients.cosine_potential(1.0))
 
+    def test_density_positivity_contract_fires(self, monkeypatch):
+        """The A = 3 cosine density cut to 16 modes dips below zero.  Its stationarity
+        residual (9.3e-2) fails first, so both residual tolerances are lifted to reach
+        the positivity contract."""
+        from multiscale_spde import cell
+
+        monkeypatch.setattr(cell, "RHO_RESIDUAL_TOL", np.inf)
+        monkeypatch.setattr(cell, "CHI_RESIDUAL_TOL", np.inf)
+        with pytest.raises(SolveFailed, match=r"^computed density is not positive on the grid$"):
+            solve_cell(Coefficients.cosine_potential(3.0), 16)
+
     @pytest.mark.parametrize("amplitude, minimum", [(0.75, r"-5\.000e-01"),
                                                     (0.5, r"0\.000e\+00")],
                              ids=["sign-change", "touches-zero"])

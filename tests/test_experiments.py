@@ -292,6 +292,42 @@ class TestStudies:
                                              rf"gives no solver t_final\)$"):
             run_study(config)
 
+    @pytest.mark.parametrize("kind", ["converge", "simulate"])
+    def test_t_final_below_the_default_dt_fails_before_any_solve(self, monkeypatch, kind):
+        """With no dt both studies step on default_dt(eps), 1e-3 at eps = 1/4, so
+        t_final = 1e-4 is refused by the config check, naming t_final, eps and that dt."""
+        import multiscale_spde.experiments as experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the cell was solved before t_final was checked")
+
+        monkeypatch.setattr(experiments, "solve_cell", no_solve)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"] = {"eps": [0.25, 0.125, 0.0625], "t_final": 1e-4}
+        config["study"] = {"kind": kind, "seed": 1, "paths": 2}
+        with pytest.raises(ValueError, match=rf"solver t_final = 0.0001 is below 0.001, the "
+                                             rf"{kind} study's default dt at eps = 0.25 \(the "
+                                             rf"config gives no solver dt\)$"):
+            run_study(config)
+        config["solver"]["dt"] = 5e-5  # an explicit dt below t_final passes the check
+        _check_config(config, kind, default_t=1.0)
+
+    def test_variance_t_final_below_its_default_dt_fails_before_any_covariance(
+            self, monkeypatch):
+        """The variance study steps on min(1e-3, eps^2 / 4) when no dt is given."""
+        import multiscale_spde.experiments as experiments
+
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("a covariance was computed before t_final was checked")
+
+        monkeypatch.setattr(experiments, "exact_mode_covariance", no_covariance)
+        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config["solver"]["t_final"] = 5e-4
+        with pytest.raises(ValueError, match=r"solver t_final = 0.0005 is below 0.001, the "
+                                             r"variance study's default dt at eps = 0.25 \(the "
+                                             r"config gives no solver dt\)$"):
+            run_study(config)
+
     def test_variance_dt_above_the_default_horizon_fails_before_any_covariance(
             self, monkeypatch):
         """The variance study's default horizon, 3 / mu (31.2 on this cell), is known

@@ -28,6 +28,7 @@ from multiscale_spde.noise import (
     check_tail_summability,
     coupling_series,
     tent_mollifier,
+    wiener_streams,
 )
 from multiscale_spde.solver import SolverConfig, build_blocks, suggest_modes
 
@@ -365,6 +366,36 @@ class TestWienerSampling:
         oracle = Generator(SFC64(SeedSequence(5).spawn(4)[3].spawn(3)[2]))
         for _ in range(2):  # the second call checks the stream position too
             assert np.array_equal(drawn(stream, 64, 7), oracle.standard_normal((64, 7)))
+
+    def test_streams_are_numpys_seedsequence_children(self):
+        """Every key of a grid, seeded in one vectorised pass, draws what SFC64 on
+        SeedSequence(seed mod 2^64, spawn_key=(p, r)) draws, in a first chunk and a
+        continued one; so does each key's own WienerStream.  The seeds cover one and
+        two 32-bit words, a negative seed and one of 2^64 or more."""
+        seeds = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, -1, 2**64 + 3)
+        paths, residues = (0, 15, 16, 2**32 - 1), (0, 1, 8, 31)
+        for seed in seeds:
+            for r, row in zip(residues, wiener_streams(seed, paths, residues)):
+                for p, gen in zip(paths, row):
+                    key = SeedSequence(seed & (2**64 - 1), spawn_key=(p, r))
+                    oracle, stream = Generator(SFC64(key)), WienerStream(seed, p, r)
+                    for n in (37, 200):
+                        want, got = oracle.standard_normal(n), np.empty(n)
+                        gen.standard_normal(out=got)
+                        assert np.array_equal(got, want), (seed, p, r, n)
+                        assert np.array_equal(drawn(stream, n, 1).ravel(), want), (seed, p, r)
+
+    @pytest.mark.parametrize("path, residue", [(2**32, 0), (2**64 + 1, 0), (0, 2**32),
+                                               (-1, 0), (3, -2)])
+    def test_a_key_beyond_one_32_bit_word_is_refused(self, path, residue):
+        """SeedSequence would spread such a key over two words (or refuse a negative one)."""
+        name, bad = ("residue", residue) if 0 <= path < 2**32 else ("path index", path)
+        message = rf"stream {name} {bad} must lie in \[0, 2\^32\): each key of a Wiener " \
+                  rf"stream is one 32-bit word"
+        with pytest.raises(ValueError, match=message):
+            WienerStream(7, path, residue)
+        with pytest.raises(ValueError, match=message):
+            next(wiener_streams(7, [0, path], [1, residue]))
 
     def test_in_place_fill_continues_the_stream(self):
         """fill writes the next normals into a row slice, exactly as into a whole array."""

@@ -754,6 +754,29 @@ class TestBlockedEngine:
         for m in cfg.watch:
             assert_matches_stepping(out.modes[m][2], ref["watched"][m], f"{name}, m = {m}")
 
+    def test_paths_match_stepping_over_many_chunks(self, cosine, monkeypatch):
+        """CHUNK_NORMALS 1 makes every chunk one block, so each class runs at least 3
+        chunks per batch and every path's generator continues its stream between them;
+        paths 0, 15 and 16 of 17 are seeded in one pass with their batch's other paths."""
+        monkeypatch.setattr(solver, "CHUNK_NORMALS", 1)
+        engine, chunks = solver._engine, {}
+
+        def counting_engine(plans, config, path_indices):
+            for item in engine(plans, config, path_indices):
+                key = (path_indices.start, item[0])
+                chunks[key] = chunks.get(key, 0) + 1
+                yield item
+
+        monkeypatch.setattr(solver, "_engine", counting_engine)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
+                           t_final=0.3, watch=(-3, 0, 1, 2, 5), seed=7)
+        out = simulate_paths(cosine, NoiseSpec.white(8), cfg, 17)
+        assert chunks and min(chunks.values()) >= 3, chunks
+        for p in (0, 15, 16):
+            ref = stepped_reference(cosine, NoiseSpec.white(8), cfg, path_index=p)
+            for m in cfg.watch:
+                assert_matches_stepping(out.modes[m][p], ref["watched"][m], f"p = {p}, m = {m}")
+
     def test_norm_matches_stepping(self, cosine):
         cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 4), seed=8, track_norm=True)
