@@ -233,10 +233,10 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     n_modes (build_blocks' band is symmetric only for an even one), an
     explicit n_modes below the band minimum (min_modes) at any eps of the
     list, a count, mode, seed or watch entry that is not an
-    integer, an empty watch list, a path count or mode_cutoff below 1, a
-    centered or track_norm other than true or false, a study target that
-    names no limit regime (or 'smoothed' with no mollifier), a bad eps
-    list, and a noise section that does not build at every eps (a power
+    integer, an empty watch list or one that repeats a mode, a path
+    count or mode_cutoff below 1, a centered or track_norm other than
+    true or false, a study target that names no limit regime (or
+    'smoothed' with no mollifier), a bad eps list, and a noise section that does not build at every eps (a power
     family without alpha or a custom one without table, say; see
     build_noise and resolve_cutoff).  Returns the study section, the seed
     and the eps list (None when the config gives no eps).
@@ -268,8 +268,12 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
         raise ValueError(f"solver n_modes = {n_modes!r} must be even: the band "
                          "-n_modes/2 < k < n_modes/2 is symmetric, and the fields real, "
                          "only then")
-    if solver_cfg.get("watch") is not None and len(solver_cfg["watch"]) == 0:
+    watch = [int(m) for m in solver_cfg.get("watch") or ()]
+    if solver_cfg.get("watch") is not None and not watch:
         raise ValueError("solver watch is empty; give at least one mode")
+    for m in watch:
+        if watch.count(m) > 1:
+            raise ValueError(f"solver watch repeats mode {m}; give each mode once")
     for key in ("paths", "mode_cutoff"):
         if study.get(key) is not None and not study[key] >= 1:
             raise ValueError(f"study {key} = {study[key]!r} must be at least 1")
@@ -548,7 +552,7 @@ def run_simulate(config: dict) -> ExperimentReport:
     solver_cfg = config["solver"]
     spec = _driving_noise(config, eps, cell)
     sc = _solver_config(solver_cfg, c, eps, spec.cutoff, seed,
-                        default_t=1.0, watch=[int(m) for m in solver_cfg.get("watch", (1,))])
+                        default_t=1.0, watch=[int(m) for m in solver_cfg.get("watch") or (1,)])
     report = ExperimentReport(study="simulate", config=config, seed=seed)
     out = simulate_paths(c, spec, sc, n_paths)
     for p in range(n_paths):

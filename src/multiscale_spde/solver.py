@@ -4,18 +4,19 @@ du = L_eps u dt + sum_k q_k(x/eps) e_k dW_k on [0, 2*pi], u(0) = 0.
 
 In Fourier space both the generator and the noise couple wavenumbers
 only within a residue class modulo 1/eps, so the dynamics splits into
-independent dense blocks of size ~ N eps.  The Monte Carlo engine steps
-each block by its exact joint Gaussian transition, y <- P y + L z with
-P = e^{A dt} and L L^T = Q(dt), the Van Loan covariance of one step, on
-real coordinates; z are standard normals.  No step is an approximation,
+independent dense blocks of size ~ N eps.  Each block's exact step is
+a joint Gaussian transition on real coordinates: y <- P y plus a
+Gaussian of covariance Q(dt), P = e^{A dt} and Q(dt) the Van Loan
+covariance of one step.  No step is an approximation,
 so dt only sets the time grid a path is recorded on.  The averaged limit
 rides along as a difference coordinate, and only residues 0 .. r/2 are
 evolved: the others are their conjugates.  The engine advances a block
 of B steps per product and reads only what it records, a class's
 observed rows after each step and its state at the block's end; given
-the state at the block's start, those are Gaussian with the block's
-joint covariance G, and each block draws rank(G) normals through G's
-eigen-factor, fewer than the B steps' own normals when few rows are
+the state at the block's start, those are a linear map of it plus a
+Gaussian of the block's joint covariance G, both built from P and Q(dt)
+in one walk over the B steps, and each block draws rank(G) normals
+through G's eigen-factor, fewer than B rank Q(dt) when few rows are
 observed.  Second moments follow the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form at every recorded step, with no time loop, so
@@ -73,12 +74,12 @@ COVARIANCE_RESIDUAL_TOL = 1e-12  # one trapezoid step, relative to its terms
 LOG_TINY = float(np.log(np.finfo(float).tiny))
 CELL_BAND = 8  # class offsets every suggested band holds, for the density's harmonics
 CHUNK_NORMALS = 2048  # normals per path and class drawn at a time: sets each class's chunk
-# eigenvalues of a transition covariance (Q(dt) or a block's G) below this fraction
-# of the largest are dropped
+# eigenvalues of a block's covariance G below this fraction of the largest are
+# dropped from its factor, the normals a block draws
 Q_RANK_CLIP = 1e-14
 Q_PSD_TOL = 1e-10  # most negative eigenvalue of a transition covariance allowed, relative
-# to the largest (measured at worst -1.7e-13 for Q(dt) and -3.1e-16 for G on the
-# cosine A <= 3 converge classes)
+# to the largest (measured at worst -1.7e-13 for Q(dt) and -1.2e-14 for G on the
+# cosine A <= 3 converge classes, watched and every-row plans)
 DELTA_CANCEL_TOL = 1e-13  # a difference's variance this close to its terms' is rounding
 MAX_BLOCK_STEPS = 64  # cap on the steps one product advances
 # paths per block product: index-aligned groups, the last padded with zeros, so a
@@ -347,86 +348,68 @@ def _gather(m: np.ndarray, partner: np.ndarray, first: np.ndarray, paired: np.nd
                      [cos_cols[paired].imag, sin_cols[paired].real]])
 
 
-def _factor(q: np.ndarray, name: str) -> np.ndarray:
-    """F with F F^T = Q, from the eigen-square-root of the PSD matrix Q.
+def _spectrum(q: np.ndarray, name: str, vectors: bool = False) -> tuple:
+    """The PSD contract of a transition covariance Q: one step's Q(dt) or a block's G.
 
-    Q is a transition covariance: one step's Q(dt) or a block's G.
-    Raises SolveFailed, naming the class, when an eigenvalue lies below
-    -Q_PSD_TOL times the largest.  Eigenvalues below Q_RANK_CLIP times the
-    largest are dropped, so F has one column per kept eigenvalue.  A
-    coordinate whose variance Q_ii is exactly zero is left out of the
-    eigen-problem and gets an exactly zero row of F.
+    The eigen-problem is posed on Q's live rows, those whose variance Q_ii
+    is not exactly zero.  Raises SolveFailed, naming the class, when an
+    eigenvalue lies below -Q_PSD_TOL times the largest.  Returns (live, w, vecs): the
+    live mask, the eigenvalues and, with vectors, the eigenvectors (else
+    None, and only eigvalsh runs).
     """
     live = np.diag(q) != 0.0
-    w, vecs = np.linalg.eigh(q[np.ix_(live, live)])
+    block = q[np.ix_(live, live)]
+    w, vecs = np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None)
     top = w.max(initial=0.0)
     if w.min(initial=0.0) < -Q_PSD_TOL * top:
         raise SolveFailed(f"{name}: transition covariance eigenvalue {w.min():.3e} "
                           f"below -{Q_PSD_TOL:g} x {top:.3e}")
-    keep = w > Q_RANK_CLIP * top
-    out = np.zeros((q.shape[0], int(keep.sum())))
+    return live, w, vecs
+
+
+def _factor(g: np.ndarray, name: str) -> np.ndarray:
+    """F with F F^T = G, from the eigen-square-root of the PSD matrix G (_spectrum's contract).
+
+    Eigenvalues below Q_RANK_CLIP times the largest are dropped, so F has
+    one column per kept eigenvalue.  A coordinate whose variance G_ii is
+    exactly zero gets an exactly zero row of F.
+    """
+    live, w, vecs = _spectrum(g, name, vectors=True)
+    keep = w > Q_RANK_CLIP * w.max(initial=0.0)
+    out = np.zeros((g.shape[0], int(keep.sum())))
     out[live] = vecs[:, keep] * np.sqrt(w[keep])
     return out
 
 
-def _propagation(p: np.ndarray, rows, length: int) -> np.ndarray:
-    """What a block of `length` steps outputs, as a map of its first state y_0.
+def _block_law(p: np.ndarray, q: np.ndarray, rows, length: int) -> tuple:
+    """The law of a block's outputs given its first state y_0: their mean map and covariance G.
 
-    The block outputs C y_i, i = 1 .. length (C the observed rows), then
-    y_length; without noise those are C P^i y_0 and P^length y_0.
+    The block outputs C y_i after each step i = 1 .. length (C the
+    observed rows), then y_length, where y_i = P y_(i-1) + a step's
+    Gaussian of covariance Q(dt) = q.  Their mean is [C P; ..; C P^length;
+    P^length] y_0.  With S_i = Cov y_i from y_0 = 0, S_i = P S_(i-1) P^T +
+    Q, and Cov(y_i, y_j) = P^(i-j) S_j for i >= j: G's observed blocks
+    are C P^(i-j) S_j C^T, the state's P^(length-j) S_j C^T and S_length.
+    One walk over the steps forms both; cross holds P^(i-j) S_j C^T for
+    j <= i after step i, one column block per j.  Only G's lower triangle
+    is formed; the upper is its mirror.
     """
     n, o = p.shape[0], len(rows)
-    out = np.empty((length * o + n, n))
-    power = p
+    mean = np.empty((length * o + n, n))
+    g = np.zeros((length * o + n, length * o + n))
+    cross = np.empty((n, length * o))
+    power, s = p, q
     for i in range(length):
         if i:
-            power = p @ power
-        out[i * o : (i + 1) * o] = power[rows]
-    out[length * o :] = power
-    return out
-
-
-def _kicks(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
-    """K: the same outputs as _propagation's as a map of the steps' normals z_0 .. z_{L-1}.
-
-    The Toeplitz blocks C P^(i-1-j) L, j < i, then P^(L-1-j) L.
-    """
-    n, d = l.shape
-    o = len(rows)
-    kicks = [l]  # P^k L
-    for _ in range(length - 1):
-        kicks.append(p @ kicks[-1])
-    out = np.zeros((length * o + n, length * d))
-    for i in range(1, length + 1):
-        for j in range(i):
-            out[(i - 1) * o : i * o, j * d : (j + 1) * d] = kicks[i - 1 - j][rows]
-    for j in range(length):
-        out[length * o :, j * d : (j + 1) * d] = kicks[length - 1 - j]
-    return out
-
-
-def _joint_covariance(p: np.ndarray, l: np.ndarray, rows, length: int) -> np.ndarray:
-    """G = K K^T (_kicks), the covariance of a block's outputs given y_0, without K.
-
-    With S_i = Cov y_i from y_0 = 0, S_i = P S_(i-1) P^T + L L^T, and
-    Cov(y_i, y_j) = P^(i-j) S_j for i >= j: the observed blocks are
-    C P^(i-j) S_j C^T, the state's are P^(L-j) S_j C^T and S_L.  cross
-    holds P^(i-j) S_j C^T for j <= i after step i, one column block per j.
-    Only the lower triangle is formed; the upper is its mirror.
-    """
-    n, o = p.shape[0], len(rows)
-    q = l @ l.T
-    g = np.zeros((length * o + n, length * o + n))
-    s = np.zeros((n, n))
-    cross = np.empty((n, length * o))
-    for i in range(length):
-        s = p @ s @ p.T + q
+            power, s = p @ power, p @ s @ p.T + q
+        mean[i * o : (i + 1) * o] = power[rows]
         cross[:, : i * o] = p @ cross[:, : i * o]
         cross[:, i * o : (i + 1) * o] = s[:, rows]
         g[i * o : (i + 1) * o, : (i + 1) * o] = cross[rows, : (i + 1) * o]
+    mean[length * o :] = power
     g[length * o :, : length * o] = cross
     g[length * o :, length * o :] = s
-    return np.tril(g) + np.tril(g, -1).T
+    return mean, np.tril(g) + np.tril(g, -1).T
 
 
 class _ClassPlan:
@@ -445,22 +428,22 @@ class _ClassPlan:
     conjugate pairs k <-> -k, so mode 0 is real and x_-k = conj x_k by
     construction; any other class is carried as [Re x; Im x], and its
     conjugate class is its mirror (_real_form on the pair of them).  One
-    step is y <- P y + L z, L L^T = Q(dt) from _factor, with d = rank Q
-    normals z.  The complex coordinates read after every step are every one
-    (every_row), else the differences (with a model), else the watched
-    rows; rows are the o real coordinates that holds.
+    step is y <- P y plus a Gaussian of covariance Q(dt), whose PSD
+    contract (_spectrum) is checked here.  The complex coordinates read
+    after every step are every one (every_row), else the differences
+    (with a model), else the watched rows; rows are the o real
+    coordinates that holds.
 
     The engine advances blocks of `length` = B = clip(round(n / o), 1,
     MAX_BLOCK_STEPS) steps (MAX_BLOCK_STEPS when o = 0), at most n_steps,
     for n real coordinates, and reads only the block's outputs, C y_i
-    after each step i and the state y_B: [C P; ..; C P^B; P^B] y_0 (the
-    _propagation map) plus a Gaussian of covariance G = K K^T, K the
-    Toeplitz kicks of the B steps (_kicks).  f is a factor of G: K itself
-    when B d <= B o + n, as on every every_row plan (B = 1, f = [C L; L]),
-    else G's eigen-factor (_factor on _joint_covariance), whose
-    r = rank G <= B o + n columns are the normals a block draws.  map_t
-    is [propagation | f] transposed, the right factor of the engine's
-    (paths x [y_0; w]) products.  The class runs in chunks of `chunk`
+    after each step i and the state y_B: a mean map [C P; ..; C P^B; P^B]
+    of y_0 plus a Gaussian of covariance G, both from _block_law.  f is
+    G's eigen-factor (_factor), whose r = rank G <= B o + n columns are
+    the normals a block draws; an every_row plan has B = 1 and o = n, so
+    its G is [Q Q; Q Q] and r = rank Q(dt).  map_t is [mean map | f]
+    transposed, the right factor of the engine's (paths x [y_0; w])
+    products.  The class runs in chunks of `chunk`
     steps, a whole number of blocks of about CHUNK_NORMALS normals, at
     most n_steps rounded up to whole blocks; the last block of a run may
     pass n_steps, and its extra outputs are dropped.
@@ -491,8 +474,8 @@ class _ClassPlan:
                                                                         [zero, cov.conj()]])
             partner = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
         self.p, q, (cos, sin, sgn) = _real_form(p, cov, partner)
-        self.l = _factor(q, f"class {res}")
-        self.n, self.d = self.l.shape
+        _spectrum(q, f"class {res}")  # G's contract does not imply Q(dt)'s when B > 1
+        self.n = self.p.shape[0]
         observe = range(k) if every_row else range(n_x, k) if model is not None else watched
         self.coords = (cos[:k], sin[:k], sgn[:k])  # X_i = y[cos_i] + 1j sgn_i y[sin_i]
         self.rows = sorted({int(j) for i in observe for j in (cos[i], sin[i])})
@@ -505,16 +488,12 @@ class _ClassPlan:
         self.o = len(self.rows)
         self.length = min(config.n_steps, MAX_BLOCK_STEPS if self.o == 0 else
                           int(np.clip(round(self.n / self.o), 1, MAX_BLOCK_STEPS)))
-        args = (self.p, self.l, self.rows, self.length)
-        if self.length * self.d <= self.length * self.o + self.n:
-            self.f = _kicks(*args)
-        else:
-            self.f = _factor(_joint_covariance(*args), f"class {res} ({self.length}-step block)")
+        mean, g = _block_law(self.p, q, self.rows, self.length)
+        self.f = _factor(g, f"class {res} ({self.length}-step block)")
         self.r = self.f.shape[1]
         blocks = min(max(1, CHUNK_NORMALS // max(self.r, 1)), -(-config.n_steps // self.length))
         self.chunk = blocks * self.length
-        self.map_t = np.ascontiguousarray(
-            np.hstack([_propagation(self.p, self.rows, self.length), self.f]).T)
+        self.map_t = np.ascontiguousarray(np.hstack([mean, self.f]).T)
 
     def value(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Complex coordinate i from the observed rows (last axis of obs)."""

@@ -274,9 +274,10 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     normals w enter through the U-mapped factor f: U f w at the block's
     end, and f's observed rows after each step.  That reproduces
     simulate_paths.  The dense Van Loan Q, built from the independently
-    oscillated noise columns, is each class's U L L^T U*, and the dense
-    joint covariance of a block's outputs (S_i <- prop S prop* + Q, the
-    cross terms prop^(i-j) S_j) is U f f^T U*.
+    oscillated noise columns, is each class's U Q_y U*, Q_y the state
+    block of f f^T on the class's every-row plan (one step per block),
+    and the dense joint covariance of a block's outputs (S_i <- prop S
+    prop* + Q, the cross terms prop^(i-j) S_j) is U f f^T U*.
     """
     eps, n, cutoff, dt, seed = 0.25, 64, 8, 1e-3, 21
     spec = NoiseSpec.white(cutoff)
@@ -298,6 +299,7 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     # the engine's classes (residues 0 .. r/2) and their maps X = U y on the dense band
     op = build_blocks(cosine, spec, cfg)
     plans, reads = solver._class_plans(op, cfg, cfg.watch)
+    every, _ = solver._class_plans(op, cfg, cfg.watch, every_row=True)
     q_blocks = np.zeros((n, n), dtype=complex)
     worst = g_gap = 0.0
     for res, plan in plans.items():
@@ -306,7 +308,8 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
         cos, sin, sgn = plan.coords
         u[np.arange(ks.size), cos] += 1.0
         u[np.arange(ks.size), sin] += 1j * sgn
-        q_class = u @ plan.l @ plan.l.T @ u.conj().T
+        law = every[res].f @ every[res].f.T
+        q_class = u @ law[every[res].o :, every[res].o :] @ u.conj().T
         q_blocks[np.ix_(ks + n // 2, ks + n // 2)] = q_class
         mirror = (2 * res) % op.cells != 0  # the conjugate class: X_-k = conj X_k
         if mirror:

@@ -432,6 +432,7 @@ class TestStudies:
         ("study", "paths", -4, r"study paths = -4 must be at least 1"),
         ("study", "mode_cutoff", 0, r"study mode_cutoff = 0 must be at least 1"),
         ("solver", "watch", [], r"solver watch is empty; give at least one mode"),
+        ("solver", "watch", [2, 1, 1], r"solver watch repeats mode 1; give each mode once$"),
         ("study", "k_test", 64, r"unknown study key\(s\) k_test; the studies read kind,"),
         ("study", "tolerances", {"enhancement_min_factor": 0.9},
          r"unknown tolerances key\(s\) enhancement_min_factor; the studies read theta_min,"),
@@ -644,6 +645,18 @@ class TestStudies:
         assert {"path_000.csv", "path_001.csv"} <= names
         header = (tmp_path / "path_000.csv").read_text().splitlines()[0]
         assert header == "t,m,re,im"
+
+    def test_simulate_null_watch_watches_mode_one(self):
+        """A null watch list is the default (1,), as the variance study reads it."""
+        config = {
+            "coefficients": {"name": "heat"},
+            "noise": {"family": "white", "cutoff": 2},
+            "solver": {"eps": [0.5], "t_final": 0.05, "watch": [1]},
+            "study": {"kind": "simulate", "seed": 1, "paths": 2},
+        }
+        want = run_simulate(json.loads(json.dumps(config))).tables
+        config["solver"]["watch"] = None
+        assert run_simulate(config).tables == want
 
     def test_simulate_norm_tables_sum_the_driven_modes(self, tmp_path):
         """On the heat flow only the driven modes |k| <= 2 move, and all are watched."""
