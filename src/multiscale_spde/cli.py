@@ -34,18 +34,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one study.  Exit status 0: every verdict passed; 1: a verdict failed;
+    2: the config was refused (any ValueError: malformed JSON, a bad key or value,
+    a band too small), reported as one line on stderr."""
     args = build_parser().parse_args(argv)
-    config = load_config(args.config)
-    study = config.setdefault("study", {})
-    study["kind"] = args.command
-    if args.seed is not None:
-        study["seed"] = args.seed
-    if args.paths is not None:
-        study["paths"] = args.paths
-    if args.out is not None:
-        study["out"] = args.out
-
-    report = run_study(config)
+    try:
+        config = load_config(args.config)
+        study = config.setdefault("study", {})
+        if isinstance(study, dict):  # run_study refuses any other
+            study["kind"] = args.command
+            for key in ("seed", "paths", "out"):
+                if getattr(args, key) is not None:
+                    study[key] = getattr(args, key)
+        report = run_study(config)
+    except ValueError as err:
+        print(f"multiscale-spde: error: {err}", file=sys.stderr)
+        return 2
     out_dir = study.get("out")
     if out_dir:
         files = emit_report(report, out_dir)

@@ -125,11 +125,24 @@ def build_coefficients(cfg: dict) -> Coefficients:
     return Coefficients(_field_from_spec(cfg["b"]), _field_from_spec(cfg["sigma"]))
 
 
+def _real(value) -> bool:
+    """Whether value is a real number: an int or a float, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _whole(name: str, value) -> int:
     """value as an int; a ValueError naming it unless it is a whole number (2.0 is)."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+    if not _real(value) or not float(value).is_integer():
         raise ValueError(f"{name} = {value!r} must be an integer")
     return int(value)
+
+
+def _section(parent: dict, name: str) -> dict:
+    """parent[name], {} when absent; a ValueError naming it unless it is an object, not null."""
+    value = parent.get(name, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} = {value!r} must be an object")
+    return value
 
 
 def _mollifier_from(cfg):
@@ -225,7 +238,8 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     """The checks every study makes before any work; each failure is a ValueError.
 
     Rejected: a config without one of the sections in `needs` (those the
-    `kind` study reads), a section or key no study reads, an explicit dt, t_final or
+    `kind` study reads), a section that is not an object (null included),
+    a section or key no study reads, an explicit dt, t_final or
     n_modes <= 0, an explicit dt above the horizon (_check_dt: an explicit
     t_final, else default_t, the study's fixed default), an explicit
     t_final below default_dt at an eps of the list when the study passes
@@ -233,7 +247,9 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     n_modes (build_blocks' band is symmetric only for an even one), an
     explicit n_modes below the band minimum (min_modes) at any eps of the
     list, a count, mode, seed or watch entry that is not an
-    integer, an empty watch list or one that repeats a mode, a path
+    integer, a watch that is not a list, an empty watch list or one that
+    repeats a mode, a tolerance that is not a real number (exponent_range:
+    a list of two), a path
     count or mode_cutoff below 1, a centered or track_norm other than
     true or false, a study target that names no limit regime (or
     'smoothed' with no mollifier), a bad eps list, and a noise section that does not build at every eps (a power
@@ -244,20 +260,30 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     for section in needs:
         if section not in config:
             raise ValueError(f"the {kind} study needs a {section} section; the config has none")
-    sections = {**config, "config": config,
-                "tolerances": config.get("study", {}).get("tolerances"),
-                "mollifier": config.get("noise", {}).get("mollifier")}
-    for section, keys in CONFIG_KEYS.items():
-        unknown = sorted(set(sections.get(section) or {}) - set(keys))
+    sections = {"config": config}
+    for section, keys in CONFIG_KEYS.items():  # CONFIG_KEYS lists a section after its parent
+        unknown = sorted(set(sections[section]) - set(keys))
         if unknown:
             raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
                              f"the studies read {', '.join(keys)}")
-    solver_cfg = config.get("solver", {})
+        sections.update((key, _section(sections[section], key))
+                        for key in keys if key in CONFIG_KEYS)
+    for key, value in sections["tolerances"].items():
+        if key == "exponent_range":
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_real, value))):
+                raise ValueError(f"tolerances exponent_range = {value!r} must be a list of "
+                                 "two real numbers")
+        elif not _real(value):
+            raise ValueError(f"tolerances {key} = {value!r} must be a real number")
+    solver_cfg = sections["solver"]
+    if solver_cfg.get("watch") is not None and not isinstance(solver_cfg["watch"], (list, tuple)):
+        raise ValueError(f"solver watch = {solver_cfg['watch']!r} must be a list of modes")
     for key in ("dt", "t_final", "n_modes"):
         if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
             raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
     n_modes = solver_cfg.get("n_modes")
-    study = config.get("study", {})
+    study = sections["study"]
     whole = [("solver n_modes", n_modes), ("study seed", study.get("seed")),
              *((f"study {key}", study.get(key)) for key in ("paths", "mode", "mode_cutoff")),
              *(("solver watch entry", m) for m in solver_cfg.get("watch") or ())]
@@ -277,7 +303,7 @@ def _check_config(config: dict, kind: str = "", needs: tuple = (),
     for key in ("paths", "mode_cutoff"):
         if study.get(key) is not None and not study[key] >= 1:
             raise ValueError(f"study {key} = {study[key]!r} must be at least 1")
-    noise_cfg = config.get("noise", {})
+    noise_cfg = sections["noise"]
     for name, value in (("noise centered", noise_cfg.get("centered")),
                         ("solver track_norm", solver_cfg.get("track_norm"))):
         if value is not None and not isinstance(value, bool):
@@ -843,7 +869,7 @@ STUDIES = {
 
 
 def run_study(config: dict) -> ExperimentReport:
-    kind = config.get("study", {}).get("kind")
+    kind = _section(config, "study").get("kind")
     if kind not in STUDIES:
         raise ValueError(f"unknown study kind {kind!r}")
     return STUDIES[kind](config)

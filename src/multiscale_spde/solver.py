@@ -12,12 +12,16 @@ so dt only sets the time grid a path is recorded on.  The averaged limit
 rides along as a difference coordinate, and only residues 0 .. r/2 are
 evolved: the others are their conjugates.  The engine advances a block
 of B steps per product and reads only what it records, a class's
-observed rows after each step and its state at the block's end; given
-the state at the block's start, those are a linear map of it plus a
-Gaussian of the block's joint covariance G, both built from P and Q(dt)
-in one walk over the B steps, and each block draws rank(G) normals
-through G's eigen-factor, fewer than B rank Q(dt) when few rows are
-observed.  Second moments follow the per-block Lyapunov
+observed rows after each step and its state at the block's end, each
+coordinate once: the observed rows lead the state, so a block outputs
+them after every step and then the state's other coordinates, and its
+last n outputs are the state.  Given the state at the block's start,
+those are a linear map of it plus a Gaussian of the block's joint
+covariance G, both built from P and Q(dt) in one walk over the B steps,
+and each block draws rank(G) normals through G's eigen-factor, fewer
+than B rank Q(dt) when few rows are observed; a plan that observes
+every row has B = 1, and its G is Q(dt) itself.  Second moments follow
+the per-block Lyapunov
 equation, discretised by the implicit trapezoid rule; that recursion is
 evaluated in closed form at every recorded step, with no time loop, so
 limit variances can be verified without Monte Carlo error at O(n^3)
@@ -381,34 +385,37 @@ def _factor(g: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _block_law(p: np.ndarray, q: np.ndarray, rows, length: int) -> tuple:
+def _block_law(p: np.ndarray, q: np.ndarray, o: int, length: int) -> tuple:
     """The law of a block's outputs given its first state y_0: their mean map and covariance G.
 
-    The block outputs C y_i after each step i = 1 .. length (C the
-    observed rows), then y_length, where y_i = P y_(i-1) + a step's
-    Gaussian of covariance Q(dt) = q.  Their mean is [C P; ..; C P^length;
-    P^length] y_0.  With S_i = Cov y_i from y_0 = 0, S_i = P S_(i-1) P^T +
-    Q, and Cov(y_i, y_j) = P^(i-j) S_j for i >= j: G's observed blocks
-    are C P^(i-j) S_j C^T, the state's P^(length-j) S_j C^T and S_length.
-    One walk over the steps forms both; cross holds P^(i-j) S_j C^T for
-    j <= i after step i, one column block per j.  Only G's lower triangle
-    is formed; the upper is its mirror.
+    The state's first o coordinates are the observed ones, C y = y[:o].
+    The block outputs every coordinate once: C y_i after each step i =
+    1 .. length, then the other n - o coordinates of y_length, so its last
+    n outputs are y_length, where y_i = P y_(i-1) + a step's Gaussian of
+    covariance Q(dt) = q.  Their mean is [C P; ..; C P^length; P^length
+    without its first o rows] y_0.  With S_i = Cov y_i from y_0 = 0, S_i =
+    P S_(i-1) P^T + Q, and Cov(y_i, y_j) = P^(i-j) S_j for i >= j: G's
+    observed blocks are C P^(i-j) S_j C^T, the tail's rows of P^(length-j)
+    S_j C^T and of S_length.  One walk over the steps forms both; cross
+    holds P^(i-j) S_j C^T for j <= i after step i, one column block per j.
+    Only G's lower triangle is formed; the upper is its mirror.  With o =
+    n and length = 1 the outputs are y_1 alone, mean P and G = Q.
     """
-    n, o = p.shape[0], len(rows)
-    mean = np.empty((length * o + n, n))
-    g = np.zeros((length * o + n, length * o + n))
+    n = p.shape[0]
+    mean = np.empty((length * o + n - o, n))
+    g = np.zeros((mean.shape[0], mean.shape[0]))
     cross = np.empty((n, length * o))
     power, s = p, q
     for i in range(length):
         if i:
             power, s = p @ power, p @ s @ p.T + q
-        mean[i * o : (i + 1) * o] = power[rows]
+        mean[i * o : (i + 1) * o] = power[:o]
         cross[:, : i * o] = p @ cross[:, : i * o]
-        cross[:, i * o : (i + 1) * o] = s[:, rows]
-        g[i * o : (i + 1) * o, : (i + 1) * o] = cross[rows, : (i + 1) * o]
-    mean[length * o :] = power
-    g[length * o :, : length * o] = cross
-    g[length * o :, length * o :] = s
+        cross[:, i * o : (i + 1) * o] = s[:, :o]
+        g[i * o : (i + 1) * o, : (i + 1) * o] = cross[:o, : (i + 1) * o]
+    mean[length * o :] = power[o:]
+    g[length * o :, : length * o] = cross[o:]
+    g[length * o :, length * o :] = s[o:, o:]
     return mean, np.tril(g) + np.tril(g, -1).T
 
 
@@ -431,17 +438,24 @@ class _ClassPlan:
     step is y <- P y plus a Gaussian of covariance Q(dt), whose PSD
     contract (_spectrum) is checked here.  The complex coordinates read
     after every step are every one (every_row), else the differences
-    (with a model), else the watched rows; rows are the o real
-    coordinates that holds.
+    (with a model), else the watched rows; the o real coordinates they
+    hold are put first, in their order, and the others after them, in
+    theirs, so C y = y[:o].  coords holds (cos, sin, sgn) of each complex
+    coordinate i, X_i = y[cos_i] + 1j sgn_i y[sin_i]; an observed one has
+    cos_i, sin_i < o, so value and power read it straight from the
+    observed rows; weight, 1 for a real and 2 for a paired observed row,
+    comes from the same permuted indices.
 
     The engine advances blocks of `length` = B = clip(round(n / o), 1,
     MAX_BLOCK_STEPS) steps (MAX_BLOCK_STEPS when o = 0), at most n_steps,
-    for n real coordinates, and reads only the block's outputs, C y_i
-    after each step i and the state y_B: a mean map [C P; ..; C P^B; P^B]
-    of y_0 plus a Gaussian of covariance G, both from _block_law.  f is
-    G's eigen-factor (_factor), whose r = rank G <= B o + n columns are
-    the normals a block draws; an every_row plan has B = 1 and o = n, so
-    its G is [Q Q; Q Q] and r = rank Q(dt).  map_t is [mean map | f]
+    for n real coordinates, and reads only the block's B o + n - o
+    outputs, every coordinate once: C y_i after each step i, then the
+    other n - o coordinates of y_B, so y_B is the last n.  They are a
+    mean map of y_0 plus a Gaussian of covariance G, both from
+    _block_law.  f is G's eigen-factor (_factor), whose r = rank G <= B o
+    + n - o columns are the normals a block draws; an every_row plan has
+    B = 1 and o = n, so it outputs y_1 alone, its G is Q(dt) and r = rank
+    Q(dt).  map_t is [mean map | f]
     transposed, the right factor of the engine's (paths x [y_0; w])
     products.  The class runs in chunks of `chunk`
     steps, a whole number of blocks of about CHUNK_NORMALS normals, at
@@ -473,22 +487,23 @@ class _ClassPlan:
             p, cov = np.block([[p, zero], [zero, p.conj()]]), np.block([[cov, zero],
                                                                         [zero, cov.conj()]])
             partner = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
-        self.p, q, (cos, sin, sgn) = _real_form(p, cov, partner)
+        p_y, q_y, (cos, sin, sgn) = _real_form(p, cov, partner)
+        self.n = p_y.shape[0]
+        seen = range(k) if every_row else range(n_x, k) if model is not None else sorted(watched)
+        observed = np.isin(np.arange(self.n), np.concatenate([cos[seen], sin[seen]]))
+        order = np.argsort(~observed, kind="stable")  # the o observed coordinates first
+        self.p, q = p_y[np.ix_(order, order)], q_y[np.ix_(order, order)]
         _spectrum(q, f"class {res}")  # G's contract does not imply Q(dt)'s when B > 1
-        self.n = self.p.shape[0]
-        observe = range(k) if every_row else range(n_x, k) if model is not None else watched
-        self.coords = (cos[:k], sin[:k], sgn[:k])  # X_i = y[cos_i] + 1j sgn_i y[sin_i]
-        self.rows = sorted({int(j) for i in observe for j in (cos[i], sin[i])})
-        where = {j: a for a, j in enumerate(self.rows)}
-        # complex coordinate i of X is obs[..., c] + 1j sgn obs[..., s], (c, s, sgn) = read[i]
-        self.read = {i: (where[cos[i]], where[sin[i]], int(sgn[i])) for i in observe}
+        slot = np.argsort(order)
+        # complex coordinate i of X is y[cos_i] + 1j sgn_i y[sin_i]; an observed one reads
+        # obs directly, its cos_i and sin_i below o
+        self.coords = (slot[cos[:k]], slot[sin[:k]], sgn[:k])
+        self.o = int(observed.sum())
         # |X|^2 summed over the class and its conjugate class, per observed row
-        real = set(cos[sgn == 0].tolist())
-        self.weight = np.array([1.0 if j in real else 2.0 for j in self.rows])
-        self.o = len(self.rows)
+        self.weight = np.where(np.isin(np.arange(self.o), slot[cos[sgn == 0]]), 1.0, 2.0)
         self.length = min(config.n_steps, MAX_BLOCK_STEPS if self.o == 0 else
                           int(np.clip(round(self.n / self.o), 1, MAX_BLOCK_STEPS)))
-        mean, g = _block_law(self.p, q, self.rows, self.length)
+        mean, g = _block_law(self.p, q, self.o, self.length)
         self.f = _factor(g, f"class {res} ({self.length}-step block)")
         self.r = self.f.shape[1]
         blocks = min(max(1, CHUNK_NORMALS // max(self.r, 1)), -(-config.n_steps // self.length))
@@ -497,12 +512,12 @@ class _ClassPlan:
 
     def value(self, obs: np.ndarray, i: int) -> np.ndarray:
         """Complex coordinate i from the observed rows (last axis of obs)."""
-        c, s, sgn = self.read[i]
+        c, s, sgn = (int(a[i]) for a in self.coords)
         return obs[..., c] + 1j * sgn * obs[..., s] if sgn else obs[..., c] + 0j
 
     def power(self, obs: np.ndarray, i: int) -> np.ndarray:
         """|X_i|^2 from the observed rows."""
-        c, s, sgn = self.read[i]
+        c, s, sgn = (int(a[i]) for a in self.coords)
         return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
 
 
@@ -556,7 +571,8 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     """Advance the planned classes from u = 0 for one batch of paths; yield their observed rows.
 
     plans (from _class_plans) maps residue -> the class's shared block
-    map and the real rows to record after every step.  The classes run
+    map and the count o of real rows, the state's first, to record after
+    every step.  The classes run
     one after another, in residue order, each over the whole time grid in
     chunks of its own plan.chunk steps: per chunk, every path fills its
     row of the class's buffer in place with the normals of the chunk's
@@ -564,9 +580,11 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     WienerStream(seed, path, residue) draws.  The run seeds the streams
     of all its (path, residue) keys in one vectorised pass
     (wiener_streams), about 1.5 us a stream, and builds each class's
-    generators when the class starts.  Yields (residue, first step,
+    generators when the class starts.  Each block writes its length o +
+    n - o outputs (_block_law) into obs, whose last n are the state it
+    copies back into buf.  Yields (residue, first step,
     count, obs) once per chunk of `count` steps, obs of shape (paths,
-    count, rows); a block that passes n_steps has its extra rows
+    count, o); a block that passes n_steps has its extra rows
     dropped.  The buffers are reused, so
     consume obs before the next iteration.  Raises UnstableStep when a
     carried coordinate at a block boundary is non-finite or beyond
@@ -592,10 +610,11 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
         # [state slot | the chunk's normals]: block b reads y_0 at b*r, over
         # normals already consumed, then its own r normals w_b
         buf = np.zeros((rows, n + plan.chunk // length * r))
-        # [observed rows of each step | n spare]: block b writes its
-        # length*o observed rows at b*length*o, then its last state, which
-        # the next block overwrites once it is copied back into buf
-        obs = np.empty((rows, plan.chunk * o + n))
+        # [observed rows of each step | n - o spare]: block b writes its
+        # length*o observed rows at b*length*o, then the rest of its last
+        # state, which the next block overwrites once the state, its last n
+        # outputs, is copied back into buf
+        obs = np.empty((rows, plan.chunk * o + n - o))
         peak = np.empty((rows, n))
         for first in range(0, config.n_steps, plan.chunk):
             m = min(plan.chunk, config.n_steps - first)
@@ -604,10 +623,10 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
                 gen.standard_normal(out=buf[pi, n : n + count * r])
             for b in range(count):
                 x = buf[:, b * r : (b + 1) * r + n]
-                block = obs[:, b * length * o : (b + 1) * length * o + n]
+                block = obs[:, b * length * o : (b + 1) * length * o + n - o]
                 for g in range(0, rows, PATH_GROUP):
                     np.matmul(x[g : g + PATH_GROUP], plan.map_t, out=block[g : g + PATH_GROUP])
-                state = block[:, length * o :]
+                state = block[:, (length - 1) * o :]
                 top = np.abs(state, out=peak).max(initial=0.0)
                 if not np.isfinite(top) or top > OVERFLOW_GUARD:
                     raise UnstableStep(f"mode amplitude {top:.3e} beyond guard at "

@@ -274,8 +274,8 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     normals w enter through the U-mapped factor f: U f w at the block's
     end, and f's observed rows after each step.  That reproduces
     simulate_paths.  The dense Van Loan Q, built from the independently
-    oscillated noise columns, is each class's U Q_y U*, Q_y the state
-    block of f f^T on the class's every-row plan (one step per block),
+    oscillated noise columns, is each class's U Q_y U*, Q_y the f f^T of
+    the class's every-row plan (one step per block, whose outputs are y_1),
     and the dense joint covariance of a block's outputs (S_i <- prop S
     prop* + Q, the cross terms prop^(i-j) S_j) is U f f^T U*.
     """
@@ -302,30 +302,37 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     every, _ = solver._class_plans(op, cfg, cfg.watch, every_row=True)
     q_blocks = np.zeros((n, n), dtype=complex)
     worst = g_gap = 0.0
+
+    def coordinate_map(plan, size):
+        """U with X = U y: the plan's real coordinates y, its observed ones first."""
+        cos, sin, sgn = plan.coords
+        u = np.zeros((size, plan.n), dtype=complex)
+        u[np.arange(size), cos] += 1.0
+        u[np.arange(size), sin] += 1j * sgn
+        return u
+
     for res, plan in plans.items():
         ks = op.blocks[res].ks
-        u = np.zeros((ks.size, plan.n), dtype=complex)
-        cos, sin, sgn = plan.coords
-        u[np.arange(ks.size), cos] += 1.0
-        u[np.arange(ks.size), sin] += 1j * sgn
-        law = every[res].f @ every[res].f.T
-        q_class = u @ law[every[res].o :, every[res].o :] @ u.conj().T
+        u = coordinate_map(plan, ks.size)
+        u_every = coordinate_map(every[res], ks.size)
+        q_class = u_every @ every[res].f @ every[res].f.T @ u_every.conj().T
         q_blocks[np.ix_(ks + n // 2, ks + n // 2)] = q_class
         mirror = (2 * res) % op.cells != 0  # the conjugate class: X_-k = conj X_k
         if mirror:
             q_blocks[np.ix_(n // 2 - ks, n // 2 - ks)] = q_class.conj()
 
-        # complex outputs of a block: the observed coordinates after each step, then U y_B
+        # complex outputs of a block: the observed coordinates after each step, then U y_B,
+        # y_B the last n real outputs
         length, o = plan.length, plan.o
-        observed = sorted(plan.read)
-        outputs = np.zeros((length * len(observed) + ks.size, length * o + plan.n),
+        observed = sorted({coord for _, r, coord, _ in reads if r == res})
+        outputs = np.zeros((length * len(observed) + ks.size, length * o + plan.n - o),
                            dtype=complex)
+        cos, sin, sgn = plan.coords
         for i in range(length):
             for a, k in enumerate(observed):
-                c, s, sg = plan.read[k]
-                outputs[i * len(observed) + a, i * o + c] += 1.0
-                outputs[i * len(observed) + a, i * o + s] += 1j * sg
-        outputs[length * len(observed):, length * o:] = u
+                outputs[i * len(observed) + a, i * o + cos[k]] += 1.0
+                outputs[i * len(observed) + a, i * o + sin[k]] += 1j * sgn[k]
+        outputs[length * len(observed):, (length - 1) * o:] = u
         mapped = outputs @ plan.f
 
         idx = ks[observed] + n // 2

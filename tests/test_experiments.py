@@ -461,16 +461,38 @@ class TestStudies:
          r"noise key table is missing; family 'custom' needs it$"),
         ("noise", None, {"family": "power", "alpha": 0.5, "profile": "ones"},
          r"unknown profile name 'ones'$"),
+        ("noise", None, "white", r"^noise = 'white' must be an object$"),
+        ("solver", None, None, r"^solver = None must be an object$"),
+        ("study", None, None, r"^study = None must be an object$"),
+        ("study", "tolerances", [0.5], r"^tolerances = \[0.5\] must be an object$"),
+        ("study", "tolerances", None, r"^tolerances = None must be an object$"),
+        ("noise", "mollifier", "tent", r"^mollifier = 'tent' must be an object$"),
+        ("solver", "watch", 1, r"^solver watch = 1 must be a list of modes$"),
+        ("study", "tolerances", {"final_gap": "0.5"},
+         r"^tolerances final_gap = '0.5' must be a real number$"),
+        ("study", "tolerances", {"theta_min": None},
+         r"^tolerances theta_min = None must be a real number$"),
+        ("study", "tolerances", {"theta_min": "0.3"},
+         r"^tolerances theta_min = '0.3' must be a real number$"),
+        ("study", "tolerances", {"r2_min": True},
+         r"^tolerances r2_min = True must be a real number$"),
+        ("study", "tolerances", {"exponent_range": [0.8]},
+         r"^tolerances exponent_range = \[0.8\] must be a list of two real numbers$"),
+        ("study", "tolerances", {"exponent_range": [0.8, "1.2"]},
+         r"^tolerances exponent_range = \[0.8, '1.2'\] must be a list of two real numbers$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
-        """key None merges value, a dict, into the section."""
+        """key None merges value, a dict, into the section, and puts any other value,
+        null included, in the section's place."""
         config = json.loads(json.dumps(SMALL_VARIANCE))
-        if key is None:
+        config["study"]["kind"] = kind
+        if key is None and isinstance(value, dict):
             config[section].update(value)
+        elif key is None:
+            config[section] = value
         else:
             config.setdefault(section, {})[key] = value
-        config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
         assert solves == []
@@ -834,6 +856,24 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["rows"][0]["paths"] == 3
         assert report["provenance"]["config"]["study"]["paths"] == 3
+
+    def test_refused_config_exits_2_with_one_line(self, tmp_path):
+        """A config the studies refuse exits 2, not 1 (a failed verdict), and prints
+        one error line, no traceback; the message is the ValueError's."""
+        config = json.loads(DEMO_CONFIG.read_text())
+        config["solver"]["watch"] = [1, 1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        src = str(REPO / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "multiscale_spde", "variance", "--config",
+                               str(cfg), "--quiet"], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 2
+        assert done.stderr == ("multiscale-spde: error: solver watch repeats mode 1; "
+                               "give each mode once\n")
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_seed_override_changes_provenance(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -116,9 +116,10 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     engine plans it, observing every coordinate when config.track_norm.
     Block b reads the class's own normals w_b, its plan.r next ones from
     WienerStream(seed, path, residue): after step i of the block the
-    observed rows are (P^i y_0)[rows] plus rows (i-1) o .. i o of f w_b,
-    and the block ends in P^B y_0 plus f's last n rows times w_b, P^i y_0
-    stepped by P alone.  Returns under "watched" each watched mode (with a
+    observed rows are (P^i y_0)[:o] plus rows (i-1) o .. i o of f w_b,
+    and the block ends in P^B y_0 plus f's last n rows times w_b (its
+    last o observed rows, then the state's other n - o), P^i y_0 stepped
+    by P alone.  Returns under "watched" each watched mode (with a
     model, its difference u_eps - u), and with track_norm |u|^2 summed
     over every class (a paired class counts twice, once for its
     conjugate), at every step, step 0 included.
@@ -138,8 +139,8 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
             kick, free = plan.f @ w[b], y
             for i in range(1, length + 1):
                 free = plan.p @ free
-                rows[b * length + i] = free[plan.rows] + kick[(i - 1) * o : i * o]
-            y = free + kick[length * o :]
+                rows[b * length + i] = free[:o] + kick[(i - 1) * o : i * o]
+            y = free + kick[(length - 1) * o :]
         obs[res] = rows[: n_steps + 1]
     watched = {}
     for m, res, coord, conj in reads:
@@ -213,20 +214,21 @@ def assert_matches_stepping(got, ref, label):
 def stepped_kicks(plan, l):
     """K: each step's normals L z_j carried through the block by P one step at a time.
 
-    Rows are the block's outputs (the observed rows after each of its
-    plan.length steps, then the state at its end), columns the steps'
+    Rows are the block's outputs (the observed rows, the state's first
+    plan.o, after each of its plan.length steps, then the state's other
+    n - o at its end, so its last n rows are the state), columns the steps'
     normals, L L^T the step's Q(dt) on the plan's real coordinates; K K^T
     is the stepped chain's joint covariance of the outputs.
     """
     (n, d), o, length = l.shape, plan.o, plan.length
-    out = np.zeros((length * o + n, length * d))
+    out = np.zeros((length * o + n - o, length * d))
     for j in range(length):
         v = l
         for i in range(j + 1, length + 1):
-            out[(i - 1) * o : i * o, j * d : (j + 1) * d] = v[plan.rows]
+            out[(i - 1) * o : i * o, j * d : (j + 1) * d] = v[:o]
             if i < length:
                 v = plan.p @ v
-        out[length * o :, j * d : (j + 1) * d] = v
+        out[(length - 1) * o :, j * d : (j + 1) * d] = v
     return out
 
 
@@ -604,8 +606,8 @@ class TestTransition:
         eps = 1/4: class 0 and class 2 are self-conjugate, class 1 is paired
         (its pseudo-covariance is zero).  U is X = U y, rebuilt from the
         plan's coordinate map, so the three identities fix P_y and Q_y.  An
-        every-row plan's block is one step (B = 1) whose state is y_1, so
-        Q_y is the state block of its f f^T.
+        every-row plan's block is one step (B = 1) that outputs y_1 alone,
+        so Q_y is its f f^T.
         """
         c = ENGINE_CASES[name]
         spec = NoiseSpec.power_decay(0.75, 8)
@@ -629,7 +631,7 @@ class TestTransition:
             else:
                 pseudo = np.zeros_like(q)
             assert plan.length == 1, res
-            cov = (plan.f @ plan.f.T)[plan.o :, plan.o :]
+            cov = plan.f @ plan.f.T
             assert np.abs(u @ plan.p - p @ u).max() <= 1e-12 * np.abs(p).max(), res
             assert np.abs(u @ cov @ u.conj().T - q).max() <= 1e-12 * np.abs(q).max(), res
             assert np.abs(u @ cov @ u.T - pseudo).max() <= 1e-12 * np.abs(q).max(), res
@@ -705,8 +707,8 @@ class TestTransition:
         and the block's step count."""
         block_law = solver._block_law
 
-        def indefinite(p, q, rows, length):
-            mean, g = block_law(p, q, rows, length)
+        def indefinite(p, q, o, length):
+            mean, g = block_law(p, q, o, length)
             return mean, g - 1e-6 * np.abs(g).max() * np.eye(g.shape[0])
 
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
@@ -759,10 +761,13 @@ class TestBlockedEngine:
 
         To 1e-12 of its largest entry, and each observed row's variance to
         1e-8 of its own where it is at least 1e-6 of the largest, as on
-        every watched plan (measured: 2.6e-14, and 2.8e-13 on watched and
-        2.7e-10 on every-row plans at worst); a row of zero variance stays
-        exactly zero.  A block draws at most B o + n
-        normals.  K steps the test's own factor L of the dense real form of
+        every watched plan (measured: 2.6e-14, and 2.3e-13 on watched and
+        5.9e-11 on every-row plans at worst); a row of zero variance stays
+        exactly zero.  A block outputs every coordinate once, B o + n - o
+        values, and draws at most that many normals; every coordinate read
+        is one of the o observed rows, which lead the state.  An every-row
+        plan's f f^T is Q_y itself, to the same 1e-12 (measured 2.4e-14).
+        K steps the test's own factor L of the dense real form of
         _transition's Q(dt) (real_step_covariance), not the plan's Q_y.
         """
         c = ENGINE_CASES[name]
@@ -770,15 +775,24 @@ class TestBlockedEngine:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=5)
         op = build_blocks(c, spec, cfg)
-        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT if with_limits else None,
-                                       every_row=every_row)
+        plans, reads = solver._class_plans(op, cfg, cfg.watch,
+                                           DRAWN_LIMIT if with_limits else None,
+                                           every_row=every_row)
         for res, plan in plans.items():
+            outputs = plan.length * plan.o + plan.n - plan.o
+            assert plan.map_t.shape == (plan.n + plan.r, outputs), res
+            cos, sin, _ = plan.coords
+            read = (range(cos.size) if every_row
+                    else [coord for _, r, coord, _ in reads if r == res])
+            assert np.all(cos[read] < plan.o) and np.all(sin[read] < plan.o), res
             _, q = solver._transition(op.blocks[res], cfg.dt, plan.limits)
             q_y = real_step_covariance(plan, q, (2 * res) % op.cells == 0)
             k = stepped_kicks(plan, solver._factor(q_y, f"class {res}"))
             want, got = k @ k.T, plan.f @ plan.f.T
             top = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * top, res
+            if every_row:  # one step, outputs y_1: G is Q(dt)
+                assert np.abs(got - q_y).max() <= 1e-12 * np.abs(q_y).max(), res
             var = np.diag(want)[: plan.length * plan.o]
             # an every-row plan observes rows down to 1e-36 of top, where any
             # eigen-factor is exact to about 1e-14 of top only; watched plans
@@ -787,7 +801,7 @@ class TestBlockedEngine:
             assert every_row or not tiny.any(), res
             gap = np.abs(np.diag(got)[: var.size] - var)
             assert np.all(gap[~tiny] <= 1e-8 * var[~tiny]), res
-            assert plan.r <= plan.length * plan.o + plan.n, res
+            assert plan.r <= outputs, res
             assert (plan.length == 1) == every_row, res  # every row observed: o = n
 
     @pytest.mark.parametrize("amplitude", [1.0, 3.0])
