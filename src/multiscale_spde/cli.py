@@ -35,8 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one study.  Exit status 0: every verdict passed; 1: a verdict failed;
-    2: the config was refused (any ValueError: malformed JSON, a bad key or value,
-    a band too small), reported as one line on stderr."""
+    2: the config was refused, reported as one line on stderr.  A refusal is any
+    ValueError: a config file that cannot be read, is not JSON or holds no JSON
+    object (load_config), a section, key or value that parse_config refuses, and
+    a check the study makes before its paths or covariances (an undriven
+    mode_cutoff, a semigroup mode that is not slow, a zero limit variance, a band
+    too small for the cell)."""
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

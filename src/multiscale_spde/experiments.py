@@ -1,25 +1,32 @@
 """Config-driven experiment harness: convergence, variance and remainder studies.
 
 A single JSON document with sections ``coefficients``, ``noise``,
-``solver`` and ``study`` declares an experiment; every study returns an
-ExperimentReport whose JSON and CSV renderings are bit-for-bit
-reproducible given (config, seed) within one NumPy/BLAS build, at any
-core count.  Across builds, the studies without Monte Carlo agree to
-about 1e-12 relative in their floats and exactly in everything else;
-converge and simulate are only statistically equivalent, since the
-engine's draws go through eigenvectors of each class's transition
-covariance whose signs and repeated-eigenvalue bases a LAPACK build
-does not fix.  The package needs NumPy alone: every eigen-decomposition,
-the semigroup flows' included, is cell.eigenbasis.
+``solver`` and ``study`` declares an experiment.  parse_config reads it
+once, for one study kind, into frozen dataclasses, one per section: each
+key's type, default and bound is declared on its field, every refusal is
+a ValueError that names the section, the key and the value, and the
+studies' defaults sit in one table keyed by study kind.  The studies read
+those sections, never the raw document, which each report keeps as its
+provenance.  Every study returns an ExperimentReport whose JSON and CSV
+renderings are bit-for-bit reproducible given (config, seed) within one
+NumPy/BLAS build, at any core count.  Across builds, the studies without
+Monte Carlo agree to about 1e-12 relative in their floats and exactly in
+everything else; converge and simulate are only statistically
+equivalent, since the engine's draws go through eigenvectors of each
+class's transition covariance whose signs and repeated-eigenvalue bases
+a LAPACK build does not fix.  The package needs NumPy alone: every
+eigen-decomposition, the semigroup flows' included, is cell.eigenbasis.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 from pathlib import Path
+from sys import float_info
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .solver import (
 __all__ = [
     "ExperimentReport",
     "load_config",
+    "parse_config",
     "config_hash",
     "build_coefficients",
     "build_noise",
@@ -60,27 +68,23 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-25
-CONFIG_KEYS = {  # the sections of a config, then every key the studies read in each
-    "config": ("coefficients", "noise", "solver", "study"),
-    "coefficients": ("name", "amplitude", "sigma", "b"),
-    "noise": ("family", "cutoff", "cutoff_factor", "alpha", "profile", "eta", "tail",
-              "tail_rate", "ripple", "table", "centered", "mollifier"),
-    "solver": ("eps", "t_final", "dt", "n_modes", "watch", "track_norm"),
-    "study": ("kind", "seed", "out", "paths", "target", "tolerances", "mode", "mode_cutoff",
-              "s"),
-    "tolerances": ("theta_min", "r2_min", "final_gap", "exponent_range", "bl_rate_rtol"),
-    "mollifier": ("kind", "radius"),
-}
 BL_FIT_MIN_R2 = 0.99  # the boundary-layer decay must be log-linear to this R^2
 ENHANCEMENT_MIN_FACTOR = 0.9  # measured / classical variance at least this times |rho|^2
 
 
-# -- configuration -----------------------------------------------------------------
+# -- configuration: reading one key ------------------------------------------------
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON object in the file at path; a ValueError when the file cannot be read, is
+    not JSON, or holds anything but an object."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise ValueError(f"cannot read config file {path}: {err.strerror}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file {path} holds {raw!r}; a config is a JSON object")
+    return raw
 
 
 def _canonical(obj):
@@ -98,124 +102,94 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _field_from_spec(spec) -> SpectralField:
-    """Profile declarations: a name or a list of [k, re, im] triples."""
-    named = {
-        "one": {0: 1.0},
-        "cos": {1: 0.5, -1: 0.5},
-        "sin": {1: -0.5j, -1: 0.5j},
-        "one-plus-cos": {0: 1.0, 1: 0.5, -1: 0.5},
-    }
-    if isinstance(spec, str):
-        if spec not in named:
-            raise ValueError(f"unknown profile name {spec!r}")
-        return SpectralField.from_modes(named[spec])
-    modes = spec["modes"] if isinstance(spec, dict) else spec
-    return SpectralField.from_modes({int(k): re + 1j * im for k, re, im in modes})
+# Each reader below takes a key's label ("solver dt") and its given value, and returns the
+# value typed, or raises a ValueError naming both.
 
 
-def build_coefficients(cfg: dict) -> Coefficients:
-    name = cfg.get("name")
-    if name == "heat":
-        return Coefficients.heat(float(cfg.get("sigma", np.sqrt(2.0))))
-    if name == "cosine-potential":
-        return Coefficients.cosine_potential(float(cfg.get("amplitude", 1.0)))
-    if name is not None:
-        raise ValueError(f"unknown coefficient set {name!r}")
-    return Coefficients(_field_from_spec(cfg["b"]), _field_from_spec(cfg["sigma"]))
+def _need(ok: bool, label: str, value, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{label} = {value!r} must be {what}")
 
 
-def _real(value) -> bool:
-    """Whether value is a real number: an int or a float, not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _is_real(value) -> bool:
+    """Whether value is a real number: an int or a float within the float range, not a
+    bool, inf or nan."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
-def _whole(name: str, value) -> int:
-    """value as an int; a ValueError naming it unless it is a whole number (2.0 is)."""
-    if not _real(value) or not float(value).is_integer():
-        raise ValueError(f"{name} = {value!r} must be an integer")
+def _real(label: str, value) -> float:
+    _need(_is_real(value), label, value, "a real number")
+    return float(value)
+
+
+def _positive(label: str, value) -> float:
+    _need(_real(label, value) > 0.0, label, value, "positive")
+    return float(value)
+
+
+def _whole(label: str, value) -> int:
+    """A whole number; a JSON 2.0 is one."""
+    _need(_is_real(value) and float(value).is_integer(), label, value, "an integer")
     return int(value)
 
 
-def _section(parent: dict, name: str) -> dict:
-    """parent[name], {} when absent; a ValueError naming it unless it is an object, not null."""
-    value = parent.get(name, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} = {value!r} must be an object")
+def _count(label: str, value) -> int:
+    _need(_whole(label, value) >= 1, label, value, "at least 1")
+    return int(value)
+
+
+def _band(label: str, value) -> int:
+    """A positive even whole number: build_blocks' band is symmetric only for an even one."""
+    _need(_whole(label, value) > 0, label, value, "positive")
+    _need(int(value) % 2 == 0, label, value, "even: the band -n_modes/2 < k < n_modes/2 is "
+          "symmetric, and the fields real, only then")
+    return int(value)
+
+
+def _flag(label: str, value) -> bool:
+    """true or false; the string "false" is not read as true."""
+    _need(isinstance(value, bool), label, value, "true or false")
     return value
 
 
-def _mollifier_from(cfg):
-    if cfg is None:
-        return None
-    kind = cfg.get("kind", "tent")
-    radius = float(cfg.get("radius", 2.0))
-    if not radius > 0.0:
-        raise ValueError(f"noise mollifier radius = {cfg['radius']!r} must be positive")
-    if kind == "tent":
-        return tent_mollifier(radius)
-    if kind == "bump":
-        return bump_mollifier(radius)
-    raise ValueError(f"unknown noise mollifier kind {kind!r}; the kinds are tent, bump")
+def _text(label: str, value) -> str:
+    _need(isinstance(value, str), label, value, "a string")
+    return value
 
 
-def resolve_cutoff(cfg: dict, eps: float | None) -> int:
-    cutoff, factor = cfg.get("cutoff"), cfg.get("cutoff_factor")
-    if (cutoff is None) == (factor is None):
-        given = "both cutoff and" if factor is not None else "neither cutoff nor"
-        raise ValueError(f"noise gives {given} cutoff_factor; give one")
-    if cutoff is not None:
-        return _whole("noise cutoff", cutoff)
-    if eps is None:
-        raise ValueError(f"noise cutoff_factor = {factor!r} needs an eps to scale; "
-                         "give cutoff for a study that reads no eps")
-    return int(round(float(factor) / eps))
+def _choice(*options: str, plural: str):
+    """The reader of a key that takes one of options."""
+    def read(label: str, value) -> str:
+        if value not in options:
+            raise ValueError(f"unknown {label} {value!r}; the {plural} are {', '.join(options)}")
+        return value
+    return read
 
 
-def build_noise(cfg: dict, eps: float | None = None) -> NoiseSpec:
-    """The noise section's spec at eps, not yet centred (see _driving_noise)."""
-    cutoff = resolve_cutoff(cfg, eps)
-    family = cfg.get("family", "white")
-    needed = {"power": "alpha", "custom": "table"}.get(family)
-    if needed is not None and needed not in cfg:
-        raise ValueError(f"noise key {needed} is missing; family {family!r} needs it")
-    if cfg.get("centered") and family == "white":
-        raise ValueError("noise centered = true: the white family centres to zero; "
-                         "nothing left to drive")
-    moll = _mollifier_from(cfg.get("mollifier"))
-    if family == "white":
-        spec = NoiseSpec.white(cutoff, mollifier=moll)
-    elif family == "power":
-        spec = NoiseSpec.power_decay(
-            float(cfg["alpha"]), cutoff,
-            profile=_field_from_spec(cfg.get("profile", "one")),
-            eta=float(cfg.get("eta", 0.0)), mollifier=moll)
-    elif family == "tail":
-        spec = NoiseSpec.tail_convergent(
-            _field_from_spec(cfg.get("tail", "one")), float(cfg.get("tail_rate", 1.0)),
-            cutoff, ripple=_field_from_spec(cfg.get("ripple", "one")),
-            eta=float(cfg.get("eta", 0.0)), mollifier=moll)
-    elif family == "custom":
-        table = {int(k): _field_from_spec(v) for k, v in cfg["table"].items()}
-        tail = _field_from_spec(cfg["tail"]) if "tail" in cfg else None
-        spec = NoiseSpec.custom(table, cutoff, alpha=float(cfg.get("alpha", 0.0)),
-                                tail=tail, eta=float(cfg.get("eta", 0.0)),
-                                mollifier=moll)
-    else:
-        raise ValueError(f"unknown noise family {family!r}; "
-                         "the families are white, power, tail, custom")
-    return spec
+def _pair(label: str, value) -> tuple[float, float]:
+    _need(isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)),
+          label, value, "a list of two real numbers")
+    return float(value[0]), float(value[1])
 
 
-def _driving_noise(config: dict, eps: float, cell) -> NoiseSpec:
-    """The noise at eps, centred against the cell's density when the config asks."""
-    spec = build_noise(config["noise"], eps)
-    return spec.centered(cell.rho) if config["noise"].get("centered") else spec
+def _watch(label: str, value) -> tuple[int, ...]:
+    """A non-empty list of distinct whole modes."""
+    _need(isinstance(value, (list, tuple)), label, value, "a list of modes")
+    modes = tuple(_whole(f"{label} entry", m) for m in value)
+    if not modes:
+        raise ValueError(f"{label} is empty; give at least one mode")
+    for m in modes:
+        if modes.count(m) > 1:
+            raise ValueError(f"{label} repeats mode {m}; give each mode once")
+    return modes
 
 
-def _eps_list(value) -> list[float]:
-    """``solver.eps`` as a list, each the reciprocal of an integer, strictly decreasing."""
-    eps_list = [float(e) for e in (value if isinstance(value, (list, tuple)) else [value])]
+def _eps(label: str, value) -> tuple[float, ...]:
+    """A number or a non-empty list, each the reciprocal of an integer, strictly decreasing."""
+    given = value if isinstance(value, (list, tuple)) else [value]
+    eps_list = tuple(_real(f"{label} entry", eps) for eps in given)
+    if not eps_list:
+        raise ValueError(f"{label} is empty; give at least one eps")
     for i, eps in enumerate(eps_list):
         cells(eps)
         if i > 0 and eps >= eps_list[i - 1]:
@@ -224,136 +198,366 @@ def _eps_list(value) -> list[float]:
     return eps_list
 
 
-def _need_eps(eps_list: list[float] | None, study: str, least: int) -> list[float]:
-    """eps_list, or a ValueError when it holds fewer than `least` values."""
-    given = 0 if eps_list is None else len(eps_list)
-    if given < least:
-        raise ValueError(f"the {study} study needs at least {least} solver eps value(s); "
-                         f"the config gives {given}")
-    return eps_list
+def _profile(label: str, value) -> SpectralField:
+    """A profile: a name below, or a list of [k, re, im] triples, one per Fourier mode."""
+    named = {
+        "one": {0: 1.0},
+        "cos": {1: 0.5, -1: 0.5},
+        "sin": {1: -0.5j, -1: 0.5j},
+        "one-plus-cos": {0: 1.0, 1: 0.5, -1: 0.5},
+    }
+    if isinstance(value, str):
+        name = _choice(*named, plural="profile names")(label, value)
+        return SpectralField.from_modes(named[name])
+    _need(isinstance(value, (list, tuple))
+          and all(isinstance(mode, (list, tuple)) and len(mode) == 3 for mode in value),
+          label, value, "a profile name or a list of [k, re, im] triples")
+    return SpectralField.from_modes({
+        _whole(f"{label} wavenumber", k): _real(f"{label} re", re) + 1j * _real(f"{label} im", im)
+        for k, re, im in value})
 
 
-def _check_config(config: dict, kind: str = "", needs: tuple = (),
-                  default_t: float | None = None) -> tuple[dict, int, list[float] | None]:
-    """The checks every study makes before any work; each failure is a ValueError.
+def _sigma(label: str, value) -> float | SpectralField:
+    """A real number (the heat set's constant sigma) or a profile."""
+    return _real(label, value) if _is_real(value) else _profile(label, value)
 
-    Rejected: a config without one of the sections in `needs` (those the
-    `kind` study reads), a section that is not an object (null included),
-    a section or key no study reads, an explicit dt, t_final or
-    n_modes <= 0, an explicit dt above the horizon (_check_dt: an explicit
-    t_final, else default_t, the study's fixed default), an explicit
-    t_final below default_dt at an eps of the list when the study passes
-    default_t and the config gives no dt, an odd explicit
-    n_modes (build_blocks' band is symmetric only for an even one), an
-    explicit n_modes below the band minimum (min_modes) at any eps of the
-    list, a count, mode, seed or watch entry that is not an
-    integer, a watch that is not a list, an empty watch list or one that
-    repeats a mode, a tolerance that is not a real number (exponent_range:
-    a list of two), a path
-    count or mode_cutoff below 1, a centered or track_norm other than
-    true or false, a study target that names no limit regime (or
-    'smoothed' with no mollifier), a bad eps list, and a noise section that does not build at every eps (a power
-    family without alpha or a custom one without table, say; see
-    build_noise and resolve_cutoff).  Returns the study section, the seed
-    and the eps list (None when the config gives no eps).
+
+def _table(label: str, value) -> dict[int, SpectralField]:
+    """An object from wavenumbers k to the profiles q_k."""
+    _need(isinstance(value, dict), label, value, "an object from wavenumbers to profiles")
+    for k in value:
+        _need(str(k).removeprefix("-").isdecimal(), f"{label} wavenumber", k, "an integer")
+    return {int(k): _profile(f"{label} {k}", spec) for k, spec in value.items()}
+
+
+def _variance_dt(eps: float) -> float:
+    """The variance study's default dt: the trapezoid recursion's step, finer than default_dt."""
+    return min(1e-3, eps * eps / 4.0)
+
+
+# -- configuration: the sections ---------------------------------------------------
+
+
+def _key(default, read, null: bool = False):
+    """A config key: the JSON value it takes when left out (None: it stays absent) and
+    its reader, or the section class that reads it as a nested object.  With null, a
+    JSON null leaves the key out too; elsewhere the reader refuses it."""
+    return field(metadata={"default": default, "read": read, "null": null})
+
+
+def _parse(cls, name: str, raw):
+    """raw, the config's `name` object, as cls: each key read by its field's reader."""
+    _need(isinstance(raw, dict), name, raw, "an object")
+    keys = [f.name for f in fields(cls)]
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s) {', '.join(unknown)}; "
+                         f"the studies read {', '.join(keys)}")
+    values = {}
+    for f in fields(cls):
+        value = raw.get(f.name, f.metadata["default"])
+        read = f.metadata["read"]
+        if value is None and (f.metadata["null"] or f.name not in raw):
+            values[f.name] = None
+        elif isinstance(read, type):
+            values[f.name] = _parse(read, f.name, value)
+        else:
+            values[f.name] = read(f"{name} {f.name}", value)
+    return cls(**values)
+
+
+@dataclass(frozen=True)
+class CoefficientsSection:
+    """A named set (heat: b = 0 and a constant sigma; cosine-potential: b = A sin x and
+    sigma = 1), or b and sigma as profiles."""
+
+    name: str | None = _key(None, _choice("heat", "cosine-potential", plural="sets"), null=True)
+    amplitude: float = _key(1.0, _real)
+    sigma: float | SpectralField | None = _key(None, _sigma)
+    b: SpectralField | None = _key(None, _profile)
+
+    def __post_init__(self):
+        if self.name == "heat" and isinstance(self.sigma, SpectralField):
+            raise ValueError("coefficients sigma must be a real number for the heat set, "
+                             "not a profile")
+        for key in ("b", "sigma") if self.name is None else ():
+            _need(isinstance(getattr(self, key), SpectralField), f"coefficients {key}",
+                  getattr(self, key), "a profile: the coefficients name no set")
+
+    def build(self) -> Coefficients:
+        if self.name == "heat":
+            return Coefficients.heat(np.sqrt(2.0) if self.sigma is None else self.sigma)
+        if self.name == "cosine-potential":
+            return Coefficients.cosine_potential(self.amplitude)
+        return Coefficients(self.b, self.sigma)
+
+
+@dataclass(frozen=True)
+class MollifierSection:
+    """The smooth symbol phi, phi(0) = 1, of the smoothed limit."""
+
+    kind: str = _key("tent", _choice("tent", "bump", plural="kinds"))
+    radius: float = _key(2.0, _positive)
+
+    def build(self):
+        return (tent_mollifier if self.kind == "tent" else bump_mollifier)(self.radius)
+
+
+@dataclass(frozen=True)
+class NoiseSection:
+    """The noise family and its driven cutoff: cutoff, or cutoff_factor / eps at each eps.
+
+    power needs alpha and custom its table; tail defaults to one for the tail family and
+    to none for custom.  centered subtracts <q_k, rho> from every profile.
     """
-    for section in needs:
-        if section not in config:
-            raise ValueError(f"the {kind} study needs a {section} section; the config has none")
-    sections = {"config": config}
-    for section, keys in CONFIG_KEYS.items():  # CONFIG_KEYS lists a section after its parent
-        unknown = sorted(set(sections[section]) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
-                             f"the studies read {', '.join(keys)}")
-        sections.update((key, _section(sections[section], key))
-                        for key in keys if key in CONFIG_KEYS)
-    for key, value in sections["tolerances"].items():
-        if key == "exponent_range":
-            if not (isinstance(value, (list, tuple)) and len(value) == 2
-                    and all(map(_real, value))):
-                raise ValueError(f"tolerances exponent_range = {value!r} must be a list of "
-                                 "two real numbers")
-        elif not _real(value):
-            raise ValueError(f"tolerances {key} = {value!r} must be a real number")
-    solver_cfg = sections["solver"]
-    if solver_cfg.get("watch") is not None and not isinstance(solver_cfg["watch"], (list, tuple)):
-        raise ValueError(f"solver watch = {solver_cfg['watch']!r} must be a list of modes")
-    for key in ("dt", "t_final", "n_modes"):
-        if solver_cfg.get(key) is not None and not float(solver_cfg[key]) > 0.0:
-            raise ValueError(f"solver {key} = {solver_cfg[key]!r} must be positive")
-    n_modes = solver_cfg.get("n_modes")
-    study = sections["study"]
-    whole = [("solver n_modes", n_modes), ("study seed", study.get("seed")),
-             *((f"study {key}", study.get(key)) for key in ("paths", "mode", "mode_cutoff")),
-             *(("solver watch entry", m) for m in solver_cfg.get("watch") or ())]
-    for name, value in whole:
-        if value is not None:
-            _whole(name, value)
-    if n_modes is not None and int(n_modes) % 2:
-        raise ValueError(f"solver n_modes = {n_modes!r} must be even: the band "
-                         "-n_modes/2 < k < n_modes/2 is symmetric, and the fields real, "
-                         "only then")
-    watch = [int(m) for m in solver_cfg.get("watch") or ()]
-    if solver_cfg.get("watch") is not None and not watch:
-        raise ValueError("solver watch is empty; give at least one mode")
-    for m in watch:
-        if watch.count(m) > 1:
-            raise ValueError(f"solver watch repeats mode {m}; give each mode once")
-    for key in ("paths", "mode_cutoff"):
-        if study.get(key) is not None and not study[key] >= 1:
-            raise ValueError(f"study {key} = {study[key]!r} must be at least 1")
-    noise_cfg = sections["noise"]
-    for name, value in (("noise centered", noise_cfg.get("centered")),
-                        ("solver track_norm", solver_cfg.get("track_norm"))):
-        if value is not None and not isinstance(value, bool):
-            raise ValueError(f"{name} = {value!r} must be true or false")
-    target = study.get("target")
-    if target is not None and target not in REGIMES:
-        raise ValueError(f"unknown study target {target!r}; "
-                         f"the limit regimes are {', '.join(REGIMES)}")
-    if target == "smoothed" and noise_cfg.get("mollifier") is None:
-        raise ValueError("study target 'smoothed' needs a noise mollifier")
-    eps_list = None if solver_cfg.get("eps") is None else _eps_list(solver_cfg["eps"])
-    # a study that passes default_t steps on default_dt's grid
-    _check_dt(solver_cfg, kind, default_t, eps_list if default_t is not None else None)
-    if "noise" in config:
-        for eps in eps_list or [None]:
-            # each spec a study builds, so bad values fail here
-            cutoff = build_noise(noise_cfg, eps).cutoff
-            if n_modes is not None and eps is not None and "coefficients" in config:
-                need = min_modes(build_coefficients(config["coefficients"]), eps, cutoff)
-                if int(n_modes) < need:
-                    raise ValueError(f"solver n_modes = {n_modes!r} is below {need}, the band "
-                                     f"minimum 2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
-    return study, int(study.get("seed", 0)), eps_list
+
+    family: str = _key("white", _choice("white", "power", "tail", "custom", plural="families"))
+    cutoff: int | None = _key(None, _count, null=True)
+    cutoff_factor: float | None = _key(None, _positive, null=True)
+    alpha: float | None = _key(None, _real)
+    profile: SpectralField = _key("one", _profile)
+    eta: float = _key(0.0, _real)
+    tail: SpectralField | None = _key(None, _profile)
+    tail_rate: float = _key(1.0, _real)
+    ripple: SpectralField = _key("one", _profile)
+    table: dict | None = _key(None, _table)
+    centered: bool = _key(False, _flag)
+    mollifier: MollifierSection | None = _key(None, MollifierSection)
+
+    def __post_init__(self):
+        if (self.cutoff is None) == (self.cutoff_factor is None):
+            given = "both cutoff and" if self.cutoff is not None else "neither cutoff nor"
+            raise ValueError(f"noise gives {given} cutoff_factor; give one")
+        needed = {"power": "alpha", "custom": "table"}.get(self.family)
+        if needed is not None and getattr(self, needed) is None:
+            raise ValueError(f"noise key {needed} is missing; family {self.family!r} needs it")
+        if self.centered and self.family == "white":
+            raise ValueError("noise centered = true: the white family centres to zero; "
+                             "nothing left to drive")
+
+    def cutoff_at(self, eps: float | None) -> int:
+        if self.cutoff is not None:
+            return self.cutoff
+        if eps is None:
+            raise ValueError(f"noise cutoff_factor = {self.cutoff_factor!r} needs an eps to "
+                             "scale; give cutoff for a study that reads no eps")
+        cutoff = int(round(self.cutoff_factor / eps))
+        _need(cutoff >= 1, "noise cutoff_factor", self.cutoff_factor,
+              f"large enough to drive a mode: it gives cutoff {cutoff} at eps = {eps:g}")
+        return cutoff
+
+    def spec(self, eps: float | None = None) -> NoiseSpec:
+        """The spec at eps, not yet centred (see _driving_noise)."""
+        cutoff = self.cutoff_at(eps)
+        moll = None if self.mollifier is None else self.mollifier.build()
+        alpha = 0.0 if self.alpha is None else self.alpha
+        if self.family == "white":
+            return NoiseSpec.white(cutoff, mollifier=moll)
+        if self.family == "power":
+            return NoiseSpec.power_decay(alpha, cutoff, profile=self.profile, eta=self.eta,
+                                         mollifier=moll)
+        if self.family == "tail":
+            tail = _profile("noise tail", "one") if self.tail is None else self.tail
+            return NoiseSpec.tail_convergent(tail, self.tail_rate, cutoff, ripple=self.ripple,
+                                             eta=self.eta, mollifier=moll)
+        return NoiseSpec.custom(self.table, cutoff, alpha=alpha, tail=self.tail, eta=self.eta,
+                                mollifier=moll)
 
 
-def _check_dt(solver_cfg: dict, kind: str, default_t: float | None, eps_list=None,
-              dt_of=default_dt) -> None:
-    """Refuse a dt above the horizon: an explicit dt above t_final, else above the study's
-    default_t if given; without an explicit dt, an explicit t_final below the study's
-    default dt, dt_of(eps), at any eps of eps_list."""
-    dt, t_final = solver_cfg.get("dt"), solver_cfg.get("t_final")
+@dataclass(frozen=True)
+class SolverSection:
+    """The eps ladder, the horizon and time step, the band and the recorded modes.
+
+    Left out, t_final, dt and watch take the study's defaults (_KINDS) and n_modes
+    suggest_modes' band.
+    """
+
+    eps: tuple[float, ...] | None = _key(None, _eps, null=True)
+    t_final: float | None = _key(None, _positive, null=True)
+    dt: float | None = _key(None, _positive, null=True)
+    n_modes: int | None = _key(None, _band, null=True)
+    watch: tuple[int, ...] | None = _key(None, _watch, null=True)
+    track_norm: bool = _key(False, _flag)
+
+
+@dataclass(frozen=True)
+class TolerancesSection:
+    """The verdicts' thresholds; final_gap defaults to 0.15 on the fluctuation target,
+    0.10 on the others."""
+
+    theta_min: float = _key(0.3, _real)
+    r2_min: float = _key(0.9, _real)
+    final_gap: float | None = _key(None, _real)
+    exponent_range: tuple[float, float] = _key([0.8, 1.2], _pair)
+    bl_rate_rtol: float = _key(0.10, _real)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one study kind reads, and what it takes for the keys a config leaves out."""
+
+    needs: tuple[str, ...]  # the sections it reads
+    least_eps: int = 0  # the fewest solver eps it runs on
+    paths: int | None = None  # study paths
+    t_final: float | None = 1.0  # solver t_final; None: 3 / mu, known after the cell solve
+    dt_of: Callable[[float], float] | None = None  # solver dt at eps; None: takes no steps
+    watch: Callable = lambda given, study: given  # solver watch, from the given one and study
+    target: str | None = None  # study target
+    targets: tuple[str, ...] = REGIMES  # the targets it compares with
+
+
+_KINDS = {
+    "cell": _Kind(("coefficients",)),
+    "noise-check": _Kind(("noise",)),
+    "simulate": _Kind(("coefficients", "noise"), 1, paths=2, dt_of=default_dt,
+                      watch=lambda given, study: given or (1,)),
+    "converge": _Kind(("coefficients", "noise"), 3, paths=200, dt_of=default_dt,
+                      watch=lambda given, study: tuple(range(1, study.mode_cutoff + 1)),
+                      target="averaged", targets=("averaged",)),
+    "variance": _Kind(("coefficients", "noise"), 1, t_final=None, dt_of=_variance_dt,
+                      watch=lambda given, study: given or (study.mode,), target="enhanced"),
+    "semigroup": _Kind(("coefficients",), 2),
+}
+
+
+@dataclass(frozen=True)
+class StudySection:
+    """The study kind, its seed, sink and sizes, its limit target and its tolerances."""
+
+    kind: str | None = _key(None, _choice(*_KINDS, plural="kinds"))
+    seed: int = _key(0, _whole)
+    out: str | None = _key(None, _text, null=True)
+    paths: int | None = _key(None, _count)
+    target: str | None = _key(None, _choice(*REGIMES, plural="limit regimes"), null=True)
+    tolerances: TolerancesSection = _key({}, TolerancesSection)
+    mode: int = _key(1, _whole)
+    mode_cutoff: int = _key(8, _count)
+    s: float | None = _key(None, _real, null=True)
+
+
+@dataclass(frozen=True)
+class Config:
+    """A config as parse_config returns it: one section per key of the JSON document."""
+
+    coefficients: CoefficientsSection | None = _key(None, CoefficientsSection)
+    noise: NoiseSection | None = _key(None, NoiseSection)
+    solver: SolverSection = _key({}, SolverSection)
+    study: StudySection = _key({}, StudySection)
+
+    def engine(self, c: Coefficients, eps: float, cutoff: int) -> SolverConfig:
+        """The engine's SolverConfig at eps: the given band and dt, else the study's."""
+        solver = self.solver
+        dt = _KINDS[self.study.kind].dt_of(eps) if solver.dt is None else solver.dt
+        n_modes = suggest_modes(c, eps, cutoff) if solver.n_modes is None else solver.n_modes
+        return SolverConfig(eps=eps, n_modes=n_modes, dt=dt, t_final=solver.t_final,
+                            watch=solver.watch, seed=self.study.seed,
+                            track_norm=solver.track_norm)
+
+
+def _keys(cls, name: str = "config") -> dict:
+    """Each section's keys by its name, a nested section's after its parent's."""
+    keys = {name: tuple(f.name for f in fields(cls))}
+    for f in fields(cls):
+        if isinstance(f.metadata["read"], type):
+            keys.update(_keys(f.metadata["read"], f.name))
+    return keys
+
+
+CONFIG_KEYS = _keys(Config)  # the sections of a config, then every key the studies read in each
+
+
+def _check_dt(solver: SolverSection, kind: str, horizon: float | None, dt_of) -> None:
+    """Refuse a dt above the horizon: a given dt above the given t_final, else above the
+    study's horizon if known; without a given dt, a given t_final below the study's
+    default dt, dt_of(eps), at any eps of the list.  dt_of None: the study takes no
+    time steps, and only a given dt above a given t_final is refused."""
+    dt, t_final = solver.dt, solver.t_final
     if dt is None:
-        for eps in (eps_list or ()) if t_final is not None else ():
-            if dt_of(eps) > float(t_final):
+        for eps in (solver.eps or ()) if t_final is not None and dt_of is not None else ():
+            if dt_of(eps) > t_final:
                 raise ValueError(f"solver t_final = {t_final!r} is below {dt_of(eps):g}, the "
                                  f"{kind} study's default dt at eps = {eps:g} (the config "
                                  "gives no solver dt)")
         return
     if t_final is not None:
-        if float(dt) > float(t_final):
+        if dt > t_final:
             raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
-    elif default_t is not None and float(dt) > default_t:
-        raise ValueError(f"solver dt = {dt!r} is above t_final = {default_t:g}, the {kind} "
+    elif dt_of is not None and horizon is not None and dt > horizon:
+        raise ValueError(f"solver dt = {dt!r} is above t_final = {horizon:g}, the {kind} "
                          "study's default horizon (the config gives no solver t_final)")
 
 
-def _cell(config: dict):
+def parse_config(raw, kind: str) -> Config:
+    """raw, a JSON config, read once for the `kind` study, before any work.
+
+    Refused, each with a ValueError: a config or section that is not an object (null
+    included), a key no study reads, a value of the wrong type or out of its bound (see
+    the sections' readers), a cutoff and a noise family that do not fit (NoiseSection),
+    a section the study needs and the config lacks, the smoothed target without a
+    mollifier, a dt that does not fit the horizon (_check_dt), a noise that does not
+    build at every eps (at no eps when the config gives none), a given n_modes below
+    the band minimum (min_modes) at an eps, fewer eps than the study needs and a target
+    it does not compare with.  Returns the config with the study's defaults (_KINDS)
+    filled in; the variance study's t_final stays None until its cell solve.
+    """
+    cfg = _parse(Config, "config", raw)
+    rules = _KINDS[kind]
+    for section in rules.needs:
+        if getattr(cfg, section) is None:
+            raise ValueError(f"the {kind} study needs a {section} section; the config has none")
+    solver = cfg.solver
+    study = cfg.study
+    if study.target == "smoothed" and (cfg.noise is None or cfg.noise.mollifier is None):
+        raise ValueError("study target 'smoothed' needs a noise mollifier")
+    _check_dt(solver, kind, rules.t_final, rules.dt_of)
+    if cfg.noise is not None:
+        c = None
+        if solver.n_modes is not None and cfg.coefficients is not None:
+            c = cfg.coefficients.build()
+        for eps in solver.eps or [None]:
+            cutoff = cfg.noise.spec(eps).cutoff  # each spec a study builds, so bad values fail here
+            if c is not None and eps is not None and solver.n_modes < min_modes(c, eps, cutoff):
+                raise ValueError(f"solver n_modes = {solver.n_modes!r} is below "
+                                 f"{min_modes(c, eps, cutoff)}, the band minimum "
+                                 f"2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
+    given = 0 if solver.eps is None else len(solver.eps)
+    if given < rules.least_eps:
+        raise ValueError(f"the {kind} study needs at least {rules.least_eps} solver eps "
+                         f"value(s); the config gives {given}")
+    if study.target is not None and study.target not in rules.targets:
+        raise ValueError(f"{kind} compares with the {rules.target} limit only; "
+                         f"study target {study.target!r} is not {rules.target!r}")
+    target = rules.target if study.target is None else study.target
+    tolerances = study.tolerances
+    if tolerances.final_gap is None:
+        tolerances = replace(tolerances, final_gap=0.15 if target == "fluctuation" else 0.10)
+    study = replace(study, kind=kind, target=target, tolerances=tolerances,
+                    paths=rules.paths if study.paths is None else study.paths)
+    solver = replace(solver, watch=rules.watch(solver.watch, study),
+                     t_final=rules.t_final if solver.t_final is None else solver.t_final)
+    return replace(cfg, solver=solver, study=study)
+
+
+def build_coefficients(raw: dict) -> Coefficients:
+    """The coefficients section raw as Coefficients."""
+    return _parse(CoefficientsSection, "coefficients", raw).build()
+
+
+def build_noise(raw: dict, eps: float | None = None) -> NoiseSpec:
+    """The noise section raw's spec at eps, not yet centred."""
+    return _parse(NoiseSection, "noise", raw).spec(eps)
+
+
+def _cell(cfg: Config):
     """The config's coefficients and their cell solution."""
-    c = build_coefficients(config["coefficients"])
+    c = cfg.coefficients.build()
     return c, solve_cell(c)
+
+
+def _driving_noise(cfg: Config, eps: float, cell) -> NoiseSpec:
+    """The noise at eps, centred against the cell's density when the config asks."""
+    spec = cfg.noise.spec(eps)
+    return spec.centered(cell.rho) if cfg.noise.centered else spec
 
 
 # -- reports -----------------------------------------------------------------------
@@ -384,7 +588,8 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         cfg = _canonical(self.config)
-        cfg.get("study", {}).pop("out", None)  # a sink path, not an input
+        if "study" in cfg:
+            cfg["study"].pop("out", None)  # a sink path, not an input
         return {
             "study": self.study,
             "provenance": {"config": cfg, "config_hash": config_hash(cfg),
@@ -432,21 +637,14 @@ def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """Write report.json plus one CSV per table; idempotent."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = out / "report.json"
-    path.write_bytes(report.to_json_bytes())
-    written.append(path)
+    tables = sorted(report.tables.items())
     if report.rows:
         header = list(report.rows[0])
-        rows = [[r.get(h) for h in header] for r in report.rows]
-        path = out / "rows.csv"
-        path.write_bytes(_csv_bytes(header, rows))
-        written.append(path)
-    for name, (header, rows) in sorted(report.tables.items()):
-        path = out / f"{name}.csv"
-        path.write_bytes(_csv_bytes(header, rows))
-        written.append(path)
-    return written
+        tables.insert(0, ("rows", (header, [[r.get(h) for h in header] for r in report.rows])))
+    (out / "report.json").write_bytes(report.to_json_bytes())
+    for name, (header, rows) in tables:
+        (out / f"{name}.csv").write_bytes(_csv_bytes(header, rows))
+    return [out / "report.json", *(out / f"{name}.csv" for name, _ in tables)]
 
 
 # -- fitting helpers ---------------------------------------------------------------
@@ -513,9 +711,9 @@ def run_cell_study(config: dict) -> ExperimentReport:
     The row and the density table read what solve_cell measured for its
     contracts; the one verdict is zero flux, which no contract checks.
     """
-    _, seed, _ = _check_config(config, "cell", ("coefficients",))
-    c, sol = _cell(config)
-    report = ExperimentReport(study="cell", config=config, seed=seed)
+    cfg = parse_config(config, "cell")
+    c, sol = _cell(cfg)
+    report = ExperimentReport(study="cell", config=config, seed=cfg.study.seed)
     rho_grid = sol.rho_grid
     report.rows.append({
         "mu": sol.mu,
@@ -541,12 +739,13 @@ def run_cell_study(config: dict) -> ExperimentReport:
 def run_noise_check(config: dict) -> ExperimentReport:
     """Run the decay, tail-convergence and summability validators.
 
-    Their rows become the report's rows, and each check one verdict: all
-    of its items passed.
+    The noise is built at the first solver eps when the config gives one
+    (converge checks its decay assumption there too).  Their rows become
+    the report's rows, and each check one verdict: all of its items passed.
     """
-    _, seed, _ = _check_config(config, "noise-check", ("noise",))
-    report = ExperimentReport(study="noise-check", config=config, seed=seed)
-    spec = build_noise(config["noise"])
+    cfg = parse_config(config, "noise-check")
+    report = ExperimentReport(study="noise-check", config=config, seed=cfg.study.seed)
+    spec = cfg.noise.spec(cfg.solver.eps[0] if cfg.solver.eps else None)
 
     checks = [noise_mod.check_decay(spec)]
     if spec.tail is not None:
@@ -570,16 +769,13 @@ def run_simulate(config: dict) -> ExperimentReport:
     holds its watched modes, and with track_norm its norm_path_{p:03d}
     holds |u|^2, both at every recorded step.
     """
-    study, seed, eps_list = _check_config(config, "simulate", ("coefficients", "noise"),
-                                          default_t=1.0)
-    eps = _need_eps(eps_list, "simulate", 1)[0]
-    c, cell = _cell(config)
-    n_paths = int(study.get("paths", 2))
-    solver_cfg = config["solver"]
-    spec = _driving_noise(config, eps, cell)
-    sc = _solver_config(solver_cfg, c, eps, spec.cutoff, seed,
-                        default_t=1.0, watch=[int(m) for m in solver_cfg.get("watch") or (1,)])
-    report = ExperimentReport(study="simulate", config=config, seed=seed)
+    cfg = parse_config(config, "simulate")
+    eps = cfg.solver.eps[0]
+    c, cell = _cell(cfg)
+    n_paths = cfg.study.paths
+    spec = _driving_noise(cfg, eps, cell)
+    sc = cfg.engine(c, eps, spec.cutoff)
+    report = ExperimentReport(study="simulate", config=config, seed=cfg.study.seed)
     out = simulate_paths(c, spec, sc, n_paths)
     for p in range(n_paths):
         report.tables[f"path_{p:03d}"] = (["t", "m", "re", "im"], [
@@ -595,20 +791,6 @@ def run_simulate(config: dict) -> ExperimentReport:
     return report
 
 
-def _solver_config(solver_cfg: dict, c: Coefficients, eps: float, cutoff: int,
-                   seed: int, default_t: float, watch,
-                   dt: float | None = None) -> SolverConfig:
-    t_final = float(solver_cfg.get("t_final") or default_t)
-    if dt is None:
-        dt = solver_cfg.get("dt") or default_dt(eps)
-    n_modes = int(solver_cfg.get("n_modes") or suggest_modes(c, eps, cutoff))
-    return SolverConfig(
-        eps=eps, n_modes=n_modes, dt=float(dt), t_final=t_final,
-        watch=tuple(watch), seed=seed,
-        track_norm=bool(solver_cfg.get("track_norm", False)),
-    )
-
-
 # -- convergence study ---------------------------------------------------------------
 
 
@@ -621,31 +803,26 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    study, seed, eps_list = _check_config(config, "converge", ("coefficients", "noise"),
-                                          default_t=1.0)
-    _need_eps(eps_list, "converge", 3)
-    if study.get("target") not in (None, "averaged"):
-        raise ValueError(f"converge compares with the averaged limit only; "
-                         f"study target {study['target']!r} is not 'averaged'")
-    mode_cutoff = int(study.get("mode_cutoff", 8))
-    watch = tuple(range(1, mode_cutoff + 1))
+    cfg = parse_config(config, "converge")
+    study = cfg.study
+    eps_list = cfg.solver.eps
+    mode_cutoff = study.mode_cutoff
+    n_paths = study.paths
+    tol = study.tolerances
     for eps in eps_list:
-        require_driven(eps, resolve_cutoff(config["noise"], eps), watch, "mode_cutoff")
-    c, cell = _cell(config)
-    n_paths = int(study.get("paths", 200))
-    tol = study.get("tolerances", {})
-    alpha = float(config["noise"].get("alpha", 0.0))
-    s = max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5 if study.get("s") is None else float(study["s"])
-    report = ExperimentReport(study="converge", config=config, seed=seed)
+        require_driven(eps, cfg.noise.cutoff_at(eps), cfg.solver.watch, "mode_cutoff")
+    c, cell = _cell(cfg)
+    alpha = 0.0 if cfg.noise.alpha is None else cfg.noise.alpha
+    s = max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5 if study.s is None else study.s
+    report = ExperimentReport(study="converge", config=config, seed=study.seed)
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
     for eps in eps_list:
-        spec = _driving_noise(config, eps, cell)
+        spec = _driving_noise(cfg, eps, cell)
         if eps == eps_list[0]:
             report.verdict("noise decay assumption",
                            all(r["passed"] for r in noise_mod.check_decay(spec)), None)
-        sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
-                            default_t=1.0, watch=watch)
+        sc = cfg.engine(c, eps, spec.cutoff)
         model = limit_model("averaged", spec, cell, mode_cutoff)
         sups = coupled_sup_errors(c, spec, sc, model, s, n_paths)
         mean, se = batch_mean_se(sups["full"])
@@ -664,26 +841,18 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     report.verdict("errors strictly decreasing in eps", decreasing, errors[-1])
     report.fit = fit_rate_with_exclusion(eps_list, errors)
-    # truncation sensitivity of the sup-error proxy, per row and as rates
-    half = [r["error_half_modes"] for r in report.rows]
-    coarse = [r["error_coarse_grid"] for r in report.rows]
-    if min(half) > ERROR_FLOOR:
-        report.fit["theta_half_modes"] = fit_rate_with_exclusion(eps_list, half)["theta"]
-    if min(coarse) > ERROR_FLOOR:
-        report.fit["theta_coarse_grid"] = fit_rate_with_exclusion(eps_list, coarse)["theta"]
-    report.verdict("fitted rate theta", report.fit["theta"] >= tol.get("theta_min", 0.3),
-                   report.fit["theta"], tol.get("theta_min", 0.3))
-    report.verdict("rate fit R^2", report.fit["r_squared"] >= tol.get("r2_min", 0.9),
-                   report.fit["r_squared"], tol.get("r2_min", 0.9))
+    for proxy in ("half_modes", "coarse_grid"):  # truncation sensitivity, per row and as rates
+        errors = [r[f"error_{proxy}"] for r in report.rows]
+        if min(errors) > ERROR_FLOOR:
+            report.fit[f"theta_{proxy}"] = fit_rate_with_exclusion(eps_list, errors)["theta"]
+    report.verdict("fitted rate theta", report.fit["theta"] >= tol.theta_min,
+                   report.fit["theta"], tol.theta_min)
+    report.verdict("rate fit R^2", report.fit["r_squared"] >= tol.r2_min,
+                   report.fit["r_squared"], tol.r2_min)
     return report
 
 
 # -- variance study -------------------------------------------------------------------
-
-
-def _variance_dt(eps: float) -> float:
-    """The variance study's default dt: the trapezoid recursion's step, finer than default_dt."""
-    return min(1e-3, eps * eps / 4.0)
 
 
 def run_variance_study(config: dict) -> ExperimentReport:
@@ -698,27 +867,24 @@ def run_variance_study(config: dict) -> ExperimentReport:
     measured variance is rescaled by eps^(-2 alpha) and the noise must be
     centred.
     """
-    study, seed, eps_list = _check_config(config, "variance", ("coefficients", "noise"))
-    _need_eps(eps_list, "variance", 1)
-    c, cell = _cell(config)
-    target = study.get("target", "enhanced")
-    tol = study.get("tolerances", {})
-    watch = tuple(int(m) for m in config.get("solver", {}).get("watch") or (study.get("mode", 1),))
+    cfg = parse_config(config, "variance")
+    c, cell = _cell(cfg)
+    if cfg.solver.t_final is None:  # the default horizon 3 / mu is known only now
+        _check_dt(cfg.solver, "variance", 3.0 / cell.mu, _variance_dt)
+        cfg = replace(cfg, solver=replace(cfg.solver, t_final=3.0 / cell.mu))
+    eps_list = cfg.solver.eps
+    watch = cfg.solver.watch
+    target = cfg.study.target
+    final_tol = cfg.study.tolerances.final_gap
+    report = ExperimentReport(study=f"variance-{target}", config=config, seed=cfg.study.seed)
 
-    report = ExperimentReport(study=f"variance-{target}", config=config, seed=seed)
-    t_final = float(config.get("solver", {}).get("t_final") or 3.0 / cell.mu)
-    _check_dt(config.get("solver", {}), "variance", t_final, eps_list, _variance_dt)
-
-    gaps_by_mode = {m: [] for m in watch}
     for eps in eps_list:
-        spec = _driving_noise(config, eps, cell)
+        spec = _driving_noise(cfg, eps, cell)
         if target == "fluctuation":
             worst = max(abs(inner_product(spec.profile(k), cell.rho))
                         for k in range(0, min(spec.cutoff, 64) + 1))
             report.verdict(f"centred profiles at eps = {eps:g}", worst <= 1e-8, worst, 1e-8)
-        dt = config.get("solver", {}).get("dt") or _variance_dt(eps)
-        sc = _solver_config(config.get("solver", {}), c, eps, spec.cutoff, seed,
-                            default_t=t_final, watch=watch, dt=dt)
+        sc = cfg.engine(c, eps, spec.cutoff)
         model = limit_model(target, spec, cell, max(abs(m) for m in watch))
         t_recorded = sc.n_steps * sc.dt  # the covariance's last time, cov.times[-1]
         predicted = {m: ou_variance(model, m, t_recorded) for m in watch}
@@ -731,24 +897,20 @@ def run_variance_study(config: dict) -> ExperimentReport:
         cov = exact_mode_covariance(c, spec, sc, t_grid, modes=watch)
         scale = eps ** (-2.0 * spec.alpha) if target == "fluctuation" else 1.0
 
-        table_rows = []
-        for m in watch:
-            for t, v in zip(cov.times, cov.variances[m]):
-                table_rows.append([float(t), int(m), float(v)])
-        report.tables[f"covariance_eps_{eps:g}"] = (["t", "m", "variance"], table_rows)
+        report.tables[f"covariance_eps_{eps:g}"] = (["t", "m", "variance"], [
+            [float(t), int(m), float(v)]
+            for m in watch for t, v in zip(cov.times, cov.variances[m])])
 
         for m in watch:
             measured = cov.at_final(m) * scale
             gap = abs(measured - predicted[m]) / predicted[m]
-            gaps_by_mode[m].append(gap)
             report.rows.append({"eps": eps, "m": m, "variance": cov.at_final(m),
                                 "scaled_variance": measured, "target": predicted[m],
                                 "rel_gap": gap, "dt": sc.dt, "n_modes": sc.n_modes,
                                 "cutoff": spec.cutoff})
 
-    final_tol = tol.get("final_gap", 0.15 if target == "fluctuation" else 0.10)
     for m in watch:
-        gaps = gaps_by_mode[m]
+        gaps = [r["rel_gap"] for r in report.rows if r["m"] == m]
         monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
         report.verdict(f"relative gap decreasing (m = {m})", monotone, gaps[-1])
         report.verdict(f"final relative gap (m = {m})", gaps[-1] <= final_tol,
@@ -802,16 +964,16 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     and the exponent fit needs at least two eps; both are checked before
     the cell solve.
     """
-    study, seed, eps_list = _check_config(config, "semigroup", ("coefficients",))
-    _need_eps(eps_list, "semigroup", 2)
-    m = int(study.get("mode", 1))
+    cfg = parse_config(config, "semigroup")
+    eps_list = cfg.solver.eps
+    t_final = cfg.solver.t_final
+    m = cfg.study.mode
     require_slow_mode(eps_list[0], m)
-    c, cell = _cell(config)
-    tol = study.get("tolerances", {})
+    c, cell = _cell(cfg)
+    tol = cfg.study.tolerances
     omega = spectral_gap(c)
-    report = ExperimentReport(study="semigroup", config=config, seed=seed)
+    report = ExperimentReport(study="semigroup", config=config, seed=cfg.study.seed)
 
-    t_final = float(config.get("solver", {}).get("t_final") or 1.0)
     offsets = np.arange(-cell_mod.CLASS_OFFSETS, cell_mod.CLASS_OFFSETS + 1)
     pattern = np.array([cell.rho.coeff(int(j)) for j in offsets], dtype=complex)
     centre = (offsets == 0).astype(complex)  # 1 on the unit cell, e_m on m's class
@@ -846,9 +1008,9 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     slope, _, r2 = loglog_fit(eps_list, sup_norms)
     report.fit = {"exponent": slope, "r_squared": r2,
                   "bl_rate_unit_cell": bl_rate, "omega": omega}
-    lo, hi = tol.get("exponent_range", [0.8, 1.2])
+    lo, hi = tol.exponent_range
     report.verdict("remainder scaling exponent", lo <= slope <= hi, slope)
-    rate_rtol = tol.get("bl_rate_rtol", 0.10)
+    rate_rtol = tol.bl_rate_rtol
     rel = abs(bl_rate - omega) / omega
     report.verdict("boundary-layer rate matches the spectral gap", rel <= rate_rtol,
                    rel, rate_rtol)
@@ -869,7 +1031,8 @@ STUDIES = {
 
 
 def run_study(config: dict) -> ExperimentReport:
-    kind = _section(config, "study").get("kind")
-    if kind not in STUDIES:
-        raise ValueError(f"unknown study kind {kind!r}")
+    """The report of the study that the config's study kind names."""
+    kind = _parse(Config, "config", config).study.kind
+    if kind is None:
+        raise ValueError(f"study kind is missing; the kinds are {', '.join(STUDIES)}")
     return STUDIES[kind](config)

@@ -18,7 +18,6 @@ from multiscale_spde.errors import FitFailed, SolveFailed
 from multiscale_spde.experiments import (
     ENHANCEMENT_MIN_FACTOR,
     ExperimentReport,
-    _check_config,
     _fit_log_decay,
     batch_mean_se,
     build_noise,
@@ -26,6 +25,7 @@ from multiscale_spde.experiments import (
     emit_report,
     fit_rate_with_exclusion,
     load_config,
+    parse_config,
     run_cell_study,
     run_coupling_convergence,
     run_noise_check,
@@ -310,7 +310,7 @@ class TestStudies:
                                              rf"config gives no solver dt\)$"):
             run_study(config)
         config["solver"]["dt"] = 5e-5  # an explicit dt below t_final passes the check
-        _check_config(config, kind, default_t=1.0)
+        parse_config(config, kind)
 
     def test_variance_t_final_below_its_default_dt_fails_before_any_covariance(
             self, monkeypatch):
@@ -346,11 +346,18 @@ class TestStudies:
                                              r"config gives no solver t_final\)$"):
             run_study(config)
 
+    @pytest.mark.parametrize("kind", [None, "noise-check"], ids=["own-kind", "noise-check"])
     @pytest.mark.parametrize("path", [*sorted((REPO / "configs").glob("*.json")), GOLDEN],
                              ids=lambda p: p.name)
-    def test_shipped_configs_pass_the_config_check(self, path):
+    def test_shipped_configs_pass_the_config_check(self, path, kind):
+        """Each shipped config parses as its own study kind, and noise-check, which reads
+        the first eps, passes every verdict on it."""
         config = load_config(path)
-        _check_config(config["provenance"]["config"] if path == GOLDEN else config)
+        config = config["provenance"]["config"] if path == GOLDEN else config
+        if kind is None:
+            parse_config(config, config["study"]["kind"])
+        else:
+            assert run_noise_check(config).passed
 
     @pytest.mark.parametrize("kind", ["simulate", "converge", "variance", "semigroup"])
     @pytest.mark.parametrize("eps, message", [
@@ -377,10 +384,8 @@ class TestStudies:
                                     r"the config gives 2$"),
         ("semigroup", [0.25], r"the semigroup study needs at least 2 solver eps value\(s\); "
                               r"the config gives 1$"),
-        ("simulate", [], r"the simulate study needs at least 1 solver eps value\(s\); "
-                         r"the config gives 0$"),
-        ("variance", [], r"the variance study needs at least 1 solver eps value\(s\); "
-                         r"the config gives 0$"),
+        ("simulate", [], r"^solver eps is empty; give at least one eps$"),
+        ("variance", [], r"^solver eps is empty; give at least one eps$"),
     ])
     def test_too_few_eps_fails_before_any_solve(self, monkeypatch, kind, eps, message):
         """converge fits a rate to at least 3 eps and semigroup an exponent to at least 2;
@@ -439,9 +444,9 @@ class TestStudies:
         ("noise", "family", "whit", r"unknown noise family 'whit'; the families are white, "
                                     r"power, tail, custom$"),
         ("noise", "mollifier", {"kind": "tnet"},
-         r"unknown noise mollifier kind 'tnet'; the kinds are tent, bump$"),
+         r"^unknown mollifier kind 'tnet'; the kinds are tent, bump$"),
         ("noise", "mollifier", {"kind": "tent", "radius": 0},
-         r"noise mollifier radius = 0 must be positive$"),
+         r"^mollifier radius = 0 must be positive$"),
         ("noise", "cutoff", None, r"noise gives neither cutoff nor cutoff_factor; give one$"),
         ("noise", None, {"family": "power", "alpha": 1.5},
          r"noise decay exponent alpha = 1.5 must lie in \(0, 1\)$"),
@@ -460,7 +465,7 @@ class TestStudies:
         ("noise", None, {"family": "custom"},
          r"noise key table is missing; family 'custom' needs it$"),
         ("noise", None, {"family": "power", "alpha": 0.5, "profile": "ones"},
-         r"unknown profile name 'ones'$"),
+         r"^unknown noise profile 'ones'; the profile names are one, cos, sin, one-plus-cos$"),
         ("noise", None, "white", r"^noise = 'white' must be an object$"),
         ("solver", None, None, r"^solver = None must be an object$"),
         ("study", None, None, r"^study = None must be an object$"),
@@ -480,6 +485,25 @@ class TestStudies:
          r"^tolerances exponent_range = \[0.8\] must be a list of two real numbers$"),
         ("study", "tolerances", {"exponent_range": [0.8, "1.2"]},
          r"^tolerances exponent_range = \[0.8, '1.2'\] must be a list of two real numbers$"),
+        ("solver", "dt", [1], r"^solver dt = \[1\] must be a real number$"),
+        ("coefficients", "amplitude", None, r"^coefficients amplitude = None must be a real "
+                                            r"number$"),
+        ("noise", "alpha", None, r"^noise alpha = None must be a real number$"),
+        ("noise", "profile", 5, r"^noise profile = 5 must be a profile name or a list of "
+                                r"\[k, re, im\] triples$"),
+        ("study", "kind", [1], r"^unknown study kind \[1\]; the kinds are cell, noise-check, "
+                               r"simulate, converge, variance, semigroup$"),
+        ("solver", "t_final", True, r"^solver t_final = True must be a real number$"),
+        ("solver", "t_final", "1", r"^solver t_final = '1' must be a real number$"),
+        ("solver", "eps", "x", r"^solver eps entry = 'x' must be a real number$"),
+        ("solver", "eps", [0.25, "x"], r"^solver eps entry = 'x' must be a real number$"),
+        ("noise", "cutoff_factor", "x", r"^noise cutoff_factor = 'x' must be a real number$"),
+        ("coefficients", "amplitude", "x", r"^coefficients amplitude = 'x' must be a real "
+                                           r"number$"),
+        ("study", "s", "x", r"^study s = 'x' must be a real number$"),
+        ("noise", "mollifier", {"kind": "tent", "radius": "x"},
+         r"^mollifier radius = 'x' must be a real number$"),
+        ("solver", "eps", [], r"^solver eps is empty; give at least one eps$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
@@ -737,14 +761,16 @@ class TestConfigBuilders:
         assert l2_norm(explicit.sigma - builtin.sigma) == 0.0
 
     def test_solver_overrides_are_honoured(self):
-        from multiscale_spde.experiments import _solver_config
         from multiscale_spde.cell import Coefficients
 
         c = Coefficients.cosine_potential(1.0)
-        sc = _solver_config({"dt": 5e-4, "n_modes": 96, "track_norm": True},
-                            c, 0.25, 8, seed=1, default_t=2.0, watch=(1,))
+        cfg = parse_config({"coefficients": {"name": "cosine-potential"},
+                            "solver": {"eps": [0.25], "dt": 5e-4, "n_modes": 96,
+                                       "track_norm": True, "t_final": 2.0, "watch": [1]},
+                            "study": {"seed": 1}}, "cell")
+        sc = cfg.engine(c, 0.25, 8)
         assert sc.dt == 5e-4 and sc.n_modes == 96 and sc.track_norm
-        assert sc.t_final == 2.0
+        assert sc.t_final == 2.0 and sc.watch == (1,) and sc.seed == 1
 
     def test_custom_noise_table(self):
         spec = build_noise({"family": "custom", "cutoff": 4, "alpha": 0.5, "eta": 0.25,
@@ -758,18 +784,23 @@ class TestConfigBuilders:
         assert l2_norm(spec.tail - SpectralField.from_modes({0: 1.0, 1: 0.5, -1: 0.5})) == 0.0
 
     def test_cutoff_factor_scales_with_eps(self):
-        from multiscale_spde.experiments import resolve_cutoff
-        assert resolve_cutoff({"cutoff_factor": 2.0}, 0.125) == 16
-        assert resolve_cutoff({"cutoff": 12}, 0.125) == 12
+        def noise(section, eps=None):
+            solver = {} if eps is None else {"eps": [eps]}
+            return parse_config({"noise": section, "solver": solver}, "noise-check").noise
+
+        assert noise({"cutoff_factor": 2.0}, 0.125).cutoff_at(0.125) == 16
+        assert noise({"cutoff": 12}, 0.125).cutoff_at(0.125) == 12
         with pytest.raises(ValueError):
-            resolve_cutoff({}, None)
+            noise({})
         with pytest.raises(ValueError, match=r"noise cutoff_factor = 2.0 needs an eps to scale; "
                                              r"give cutoff for a study that reads no eps$"):
-            resolve_cutoff({"cutoff_factor": 2.0}, None)
+            noise({"cutoff_factor": 2.0})
 
     @pytest.mark.parametrize("cfg, message", [
-        ({"name": "cosine"}, r"unknown coefficient set 'cosine'$"),
-        ({"b": "sine", "sigma": "one"}, r"unknown profile name 'sine'$"),
+        ({"name": "cosine"}, r"^unknown coefficients name 'cosine'; the sets are heat, "
+                             r"cosine-potential$"),
+        ({"b": "sine", "sigma": "one"}, r"^unknown coefficients b 'sine'; the profile names are "
+                                        r"one, cos, sin, one-plus-cos$"),
     ], ids=["set", "profile"])
     def test_unknown_coefficient_names_are_rejected(self, cfg, message):
         from multiscale_spde.experiments import build_coefficients
@@ -779,7 +810,9 @@ class TestConfigBuilders:
     def test_unknown_study_kind_is_rejected(self):
         config = json.loads(json.dumps(SMALL_VARIANCE))
         config["study"]["kind"] = "variance-exact"
-        with pytest.raises(ValueError, match=r"unknown study kind 'variance-exact'$"):
+        with pytest.raises(ValueError, match=r"^unknown study kind 'variance-exact'; the kinds "
+                                             r"are cell, noise-check, simulate, converge, "
+                                             r"variance, semigroup$"):
             run_study(config)
 
 
@@ -873,6 +906,27 @@ class TestCli:
         assert done.returncode == 2
         assert done.stderr == ("multiscale-spde: error: solver watch repeats mode 1; "
                                "give each mode once\n")
+        assert "Traceback" not in done.stderr and done.stdout == ""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file {path}: No such file or directory"),
+        ("[1]", "config file {path} holds [1]; a config is a JSON object"),
+        ('"x"', "config file {path} holds 'x'; a config is a JSON object"),
+    ], ids=["missing", "list", "string"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, content, message):
+        """A config file that cannot be read or holds no JSON object exits 2, not 1,
+        with one error line that names the file, and no traceback."""
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        src = str(REPO / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "multiscale_spde", "cell", "--config",
+                               str(cfg), "--quiet"], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert done.returncode == 2
+        assert done.stderr == f"multiscale-spde: error: {message.format(path=cfg)}\n"
         assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_seed_override_changes_provenance(self, tmp_path):
