@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import STUDIES, emit_report, load_config, run_study
+from .experiments import _KINDS, emit_report, load_config, run_study
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "stochastic heat equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STUDIES:
+    for name in _KINDS:
         p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override study seed")
@@ -39,8 +39,8 @@ def main(argv=None) -> int:
     ValueError: a config file that cannot be read, is not JSON or holds no JSON
     object (load_config), a section, key or value that parse_config refuses, and
     a check the study makes before its paths or covariances (an undriven
-    mode_cutoff, a semigroup mode that is not slow, a zero limit variance, a band
-    too small for the cell)."""
+    mode_cutoff, a centred noise that drives nothing, a semigroup mode that is not
+    slow, a zero limit variance, a band too small for the cell)."""
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

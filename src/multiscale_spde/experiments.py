@@ -1,17 +1,18 @@
 """Config-driven experiment harness: convergence, variance and remainder studies.
 
 A single JSON document with sections ``coefficients``, ``noise``,
-``solver`` and ``study`` declares an experiment.  parse_config reads it
-once, for one study kind, into frozen dataclasses, one per section: each
-key's type, default and bound is declared on its field, every refusal is
-a ValueError that names the section, the key and the value, and the
-studies' defaults sit in one table keyed by study kind.  The studies read
-those sections, never the raw document, which each report keeps as its
-provenance.  Every study returns an ExperimentReport whose JSON and CSV
-renderings are bit-for-bit reproducible given (config, seed) within one
-NumPy/BLAS build, at any core count.  Across builds, the studies without
-Monte Carlo agree to about 1e-12 relative in their floats and exactly in
-everything else; converge and simulate are only statistically
+``solver`` and ``study`` declares an experiment.  run_study is the one
+entry point: parse_config reads the document once, for the kind its own
+study section names, into frozen dataclasses, one per section (each
+key's type, default and bound is declared on its field, and every
+refusal is a ValueError that names the section, the key and the value),
+and one table keyed by study kind holds each kind's defaults and the
+runner that fills its report.  The runners read those sections, never
+the raw document, which each report keeps as its provenance.  The
+report's JSON and CSV renderings are bit-for-bit reproducible given
+(config, seed) within one NumPy/BLAS build, at any core count.  Across
+builds, the studies without Monte Carlo agree to about 1e-12 relative in
+their floats and exactly in everything else; converge and simulate are only statistically
 equivalent, since the engine's draws go through eigenvectors of each
 class's transition covariance whose signs and repeated-eigenvalue bases
 a LAPACK build does not fix.  The package needs NumPy alone: every
@@ -54,15 +55,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "config_hash",
-    "build_coefficients",
-    "build_noise",
-    "run_cell_study",
-    "run_noise_check",
-    "run_simulate",
-    "run_coupling_convergence",
-    "run_variance_study",
-    "run_semigroup_study",
-    "STUDIES",
     "run_study",
     "emit_report",
 ]
@@ -392,162 +384,6 @@ class TolerancesSection:
     bl_rate_rtol: float = _key(0.10, _real)
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What one study kind reads, and what it takes for the keys a config leaves out."""
-
-    needs: tuple[str, ...]  # the sections it reads
-    least_eps: int = 0  # the fewest solver eps it runs on
-    paths: int | None = None  # study paths
-    t_final: float | None = 1.0  # solver t_final; None: 3 / mu, known after the cell solve
-    dt_of: Callable[[float], float] | None = None  # solver dt at eps; None: takes no steps
-    watch: Callable = lambda given, study: given  # solver watch, from the given one and study
-    target: str | None = None  # study target
-    targets: tuple[str, ...] = REGIMES  # the targets it compares with
-
-
-_KINDS = {
-    "cell": _Kind(("coefficients",)),
-    "noise-check": _Kind(("noise",)),
-    "simulate": _Kind(("coefficients", "noise"), 1, paths=2, dt_of=default_dt,
-                      watch=lambda given, study: given or (1,)),
-    "converge": _Kind(("coefficients", "noise"), 3, paths=200, dt_of=default_dt,
-                      watch=lambda given, study: tuple(range(1, study.mode_cutoff + 1)),
-                      target="averaged", targets=("averaged",)),
-    "variance": _Kind(("coefficients", "noise"), 1, t_final=None, dt_of=_variance_dt,
-                      watch=lambda given, study: given or (study.mode,), target="enhanced"),
-    "semigroup": _Kind(("coefficients",), 2),
-}
-
-
-@dataclass(frozen=True)
-class StudySection:
-    """The study kind, its seed, sink and sizes, its limit target and its tolerances."""
-
-    kind: str | None = _key(None, _choice(*_KINDS, plural="kinds"))
-    seed: int = _key(0, _whole)
-    out: str | None = _key(None, _text, null=True)
-    paths: int | None = _key(None, _count)
-    target: str | None = _key(None, _choice(*REGIMES, plural="limit regimes"), null=True)
-    tolerances: TolerancesSection = _key({}, TolerancesSection)
-    mode: int = _key(1, _whole)
-    mode_cutoff: int = _key(8, _count)
-    s: float | None = _key(None, _real, null=True)
-
-
-@dataclass(frozen=True)
-class Config:
-    """A config as parse_config returns it: one section per key of the JSON document."""
-
-    coefficients: CoefficientsSection | None = _key(None, CoefficientsSection)
-    noise: NoiseSection | None = _key(None, NoiseSection)
-    solver: SolverSection = _key({}, SolverSection)
-    study: StudySection = _key({}, StudySection)
-
-    def engine(self, c: Coefficients, eps: float, cutoff: int) -> SolverConfig:
-        """The engine's SolverConfig at eps: the given band and dt, else the study's."""
-        solver = self.solver
-        dt = _KINDS[self.study.kind].dt_of(eps) if solver.dt is None else solver.dt
-        n_modes = suggest_modes(c, eps, cutoff) if solver.n_modes is None else solver.n_modes
-        return SolverConfig(eps=eps, n_modes=n_modes, dt=dt, t_final=solver.t_final,
-                            watch=solver.watch, seed=self.study.seed,
-                            track_norm=solver.track_norm)
-
-
-def _keys(cls, name: str = "config") -> dict:
-    """Each section's keys by its name, a nested section's after its parent's."""
-    keys = {name: tuple(f.name for f in fields(cls))}
-    for f in fields(cls):
-        if isinstance(f.metadata["read"], type):
-            keys.update(_keys(f.metadata["read"], f.name))
-    return keys
-
-
-CONFIG_KEYS = _keys(Config)  # the sections of a config, then every key the studies read in each
-
-
-def _check_dt(solver: SolverSection, kind: str, horizon: float | None, dt_of) -> None:
-    """Refuse a dt above the horizon: a given dt above the given t_final, else above the
-    study's horizon if known; without a given dt, a given t_final below the study's
-    default dt, dt_of(eps), at any eps of the list.  dt_of None: the study takes no
-    time steps, and only a given dt above a given t_final is refused."""
-    dt, t_final = solver.dt, solver.t_final
-    if dt is None:
-        for eps in (solver.eps or ()) if t_final is not None and dt_of is not None else ():
-            if dt_of(eps) > t_final:
-                raise ValueError(f"solver t_final = {t_final!r} is below {dt_of(eps):g}, the "
-                                 f"{kind} study's default dt at eps = {eps:g} (the config "
-                                 "gives no solver dt)")
-        return
-    if t_final is not None:
-        if dt > t_final:
-            raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
-    elif dt_of is not None and horizon is not None and dt > horizon:
-        raise ValueError(f"solver dt = {dt!r} is above t_final = {horizon:g}, the {kind} "
-                         "study's default horizon (the config gives no solver t_final)")
-
-
-def parse_config(raw, kind: str) -> Config:
-    """raw, a JSON config, read once for the `kind` study, before any work.
-
-    Refused, each with a ValueError: a config or section that is not an object (null
-    included), a key no study reads, a value of the wrong type or out of its bound (see
-    the sections' readers), a cutoff and a noise family that do not fit (NoiseSection),
-    a section the study needs and the config lacks, the smoothed target without a
-    mollifier, a dt that does not fit the horizon (_check_dt), a noise that does not
-    build at every eps (at no eps when the config gives none), a given n_modes below
-    the band minimum (min_modes) at an eps, fewer eps than the study needs and a target
-    it does not compare with.  Returns the config with the study's defaults (_KINDS)
-    filled in; the variance study's t_final stays None until its cell solve.
-    """
-    cfg = _parse(Config, "config", raw)
-    rules = _KINDS[kind]
-    for section in rules.needs:
-        if getattr(cfg, section) is None:
-            raise ValueError(f"the {kind} study needs a {section} section; the config has none")
-    solver = cfg.solver
-    study = cfg.study
-    if study.target == "smoothed" and (cfg.noise is None or cfg.noise.mollifier is None):
-        raise ValueError("study target 'smoothed' needs a noise mollifier")
-    _check_dt(solver, kind, rules.t_final, rules.dt_of)
-    if cfg.noise is not None:
-        c = None
-        if solver.n_modes is not None and cfg.coefficients is not None:
-            c = cfg.coefficients.build()
-        for eps in solver.eps or [None]:
-            cutoff = cfg.noise.spec(eps).cutoff  # each spec a study builds, so bad values fail here
-            if c is not None and eps is not None and solver.n_modes < min_modes(c, eps, cutoff):
-                raise ValueError(f"solver n_modes = {solver.n_modes!r} is below "
-                                 f"{min_modes(c, eps, cutoff)}, the band minimum "
-                                 f"2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
-    given = 0 if solver.eps is None else len(solver.eps)
-    if given < rules.least_eps:
-        raise ValueError(f"the {kind} study needs at least {rules.least_eps} solver eps "
-                         f"value(s); the config gives {given}")
-    if study.target is not None and study.target not in rules.targets:
-        raise ValueError(f"{kind} compares with the {rules.target} limit only; "
-                         f"study target {study.target!r} is not {rules.target!r}")
-    target = rules.target if study.target is None else study.target
-    tolerances = study.tolerances
-    if tolerances.final_gap is None:
-        tolerances = replace(tolerances, final_gap=0.15 if target == "fluctuation" else 0.10)
-    study = replace(study, kind=kind, target=target, tolerances=tolerances,
-                    paths=rules.paths if study.paths is None else study.paths)
-    solver = replace(solver, watch=rules.watch(solver.watch, study),
-                     t_final=rules.t_final if solver.t_final is None else solver.t_final)
-    return replace(cfg, solver=solver, study=study)
-
-
-def build_coefficients(raw: dict) -> Coefficients:
-    """The coefficients section raw as Coefficients."""
-    return _parse(CoefficientsSection, "coefficients", raw).build()
-
-
-def build_noise(raw: dict, eps: float | None = None) -> NoiseSpec:
-    """The noise section raw's spec at eps, not yet centred."""
-    return _parse(NoiseSection, "noise", raw).spec(eps)
-
-
 def _cell(cfg: Config):
     """The config's coefficients and their cell solution."""
     c = cfg.coefficients.build()
@@ -705,15 +541,13 @@ def batch_mean_se(values) -> tuple[float, float]:
 # -- basic studies -----------------------------------------------------------------
 
 
-def run_cell_study(config: dict) -> ExperimentReport:
+def _cell_study(cfg: Config, report: ExperimentReport) -> None:
     """Cell problem summary: rho diagnostics, mu, omega.
 
     The row and the density table read what solve_cell measured for its
     contracts; the one verdict is zero flux, which no contract checks.
     """
-    cfg = parse_config(config, "cell")
     c, sol = _cell(cfg)
-    report = ExperimentReport(study="cell", config=config, seed=cfg.study.seed)
     rho_grid = sol.rho_grid
     report.rows.append({
         "mu": sol.mu,
@@ -733,18 +567,15 @@ def run_cell_study(config: dict) -> ExperimentReport:
         ["x", "rho"],
         [[float(2 * np.pi * i / rho_grid.size), float(v)] for i, v in enumerate(rho_grid)],
     )
-    return report
 
 
-def run_noise_check(config: dict) -> ExperimentReport:
+def _noise_check_study(cfg: Config, report: ExperimentReport) -> None:
     """Run the decay, tail-convergence and summability validators.
 
     The noise is built at the first solver eps when the config gives one
     (converge checks its decay assumption there too).  Their rows become
     the report's rows, and each check one verdict: all of its items passed.
     """
-    cfg = parse_config(config, "noise-check")
-    report = ExperimentReport(study="noise-check", config=config, seed=cfg.study.seed)
     spec = cfg.noise.spec(cfg.solver.eps[0] if cfg.solver.eps else None)
 
     checks = [noise_mod.check_decay(spec)]
@@ -759,23 +590,20 @@ def run_noise_check(config: dict) -> ExperimentReport:
     for rows in checks:
         report.rows.extend(rows)
         report.verdict(rows[0]["check"], all(r["passed"] for r in rows), None)
-    return report
 
 
-def run_simulate(config: dict) -> ExperimentReport:
+def _simulate_study(cfg: Config, report: ExperimentReport) -> None:
     """Sample paths of the multiscale equation at the first eps; trajectories become CSV tables.
 
     One simulate_paths call runs every path; path p's table path_{p:03d}
     holds its watched modes, and with track_norm its norm_path_{p:03d}
     holds |u|^2, both at every recorded step.
     """
-    cfg = parse_config(config, "simulate")
     eps = cfg.solver.eps[0]
     c, cell = _cell(cfg)
     n_paths = cfg.study.paths
     spec = _driving_noise(cfg, eps, cell)
     sc = cfg.engine(c, eps, spec.cutoff)
-    report = ExperimentReport(study="simulate", config=config, seed=cfg.study.seed)
     out = simulate_paths(c, spec, sc, n_paths)
     for p in range(n_paths):
         report.tables[f"path_{p:03d}"] = (["t", "m", "re", "im"], [
@@ -788,13 +616,12 @@ def run_simulate(config: dict) -> ExperimentReport:
                         "n_modes": sc.n_modes, "cutoff": spec.cutoff,
                         "steps": sc.n_steps})
     report.notes.append("trajectory CSVs: one file per path, columns (t, m, re, im)")
-    return report
 
 
 # -- convergence study ---------------------------------------------------------------
 
 
-def run_coupling_convergence(config: dict) -> ExperimentReport:
+def _converge_study(cfg: Config, report: ExperimentReport) -> None:
     """Pathwise comparison of u_eps with its homogenised limit as eps shrinks.
 
     For each eps the engine steps u_eps and its limit by their exact
@@ -803,7 +630,6 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     error is fitted against eps to produce the empirical rate theta.  The
     limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
     """
-    cfg = parse_config(config, "converge")
     study = cfg.study
     eps_list = cfg.solver.eps
     mode_cutoff = study.mode_cutoff
@@ -814,7 +640,6 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     c, cell = _cell(cfg)
     alpha = 0.0 if cfg.noise.alpha is None else cfg.noise.alpha
     s = max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5 if study.s is None else study.s
-    report = ExperimentReport(study="converge", config=config, seed=study.seed)
     report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
     for eps in eps_list:
@@ -836,7 +661,7 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
     if max(errors) <= ERROR_FLOOR:
         report.notes.append("errors at the discretisation floor; rate fit skipped")
         report.verdict("errors at floor (degenerate noise)", True, max(errors))
-        return report
+        return
 
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     report.verdict("errors strictly decreasing in eps", decreasing, errors[-1])
@@ -849,13 +674,12 @@ def run_coupling_convergence(config: dict) -> ExperimentReport:
                    report.fit["theta"], tol.theta_min)
     report.verdict("rate fit R^2", report.fit["r_squared"] >= tol.r2_min,
                    report.fit["r_squared"], tol.r2_min)
-    return report
 
 
 # -- variance study -------------------------------------------------------------------
 
 
-def run_variance_study(config: dict) -> ExperimentReport:
+def _variance_study(cfg: Config, report: ExperimentReport) -> None:
     """Exact mode variances against the limiting OU prediction.
 
     Variances of <u_eps(T), e_m> come from the block Lyapunov equations
@@ -867,7 +691,6 @@ def run_variance_study(config: dict) -> ExperimentReport:
     measured variance is rescaled by eps^(-2 alpha) and the noise must be
     centred.
     """
-    cfg = parse_config(config, "variance")
     c, cell = _cell(cfg)
     if cfg.solver.t_final is None:  # the default horizon 3 / mu is known only now
         _check_dt(cfg.solver, "variance", 3.0 / cell.mu, _variance_dt)
@@ -876,7 +699,7 @@ def run_variance_study(config: dict) -> ExperimentReport:
     watch = cfg.solver.watch
     target = cfg.study.target
     final_tol = cfg.study.tolerances.final_gap
-    report = ExperimentReport(study=f"variance-{target}", config=config, seed=cfg.study.seed)
+    report.study = f"variance-{target}"
 
     for eps in eps_list:
         spec = _driving_noise(cfg, eps, cell)
@@ -926,7 +749,6 @@ def run_variance_study(config: dict) -> ExperimentReport:
         report.verdict("variance enhancement over the classical prediction",
                        measured / classical >= factor_needed, measured / classical,
                        factor_needed)
-    return report
 
 
 # -- semigroup remainder study ---------------------------------------------------------
@@ -950,7 +772,7 @@ def _fit_log_decay(ts: np.ndarray, values: np.ndarray) -> float:
     return -slope
 
 
-def run_semigroup_study(config: dict) -> ExperimentReport:
+def _semigroup_study(cfg: Config, report: ExperimentReport) -> None:
     """Scaling of the slow-mode approximation remainder of the adjoint flow.
 
     Evolving e_m under the adjoint multiscale flow and subtracting the
@@ -964,7 +786,6 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     and the exponent fit needs at least two eps; both are checked before
     the cell solve.
     """
-    cfg = parse_config(config, "semigroup")
     eps_list = cfg.solver.eps
     t_final = cfg.solver.t_final
     m = cfg.study.mode
@@ -972,7 +793,6 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     c, cell = _cell(cfg)
     tol = cfg.study.tolerances
     omega = spectral_gap(c)
-    report = ExperimentReport(study="semigroup", config=config, seed=cfg.study.seed)
 
     offsets = np.arange(-cell_mod.CLASS_OFFSETS, cell_mod.CLASS_OFFSETS + 1)
     pattern = np.array([cell.rho.coeff(int(j)) for j in offsets], dtype=complex)
@@ -1014,25 +834,166 @@ def run_semigroup_study(config: dict) -> ExperimentReport:
     rel = abs(bl_rate - omega) / omega
     report.verdict("boundary-layer rate matches the spectral gap", rel <= rate_rtol,
                    rel, rate_rtol)
-    return report
 
 
-# -- dispatch ---------------------------------------------------------------------------
+# -- the study kinds: their rules and runners, and the one entry point ----------------
 
 
-STUDIES = {
-    "cell": run_cell_study,
-    "noise-check": run_noise_check,
-    "simulate": run_simulate,
-    "converge": run_coupling_convergence,
-    "variance": run_variance_study,
-    "semigroup": run_semigroup_study,
-}  # study kind -> runner; the command line has one subcommand per kind
+@dataclass(frozen=True)
+class _Kind:
+    """One study kind: its runner, what it reads, and what it takes for the keys a config
+    leaves out."""
+
+    run: Callable[[Config, ExperimentReport], None]  # fills the report from the parsed config
+    needs: tuple[str, ...]  # the sections it reads
+    least_eps: int = 0  # the fewest solver eps it runs on
+    paths: int | None = None  # study paths
+    t_final: float | None = 1.0  # solver t_final; None: 3 / mu, known after the cell solve
+    dt_of: Callable[[float], float] | None = None  # solver dt at eps; None: takes no steps
+    watch: Callable = lambda given, study: given  # solver watch, from the given one and study
+    target: str | None = None  # study target
+    targets: tuple[str, ...] = REGIMES  # the targets it compares with
 
 
-def run_study(config: dict) -> ExperimentReport:
-    """The report of the study that the config's study kind names."""
-    kind = _parse(Config, "config", config).study.kind
+_KINDS = {  # the command line has one subcommand per kind
+    "cell": _Kind(_cell_study, ("coefficients",)),
+    "noise-check": _Kind(_noise_check_study, ("noise",)),
+    "simulate": _Kind(_simulate_study, ("coefficients", "noise"), 1, paths=2,
+                      dt_of=default_dt, watch=lambda given, study: given or (1,)),
+    "converge": _Kind(_converge_study, ("coefficients", "noise"), 3, paths=200,
+                      dt_of=default_dt,
+                      watch=lambda given, study: tuple(range(1, study.mode_cutoff + 1)),
+                      target="averaged", targets=("averaged",)),
+    "variance": _Kind(_variance_study, ("coefficients", "noise"), 1, t_final=None,
+                      dt_of=_variance_dt,
+                      watch=lambda given, study: given or (study.mode,), target="enhanced"),
+    "semigroup": _Kind(_semigroup_study, ("coefficients",), 2),
+}
+
+
+@dataclass(frozen=True)
+class StudySection:
+    """The study kind, its seed, sink and sizes, its limit target and its tolerances."""
+
+    kind: str | None = _key(None, _choice(*_KINDS, plural="kinds"))
+    seed: int = _key(0, _whole)
+    out: str | None = _key(None, _text, null=True)
+    paths: int | None = _key(None, _count)
+    target: str | None = _key(None, _choice(*REGIMES, plural="limit regimes"), null=True)
+    tolerances: TolerancesSection = _key({}, TolerancesSection)
+    mode: int = _key(1, _whole)
+    mode_cutoff: int = _key(8, _count)
+    s: float | None = _key(None, _real, null=True)
+
+
+@dataclass(frozen=True)
+class Config:
+    """A config as parse_config returns it: one section per key of the JSON document."""
+
+    coefficients: CoefficientsSection | None = _key(None, CoefficientsSection)
+    noise: NoiseSection | None = _key(None, NoiseSection)
+    solver: SolverSection = _key({}, SolverSection)
+    study: StudySection = _key({}, StudySection)
+
+    def engine(self, c: Coefficients, eps: float, cutoff: int) -> SolverConfig:
+        """The engine's SolverConfig at eps: the given band and dt, else the study's."""
+        solver = self.solver
+        dt = _KINDS[self.study.kind].dt_of(eps) if solver.dt is None else solver.dt
+        n_modes = suggest_modes(c, eps, cutoff) if solver.n_modes is None else solver.n_modes
+        return SolverConfig(eps=eps, n_modes=n_modes, dt=dt, t_final=solver.t_final,
+                            watch=solver.watch, seed=self.study.seed,
+                            track_norm=solver.track_norm)
+
+
+def _check_dt(solver: SolverSection, kind: str, horizon: float | None, dt_of) -> None:
+    """Refuse a dt above the horizon: a given dt above the given t_final, else above the
+    study's horizon if known; without a given dt, a given t_final below the study's
+    default dt, dt_of(eps), at any eps of the list.  dt_of None: the study takes no
+    time steps, and only a given dt above a given t_final is refused."""
+    dt, t_final = solver.dt, solver.t_final
+    if dt is None:
+        for eps in (solver.eps or ()) if t_final is not None and dt_of is not None else ():
+            if dt_of(eps) > t_final:
+                raise ValueError(f"solver t_final = {t_final!r} is below {dt_of(eps):g}, the "
+                                 f"{kind} study's default dt at eps = {eps:g} (the config "
+                                 "gives no solver dt)")
+        return
+    if t_final is not None:
+        if dt > t_final:
+            raise ValueError(f"solver dt = {dt!r} is above solver t_final = {t_final!r}")
+    elif dt_of is not None and horizon is not None and dt > horizon:
+        raise ValueError(f"solver dt = {dt!r} is above t_final = {horizon:g}, the {kind} "
+                         "study's default horizon (the config gives no solver t_final)")
+
+
+def parse_config(raw) -> Config:
+    """raw, a JSON config, read once for the study its study kind names, before any work.
+
+    Refused, each with a ValueError: a config or section that is not an object (null
+    included), a key no study reads, a value of the wrong type or out of its bound (see
+    the sections' readers), a missing study kind, a cutoff and a noise family that do
+    not fit (NoiseSection), a section the study needs and the config lacks, track_norm
+    for any study but simulate, a solver watch for converge (it watches 1 .. study
+    mode_cutoff), the smoothed target without a mollifier, a dt that does not fit the
+    horizon (_check_dt), a noise that does not build, or drives nothing (NoiseSpec), at
+    every eps (at no eps when the config gives none), a given n_modes below the band
+    minimum (min_modes) at an eps, fewer eps than the study needs and a target it does
+    not compare with.  Returns the config with the study's defaults (_KINDS) filled in;
+    the variance study's t_final stays None until its cell solve.
+    """
+    cfg = _parse(Config, "config", raw)
+    kind = cfg.study.kind
     if kind is None:
-        raise ValueError(f"study kind is missing; the kinds are {', '.join(STUDIES)}")
-    return STUDIES[kind](config)
+        raise ValueError(f"study kind is missing; the kinds are {', '.join(_KINDS)}")
+    rules = _KINDS[kind]
+    for section in rules.needs:
+        if getattr(cfg, section) is None:
+            raise ValueError(f"the {kind} study needs a {section} section; the config has none")
+    solver = cfg.solver
+    study = cfg.study
+    if solver.track_norm and kind != "simulate":
+        raise ValueError(f"solver track_norm = true: only the simulate study reads |u|^2, "
+                         f"not the {kind} study")
+    if kind == "converge" and solver.watch is not None:
+        raise ValueError(f"solver watch = {list(solver.watch)}: the converge study watches "
+                         f"modes 1 .. study mode_cutoff = {study.mode_cutoff}; give "
+                         "study mode_cutoff instead")
+    if study.target == "smoothed" and (cfg.noise is None or cfg.noise.mollifier is None):
+        raise ValueError("study target 'smoothed' needs a noise mollifier")
+    _check_dt(solver, kind, rules.t_final, rules.dt_of)
+    if cfg.noise is not None:
+        c = None
+        if solver.n_modes is not None and cfg.coefficients is not None:
+            c = cfg.coefficients.build()
+        for eps in solver.eps or [None]:
+            cutoff = cfg.noise.spec(eps).cutoff  # each spec a study builds, so bad values fail here
+            if c is not None and eps is not None and solver.n_modes < min_modes(c, eps, cutoff):
+                raise ValueError(f"solver n_modes = {solver.n_modes!r} is below "
+                                 f"{min_modes(c, eps, cutoff)}, the band minimum "
+                                 f"2 (1/eps) (J + 1) + 2 cutoff at eps = {eps:g}")
+    given = 0 if solver.eps is None else len(solver.eps)
+    if given < rules.least_eps:
+        raise ValueError(f"the {kind} study needs at least {rules.least_eps} solver eps "
+                         f"value(s); the config gives {given}")
+    if study.target is not None and study.target not in rules.targets:
+        raise ValueError(f"{kind} compares with the {rules.target} limit only; "
+                         f"study target {study.target!r} is not {rules.target!r}")
+    target = rules.target if study.target is None else study.target
+    tolerances = study.tolerances
+    if tolerances.final_gap is None:
+        tolerances = replace(tolerances, final_gap=0.15 if target == "fluctuation" else 0.10)
+    study = replace(study, target=target, tolerances=tolerances,
+                    paths=rules.paths if study.paths is None else study.paths)
+    solver = replace(solver, watch=rules.watch(solver.watch, study),
+                     t_final=rules.t_final if solver.t_final is None else solver.t_final)
+    return replace(cfg, solver=solver, study=study)
+
+
+def run_study(raw: dict) -> ExperimentReport:
+    """The report of the study that raw's study kind names: raw is parsed once
+    (parse_config), and the kind's runner fills the report, which keeps raw as its
+    provenance."""
+    cfg = parse_config(raw)
+    report = ExperimentReport(study=cfg.study.kind, config=raw, seed=cfg.study.seed)
+    _KINDS[cfg.study.kind].run(cfg, report)
+    return report

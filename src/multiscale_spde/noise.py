@@ -70,7 +70,8 @@ class NoiseSpec:
     for the power family, of q_k itself for the others.  ``eta`` weights
     the summability check of |q_k - tail|_{H1}.  ``mollifier`` is an
     optional smooth symbol phi with phi(0) = 1 used by the smoothed
-    limit coefficient.
+    limit coefficient.  A spec whose every q_k with |k| <= cutoff
+    vanishes (L2 norm below 1e-14) drives nothing and is refused.
     """
 
     def __init__(self, family: str, cutoff: int, *, alpha: float = 0.0,
@@ -93,6 +94,9 @@ class NoiseSpec:
         self.eta = float(eta)
         self.mollifier = mollifier
         self.label = label or family
+        if not any(l2_norm(self.profile(k)) >= 1e-14 for k in range(self.cutoff + 1)):
+            raise ValueError(f"noise {self.label} drives nothing: every profile q_k with "
+                             f"|k| <= {self.cutoff} vanishes")
 
     # -- constructors ------------------------------------------------------
 
@@ -152,19 +156,13 @@ class NoiseSpec:
 
     def centered(self, rho: SpectralField) -> "NoiseSpec":
         """Same family with every profile centred against rho: <q_k, rho> = 0."""
-        if self.family == "white":
-            raise ValueError("the white family centres to zero; nothing left to drive")
-
         def center(f: SpectralField | None) -> SpectralField | None:
             if f is None:
                 return None
             return f - SpectralField.constant(inner_product(f, rho).real, 2)
 
-        tail = center(self.tail)
-        if self.family == "power" and l2_norm(tail) < 1e-14:
-            raise ValueError("centred profile vanishes; nothing left to drive")
         table = None if self.table is None else {k: center(f) for k, f in self.table.items()}
-        return NoiseSpec(self.family, self.cutoff, alpha=self.alpha, tail=tail,
+        return NoiseSpec(self.family, self.cutoff, alpha=self.alpha, tail=center(self.tail),
                          tail_rate=self.tail_rate, ripple=center(self.ripple), table=table,
                          eta=self.eta, mollifier=self.mollifier,
                          label=self.label + "+centred")

@@ -10,10 +10,11 @@ Gaussian of covariance Q(dt), P = e^{A dt} and Q(dt) the Van Loan
 covariance of one step.  No step is an approximation,
 so dt only sets the time grid a path is recorded on.  The averaged limit
 rides along as a difference coordinate, and only residues 0 .. r/2 are
-evolved: the others are their conjugates.  The engine advances a block
-of B steps per product and reads only what it records, a class's
-observed rows after each step and its state at the block's end, each
-coordinate once: the observed rows lead the state, so a block outputs
+evolved, the others being their conjugates: all of them when |u|^2 is
+tracked, else only those a watched mode is read in.  The engine
+advances a block of B steps per product and reads only what it records,
+a class's observed rows after each step and its state at the block's
+end, each coordinate once: the observed rows lead the state, so a block outputs
 them after every step and then the state's other coordinates, and its
 last n outputs are the state.  Given the state at the block's start,
 those are a linear map of it plus a Gaussian of the block's joint
@@ -422,14 +423,14 @@ def _block_law(p: np.ndarray, q: np.ndarray, o: int, length: int) -> tuple:
 class _ClassPlan:
     """One class's exact transition on real coordinates, built once per run.
 
-    The state is [x; delta] (_transition).  With a model, each watched
-    row carries its difference coordinate delta = x_row - l, and a
-    self-conjugate class (2 residue = 0 mod r) carries the mirror row's
-    too, so its state stays conjugate-symmetric; limits holds the
-    (row, driven column, rate, coeff) of each, sorted by row, so the
-    layout depends on the set of evolved rows alone, not on the order or
-    the sign of the watched modes.  delta maps each such row to its
-    difference coordinate.
+    reads holds (m, row, conj) of each mode read in the class, in watch
+    order: mode m is the class's row, conjugated when conj.  The state is
+    [x; delta] (_transition).  With a model, each read row carries its
+    difference coordinate delta = x_row - l, and a self-conjugate class
+    (2 residue = 0 mod r) carries the mirror row's too, so its state stays
+    conjugate-symmetric; limits holds the (row, driven column, rate,
+    coeff) of each, sorted by row, so the layout depends on the set of
+    read rows alone, not on the order or the sign of the watched modes.
 
     A self-conjugate class is carried in the cos/sin coordinates of its
     conjugate pairs k <-> -k, so mode 0 is real and x_-k = conj x_k by
@@ -437,38 +438,37 @@ class _ClassPlan:
     conjugate class is its mirror (_real_form on the pair of them).  One
     step is y <- P y plus a Gaussian of covariance Q(dt), whose PSD
     contract (_spectrum) is checked here.  The complex coordinates read
-    after every step are every one (every_row), else the differences
-    (with a model), else the watched rows; the o real coordinates they
-    hold are put first, in their order, and the others after them, in
-    theirs, so C y = y[:o].  coords holds (cos, sin, sgn) of each complex
-    coordinate i, X_i = y[cos_i] + 1j sgn_i y[sin_i]; an observed one has
-    cos_i, sin_i < o, so value and power read it straight from the
-    observed rows; weight, 1 for a real and 2 for a paired observed row,
-    comes from the same permuted indices.
+    after every step are every one with track_norm, else the read rows'
+    differences (with a model) or the read rows themselves; the o real
+    coordinates they hold are put first, in their order, and the others
+    after them, in theirs, so C y = y[:o].  self.reads holds (m, c, s,
+    sgn) of each read: mode m is obs[..., c] + 1j sgn obs[..., s] of the
+    observed rows obs, with the conjugation folded into sgn, and obs[...,
+    c] alone when sgn = 0 (a real coordinate).  weight, 1 for a real and 2
+    for a paired observed row, sums |X|^2 over the class and its conjugate
+    class.
 
     The engine advances blocks of `length` = B = clip(round(n / o), 1,
-    MAX_BLOCK_STEPS) steps (MAX_BLOCK_STEPS when o = 0), at most n_steps,
-    for n real coordinates, and reads only the block's B o + n - o
-    outputs, every coordinate once: C y_i after each step i, then the
-    other n - o coordinates of y_B, so y_B is the last n.  They are a
-    mean map of y_0 plus a Gaussian of covariance G, both from
-    _block_law.  f is G's eigen-factor (_factor), whose r = rank G <= B o
-    + n - o columns are the normals a block draws; an every_row plan has
-    B = 1 and o = n, so it outputs y_1 alone, its G is Q(dt) and r = rank
-    Q(dt).  map_t is [mean map | f]
+    MAX_BLOCK_STEPS) steps, at most n_steps, for n real coordinates, and
+    reads only the block's B o + n - o outputs, every coordinate once: C
+    y_i after each step i, then the other n - o coordinates of y_B, so y_B
+    is the last n.  They are a mean map of y_0 plus a Gaussian of
+    covariance G, both from _block_law.  f is G's eigen-factor (_factor),
+    whose r = rank G <= B o + n - o columns are the normals a block draws;
+    a plan that observes every row has B = 1 and o = n, so it outputs y_1
+    alone, its G is Q(dt) and r = rank Q(dt).  map_t is [mean map | f]
     transposed, the right factor of the engine's (paths x [y_0; w])
-    products.  The class runs in chunks of `chunk`
-    steps, a whole number of blocks of about CHUNK_NORMALS normals, at
-    most n_steps rounded up to whole blocks; the last block of a run may
-    pass n_steps, and its extra outputs are dropped.
+    products.  The class runs in chunks of `chunk` steps, a whole number of
+    blocks of about CHUNK_NORMALS normals, at most n_steps rounded up to
+    whole blocks; the last block of a run may pass n_steps, and its extra
+    outputs are dropped.
     """
 
-    def __init__(self, op: BlockOperator, res: int, config: SolverConfig, watched: set,
-                 model: LimitModel | None, every_row: bool):
-        blk = op.blocks[res]
+    def __init__(self, blk: ClassBlock, n_cells: int, config: SolverConfig, reads: list,
+                 model: LimitModel | None):
         n_x = blk.ks.size
-        self_conjugate = (2 * res) % op.cells == 0
-        rows = set() if model is None else set(watched)
+        self_conjugate = (2 * blk.residue) % n_cells == 0
+        rows = set() if model is None else {row for _, row, _ in reads}
         if self_conjugate:
             rows |= {n_x - 1 - row for row in rows}
         self.limits = []
@@ -476,12 +476,12 @@ class _ClassPlan:
             m = int(blk.ks[row])
             col = int(np.searchsorted(blk.driven, m))
             self.limits.append((row, col, model.mu * m * m, model.coeff(m)))
-        self.delta = {row: n_x + i for i, (row, *_) in enumerate(self.limits)}
+        delta = {row: n_x + i for i, (row, *_) in enumerate(self.limits)}
         p, cov = _transition(blk, config.dt, self.limits)
         k = p.shape[0]
         if self_conjugate:
             partner = np.array([n_x - 1 - i for i in range(n_x)]
-                               + [self.delta[n_x - 1 - row] for row, *_ in self.limits])
+                               + [delta[n_x - 1 - row] for row, *_ in self.limits])
         else:
             zero = np.zeros((k, k))
             p, cov = np.block([[p, zero], [zero, p.conj()]]), np.block([[cov, zero],
@@ -489,82 +489,51 @@ class _ClassPlan:
             partner = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
         p_y, q_y, (cos, sin, sgn) = _real_form(p, cov, partner)
         self.n = p_y.shape[0]
-        seen = range(k) if every_row else range(n_x, k) if model is not None else sorted(watched)
+        at = [(m, delta.get(row, row), conj) for m, row, conj in reads]  # complex coordinates
+        seen = range(k) if config.track_norm else [i for _, i, _ in at]
         observed = np.isin(np.arange(self.n), np.concatenate([cos[seen], sin[seen]]))
         order = np.argsort(~observed, kind="stable")  # the o observed coordinates first
         self.p, q = p_y[np.ix_(order, order)], q_y[np.ix_(order, order)]
-        _spectrum(q, f"class {res}")  # G's contract does not imply Q(dt)'s when B > 1
+        _spectrum(q, f"class {blk.residue}")  # G's contract does not imply Q(dt)'s when B > 1
         slot = np.argsort(order)
-        # complex coordinate i of X is y[cos_i] + 1j sgn_i y[sin_i]; an observed one reads
-        # obs directly, its cos_i and sin_i below o
-        self.coords = (slot[cos[:k]], slot[sin[:k]], sgn[:k])
+        self.reads = [(m, int(slot[cos[i]]), int(slot[sin[i]]), int(-sgn[i] if conj else sgn[i]))
+                      for m, i, conj in at]
         self.o = int(observed.sum())
-        # |X|^2 summed over the class and its conjugate class, per observed row
         self.weight = np.where(np.isin(np.arange(self.o), slot[cos[sgn == 0]]), 1.0, 2.0)
-        self.length = min(config.n_steps, MAX_BLOCK_STEPS if self.o == 0 else
-                          int(np.clip(round(self.n / self.o), 1, MAX_BLOCK_STEPS)))
+        self.length = min(config.n_steps, int(np.clip(round(self.n / self.o), 1, MAX_BLOCK_STEPS)))
         mean, g = _block_law(self.p, q, self.o, self.length)
-        self.f = _factor(g, f"class {res} ({self.length}-step block)")
+        self.f = _factor(g, f"class {blk.residue} ({self.length}-step block)")
         self.r = self.f.shape[1]
         blocks = min(max(1, CHUNK_NORMALS // max(self.r, 1)), -(-config.n_steps // self.length))
         self.chunk = blocks * self.length
         self.map_t = np.ascontiguousarray(np.hstack([mean, self.f]).T)
 
-    def value(self, obs: np.ndarray, i: int) -> np.ndarray:
-        """Complex coordinate i from the observed rows (last axis of obs)."""
-        c, s, sgn = (int(a[i]) for a in self.coords)
-        return obs[..., c] + 1j * sgn * obs[..., s] if sgn else obs[..., c] + 0j
 
-    def power(self, obs: np.ndarray, i: int) -> np.ndarray:
-        """|X_i|^2 from the observed rows."""
-        c, s, sgn = (int(a[i]) for a in self.coords)
-        return obs[..., c] ** 2 + obs[..., s] ** 2 if sgn else obs[..., c] ** 2
+def _class_plans(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
+                 model: LimitModel | None = None) -> dict:
+    """The evolved classes' blocks and plans: residue -> _ClassPlan, in residue order.
 
-
-def _read_from(m: int, r: int) -> tuple:
-    """(mode, conj): the engine evolves residues 0 .. r/2 only, so mode m is
-    read as the mode -m, conjugated, when its residue lies above r/2."""
-    return (-m, True) if 2 * (m % r) > r else (m, False)
-
-
-def _evolved(r: int, watch, model: LimitModel | None) -> list:
-    """The residues the engine evolves: 0 .. r/2, or with a model those the
-    watched modes are read in (_read_from)."""
-    if model is None:
-        return list(range(r // 2 + 1))
-    return sorted({_read_from(m, r)[0] % r for m in watch})
-
-
-def _class_plans(op: BlockOperator, config: SolverConfig, watch,
-                 model: LimitModel | None = None, every_row: bool = False) -> tuple:
-    """The evolved classes' plans, and where each watched mode is read in them.
-
-    Returns (plans, reads): plans maps residue -> _ClassPlan in residue
-    order, and reads holds one (m, residue, coordinate, conj) per watched
-    mode, in watch order: mode m is plans[residue].value(obs, coordinate),
-    conjugated when conj.  The engine evolves residues 0 .. r/2 only; a
-    mode whose residue lies above r/2 is read as the conjugate of -m, at
-    the mirrored row of class r - residue, the row of -m (build_blocks keeps
-    every class the mirror of its conjugate class).  op needs the blocks
-    of the evolved classes (_evolved) only.
-
-    Without a model every class 0 .. r/2 is evolved, so OVERFLOW_GUARD
-    sees the whole state, and a mode is read at its own row.  With one,
-    only the watched classes are evolved, since the others never feed
-    them, and a mode is read at its difference coordinate x_m - l_m.  A
-    class's plan depends on its own evolved rows alone, not on which other
+    The engine evolves residues 0 .. r/2 only; a watched mode m whose
+    residue lies above r/2 is read as the conjugate of -m, at the row of
+    -m in class r - residue (build_blocks keeps every class the mirror of
+    its conjugate class).  With track_norm every class 0 .. r/2 is
+    evolved, since |u|^2 reads them all, and OVERFLOW_GUARD sees the whole
+    state; otherwise only the classes a watched mode is read in, since the
+    others never feed them.  With a model, a mode is read at its difference
+    coordinate x_m - l_m.  Only the evolved classes' blocks are built, and
+    a class's plan depends on its own reads alone, not on which other
     classes are evolved.
     """
-    watched, found = {}, []
-    for m, _, _ in _watch_lookup(op, watch):  # raises if m lies outside the band
-        source, conj = _read_from(m, op.cells)
-        [(_, res, row)] = _watch_lookup(op, [source])
-        watched.setdefault(res, set()).add(row)
-        found.append((m, res, row, conj))
-    plans = {res: _ClassPlan(op, res, config, watched.get(res, set()), model, every_row)
-             for res in _evolved(op.cells, watch, model)}
-    return plans, [(m, res, plans[res].delta.get(row, row), conj)
-                   for m, res, row, conj in found]
+    r = cells(config.eps)
+    sources = [-m if 2 * (m % r) > r else m for m in config.watch]
+    evolved = range(r // 2 + 1) if config.track_norm else sorted({m % r for m in sources})
+    op = build_blocks(c, spec, config, evolved)
+    _watch_lookup(op, config.watch)  # raises if a watched mode lies outside the band
+    reads = {}
+    for m, (source, res, row) in zip(config.watch, _watch_lookup(op, sources)):
+        reads.setdefault(res, []).append((m, row, source != m))
+    return {res: _ClassPlan(op.blocks[res], r, config, reads.get(res, []), model)
+            for res in evolved}
 
 
 def _engine(plans: dict, config: SolverConfig, path_indices):
@@ -582,7 +551,7 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     (wiener_streams), about 1.5 us a stream, and builds each class's
     generators when the class starts.  Each block writes its length o +
     n - o outputs (_block_law) into obs, whose last n are the state it
-    copies back into buf.  Yields (residue, first step,
+    copies back into buf.  Yields (plan, first step,
     count, obs) once per chunk of `count` steps, obs of shape (paths,
     count, o); a block that passes n_steps has its extra rows
     dropped.  The buffers are reused, so
@@ -605,7 +574,7 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     n_paths = len(path_indices)
     rows = -(-n_paths // PATH_GROUP) * PATH_GROUP
     streams = wiener_streams(config.seed, path_indices, plans)  # one seeding pass per run
-    for (res, plan), gens in zip(plans.items(), streams):
+    for plan, gens in zip(plans.values(), streams):
         n, r, o, length = plan.n, plan.r, plan.o, plan.length
         # [state slot | the chunk's normals]: block b reads y_0 at b*r, over
         # normals already consumed, then its own r normals w_b
@@ -633,7 +602,7 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
                                        f"t = {(first + (b + 1) * length) * config.dt:g}")
                 at = (b + 1) * r if b + 1 < count else 0
                 buf[:, at : at + n] = state
-            yield res, first, m, obs[:n_paths, : m * o].reshape(n_paths, m, o)
+            yield plan, first, m, obs[:n_paths, : m * o].reshape(n_paths, m, o)
 
 
 def _workers() -> int:
@@ -645,34 +614,29 @@ def _workers() -> int:
 
 
 def _map_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig, n_paths: int,
-               reduce_batch, model: LimitModel | None = None, every_row: bool = False) -> None:
+               reduce_batch, model: LimitModel | None = None) -> None:
     """Run paths 0 .. n_paths - 1 in batches and hand each batch to reduce_batch.
 
-    The blocks of the evolved classes (_evolved) and their plans
-    (_class_plans, with model and every_row) are built once here and
-    shared by every batch.  The paths run in batches of
+    The evolved classes' blocks and plans (_class_plans) are built once
+    here and shared by every batch.  The paths run in batches of
     min(PATH_BATCH, ceil(n_paths / workers)) rounded up to whole groups of
     PATH_GROUP, so every batch starts at a multiple of PATH_GROUP, mapped
     over a pool of min(workers, batches) threads (_workers counts the
     usable CPUs) that lives for this call.  reduce_batch(idx, chunks) gets
     the batch's path indices, a range, and the engine's chunks for them
-    (_engine), each as (plan, reads, first, count, obs) with reads the
-    (m, coordinate, conj) of the watched modes read in plan's class; it
-    owns its buffers and writes only the rows idx of its outputs, so
-    batches share nothing writable.  The draws and the products release
+    (_engine), each as (plan, first, count, obs); it owns its buffers and
+    writes only the rows idx of its outputs, so batches share nothing
+    writable.  The draws and the products release
     the GIL.  Path p's values depend on neither the worker count,
     PATH_BATCH nor n_paths (_engine), so within one NumPy/BLAS build every
     result is bit for bit the same on any number of cores.  An exception in any batch
     (UnstableStep, say) reaches the caller once every running batch has
     stopped; batches not yet started are cancelled.
     """
-    op = build_blocks(c, spec, config, _evolved(cells(config.eps), config.watch, model))
-    plans, reads = _class_plans(op, config, config.watch, model, every_row)
-    by_class = {res: [(m, i, conj) for m, r, i, conj in reads if r == res] for res in plans}
+    plans = _class_plans(c, spec, config, model)
 
     def run_batch(idx: range) -> None:
-        reduce_batch(idx, ((plans[res], by_class[res], first, count, obs)
-                           for res, first, count, obs in _engine(plans, config, idx)))
+        reduce_batch(idx, _engine(plans, config, idx))
 
     workers = _workers()
     size = max(1, min(PATH_BATCH, -(-n_paths // workers)))
@@ -686,11 +650,12 @@ def simulate_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
                    n_paths: int) -> PathOutput:
     """Sample paths 0 .. n_paths - 1 of the multiscale equation from u = 0.
 
-    Every class with residue 0 .. r/2 is evolved by its exact transition
-    (_class_plans); the classes above r/2 are their conjugates, so the
-    field is real by construction.  Only watched rows are observed unless
-    track_norm asks for |u|^2, which observes every coordinate and counts
-    each paired class twice, once for its conjugate.  The paths run in
+    Each evolved class is stepped by its exact transition (_class_plans):
+    the classes the watched modes are read in, or with track_norm, which
+    asks for |u|^2, every class with residue 0 .. r/2, observing every
+    coordinate and counting each paired class twice, once for its
+    conjugate.  The classes above r/2 are their conjugates, so the field
+    is real by construction.  The paths run in
     batches on one thread per usable CPU (_map_paths); in each batch the
     classes run one after another (_engine), each filling its own watched
     modes and adding its share of |u|^2 at every recorded step.
@@ -700,15 +665,15 @@ def simulate_paths(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     norm2 = np.zeros((n_paths, n_rec)) if config.track_norm else None
 
     def reduce_batch(idx: range, chunks) -> None:
-        for plan, reads, first, count, obs in chunks:
+        for plan, first, count, obs in chunks:
             at = (slice(idx.start, idx.stop), slice(first + 1, first + 1 + count))
-            for m, i, conj in reads:
-                value = plan.value(obs, i)
-                trajs[m][at] = value.conj() if conj else value
+            for m, re, im, sgn in plan.reads:
+                value = obs[..., re] + 1j * sgn * obs[..., im] if sgn else obs[..., re] + 0j
+                trajs[m][at] = value
             if norm2 is not None:
                 norm2[at] += obs ** 2 @ plan.weight
 
-    _map_paths(c, spec, config, n_paths, reduce_batch, every_row=config.track_norm)
+    _map_paths(c, spec, config, n_paths, reduce_batch)
     return PathOutput(times=np.arange(n_rec) * config.dt, modes=trajs, norm_squared=norm2)
 
 
@@ -724,7 +689,8 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     exact joint Gaussian transition, so dt only sets the time grid the sup
     is taken on.  Only the classes of watched modes are evolved
     (_class_plans); a mode whose residue lies above r/2 is read from its
-    conjugate -m, with |delta_-m| = |delta_m|.  Returns path
+    conjugate -m, with |delta_-m| = |delta_m|.  A config with track_norm is
+    refused: no |u|^2 is read here.  Returns path
     arrays under "full", and under "half_modes" and "coarse_grid" the same
     statistic with the mode sum cut at half the watch range and with the
     time grid thinned by two, so the proxy's truncation effects can be
@@ -739,15 +705,18 @@ def coupled_sup_errors(c: Coefficients, spec: NoiseSpec, config: SolverConfig,
     one batch per thread at a time: 128 KB for 32 paths of 250 steps, 2 MB
     for 64 paths of 2,048 steps (eps = 1/32, t_final = 1).
     """
+    if config.track_norm:
+        raise ValueError("coupled_sup_errors reads no |u|^2; give a config without track_norm")
     require_driven(config.eps, spec.cutoff, config.watch)
     half_cut = max(abs(m) for m in config.watch) // 2
     sups = {key: np.zeros(n_paths) for key in ("full", "half_modes", "coarse_grid")}
 
     def reduce_batch(idx: range, chunks) -> None:
         full, half = np.zeros((2, len(idx), config.n_steps))
-        for plan, reads, first, count, obs in chunks:
-            for m, i, _ in reads:
-                term = (1.0 + m * m) ** (-s) * plan.power(obs, i)
+        for plan, first, count, obs in chunks:
+            for m, re, im, sgn in plan.reads:
+                power = obs[..., re] ** 2 + obs[..., im] ** 2 if sgn else obs[..., re] ** 2
+                term = (1.0 + m * m) ** (-s) * power
                 for total in (full, half) if abs(m) <= half_cut else (full,):
                     total[:, first : first + count] += term
         # column j holds the state after step j + 1: odd columns are the grid thinned by two

@@ -5,6 +5,7 @@ when run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,7 @@ import scipy.linalg as sla
 from scipy.special import iv
 
 from multiscale_spde.cell import Coefficients, diffusivity_from_decay, solve_cell
-from multiscale_spde.experiments import (
-    run_coupling_convergence,
-    run_semigroup_study,
-    run_study,
-    run_variance_study,
-)
+from multiscale_spde.experiments import run_study
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
 from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_variance
 from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series
@@ -30,6 +26,7 @@ from multiscale_spde.solver import (
     suggest_modes,
 )
 from test_noise import drawn
+from test_solver import plan_coords
 
 I0_2, I0_4 = iv(0, 2.0), iv(0, 4.0)
 
@@ -104,7 +101,7 @@ def test_criterion2_mode_scaling(mu_hats):
 
 @pytest.fixture(scope="module")
 def enhancement_report():
-    return run_variance_study({
+    return run_study({
         "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
         "noise": {"family": "white", "cutoff_factor": 8.0},
         "solver": {"eps": [0.25, 0.125, 0.0625], "watch": [1]},
@@ -151,7 +148,7 @@ def test_criterion4_coupling_convergence():
                   "tolerances": {"theta_min": 0.3, "r2_min": 0.9}},
     }
     start = time.perf_counter()
-    report = run_coupling_convergence(config)
+    report = run_study(config)
     elapsed = time.perf_counter() - start
 
     errors = [r["error"] for r in report.rows]
@@ -177,7 +174,7 @@ def test_criterion5_scaled_variance():
         "study": {"kind": "variance", "target": "fluctuation", "seed": 1,
                   "tolerances": {"final_gap": 0.15}},
     }
-    report = run_variance_study(config)
+    report = run_study(config)
     gaps = [r["rel_gap"] for r in report.rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     check("5a scaled gaps decrease", monotone,
@@ -215,7 +212,7 @@ def test_criterion7_semigroup_remainder():
         "study": {"kind": "semigroup", "seed": 1, "mode": 1,
                   "tolerances": {"exponent_range": [0.8, 1.2], "bl_rate_rtol": 0.10}},
     }
-    report = run_semigroup_study(config)
+    report = run_study(config)
     exponent = report.fit["exponent"]
     check("7a remainder exponent", 0.8 <= exponent <= 1.2,
           f"exponent = {exponent:.3f} (range [0.8, 1.2])")
@@ -228,7 +225,7 @@ def test_criterion7_semigroup_remainder():
 def test_criterion7b_rate_across_amplitudes(amplitude):
     """The boundary-layer rate, fitted in L^2(1/rho), meets omega to 1% up
     to A = 3, where the next eigenvalue is only 1.7 omega away."""
-    report = run_semigroup_study({
+    report = run_study({
         "coefficients": {"name": "cosine-potential", "amplitude": amplitude},
         "solver": {"eps": [0.125, 0.0625, 0.03125], "t_final": 1.0},
         "study": {"kind": "semigroup", "seed": 1, "mode": 1},
@@ -296,64 +293,67 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
     vl = sla.expm(big * dt)
     q_dense = vl[:n, n:] @ vl[:n, :n].conj().T
 
-    # the engine's classes (residues 0 .. r/2) and their maps X = U y on the dense band
+    # the engine's classes and their maps X = U y on the dense band: with track_norm every
+    # class 0 .. r/2, the others their conjugates, and without it the watched classes
     op = build_blocks(cosine, spec, cfg)
-    plans, reads = solver._class_plans(op, cfg, cfg.watch)
-    every, _ = solver._class_plans(op, cfg, cfg.watch, every_row=True)
+    plans = solver._class_plans(cosine, spec, cfg)
+    every = solver._class_plans(cosine, spec, replace(cfg, track_norm=True))
+    assert sorted(plans) == [1, 2] and sorted(every) == [0, 1, 2]
     q_blocks = np.zeros((n, n), dtype=complex)
     worst = g_gap = 0.0
 
-    def coordinate_map(plan, size):
+    def coordinate_map(plan, res):
         """U with X = U y: the plan's real coordinates y, its observed ones first."""
-        cos, sin, sgn = plan.coords
+        size = op.blocks[res].ks.size
+        cos, sin, sgn = plan_coords(plan, op.blocks[res], op.cells)
         u = np.zeros((size, plan.n), dtype=complex)
-        u[np.arange(size), cos] += 1.0
-        u[np.arange(size), sin] += 1j * sgn
+        u[np.arange(size), cos[:size]] += 1.0
+        u[np.arange(size), sin[:size]] += 1j * sgn[:size]
         return u
+
+    for res, plan in every.items():
+        ks = op.blocks[res].ks
+        u_every = coordinate_map(plan, res)
+        q_class = u_every @ plan.f @ plan.f.T @ u_every.conj().T
+        q_blocks[np.ix_(ks + n // 2, ks + n // 2)] = q_class
+        if (2 * res) % op.cells != 0:  # the conjugate class: X_-k = conj X_k
+            q_blocks[np.ix_(n // 2 - ks, n // 2 - ks)] = q_class.conj()
 
     for res, plan in plans.items():
         ks = op.blocks[res].ks
-        u = coordinate_map(plan, ks.size)
-        u_every = coordinate_map(every[res], ks.size)
-        q_class = u_every @ every[res].f @ every[res].f.T @ u_every.conj().T
-        q_blocks[np.ix_(ks + n // 2, ks + n // 2)] = q_class
-        mirror = (2 * res) % op.cells != 0  # the conjugate class: X_-k = conj X_k
-        if mirror:
-            q_blocks[np.ix_(n // 2 - ks, n // 2 - ks)] = q_class.conj()
+        u = coordinate_map(plan, res)
+        mirror = (2 * res) % op.cells != 0
 
-        # complex outputs of a block: the observed coordinates after each step, then U y_B,
-        # y_B the last n real outputs
-        length, o = plan.length, plan.o
-        observed = sorted({coord for _, r, coord, _ in reads if r == res})
-        outputs = np.zeros((length * len(observed) + ks.size, length * o + plan.n - o),
+        # complex outputs of a block: each mode read in the class after each step, its
+        # conjugation folded into the read's sign, then U y_B, y_B the last n real outputs
+        length, o, reads = plan.length, plan.o, plan.reads
+        outputs = np.zeros((length * len(reads) + ks.size, length * o + plan.n - o),
                            dtype=complex)
-        cos, sin, sgn = plan.coords
         for i in range(length):
-            for a, k in enumerate(observed):
-                outputs[i * len(observed) + a, i * o + cos[k]] += 1.0
-                outputs[i * len(observed) + a, i * o + sin[k]] += 1j * sgn[k]
-        outputs[length * len(observed):, (length - 1) * o:] = u
+            for a, (_, re, im, sgn) in enumerate(reads):
+                outputs[i * len(reads) + a, i * o + re] += 1.0
+                outputs[i * len(reads) + a, i * o + im] += 1j * sgn
+        outputs[length * len(reads):, (length - 1) * o:] = u
         mapped = outputs @ plan.f
 
-        idx = ks[observed] + n // 2
-        joint = np.zeros((length * len(observed) + ks.size,) * 2, dtype=complex)
+        idx = [m + n // 2 for m, *_ in reads]
+        joint = np.zeros((length * len(reads) + ks.size,) * 2, dtype=complex)
         s_i, cross = np.zeros((n, n), dtype=complex), []
         for i in range(length):
             s_i = prop @ s_i @ prop.conj().T + q_dense
             cross = [prop @ c for c in cross] + [s_i]  # prop^(i-j) S_j, j = 0 .. i
             for j, c in enumerate(cross):
-                rows = slice(i * len(observed), (i + 1) * len(observed))
-                joint[rows, j * len(observed) : (j + 1) * len(observed)] = c[np.ix_(idx, idx)]
+                rows = slice(i * len(reads), (i + 1) * len(reads))
+                joint[rows, j * len(reads) : (j + 1) * len(reads)] = c[np.ix_(idx, idx)]
         for j, c in enumerate(cross):
-            joint[length * len(observed):, j * len(observed) : (j + 1) * len(observed)] = (
+            joint[length * len(reads):, j * len(reads) : (j + 1) * len(reads)] = (
                 c[np.ix_(ks + n // 2, idx)])
-        joint[length * len(observed):, length * len(observed):] = (
+        joint[length * len(reads):, length * len(reads):] = (
             s_i[np.ix_(ks + n // 2, ks + n // 2)])
         joint = np.tril(joint) + np.tril(joint, -1).conj().T
         g_gap = max(g_gap, np.abs(mapped @ mapped.conj().T - joint).max() / np.abs(joint).max())
 
         # the path: dense free flow of the class's state plus the mapped kicks
-        modes = [(m, coord, conj) for m, r, coord, conj in reads if r == res]
         w = drawn(WienerStream(seed, 0, res), -(-cfg.n_steps // length), plan.r)
         x = np.zeros(n, dtype=complex)
         for b, wb in enumerate(w):
@@ -363,13 +363,12 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
                 step = b * length + i
                 if step > cfg.n_steps:
                     continue
-                for m, coord, conj in modes:
-                    value = kick[(i - 1) * len(observed) + observed.index(coord)]
-                    got = x[m + n // 2] + (np.conj(value) if conj else value)
+                for a, (m, *_) in enumerate(reads):
+                    got = x[m + n // 2] + kick[(i - 1) * len(reads) + a]
                     worst = max(worst, abs(got - out.modes[m][0][step]))
-            x[ks + n // 2] += kick[length * len(observed):]
+            x[ks + n // 2] += kick[length * len(reads):]
             if mirror:
-                x[n // 2 - ks] += kick[length * len(observed):].conj()
+                x[n // 2 - ks] += kick[length * len(reads):].conj()
     q_gap = np.abs(q_blocks - q_dense).max() / np.abs(q_dense).max()
     check("8d block vs dense pathwise", worst <= 1e-8 and q_gap <= 1e-12 and g_gap <= 1e-12,
           f"max pathwise gap = {worst:.2e} (tol 1e-8, N = 64), "

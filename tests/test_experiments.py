@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,19 +21,12 @@ from multiscale_spde.experiments import (
     ExperimentReport,
     _fit_log_decay,
     batch_mean_se,
-    build_noise,
     config_hash,
     emit_report,
     fit_rate_with_exclusion,
     load_config,
     parse_config,
-    run_cell_study,
-    run_coupling_convergence,
-    run_noise_check,
-    run_semigroup_study,
-    run_simulate,
     run_study,
-    run_variance_study,
 )
 from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model, ou_variance
@@ -52,6 +46,16 @@ SMALL_VARIANCE = {
     "study": {"kind": "variance", "target": "enhanced", "seed": 9,
               "tolerances": {"final_gap": 0.5}},
 }
+
+
+def small_config(kind: str) -> dict:
+    """SMALL_VARIANCE as a `kind` study; for converge, which watches 1 .. study mode_cutoff
+    and refuses a solver watch, without its watch."""
+    config = json.loads(json.dumps(SMALL_VARIANCE))
+    config["study"]["kind"] = kind
+    if kind == "converge":
+        del config["solver"]["watch"]
+    return config
 
 
 class TestFitting:
@@ -167,9 +171,36 @@ def solves(monkeypatch):
     return calls
 
 
+class TestRunStudy:
+    @pytest.mark.parametrize("kind", ["cell", "noise-check", "simulate", "converge",
+                                      "variance", "semigroup"])
+    def test_run_study_parses_once(self, monkeypatch, kind):
+        """One parse of the whole document per study, whatever the kind, and the report
+        keeps the raw config as its provenance."""
+        import multiscale_spde.experiments as experiments
+
+        parses, real = [], experiments._parse
+
+        def counting(cls, name, raw):
+            if cls is experiments.Config:
+                parses.append(name)
+            return real(cls, name, raw)
+
+        monkeypatch.setattr(experiments, "_parse", counting)
+        config = small_config(kind)
+        config["solver"].update({"eps": [0.25, 0.125, 0.0625], "t_final": 0.01})
+        if kind == "converge":
+            del config["study"]["target"]
+            config["study"].update({"paths": 2, "mode_cutoff": 2})
+        report = run_study(config)
+        assert parses == ["config"]
+        assert report.config is config and report.seed == 9
+        assert report.study == ("variance-enhanced" if kind == "variance" else kind)
+
+
 class TestStudies:
     def test_cell_study_passes(self):
-        report = run_cell_study({
+        report = run_study({
             "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
             "study": {"kind": "cell", "seed": 3},
         })
@@ -187,7 +218,7 @@ class TestStudies:
         config = {"coefficients": {"b": [[1, 0.0, -0.125], [-1, 0.0, 0.125]],
                                    "sigma": [[0, 1.0, 0.0], [1, 0.25, 0.0], [-1, 0.25, 0.0]]},
                   "study": {"kind": "cell", "seed": 0}}
-        report = run_cell_study(config)
+        report = run_study(config)
         sol = solve_cell(Coefficients.from_modes({1: -0.125j, -1: 0.125j},
                                                  {0: 1.0, 1: 0.25, -1: 0.25}))
         assert [v["name"] for v in report.verdicts] == ["<b rho, 1> = 0"]
@@ -205,7 +236,7 @@ class TestStudies:
         assert columns[-2:] == ["sigma_min", "centering"]
 
     def test_noise_check_report(self):
-        report = run_noise_check({
+        report = run_study({
             "noise": {"family": "tail", "tail": "one-plus-cos", "tail_rate": 1.0,
                       "ripple": "cos", "cutoff": 256, "eta": 0.0},
             "study": {"kind": "noise-check", "seed": 0},
@@ -216,7 +247,7 @@ class TestStudies:
 
     def test_noise_check_skips_summability_of_a_decaying_family(self):
         """A power family converges to zero, not to its tail: no summability verdict, a note."""
-        report = run_noise_check({
+        report = run_study({
             "noise": {"family": "power", "alpha": 0.75, "profile": "one-plus-cos",
                       "cutoff": 256},
             "study": {"kind": "noise-check", "seed": 0},
@@ -228,7 +259,7 @@ class TestStudies:
         assert report.notes == ["tail summability skipped: decaying family"]
 
     def test_trivial_cell_convergence_hits_floor(self):
-        report = run_coupling_convergence({
+        report = run_study({
             "coefficients": {"name": "heat"},
             "noise": {"family": "power", "alpha": 0.75, "profile": "one",
                       "cutoff_factor": 2.0},
@@ -249,7 +280,7 @@ class TestStudies:
         # cutoff_factor 1 drives |k| <= 4 at eps = 1/4, below mode_cutoff 8
         with pytest.raises(ValueError,
                            match=r"at eps = 0.25 the noise cutoff 4 is below mode_cutoff 8"):
-            run_coupling_convergence({
+            run_study({
                 "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
                 "noise": {"family": "power", "alpha": 0.75, "profile": "one",
                           "cutoff_factor": 1.0},
@@ -267,7 +298,7 @@ class TestStudies:
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
         with pytest.raises(ValueError, match=r"converge compares with the averaged limit only; "
                                              r"study target 'enhanced' is not 'averaged'"):
-            run_coupling_convergence({
+            run_study({
                 "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
                 "noise": {"family": "power", "alpha": 0.75, "profile": "one",
                           "cutoff_factor": 2.0},
@@ -310,7 +341,7 @@ class TestStudies:
                                              rf"config gives no solver dt\)$"):
             run_study(config)
         config["solver"]["dt"] = 5e-5  # an explicit dt below t_final passes the check
-        parse_config(config, kind)
+        parse_config(config)
 
     def test_variance_t_final_below_its_default_dt_fails_before_any_covariance(
             self, monkeypatch):
@@ -355,9 +386,11 @@ class TestStudies:
         config = load_config(path)
         config = config["provenance"]["config"] if path == GOLDEN else config
         if kind is None:
-            parse_config(config, config["study"]["kind"])
-        else:
-            assert run_noise_check(config).passed
+            parse_config(config)
+        else:  # track_norm, which only simulate reads, is refused for noise-check
+            config["study"]["kind"] = kind
+            config["solver"].pop("track_norm", None)
+            assert run_study(config).passed
 
     @pytest.mark.parametrize("kind", ["simulate", "converge", "variance", "semigroup"])
     @pytest.mark.parametrize("eps, message", [
@@ -373,9 +406,8 @@ class TestStudies:
             raise AssertionError("the cell was solved before eps was checked")
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
-        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config = small_config(kind)
         config["solver"]["eps"] = eps
-        config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
 
@@ -396,9 +428,8 @@ class TestStudies:
             raise AssertionError("the cell was solved before the eps count was checked")
 
         monkeypatch.setattr(experiments, "solve_cell", no_solve)
-        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config = small_config(kind)
         config["solver"]["eps"] = eps
-        config["study"]["kind"] = kind
         with pytest.raises(ValueError, match=message):
             run_study(config)
 
@@ -504,13 +535,21 @@ class TestStudies:
         ("noise", "mollifier", {"kind": "tent", "radius": "x"},
          r"^mollifier radius = 'x' must be a real number$"),
         ("solver", "eps", [], r"^solver eps is empty; give at least one eps$"),
+        ("noise", None, {"family": "power", "alpha": 0.5, "profile": []},
+         r"^noise power\(alpha=0.5\) drives nothing: every profile q_k with \|k\| <= 8 "
+         r"vanishes$"),
+        ("noise", None, {"family": "power", "alpha": 0.5,
+                         "profile": [[0, 0.0, 0.0], [1, 0.0, 0.0], [-1, 0.0, 0.0]]},
+         r"^noise power\(alpha=0.5\) drives nothing: every profile q_k with \|k\| <= 8 "
+         r"vanishes$"),
+        ("noise", None, {"family": "custom", "table": {"2": [[0, 0.0, 0.0]], "12": "one"}},
+         r"^noise custom drives nothing: every profile q_k with \|k\| <= 8 vanishes$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
         """key None merges value, a dict, into the section, and puts any other value,
         null included, in the section's place."""
-        config = json.loads(json.dumps(SMALL_VARIANCE))
-        config["study"]["kind"] = kind
+        config = small_config(kind)
         if key is None and isinstance(value, dict):
             config[section].update(value)
         elif key is None:
@@ -536,6 +575,51 @@ class TestStudies:
             run_study(config)
         assert solves == []
 
+    @pytest.mark.parametrize("kind", ["cell", "noise-check", "converge", "variance",
+                                      "semigroup"])
+    def test_track_norm_is_refused_but_for_simulate(self, solves, kind):
+        """Only simulate reads |u|^2; every other kind refuses track_norm before any solve
+        (coupled_sup_errors, converge's engine, refuses it too: TestCoupled)."""
+        config = small_config(kind)
+        if kind == "converge":
+            del config["study"]["target"]
+            config["solver"]["eps"] = [0.25, 0.125, 0.0625]
+        config["solver"]["track_norm"] = True
+        with pytest.raises(ValueError, match=rf"^solver track_norm = true: only the simulate "
+                                             rf"study reads \|u\|\^2, not the {kind} study$"):
+            parse_config(config)
+        assert solves == []
+        config["solver"]["track_norm"] = False
+        parse_config(config)
+
+    @pytest.mark.parametrize("watch", [[3], [1, 2, 3, 4, 5, 6, 7, 8]])
+    def test_converge_refuses_a_solver_watch(self, solves, watch):
+        """converge watches 1 .. study mode_cutoff whatever the config says, so a given
+        solver watch, even that one, is refused before any solve."""
+        config = json.loads((REPO / "configs" / "demo-converge.json").read_text())
+        config["solver"]["watch"] = watch
+        with pytest.raises(ValueError, match=rf"^solver watch = {re.escape(str(watch))}: the "
+                                             r"converge study watches modes 1 \.\. study "
+                                             r"mode_cutoff = 8; give study mode_cutoff instead$"):
+            run_study(config)
+        assert solves == []
+
+    @pytest.mark.parametrize("kind", ["variance", "simulate", "converge"])
+    def test_centred_noise_that_drives_nothing_is_refused(self, kind):
+        """A tail family with tail and ripple both one centres to zero against the
+        density: refused once it is centred, after the cell solve, not run to a
+        report of zero errors."""
+        config = small_config(kind)
+        config["noise"] = {"family": "tail", "tail": "one", "ripple": "one", "cutoff": 8,
+                           "centered": True}
+        if kind == "converge":
+            del config["study"]["target"]
+            config["solver"]["eps"] = [0.25, 0.125, 0.0625]
+        parse_config(config)  # uncentred it drives every mode
+        with pytest.raises(ValueError, match=r"^noise tail\(rate=1\)\+centred drives nothing: "
+                                             r"every profile q_k with \|k\| <= 8 vanishes$"):
+            run_study(config)
+
     @pytest.mark.parametrize("kind", ["cell", "converge", "variance"])
     @pytest.mark.parametrize("coefficients, message", [
         ({"b": [[0, 0.5, 0.0], [1, 0.0, -0.5], [-1, 0.0, 0.5]], "sigma": "one"},
@@ -550,9 +634,8 @@ class TestStudies:
             raise AssertionError("blocks were built for a cell without a solution")
 
         monkeypatch.setattr(solver, "build_blocks", no_blocks)
-        config = json.loads(json.dumps(SMALL_VARIANCE))
+        config = small_config(kind)
         config["coefficients"] = coefficients
-        config["study"]["kind"] = kind
         if kind == "converge":
             del config["study"]["target"]  # converge compares with the averaged limit
             config["solver"]["eps"] = [0.25, 0.125, 0.0625]  # and fits a rate to >= 3 eps
@@ -573,7 +656,7 @@ class TestStudies:
         config["study"]["target"] = "averaged"
         with pytest.raises(ValueError, match=r"the averaged limit predicts variance 0 for "
                                              r"mode 1 at eps = 0.25"):
-            run_variance_study(config)
+            run_study(config)
 
     @pytest.mark.parametrize("mode, eps, message", [
         (0, [0.25, 0.125], r"mode m = 0 does not decay at eps = 0.25"),
@@ -595,7 +678,7 @@ class TestStudies:
                   "solver": {"eps": eps, "t_final": 1.0},
                   "study": {"kind": "semigroup", "mode": mode}}
         with pytest.raises(ValueError, match=message):
-            run_semigroup_study(config)
+            run_study(config)
 
     def test_variance_target_is_taken_at_the_recorded_time(self):
         """With t_final / dt = 3.33 the covariance is recorded at 3 dt = 0.9: the
@@ -605,7 +688,7 @@ class TestStudies:
                   "solver": {"eps": [0.25, 0.125], "t_final": 1.0, "dt": 0.3, "watch": [1]},
                   "study": {"kind": "variance", "target": "enhanced", "seed": 0,
                             "tolerances": {"final_gap": 1.0}}}
-        report = run_variance_study(config)
+        report = run_study(config)
         cell = solve_cell(Coefficients.cosine_potential(1.0))
         model = limit_model("enhanced", NoiseSpec.white(8), cell, 1)
         t_recorded = 3 * 0.3
@@ -619,7 +702,7 @@ class TestStudies:
         assert enhancement["threshold"] == ENHANCEMENT_MIN_FACTOR * cell.enhancement**2
 
     def test_variance_study_rows_and_tables(self):
-        report = run_variance_study(SMALL_VARIANCE)
+        report = run_study(SMALL_VARIANCE)
         assert {r["eps"] for r in report.rows} == {0.25, 0.125}
         assert any(name.startswith("covariance_eps") for name in report.tables)
 
@@ -647,7 +730,7 @@ class TestStudies:
         config = json.loads(DEMO_CONFIG.read_text())
         config["noise"]["mollifier"] = mollifier
         config["study"]["target"] = "smoothed"
-        report = run_variance_study(config)
+        report = run_study(config)
         cell = solve_cell(Coefficients.cosine_potential(1.0))
         make = {"tent": tent_mollifier, "bump": bump_mollifier}[mollifier["kind"]]
         phi = make(float(mollifier.get("radius", 2.0)))
@@ -660,7 +743,7 @@ class TestStudies:
 
     def test_watched_mode_zero_variance(self):
         """Mode 0 is Brownian in the limit; its exact variance still converges to it."""
-        report = run_variance_study({
+        report = run_study({
             "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
             "noise": {"family": "white", "cutoff_factor": 8.0},
             "solver": {"eps": [0.25, 0.125, 0.0625], "t_final": 1.0, "watch": [0]},
@@ -674,13 +757,13 @@ class TestStudies:
         config = json.loads(DEMO_CONFIG.read_text())
         config["solver"].update({"eps": [0.125], "t_final": 0.25, "watch": [-1, 0, 1]})
         config["study"] = {"kind": "simulate", "seed": 3, "paths": 1}
-        _, rows = run_simulate(config).tables["path_000"]
+        _, rows = run_study(config).tables["path_000"]
         scale = max(abs(complex(re, im)) for _, _, re, im in rows)
         worst = max(abs(im) for _, m, _, im in rows if m == 0)
         assert scale > 0.01 and worst <= 1e-10 * scale
 
     def test_simulate_study_emits_per_path_tables(self, tmp_path):
-        report = run_simulate({
+        report = run_study({
             "coefficients": {"name": "heat"},
             "noise": {"family": "white", "cutoff": 2},
             "solver": {"eps": [0.5], "t_final": 0.05, "watch": [1]},
@@ -700,13 +783,13 @@ class TestStudies:
             "solver": {"eps": [0.5], "t_final": 0.05, "watch": [1]},
             "study": {"kind": "simulate", "seed": 1, "paths": 2},
         }
-        want = run_simulate(json.loads(json.dumps(config))).tables
+        want = run_study(json.loads(json.dumps(config))).tables
         config["solver"]["watch"] = None
-        assert run_simulate(config).tables == want
+        assert run_study(config).tables == want
 
     def test_simulate_norm_tables_sum_the_driven_modes(self, tmp_path):
         """On the heat flow only the driven modes |k| <= 2 move, and all are watched."""
-        report = run_simulate({
+        report = run_study({
             "coefficients": {"name": "heat"},
             "noise": {"family": "white", "cutoff": 2},
             "solver": {"eps": [0.5], "t_final": 0.05, "watch": [-2, -1, 0, 1, 2],
@@ -736,7 +819,7 @@ class TestStudies:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, counting)
-        report = run_simulate({
+        report = run_study({
             "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
             "noise": {"family": "white", "cutoff": 4},
             "solver": {"eps": [0.25], "t_final": 0.01, "watch": [1]},
@@ -748,14 +831,13 @@ class TestStudies:
 
 class TestConfigBuilders:
     def test_explicit_mode_lists_match_builtin(self):
-        from multiscale_spde.experiments import build_coefficients
         from multiscale_spde.cell import Coefficients
         from multiscale_spde.fourier import l2_norm
 
-        explicit = build_coefficients({
-            "b": [[1, 0.0, -0.5], [-1, 0.0, 0.5]],
-            "sigma": [[0, 1.0, 0.0]],
-        })
+        explicit = parse_config({
+            "coefficients": {"b": [[1, 0.0, -0.5], [-1, 0.0, 0.5]], "sigma": [[0, 1.0, 0.0]]},
+            "study": {"kind": "cell"},
+        }).coefficients.build()
         builtin = Coefficients.cosine_potential(1.0)
         assert l2_norm(explicit.b - builtin.b) == 0.0
         assert l2_norm(explicit.sigma - builtin.sigma) == 0.0
@@ -765,17 +847,19 @@ class TestConfigBuilders:
 
         c = Coefficients.cosine_potential(1.0)
         cfg = parse_config({"coefficients": {"name": "cosine-potential"},
+                            "noise": {"family": "white", "cutoff": 8},
                             "solver": {"eps": [0.25], "dt": 5e-4, "n_modes": 96,
                                        "track_norm": True, "t_final": 2.0, "watch": [1]},
-                            "study": {"seed": 1}}, "cell")
+                            "study": {"kind": "simulate", "seed": 1}})
         sc = cfg.engine(c, 0.25, 8)
         assert sc.dt == 5e-4 and sc.n_modes == 96 and sc.track_norm
         assert sc.t_final == 2.0 and sc.watch == (1,) and sc.seed == 1
 
     def test_custom_noise_table(self):
-        spec = build_noise({"family": "custom", "cutoff": 4, "alpha": 0.5, "eta": 0.25,
-                            "table": {"0": "one", "-2": "cos", "2": "cos"},
-                            "tail": "one-plus-cos"})
+        spec = parse_config({"noise": {"family": "custom", "cutoff": 4, "alpha": 0.5,
+                                       "eta": 0.25, "table": {"0": "one", "-2": "cos", "2": "cos"},
+                                       "tail": "one-plus-cos"},
+                             "study": {"kind": "noise-check"}}).noise.spec()
         assert (spec.family, spec.cutoff, spec.alpha, spec.eta) == ("custom", 4, 0.5, 0.25)
         cos = SpectralField.from_modes({1: 0.5, -1: 0.5})
         assert l2_norm(spec.profile(0) - SpectralField.constant(1.0)) == 0.0
@@ -786,7 +870,8 @@ class TestConfigBuilders:
     def test_cutoff_factor_scales_with_eps(self):
         def noise(section, eps=None):
             solver = {} if eps is None else {"eps": [eps]}
-            return parse_config({"noise": section, "solver": solver}, "noise-check").noise
+            return parse_config({"noise": section, "solver": solver,
+                                 "study": {"kind": "noise-check"}}).noise
 
         assert noise({"cutoff_factor": 2.0}, 0.125).cutoff_at(0.125) == 16
         assert noise({"cutoff": 12}, 0.125).cutoff_at(0.125) == 12
@@ -803,9 +888,8 @@ class TestConfigBuilders:
                                         r"one, cos, sin, one-plus-cos$"),
     ], ids=["set", "profile"])
     def test_unknown_coefficient_names_are_rejected(self, cfg, message):
-        from multiscale_spde.experiments import build_coefficients
         with pytest.raises(ValueError, match=message):
-            build_coefficients(cfg)
+            parse_config({"coefficients": cfg, "study": {"kind": "cell"}})
 
     def test_unknown_study_kind_is_rejected(self):
         config = json.loads(json.dumps(SMALL_VARIANCE))
@@ -889,6 +973,20 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["rows"][0]["paths"] == 3
         assert report["provenance"]["config"]["study"]["paths"] == 3
+
+    @pytest.mark.parametrize("profile", [[], [[0, 0.0, 0.0], [1, 0.0, 0.0], [-1, 0.0, 0.0]]],
+                             ids=["empty", "zeros"])
+    def test_noise_that_drives_nothing_exits_2(self, tmp_path, capsys, profile):
+        """The converge demo driven by nothing is refused, not reported as errors at the
+        floor."""
+        config = json.loads((REPO / "configs" / "demo-converge.json").read_text())
+        config["noise"]["profile"] = profile
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["converge", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == ("multiscale-spde: error: noise power(alpha=0.75) "
+                                           "drives nothing: every profile q_k with |k| <= 8 "
+                                           "vanishes\n")
 
     def test_refused_config_exits_2_with_one_line(self, tmp_path):
         """A config the studies refuse exits 2, not 1 (a failed verdict), and prints

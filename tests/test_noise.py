@@ -73,8 +73,28 @@ class TestFamilies:
 
     def test_power_profile_that_centres_to_zero_is_rejected(self, cosine_cell):
         """A constant profile minus its density mean <1, rho> = 1 leaves nothing to drive."""
-        with pytest.raises(ValueError, match=r"centred profile vanishes; nothing left to drive$"):
+        with pytest.raises(ValueError, match=r"^noise power\(alpha=0.5\)\+centred drives "
+                                             r"nothing: every profile q_k with \|k\| <= 8 "
+                                             r"vanishes$"):
             NoiseSpec.power_decay(0.5, 8).centered(cosine_cell.rho)
+
+    @pytest.mark.parametrize("build, label", [
+        (lambda rho: NoiseSpec.power_decay(0.5, 8, profile=SpectralField.from_modes({})),
+         r"power\(alpha=0.5\)"),
+        (lambda rho: NoiseSpec.power_decay(0.5, 8, profile=SpectralField.from_modes(
+            {0: 0.0, 1: 0.0, -1: 0.0})), r"power\(alpha=0.5\)"),
+        (lambda rho: NoiseSpec.tail_convergent(SpectralField.constant(1.0), 1.0, 8).centered(
+            rho), r"tail\(rate=1\)\+centred"),
+        (lambda rho: NoiseSpec.custom({2: SpectralField.zero(2),
+                                       12: SpectralField.constant(1.0)}, 8), "custom"),
+        (lambda rho: NoiseSpec.custom({}, 8), "custom"),
+    ], ids=["empty-profile", "zero-profile", "centred-tail", "zero-within-cutoff", "empty-table"])
+    def test_noise_that_drives_nothing_is_refused(self, cosine_cell, build, label):
+        """Every q_k with |k| <= cutoff vanishes: whatever the family, nothing is driven.
+        A custom table whose nonzero profile lies beyond the cutoff drives nothing too."""
+        with pytest.raises(ValueError, match=rf"^noise {label} drives nothing: every profile "
+                                             r"q_k with \|k\| <= 8 vanishes$"):
+            build(cosine_cell.rho)
 
     def test_white_centering_is_rejected(self, cosine_cell):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from multiscale_spde import solver
 from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
-from multiscale_spde.experiments import build_noise
+from multiscale_spde.experiments import parse_config
 from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model
 from multiscale_spde.noise import NoiseSpec, WienerStream
@@ -108,12 +108,52 @@ def random_coefficients(rng) -> Coefficients:
          2: s[1], -2: np.conj(s[1])})
 
 
+def read_mode(obs, c, s, sgn):
+    """The complex coordinate y[c] + 1j sgn y[s] of a plan's read (m, c, s, sgn), from its
+    observed rows, the last axis of obs; y[c] alone when sgn = 0."""
+    return obs[..., c] + 1j * sgn * obs[..., s] if sgn else obs[..., c] + 0j
+
+
+def plan_coords(plan, blk, cells):
+    """(cos, sin, sgn) of every complex coordinate X_i = y[cos_i] + 1j sgn_i y[sin_i] of a
+    plan's state [x; delta], rebuilt from the layout rules alone.
+
+    _real_form's coordinates of the state (a paired class with its
+    conjugate class's state after it), reordered so that the real
+    coordinates of the complex ones read after every step come first:
+    every one when the plan observes all n, else the differences (with a
+    model) or the rows of the modes read.  Each of the plan's reads is
+    checked against them: mode m sits at the row of m, or of -m read
+    through its conjugate, with the sign flipped.
+    """
+    n_x, k = blk.ks.size, blk.ks.size + len(plan.limits)
+    rows = [row for row, *_ in plan.limits]
+    if (2 * blk.residue) % cells == 0:
+        partner = np.array([n_x - 1 - i for i in range(n_x)]
+                           + [n_x + rows.index(n_x - 1 - row) for row in rows])
+    else:
+        partner = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
+    zero = np.zeros((partner.size, partner.size))
+    _, _, (cos, sin, sgn) = solver._real_form(zero, zero, partner)
+    sources = [(m, 1) if m % cells == blk.residue else (-m, -1) for m, *_ in plan.reads]
+    at = [int(np.flatnonzero(blk.ks == source)[0]) for source, _ in sources]
+    at = [n_x + rows.index(i) if rows else i for i in at]
+    seen = range(k) if plan.o == plan.n else range(n_x, k) if rows else at
+    first = np.isin(np.arange(plan.n), np.concatenate([cos[seen], sin[seen]]))
+    slot = np.argsort(np.argsort(~first, kind="stable"))
+    cos, sin, sgn = slot[cos[:k]], slot[sin[:k]], sgn[:k]
+    for (_, c, s, sign), i, (_, flip) in zip(plan.reads, at, sources):
+        assert (c, s, sign) == (cos[i], sin[i], flip * sgn[i]), (blk.residue, i)
+    return cos, sin, sgn
+
+
 def stepped_reference(c, spec, config, path_index=0, model=None):
     """Reference: each block replayed from the plan's P and f, one step at a time.
 
-    Each evolved class (residues 0 .. r/2, or the watched classes with
-    their difference coordinates when a model is given) is planned as the
-    engine plans it, observing every coordinate when config.track_norm.
+    Each evolved class (residues 0 .. r/2 with track_norm, else the
+    watched classes, with their difference coordinates when a model is
+    given) is planned as the engine plans it, observing every coordinate
+    when config.track_norm.
     Block b reads the class's own normals w_b, its plan.r next ones from
     WienerStream(seed, path, residue): after step i of the block the
     observed rows are (P^i y_0)[:o] plus rows (i-1) o .. i o of f w_b,
@@ -125,8 +165,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     conjugate), at every step, step 0 included.
     """
     op = build_blocks(c, spec, config)
-    plans, reads = solver._class_plans(op, config, config.watch, model,
-                                       every_row=config.track_norm)
+    plans = solver._class_plans(c, spec, config, model)
     n_steps = config.n_steps
     obs = {}
     for res, plan in plans.items():
@@ -142,16 +181,17 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
                 rows[b * length + i] = free[:o] + kick[(i - 1) * o : i * o]
             y = free + kick[(length - 1) * o :]
         obs[res] = rows[: n_steps + 1]
-    watched = {}
-    for m, res, coord, conj in reads:
-        value = plans[res].value(obs[res], coord)
-        watched[m] = np.conj(value) if conj else value
-    out = {"watched": watched}
+    out = {"watched": {m: read_mode(obs[res], *read)
+                       for res, plan in plans.items() for m, *read in plan.reads}}
     if config.track_norm:
-        out["norm2"] = sum((1.0 if (2 * res) % op.cells == 0 else 2.0)
-                           * sum(plans[res].power(obs[res], k)
-                                 for k in range(op.blocks[res].ks.size))
-                           for res in plans)
+        norm2 = 0.0
+        for res, plan in plans.items():
+            cos, sin, sgn = plan_coords(plan, op.blocks[res], op.cells)
+            y = obs[res]
+            power = sum(y[:, cos[k]] ** 2 + y[:, sin[k]] ** 2 if sgn[k] else y[:, cos[k]] ** 2
+                        for k in range(op.blocks[res].ks.size))
+            norm2 = norm2 + (1.0 if (2 * res) % op.cells == 0 else 2.0) * power
+        out["norm2"] = norm2
     return out
 
 
@@ -163,29 +203,24 @@ def final_values(c, spec, config, n_paths, batch):
     its values bit for bit.
     """
     assert batch % solver.PATH_GROUP == 0
-    op = build_blocks(c, spec, config)
-    plans, reads = solver._class_plans(op, config, config.watch)
-    out = {m: np.zeros(n_paths, dtype=complex) for m, *_ in reads}
+    plans = solver._class_plans(c, spec, config)
+    out = {m: np.zeros(n_paths, dtype=complex) for m in config.watch}
     for start in range(0, n_paths, batch):
         idx = range(start, min(start + batch, n_paths))
-        # each class's last chunk ends at the final step
-        final = {res: obs[:, -1].copy() for res, _, _, obs in solver._engine(plans, config, idx)}
-        for m, res, coord, conj in reads:
-            value = plans[res].value(final[res], coord)
-            out[m][idx.start : idx.stop] = np.conj(value) if conj else value
+        # each class's last chunk ends at the final step, and is read last
+        for plan, _, _, obs in solver._engine(plans, config, idx):
+            for m, *read in plan.reads:
+                out[m][idx.start : idx.stop] = read_mode(obs[:, -1], *read)
     return out
 
 
 def final_differences(c, spec, config, model, n_paths):
     """Final-time u_eps - u of each watched mode, set up as coupled_sup_errors sets it up."""
-    op = build_blocks(c, spec, config)
-    plans, reads = solver._class_plans(op, config, config.watch, model)
-    final = {res: obs[:, -1].copy()
-             for res, _, _, obs in solver._engine(plans, config, range(n_paths))}
+    plans = solver._class_plans(c, spec, config, model)
     out = {}
-    for m, res, coord, conj in reads:
-        value = plans[res].value(final[res], coord)
-        out[m] = np.conj(value) if conj else value
+    for plan, _, _, obs in solver._engine(plans, config, range(n_paths)):
+        for m, *read in plan.reads:  # a class's last chunk, read last, ends at the final step
+            out[m] = read_mode(obs[:, -1], *read)
     return out
 
 
@@ -380,8 +415,10 @@ class TestBlocks:
 
 class TestSimulatePath:
     def test_zero_noise_stays_zero(self, cosine):
-        spec = NoiseSpec.custom({}, cutoff=2)
-        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
+        """q_4 alone drives only class 0 at eps = 1/4: the watched classes 1 and 2 get
+        zero noise and stay exactly zero (a noise that drives nothing is refused)."""
+        spec = NoiseSpec.custom({4: SpectralField.constant(1.0)}, cutoff=4)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
                            t_final=0.1, watch=(1, 2), seed=0)
         out = simulate_paths(cosine, spec, cfg, 1)
         assert max(np.abs(out.modes[m][0]).max() for m in (1, 2)) == 0.0
@@ -423,6 +460,44 @@ class TestSimulatePath:
         for m in watch:
             assert np.array_equal(outs[0].modes[m][0], outs[1].modes[m][0]), m
 
+    def test_only_the_classes_read_are_planned(self, cosine, monkeypatch):
+        """Without track_norm simulate plans, and builds the blocks of, exactly the
+        classes its watched modes are read in; with it, every class 0 .. r/2.
+
+        eps = 1/8: 1 and 4 are read in their own classes, -3 (residue 5) and 6
+        (residue 6) through the conjugates of 3 and -6, in classes 3 and 2.
+        """
+        planned, built = [], []
+        class_plans, build = solver._class_plans, solver.build_blocks
+
+        def recording_plans(*args, **kwargs):
+            plans = class_plans(*args, **kwargs)
+            planned.append(list(plans))
+            return plans
+
+        def recording_build(*args, **kwargs):
+            op = build(*args, **kwargs)
+            built.append(list(op.blocks))
+            return op
+
+        monkeypatch.setattr(solver, "_class_plans", recording_plans)
+        monkeypatch.setattr(solver, "build_blocks", recording_build)
+        cfg = SolverConfig(eps=0.125, n_modes=suggest_modes(cosine, 0.125, 8), dt=1e-3,
+                           t_final=0.01, watch=(-3, 1, 4, 6), seed=2)
+        for tracked in (False, True):
+            simulate_paths(cosine, NoiseSpec.white(8), replace(cfg, track_norm=tracked), 1)
+        assert planned == built == [[1, 2, 3, 4], [0, 1, 2, 3, 4]]
+
+    def test_a_watched_mode_from_another_class_leaves_mode_one_as_it_was(self, cosine):
+        """Bitwise: watching 2 too plans class 2 and leaves mode 1's trajectories alone."""
+        outs = []
+        for watch in ((1,), (1, 2)):
+            cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
+                               t_final=0.1, watch=watch, seed=6)
+            outs.append(simulate_paths(cosine, NoiseSpec.white(8), cfg, 3))
+        assert np.abs(outs[0].modes[1][:, -1]).min() > 0.0
+        assert np.array_equal(outs[1].modes[1], outs[0].modes[1])
+
     def test_overflow_guard(self, heat):
         big = NoiseSpec.custom({1: 1e13 * SpectralField.constant(1.0)}, cutoff=1)
         cfg = SolverConfig(eps=1.0, n_modes=8, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
@@ -430,12 +505,16 @@ class TestSimulatePath:
             simulate_paths(heat, big, cfg, 1)
 
     def test_overflow_guard_sees_unwatched_classes(self, heat):
-        """Mode 2 sits in the other class of eps = 1/2; watching mode 1 still trips."""
+        """Mode 2 sits in the other class of eps = 1/2; watching mode 1 with track_norm,
+        which evolves every class, still trips.  Without it class 0 is not evolved."""
         big = NoiseSpec.custom({1: SpectralField.constant(1.0),
                                 2: 1e13 * SpectralField.constant(1.0)}, cutoff=2)
-        cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0)
+        cfg = SolverConfig(eps=0.5, n_modes=16, dt=1e-3, t_final=1.0, watch=(1,), seed=0,
+                           track_norm=True)
         with pytest.raises(UnstableStep):
             simulate_paths(heat, big, cfg, 1)
+        out = simulate_paths(heat, big, replace(cfg, track_norm=False), 1)
+        assert np.isfinite(out.modes[1]).all() and np.abs(out.modes[1]).max() < 10.0
 
     def test_norm_tracking(self, heat):
         """With only modes +-1 driven, |u|^2 is twice the watched mode power."""
@@ -450,8 +529,10 @@ class TestCoupled:
     KEYS = ("full", "half_modes", "coarse_grid")
 
     def test_zero_noise_gives_zero_difference(self, cosine, cosine_cell):
-        spec = NoiseSpec.custom({}, cutoff=2)
-        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
+        """q_4 alone drives only class 0 at eps = 1/4: the watched class 1 gets zero
+        noise, so u_eps and its limit stay exactly zero there."""
+        spec = NoiseSpec.custom({4: SpectralField.constant(1.0)}, cutoff=4)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 4), dt=1e-3,
                            t_final=0.1, watch=(1,), seed=0)
         sups = coupled_sup_errors(cosine, spec, cfg, limit_model("averaged", spec, cosine_cell, 1),
                                   1.0, 3)
@@ -506,24 +587,26 @@ def extended_system(blk, limits):
     return t @ a @ t, t @ g  # t is its own inverse
 
 
-def coordinate_map(plan, size):
-    """U with X = U y for the class's complex coordinates X and the plan's real ones y."""
-    u = np.zeros((size, plan.n), dtype=complex)
+def coordinate_map(coords, n, size):
+    """U with X = U y for the class's first size complex coordinates X and the plan's n
+    real ones y, coords = plan_coords(...)."""
+    u = np.zeros((size, n), dtype=complex)
     for i in range(size):
-        c, s, sgn = plan.coords[0][i], plan.coords[1][i], plan.coords[2][i]
+        c, s, sgn = coords[0][i], coords[1][i], coords[2][i]
         u[i, c] += 1.0
         u[i, s] += 1j * sgn
     return u
 
 
-def real_step_covariance(plan, q, self_conjugate):
-    """Q_y = U^-1 Q U^-* of a class's complex Q(dt), U^-1 built densely from plan.coords.
+def real_step_covariance(plan, coords, q, self_conjugate):
+    """Q_y = U^-1 Q U^-* of a class's complex Q(dt), U^-1 built densely from the plan's
+    coordinates, coords = plan_coords(...).
 
     A paired class's state is [x; conj x] (_ClassPlan), whose conjugate
     half reads the same real coordinates with the opposite sign; its Q is
     blockdiag(Q, conj Q).  An exactly zero row of Q stays exactly zero.
     """
-    cos, sin, sgn = plan.coords
+    cos, sin, sgn = coords
     if not self_conjugate:
         cos, sin, sgn = np.tile(cos, 2), np.tile(sin, 2), np.concatenate([sgn, -sgn])
         q = sla.block_diag(q, q.conj())
@@ -614,14 +697,14 @@ class TestTransition:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=5)
         op = build_blocks(c, spec, cfg)
-        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT if with_limits else None,
-                                       every_row=True)
+        plans = solver._class_plans(c, spec, replace(cfg, track_norm=True),
+                                    DRAWN_LIMIT if with_limits else None)
         assert sorted(plans) == [0, 1, 2]  # every evolved class, with or without the limit
         for res, plan in plans.items():
             blk, terms = op.blocks[res], plan.limits
             p, q = van_loan(*extended_system(blk, terms), cfg.dt)
             size = p.shape[0]
-            u = coordinate_map(plan, size)
+            u = coordinate_map(plan_coords(plan, blk, op.cells), plan.n, size)
             waves = np.concatenate([blk.ks, [blk.ks[row] for row, *_ in terms]])
             kinds = np.arange(size) >= blk.ks.size
             if (2 * res) % op.cells == 0:  # X_partner = conj X: E[X X^T] = Q[:, partner]
@@ -648,7 +731,7 @@ class TestTransition:
         cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=5)
         op = build_blocks(c, spec, cfg)
-        plans, _ = solver._class_plans(op, cfg, cfg.watch, DRAWN_LIMIT)
+        plans = solver._class_plans(c, spec, cfg, DRAWN_LIMIT)
         assert any(plan.limits for plan in plans.values())
         for res, plan in plans.items():
             got = solver._transition(op.blocks[res], cfg.dt, plan.limits)
@@ -684,11 +767,12 @@ class TestTransition:
         with pytest.raises(SolveFailed, match=r"class 7: transition covariance eigenvalue"):
             solver._factor(q, "class 7")
 
-    @pytest.mark.parametrize("every_row", [False, True], ids=["watched", "every-row"])
+    @pytest.mark.parametrize("track_norm", [False, True], ids=["watched", "every-row"])
     def test_indefinite_step_covariance_fails_through_the_plan(self, cosine, monkeypatch,
-                                                               every_row):
+                                                               track_norm):
         """Q(dt) is checked on every plan, before its block's G: a Q(dt) shifted by
-        -1e-6 of its largest entry fails naming the class alone."""
+        -1e-6 of its largest entry fails naming the class alone, the first evolved one:
+        class 1, the watched mode's, or with track_norm class 0."""
         transition = solver._transition
 
         def indefinite(blk, dt, limits):
@@ -696,15 +780,15 @@ class TestTransition:
             return p, q - 1e-6 * np.abs(q).max() * np.eye(q.shape[0])
 
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
-                           t_final=0.3, watch=(1,), seed=5)
-        op = build_blocks(cosine, NoiseSpec.white(8), cfg)
+                           t_final=0.3, watch=(1,), seed=5, track_norm=track_norm)
         monkeypatch.setattr(solver, "_transition", indefinite)
-        with pytest.raises(SolveFailed, match=r"^class 0: transition covariance eigenvalue"):
-            solver._class_plans(op, cfg, cfg.watch, every_row=every_row)
+        with pytest.raises(SolveFailed, match=rf"^class {0 if track_norm else 1}: transition "
+                                              r"covariance eigenvalue"):
+            solver._class_plans(cosine, NoiseSpec.white(8), cfg)
 
     def test_indefinite_block_covariance_fails_through_the_plan(self, cosine, monkeypatch):
-        """A block's G shifted by -1e-6 of its largest entry fails naming the class
-        and the block's step count."""
+        """A block's G shifted by -1e-6 of its largest entry fails naming the class,
+        the watched mode's, and the block's step count."""
         block_law = solver._block_law
 
         def indefinite(p, q, o, length):
@@ -713,13 +797,14 @@ class TestTransition:
 
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1,), seed=5)
-        op = build_blocks(cosine, NoiseSpec.white(8), cfg)
-        length = solver._class_plans(op, cfg, cfg.watch)[0][0].length  # unshifted, it passes
+        plans = solver._class_plans(cosine, NoiseSpec.white(8), cfg)  # unshifted, it passes
+        assert list(plans) == [1]
+        length = plans[1].length
         assert length > 1
         monkeypatch.setattr(solver, "_block_law", indefinite)
-        with pytest.raises(SolveFailed, match=rf"^class 0 \({length}-step block\): "
+        with pytest.raises(SolveFailed, match=rf"^class 1 \({length}-step block\): "
                                               r"transition covariance eigenvalue"):
-            solver._class_plans(op, cfg, cfg.watch)
+            solver._class_plans(cosine, NoiseSpec.white(8), cfg)
 
     def test_factor_keeps_zero_variance_rows_exactly_zero(self):
         """Q_ii = 0 gives an exactly zero row of L; eigenvalues below the clip are dropped."""
@@ -753,10 +838,10 @@ class TestBlockedEngine:
                 assert np.array_equal(p, ref), blk.residue
             assert np.abs(p - ref).max() <= PROPAGATOR_RTOL * np.abs(ref).max(), blk.residue
 
-    @pytest.mark.parametrize("every_row", [False, True], ids=["watched", "every-row"])
+    @pytest.mark.parametrize("track_norm", [False, True], ids=["watched", "every-row"])
     @pytest.mark.parametrize("with_limits", [False, True], ids=["x", "x-delta"])
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
-    def test_block_factor_is_the_stepped_law(self, name, with_limits, every_row):
+    def test_block_factor_is_the_stepped_law(self, name, with_limits, track_norm):
         """f f^T = K K^T, the stepped chain's joint covariance of a block's outputs.
 
         To 1e-12 of its largest entry, and each observed row's variance to
@@ -775,34 +860,32 @@ class TestBlockedEngine:
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(c, 0.25, 8), dt=1e-3,
                            t_final=0.3, watch=(1, 2, 3, 4), seed=5)
         op = build_blocks(c, spec, cfg)
-        plans, reads = solver._class_plans(op, cfg, cfg.watch,
-                                           DRAWN_LIMIT if with_limits else None,
-                                           every_row=every_row)
+        plans = solver._class_plans(c, spec, replace(cfg, track_norm=track_norm),
+                                    DRAWN_LIMIT if with_limits else None)
         for res, plan in plans.items():
             outputs = plan.length * plan.o + plan.n - plan.o
             assert plan.map_t.shape == (plan.n + plan.r, outputs), res
-            cos, sin, _ = plan.coords
-            read = (range(cos.size) if every_row
-                    else [coord for _, r, coord, _ in reads if r == res])
-            assert np.all(cos[read] < plan.o) and np.all(sin[read] < plan.o), res
+            assert all(re < plan.o and im < plan.o for _, re, im, _ in plan.reads), res
+            assert plan.o == plan.n or not track_norm, res
             _, q = solver._transition(op.blocks[res], cfg.dt, plan.limits)
-            q_y = real_step_covariance(plan, q, (2 * res) % op.cells == 0)
+            coords = plan_coords(plan, op.blocks[res], op.cells)
+            q_y = real_step_covariance(plan, coords, q, (2 * res) % op.cells == 0)
             k = stepped_kicks(plan, solver._factor(q_y, f"class {res}"))
             want, got = k @ k.T, plan.f @ plan.f.T
             top = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * top, res
-            if every_row:  # one step, outputs y_1: G is Q(dt)
+            if track_norm:  # one step, outputs y_1: G is Q(dt)
                 assert np.abs(got - q_y).max() <= 1e-12 * np.abs(q_y).max(), res
             var = np.diag(want)[: plan.length * plan.o]
             # an every-row plan observes rows down to 1e-36 of top, where any
             # eigen-factor is exact to about 1e-14 of top only; watched plans
             # observe none below 1e-6 of it (measured 3e-3)
             tiny = (var > 0) & (var < 1e-6 * top)
-            assert every_row or not tiny.any(), res
+            assert track_norm or not tiny.any(), res
             gap = np.abs(np.diag(got)[: var.size] - var)
             assert np.all(gap[~tiny] <= 1e-8 * var[~tiny]), res
             assert plan.r <= outputs, res
-            assert (plan.length == 1) == every_row, res  # every row observed: o = n
+            assert (plan.length == 1) == track_norm, res  # every row observed: o = n
 
     @pytest.mark.parametrize("amplitude", [1.0, 3.0])
     def test_watched_plans_draw_fewer_normals_than_steps(self, amplitude):
@@ -811,16 +894,18 @@ class TestBlockedEngine:
         d = rank Q(dt) read as the every-row plan's r (one step per block)."""
         c = Coefficients.cosine_potential(amplitude)
         cell = solve_cell(c)
-        noise = {"family": "power", "alpha": 0.75, "profile": "one", "cutoff_factor": 2.0}
+        eps_list = [0.25, 0.125, 0.0625, 0.03125]
+        noise = parse_config({"noise": {"family": "power", "alpha": 0.75, "profile": "one",
+                                        "cutoff_factor": 2.0},
+                              "solver": {"eps": eps_list}, "study": {"kind": "noise-check"}}).noise
         watch = tuple(range(1, 9))
-        for eps in (0.25, 0.125, 0.0625, 0.03125):
-            spec = build_noise(noise, eps)
+        for eps in eps_list:
+            spec = noise.spec(eps)
             cfg = SolverConfig(eps=eps, n_modes=suggest_modes(c, eps, spec.cutoff),
                                dt=solver.default_dt(eps), t_final=1.0, watch=watch, seed=0)
-            op = build_blocks(c, spec, cfg)
             model = limit_model("averaged", spec, cell, 8)
-            watched, _ = solver._class_plans(op, cfg, watch, model)
-            every, _ = solver._class_plans(op, cfg, watch, every_row=True)
+            watched = solver._class_plans(c, spec, cfg, model)
+            every = solver._class_plans(c, spec, replace(cfg, track_norm=True))
             for res, plan in watched.items():
                 d = every[res].r
                 assert plan.r < plan.length * d, (eps, res, plan.r, plan.length, d)
@@ -1070,6 +1155,16 @@ class TestBlockedEngine:
             assert np.abs(finals[0][m]).min() > 0.0, m
             assert np.array_equal(finals[1][m], finals[0][m]), m
 
+    def test_track_norm_is_refused(self, cosine, cosine_cell):
+        """The sups read no |u|^2, so a config that asks for it is refused before any plan."""
+        spec = NoiseSpec.power_decay(0.75, 8)
+        cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 8), dt=1e-3,
+                           t_final=0.01, watch=(1,), seed=0, track_norm=True)
+        model = limit_model("averaged", spec, cosine_cell, 1)
+        with pytest.raises(ValueError, match=r"^coupled_sup_errors reads no \|u\|\^2; give a "
+                                             r"config without track_norm$"):
+            coupled_sup_errors(cosine, spec, cfg, model, 1.0, 2)
+
     def test_undriven_watched_mode_is_a_value_error(self, cosine, cosine_cell):
         spec = NoiseSpec.power_decay(0.75, 2)
         cfg = SolverConfig(eps=0.25, n_modes=suggest_modes(cosine, 0.25, 2), dt=1e-3,
@@ -1264,7 +1359,7 @@ class TestClosedFormCovariance:
             elif flow == "engine":
                 simulate_paths(cosine, NoiseSpec.white(4), cfg, 1)
             else:
-                experiments.run_semigroup_study({
+                experiments.run_study({
                     "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
                     "solver": {"eps": [0.125, 0.0625, 0.03125]},
                     "study": {"kind": "semigroup", "mode": 1},
