@@ -34,6 +34,7 @@ from .fourier import (SpectralField, cells, inner_product, l2_norm, multiply, re
 __all__ = [
     "Coefficients",
     "CellSolution",
+    "require_real",
     "generator_matrix",
     "eigenbasis",
     "gram",
@@ -70,17 +71,22 @@ class Coefficients:
     """Drift b and diffusion sigma, periodic on [0, 2*pi], and sigma^2.
 
     Both are real trigonometric polynomials, which guarantees the
-    smoothness the cell problems need.  sigma^2 is formed once, here, as
-    an exact dealiased product on twice sigma's band; nothing reassigns b
-    or sigma.  solve_cell checks ellipticity (min sigma > 0) and centering
-    on its quadrature grid and refuses a cell that fails either.
+    smoothness the cell problems need; require_real refuses either field
+    if it is not.  sigma^2 is formed once, here, as an exact dealiased
+    product on twice sigma's band; nothing reassigns b or sigma.
+    solve_cell checks ellipticity (min sigma > 0) and centering on its
+    quadrature grid and refuses a cell that fails either.
     """
 
     def __init__(self, b: SpectralField, sigma: SpectralField):
+        require_real("b", b)
+        require_real("sigma", sigma)
         self.b = b
         self.sigma = sigma
         # pad first: the square's band is twice sigma's and must be exact
         self.sigma_squared = multiply(sigma.pad_to(2 * sigma.n), sigma)
+        # the largest |k| at which b or sigma^2 stores a nonzero amplitude, exactly
+        self.reach = max(b.max_harmonic(), self.sigma_squared.max_harmonic())
 
     @classmethod
     def heat(cls, sigma_value: float = np.sqrt(2.0)) -> "Coefficients":
@@ -105,6 +111,24 @@ class Coefficients:
         return f"Coefficients(J={self.max_harmonic})"
 
 
+def require_real(name: str, f: SpectralField) -> None:
+    """ValueError, naming coefficient `name` and the first k >= 0, where the amplitudes
+    c_-k and conj c_k of f differ by more than 1e-12 of its largest amplitude (an
+    unpaired -N/2 amplitude counts, against a zero at N/2).
+
+    generator_matrix reads the complex amplitudes of b and sigma^2, solve_cell only the
+    real part of their grid values, and spectral_gap's real form needs a real operator,
+    so a b or sigma that is not a real field is refused before any of them runs.  The
+    products of real fields are conjugate-symmetric to rounding only, which passes.
+    """
+    amps = f.pad_to(f.n + 2).coeffs[1:]  # -n/2 .. n/2: each k opposite its -k
+    defect = np.abs(amps - amps[::-1].conj())[f.n // 2 :]
+    bad = np.flatnonzero(defect > 1e-12 * np.abs(amps).max())
+    if bad.size:
+        raise ValueError(f"coefficients {name} is not a real field: |c_-k - conj c_k| = "
+                         f"{defect[bad[0]]:.3e} at k = {bad[0]}, above 1e-12 max |c_k|")
+
+
 def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = False) -> np.ndarray:
     """Dense matrix of L_eps (or its adjoint) on uniformly spaced wavenumbers.
 
@@ -113,25 +137,34 @@ def generator_matrix(c: Coefficients, ks, eps: float = 1.0, adjoint: bool = Fals
     arithmetic progression with spacing 1/eps; multiplication by an
     oscillated coefficient only couples within such a progression, so
     the matrix is exact (Galerkin truncation at the band edge).
+
+    Entry (i, j) is zero unless |i - j| <= w, the largest offset at which
+    b or sigma^2 stores a nonzero amplitude (read exactly, no tolerance),
+    so only those 2w + 1 diagonals are computed, each entry by the
+    expression the whole m x m symbol would use: one m x (2w + 1) band
+    array (row i of the adjoint's, column j of the forward matrix's),
+    written in one strided assignment along the diagonals of a zero
+    buffer padded by w columns (rows) on each side, whose middle m x m is
+    the matrix.
     """
     ks = np.asarray(ks, dtype=int)
-    r = cells(eps)
-    if ks.size > 1 and np.any(np.diff(ks) != r):
+    if (ks[1:] - ks[:-1] != cells(eps)).any():
         raise ValueError("wavenumbers must be consecutive in steps of 1/eps")
 
     m = ks.size
-    # amplitudes at the offsets -(m-1) .. m-1: the band -m .. m-1 without its first entry
-    b_off = c.b.truncate(2 * m).coeffs[1:]
-    s2_off = c.sigma_squared.truncate(2 * m).coeffs[1:]
-    idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) + (m - 1)
-    bmat = b_off[idx]
-    smat = s2_off[idx]
-
-    kf = ks.astype(float)
+    w = min(c.reach, m - 1)
+    # the symbols at the offsets -w .. w: the band -(w + 1) .. w without its first entry
+    b_band, s2_band = (f.truncate(2 * w + 2).coeffs[1:] for f in (c.b, c.sigma_squared))
     if adjoint:
         # L* f = -(1/eps)((b^eps) f)' + (1/2)((sigma^2)^eps f)''
-        return (-1j * kf[:, None]) * bmat / eps + (-0.5 * kf[:, None] ** 2) * smat
-    return (1j * kf[None, :]) * bmat / eps + (-0.5 * kf[None, :] ** 2) * smat
+        band = (-1j * ks[:, None]) * b_band[::-1] / eps + (-0.5 * ks[:, None]**2) * s2_band[::-1]
+        shape, steps = (m, m + 2 * w), (m + 2 * w + 1, 1)  # row i: offsets w .. -w
+    else:
+        band = (1j * ks[:, None]) * b_band / eps + (-0.5 * ks[:, None]**2) * s2_band
+        shape, steps = (m + 2 * w, m), (m + 1, m)  # column j: offsets -w .. w
+    out = np.zeros(shape, dtype=complex)
+    np.ndarray(band.shape, complex, out, 0, tuple(out.itemsize * k for k in steps))[...] = band
+    return np.ascontiguousarray(out[:, w : w + m] if adjoint else out[w : w + m])
 
 
 def eigenbasis(matrix: np.ndarray, block: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,15 +242,47 @@ def diffusivity_from_decay(c: Coefficients, eps: float, m: int) -> float:
     return float(-slow.real / m**2)
 
 
+def _gather(m: np.ndarray, partner: np.ndarray, first: np.ndarray, paired: np.ndarray,
+            w: float) -> np.ndarray:
+    """U^-1 M U (w = 1) or U^-1 M U^-* (w = 1/2) of a conjugate-symmetric M.
+
+    U is the cos/sin change of basis of solver._real_form: coordinate j is
+    real when partner[j] = j, and j, j' = partner[j] are a conjugate pair
+    (first: j <= partner[j], paired: j < partner[j]); the real coordinates
+    are Re X_j for every first j, then Im X_j for every paired j.
+    spectral_gap uses it on the mirror pairs k <-> -k of its band.
+
+    The columns of M U (of M U^-*) are M_j for a real j, w (M_j + M_j')
+    for the cos and 1j w (M_j - M_j') for the sin coordinate of a pair
+    j, j' = partner[j].  Conjugate symmetry makes row i' of those the
+    conjugate of row i, so U^-1 takes the real part of row i for its cos
+    coordinate and the imaginary part for its sin coordinate.
+    """
+    pair_of_first = paired[first]
+    cos_cols = m[:, first]
+    cos_cols[:, pair_of_first] = w * (cos_cols[:, pair_of_first]
+                                      + m[:, partner[first][pair_of_first]])
+    sin_cols = w * (m[:, paired] - m[:, partner[paired]])  # 1j times these
+    return np.block([[cos_cols[first].real, -sin_cols[first].imag],
+                     [cos_cols[paired].imag, sin_cols[paired].real]])
+
+
 def spectral_gap(c: Coefficients) -> float:
     """Spectral gap omega: the forgetting rate of the fast flow d/dt g = L* g.
 
     omega = -max Re(lambda) over the nonzero spectrum of the adjoint
-    generator on the 96 wavenumbers -48 .. 47.  The kernel, spanned by
-    the invariant density, is the eigenvalue of smallest modulus; it must
-    vanish to KERNEL_TOL of the spectral radius, else SolveFailed.
+    generator on the 95 wavenumbers -47 .. 47, build_blocks' band
+    -N/2 < k < N/2 at N = 96.  The operator is real (Coefficients), so its
+    matrix is conjugate-symmetric under the mirror k <-> -k, row i <-> 94 - i,
+    and its eigenvalues are those of the real 95 x 95 matrix U^-1 A U on
+    the cos/sin coordinates of those pairs (_gather), which costs about
+    half of the complex problem.  The kernel, spanned by the invariant
+    density, is the eigenvalue of smallest modulus; it must vanish to
+    KERNEL_TOL of the spectral radius, else SolveFailed.
     """
-    evals = np.linalg.eigvals(generator_matrix(c, np.arange(-48, 48), adjoint=True))
+    idx = np.arange(95)
+    a = generator_matrix(c, idx - 47, adjoint=True)  # row i is k = i - 47, row 94 - i is -k
+    evals = np.linalg.eigvals(_gather(a, idx[::-1], idx <= 47, idx < 47, 1.0))
     kernel = int(np.argmin(np.abs(evals)))
     if abs(evals[kernel]) > KERNEL_TOL * np.abs(evals).max():
         raise SolveFailed(f"adjoint generator kernel eigenvalue {evals[kernel]:.3e} "

@@ -275,6 +275,7 @@ class CoefficientsSection:
         for key in ("b", "sigma") if self.name is None else ():
             _need(isinstance(getattr(self, key), SpectralField), f"coefficients {key}",
                   getattr(self, key), "a profile: the coefficients name no set")
+            cell_mod.require_real(key, getattr(self, key))
 
     def build(self) -> Coefficients:
         if self.name == "heat":
@@ -935,11 +936,12 @@ def parse_config(raw) -> Config:
     not fit (NoiseSection), a section the study needs and the config lacks, track_norm
     for any study but simulate, a solver watch for converge (it watches 1 .. study
     mode_cutoff), the smoothed target without a mollifier, a dt that does not fit the
-    horizon (_check_dt), a noise that does not build, or drives nothing (NoiseSpec), at
-    every eps (at no eps when the config gives none), a given n_modes below the band
-    minimum (min_modes) at an eps, fewer eps than the study needs and a target it does
-    not compare with.  Returns the config with the study's defaults (_KINDS) filled in;
-    the variance study's t_final stays None until its cell solve.
+    horizon (_check_dt), a b or sigma that is not a real field (cell.require_real), a
+    noise that does not build, or drives nothing (NoiseSpec), at every eps (at no eps
+    when the config gives none), a given n_modes below the band minimum (min_modes) at
+    an eps, fewer eps than the study needs and a target it does not compare with.
+    Returns the config with the study's defaults (_KINDS) filled in; the variance
+    study's t_final stays None until its cell solve.
     """
     cfg = _parse(Config, "config", raw)
     kind = cfg.study.kind

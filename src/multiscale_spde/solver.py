@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell import Coefficients, eigenbasis, generator_matrix, gram
+from .cell import Coefficients, _gather, eigenbasis, generator_matrix, gram
 from .errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from .fourier import SpectralField, cells, multiply, oscillate
 from .limit import LimitModel
@@ -332,25 +332,6 @@ def _real_form(p: np.ndarray, cov: np.ndarray, partner: np.ndarray) -> tuple:
     sgn = np.where(paired, 1, np.where(idx == partner, 0, -1))
     q_y = _gather(cov, partner, first, paired, 0.5)
     return _gather(p, partner, first, paired, 1.0), 0.5 * (q_y + q_y.T), (cos, sin, sgn)
-
-
-def _gather(m: np.ndarray, partner: np.ndarray, first: np.ndarray, paired: np.ndarray,
-            w: float) -> np.ndarray:
-    """U^-1 M U (w = 1) or U^-1 M U^-* (w = 1/2) of a conjugate-symmetric M, for _real_form.
-
-    The columns of M U (of M U^-*) are M_j for a real j, w (M_j + M_j')
-    for the cos and 1j w (M_j - M_j') for the sin coordinate of a pair
-    j, j' = partner[j].  Conjugate symmetry makes row i' of those the
-    conjugate of row i, so U^-1 takes the real part of row i for its cos
-    coordinate and the imaginary part for its sin coordinate.
-    """
-    pair_of_first = paired[first]
-    cos_cols = m[:, first]
-    cos_cols[:, pair_of_first] = w * (cos_cols[:, pair_of_first]
-                                      + m[:, partner[first][pair_of_first]])
-    sin_cols = w * (m[:, paired] - m[:, partner[paired]])  # 1j times these
-    return np.block([[cos_cols[first].real, -sin_cols[first].imag],
-                     [cos_cols[paired].imag, sin_cols[paired].real]])
 
 
 def _spectrum(q: np.ndarray, name: str, vectors: bool = False) -> tuple:

@@ -544,6 +544,13 @@ class TestStudies:
          r"vanishes$"),
         ("noise", None, {"family": "custom", "table": {"2": [[0, 0.0, 0.0]], "12": "one"}},
          r"^noise custom drives nothing: every profile q_k with \|k\| <= 8 vanishes$"),
+        ("coefficients", None, {"name": None, "b": [[1, 0.0, -0.5]], "sigma": "one"},
+         r"^coefficients b is not a real field: \|c_-k - conj c_k\| = 5\.000e-01 at k = 1, "
+         r"above 1e-12 max \|c_k\|$"),
+        ("coefficients", None, {"name": None, "b": "sin",
+                                "sigma": [[0, 1.0, 0.0], [2, 0.1, 0.0]]},
+         r"^coefficients sigma is not a real field: \|c_-k - conj c_k\| = 1\.000e-01 at k = 2, "
+         r"above 1e-12 max \|c_k\|$"),
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
@@ -987,6 +994,16 @@ class TestCli:
         assert capsys.readouterr().err == ("multiscale-spde: error: noise power(alpha=0.75) "
                                            "drives nothing: every profile q_k with |k| <= 8 "
                                            "vanishes\n")
+
+    def test_coefficient_that_is_not_real_exits_2(self, tmp_path, capsys):
+        """b = -0.5i e^{ix} alone (no k = -1 mode) is refused, not solved to a failed
+        stationarity residual."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coefficients": {"b": [[1, 0.0, -0.5]], "sigma": "one"}}))
+        assert main(["cell", "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == ("multiscale-spde: error: coefficients b is not a "
+                                           "real field: |c_-k - conj c_k| = 5.000e-01 at k = 1, "
+                                           "above 1e-12 max |c_k|\n")
 
     def test_refused_config_exits_2_with_one_line(self, tmp_path):
         """A config the studies refuse exits 2, not 1 (a failed verdict), and prints
