@@ -32,7 +32,7 @@ from .limit import (
     ou_variance,
     smoothed_coefficient,
 )
-from .noise import NoiseSpec, WienerStream, coupling_series
+from .noise import NoiseSpec, coupling_series, wiener_streams
 from .solver import (
     BlockOperator,
     PathOutput,

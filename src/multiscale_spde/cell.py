@@ -75,7 +75,7 @@ class Coefficients:
     if it is not.  sigma^2 is formed once, here, as an exact dealiased
     product on twice sigma's band; nothing reassigns b or sigma.
     solve_cell checks ellipticity (min sigma > 0) and centering on its
-    quadrature grid and refuses a cell that fails either.
+    quadrature grid and refuses a cell that fails either (ValueError).
     """
 
     def __init__(self, b: SpectralField, sigma: SpectralField):
@@ -341,24 +341,25 @@ def solve_cell(c: Coefficients, n: int = DEFAULT_CELL_MODES) -> CellSolution:
     Contracts against the Galerkin generator on that band: the stationarity
     residual |L* rho| at most RHO_RESIDUAL_TOL |rho|_{H^2}, the corrector
     residual |L chi + b| at most CHI_RESIDUAL_TOL |b|, and rho positive on
-    max(4n, 256) points.  SolveFailed if one fails, if sigma is not positive
-    on the quadrature grid, or if the cell is not centred there:
-    |mean(b/sigma^2)| above CENTERING_RTOL times the rms of b/sigma^2.  The
-    solution carries each measured value.
+    max(4n, 256) points; SolveFailed if one fails.  The closed form admits
+    only an elliptic, centred cell, which is checked first, on the
+    quadrature grid: a ValueError if sigma is not positive there or
+    |mean(b/sigma^2)| is above CENTERING_RTOL times the rms of b/sigma^2.
+    The solution carries each measured value.
     """
-    if n > CELL_GRID:
-        raise ResolutionTooSmall(f"n = {n} modes exceed the {CELL_GRID}-point quadrature grid")
     sig = np.real(c.sigma.to_grid(CELL_GRID))
     sigma_min = float(sig.min())
     if not sigma_min > 0.0:
-        raise SolveFailed(f"sigma is not positive on the grid: min sigma = {sigma_min:.3e}")
+        raise ValueError(f"sigma is not positive on the grid: min sigma = {sigma_min:.3e}")
     s2 = sig**2
     ratio = np.real(c.b.to_grid(CELL_GRID)) / s2
     centering = abs(float(np.mean(ratio)))
     bound = CENTERING_RTOL * float(np.sqrt(np.mean(ratio**2)))
     if not centering <= bound:
-        raise SolveFailed(f"cell is not centred: |mean(b/sigma^2)| = {centering:.3e} "
-                          f"above {bound:.3e}")
+        raise ValueError(f"cell is not centred: |mean(b/sigma^2)| = {centering:.3e} "
+                         f"above {bound:.3e}")
+    if n > CELL_GRID:
+        raise ResolutionTooSmall(f"n = {n} modes exceed the {CELL_GRID}-point quadrature grid")
 
     ks = np.arange(1, CELL_GRID // 2 + 1)
     phi_hat = np.fft.rfft(2.0 * ratio)

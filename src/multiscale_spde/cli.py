@@ -39,8 +39,9 @@ def main(argv=None) -> int:
     ValueError: a config file that cannot be read, is not JSON or holds no JSON
     object (load_config), a section, key or value that parse_config refuses, and
     a check the study makes before its paths or covariances (an undriven
-    mode_cutoff, a centred noise that drives nothing, a semigroup mode that is not
-    slow, a zero limit variance, a band too small for the cell)."""
+    mode_cutoff, a cell the closed-form solve does not admit, a centred noise that
+    drives nothing, a semigroup mode that is not slow, a zero limit variance, a band
+    too small for the cell)."""
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

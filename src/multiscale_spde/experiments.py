@@ -177,9 +177,9 @@ def _watch(label: str, value) -> tuple[int, ...]:
 
 
 def _eps(label: str, value) -> tuple[float, ...]:
-    """A number or a non-empty list, each the reciprocal of an integer, strictly decreasing."""
-    given = value if isinstance(value, (list, tuple)) else [value]
-    eps_list = tuple(_real(f"{label} entry", eps) for eps in given)
+    """A non-empty list, each entry the reciprocal of an integer, strictly decreasing."""
+    _need(isinstance(value, (list, tuple)), label, value, "a list of eps values")
+    eps_list = tuple(_real(f"{label} entry", eps) for eps in value)
     if not eps_list:
         raise ValueError(f"{label} is empty; give at least one eps")
     for i, eps in enumerate(eps_list):
@@ -209,11 +209,6 @@ def _profile(label: str, value) -> SpectralField:
         for k, re, im in value})
 
 
-def _sigma(label: str, value) -> float | SpectralField:
-    """A real number (the heat set's constant sigma) or a profile."""
-    return _real(label, value) if _is_real(value) else _profile(label, value)
-
-
 def _table(label: str, value) -> dict[int, SpectralField]:
     """An object from wavenumbers k to the profiles q_k."""
     _need(isinstance(value, dict), label, value, "an object from wavenumbers to profiles")
@@ -230,15 +225,23 @@ def _variance_dt(eps: float) -> float:
 # -- configuration: the sections ---------------------------------------------------
 
 
-def _key(default, read, null: bool = False):
+def _key(default, read, null: bool = False, variants: tuple | None = None):
     """A config key: the JSON value it takes when left out (None: it stays absent) and
     its reader, or the section class that reads it as a nested object.  With null, a
-    JSON null leaves the key out too; elsewhere the reader refuses it."""
-    return field(metadata={"default": default, "read": read, "null": null})
+    JSON null leaves the key out too; elsewhere the reader refuses it.  With variants,
+    (table, noun), the key names a variant (a "set", a "family"): a key of table, which
+    maps each variant to its constructor and the keys it reads."""
+    return field(metadata={"default": default, "read": read, "null": null,
+                           "variants": variants})
 
 
 def _parse(cls, name: str, raw):
-    """raw, the config's `name` object, as cls: each key read by its field's reader."""
+    """raw, the config's `name` object, as cls: each key read by its field's reader.
+
+    The key that names the section's variant is declared first; once it is read, a
+    variant key that raw gives (not null) and this variant does not read is refused
+    before it is read, naming the variant and the keys it reads.
+    """
     _need(isinstance(raw, dict), name, raw, "an object")
     keys = [f.name for f in fields(cls)]
     unknown = sorted(set(raw) - set(keys))
@@ -255,34 +258,46 @@ def _parse(cls, name: str, raw):
             values[f.name] = _parse(read, f.name, value)
         else:
             values[f.name] = read(f"{name} {f.name}", value)
+        if f.metadata["variants"] is not None:
+            (table, noun), variant = f.metadata["variants"], values[f.name]
+            reads = table[variant][1]
+            unread = [key for key in keys if raw.get(key) is not None and key not in reads
+                      and any(key in other for _, other in table.values())]
+            if unread:
+                only = f"only {', '.join(reads)}" if reads else f"no {noun} key"
+                raise ValueError(f"{name} {', '.join(unread)} given to the "
+                                 f"{variant or 'unnamed'} {noun}, which reads {only}")
     return cls(**values)
+
+
+_SETS = {  # each coefficient set's constructor and the keys it reads
+    None: (Coefficients, ("b", "sigma")),
+    "heat": (Coefficients.heat, ()),
+    "cosine-potential": (Coefficients.cosine_potential, ("amplitude",)),
+}
 
 
 @dataclass(frozen=True)
 class CoefficientsSection:
-    """A named set (heat: b = 0 and a constant sigma; cosine-potential: b = A sin x and
-    sigma = 1), or b and sigma as profiles."""
+    """A named set (heat: b = 0 and sigma = sqrt(2), so L = d2/dx2; cosine-potential:
+    b = A sin x and sigma = 1, A = 1 left out), or b and sigma as profiles."""
 
-    name: str | None = _key(None, _choice("heat", "cosine-potential", plural="sets"), null=True)
-    amplitude: float = _key(1.0, _real)
-    sigma: float | SpectralField | None = _key(None, _sigma)
+    name: str | None = _key(None, _choice(*filter(None, _SETS), plural="sets"), null=True,
+                            variants=(_SETS, "set"))
+    amplitude: float | None = _key(None, _real)
+    sigma: SpectralField | None = _key(None, _profile)
     b: SpectralField | None = _key(None, _profile)
 
     def __post_init__(self):
-        if self.name == "heat" and isinstance(self.sigma, SpectralField):
-            raise ValueError("coefficients sigma must be a real number for the heat set, "
-                             "not a profile")
         for key in ("b", "sigma") if self.name is None else ():
-            _need(isinstance(getattr(self, key), SpectralField), f"coefficients {key}",
-                  getattr(self, key), "a profile: the coefficients name no set")
+            _need(getattr(self, key) is not None, f"coefficients {key}", None,
+                  "a profile: the coefficients name no set")
             cell_mod.require_real(key, getattr(self, key))
 
     def build(self) -> Coefficients:
-        if self.name == "heat":
-            return Coefficients.heat(np.sqrt(2.0) if self.sigma is None else self.sigma)
-        if self.name == "cosine-potential":
-            return Coefficients.cosine_potential(self.amplitude)
-        return Coefficients(self.b, self.sigma)
+        """The set's constructor on the keys it reads; one left out takes its default."""
+        make, reads = _SETS[self.name]
+        return make(**{key: getattr(self, key) for key in reads if getattr(self, key) is not None})
 
 
 @dataclass(frozen=True)
@@ -296,23 +311,32 @@ class MollifierSection:
         return (tent_mollifier if self.kind == "tent" else bump_mollifier)(self.radius)
 
 
+_FAMILIES = {  # each noise family's constructor and the family keys it reads
+    "white": (NoiseSpec.white, ()),
+    "power": (NoiseSpec.power_decay, ("alpha", "profile")),
+    "tail": (NoiseSpec.tail_convergent, ("tail", "tail_rate", "ripple", "eta")),
+    "custom": (NoiseSpec.custom, ("table", "alpha", "tail", "eta")),
+}
+
+
 @dataclass(frozen=True)
 class NoiseSection:
     """The noise family and its driven cutoff: cutoff, or cutoff_factor / eps at each eps.
 
-    power needs alpha and custom its table; tail defaults to one for the tail family and
-    to none for custom.  centered subtracts <q_k, rho> from every profile.
+    Each family reads its keys in _FAMILIES, with NoiseSpec's defaults: power needs alpha
+    and custom its table.  centered subtracts <q_k, rho> from every profile.
     """
 
-    family: str = _key("white", _choice("white", "power", "tail", "custom", plural="families"))
+    family: str = _key("white", _choice(*_FAMILIES, plural="families"),
+                       variants=(_FAMILIES, "family"))
     cutoff: int | None = _key(None, _count, null=True)
     cutoff_factor: float | None = _key(None, _positive, null=True)
     alpha: float | None = _key(None, _real)
-    profile: SpectralField = _key("one", _profile)
-    eta: float = _key(0.0, _real)
+    profile: SpectralField | None = _key(None, _profile)
+    eta: float | None = _key(None, _real)
     tail: SpectralField | None = _key(None, _profile)
-    tail_rate: float = _key(1.0, _real)
-    ripple: SpectralField = _key("one", _profile)
+    tail_rate: float | None = _key(None, _real)
+    ripple: SpectralField | None = _key(None, _profile)
     table: dict | None = _key(None, _table)
     centered: bool = _key(False, _flag)
     mollifier: MollifierSection | None = _key(None, MollifierSection)
@@ -340,21 +364,12 @@ class NoiseSection:
         return cutoff
 
     def spec(self, eps: float | None = None) -> NoiseSpec:
-        """The spec at eps, not yet centred (see _driving_noise)."""
-        cutoff = self.cutoff_at(eps)
+        """The spec at eps, not yet centred (see _driving_noise): the family's constructor
+        on the keys it reads, each left out taking NoiseSpec's default."""
+        make, reads = _FAMILIES[self.family]
         moll = None if self.mollifier is None else self.mollifier.build()
-        alpha = 0.0 if self.alpha is None else self.alpha
-        if self.family == "white":
-            return NoiseSpec.white(cutoff, mollifier=moll)
-        if self.family == "power":
-            return NoiseSpec.power_decay(alpha, cutoff, profile=self.profile, eta=self.eta,
-                                         mollifier=moll)
-        if self.family == "tail":
-            tail = _profile("noise tail", "one") if self.tail is None else self.tail
-            return NoiseSpec.tail_convergent(tail, self.tail_rate, cutoff, ripple=self.ripple,
-                                             eta=self.eta, mollifier=moll)
-        return NoiseSpec.custom(self.table, cutoff, alpha=alpha, tail=self.tail, eta=self.eta,
-                                mollifier=moll)
+        return make(cutoff=self.cutoff_at(eps), mollifier=moll,
+                    **{key: getattr(self, key) for key in reads if getattr(self, key) is not None})
 
 
 @dataclass(frozen=True)
@@ -391,8 +406,9 @@ def _cell(cfg: Config):
     return c, solve_cell(c)
 
 
-def _driving_noise(cfg: Config, eps: float, cell) -> NoiseSpec:
-    """The noise at eps, centred against the cell's density when the config asks."""
+def _driving_noise(cfg: Config, eps: float | None, cell) -> NoiseSpec:
+    """The noise at eps, centred against the cell's density when the config asks (cell
+    may be None when it does not)."""
     spec = cfg.noise.spec(eps)
     return spec.centered(cell.rho) if cfg.noise.centered else spec
 
@@ -573,11 +589,14 @@ def _cell_study(cfg: Config, report: ExperimentReport) -> None:
 def _noise_check_study(cfg: Config, report: ExperimentReport) -> None:
     """Run the decay, tail-convergence and summability validators.
 
-    The noise is built at the first solver eps when the config gives one
-    (converge checks its decay assumption there too).  Their rows become
-    the report's rows, and each check one verdict: all of its items passed.
+    The noise is the one the studies drive, built at the first solver eps
+    when the config gives one (converge checks its decay assumption there
+    too) and centred against the cell's density when the config asks.
+    Their rows become the report's rows, and each check one verdict: all
+    of its items passed.
     """
-    spec = cfg.noise.spec(cfg.solver.eps[0] if cfg.solver.eps else None)
+    eps = cfg.solver.eps[0] if cfg.solver.eps else None
+    spec = _driving_noise(cfg, eps, _cell(cfg)[1] if cfg.noise.centered else None)
 
     checks = [noise_mod.check_decay(spec)]
     if spec.tail is not None:
@@ -629,7 +648,8 @@ def _converge_study(cfg: Config, report: ExperimentReport) -> None:
     joint transition, both driven by the same Wiener increments
     (coupled_sup_errors); the Monte Carlo average of the per-path sup
     error is fitted against eps to produce the empirical rate theta.  The
-    limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2.
+    limit is the averaged one, and s defaults to max(0, 1.5 (1 - 2 alpha)) + 1/2
+    with the alpha of the noise it drives.
     """
     study = cfg.study
     eps_list = cfg.solver.eps
@@ -639,13 +659,12 @@ def _converge_study(cfg: Config, report: ExperimentReport) -> None:
     for eps in eps_list:
         require_driven(eps, cfg.noise.cutoff_at(eps), cfg.solver.watch, "mode_cutoff")
     c, cell = _cell(cfg)
-    alpha = 0.0 if cfg.noise.alpha is None else cfg.noise.alpha
-    s = max(0.0, 1.5 * (1.0 - 2.0 * alpha)) + 0.5 if study.s is None else study.s
-    report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
 
     for eps in eps_list:
         spec = _driving_noise(cfg, eps, cell)
         if eps == eps_list[0]:
+            s = max(0.0, 1.5 * (1.0 - 2.0 * spec.alpha)) + 0.5 if study.s is None else study.s
+            report.notes.append(f"H^-s proxy with s = {s:g}, modes 1..{mode_cutoff}")
             report.verdict("noise decay assumption",
                            all(r["passed"] for r in noise_mod.check_decay(spec)), None)
         sc = cfg.engine(c, eps, spec.cutoff)
@@ -932,10 +951,12 @@ def parse_config(raw) -> Config:
 
     Refused, each with a ValueError: a config or section that is not an object (null
     included), a key no study reads, a value of the wrong type or out of its bound (see
-    the sections' readers), a missing study kind, a cutoff and a noise family that do
-    not fit (NoiseSection), a section the study needs and the config lacks, track_norm
-    for any study but simulate, a solver watch for converge (it watches 1 .. study
-    mode_cutoff), the smoothed target without a mollifier, a dt that does not fit the
+    the sections' readers), a variant key the coefficient set or noise family does not
+    read (_SETS, _FAMILIES), a missing study kind, a cutoff and a noise family that do
+    not fit (NoiseSection), a section the study needs and the config lacks, a centred
+    noise without coefficients to centre against, track_norm for any study but
+    simulate, a solver watch for converge (it watches 1 .. study mode_cutoff), the
+    smoothed target without a mollifier, a dt that does not fit the
     horizon (_check_dt), a b or sigma that is not a real field (cell.require_real), a
     noise that does not build, or drives nothing (NoiseSpec), at every eps (at no eps
     when the config gives none), a given n_modes below the band minimum (min_modes) at
@@ -951,6 +972,9 @@ def parse_config(raw) -> Config:
     for section in rules.needs:
         if getattr(cfg, section) is None:
             raise ValueError(f"the {kind} study needs a {section} section; the config has none")
+    if cfg.noise is not None and cfg.noise.centered and cfg.coefficients is None:
+        raise ValueError("noise centered = true centres against the cell's density; the "
+                         "config has no coefficients section")
     solver = cfg.solver
     study = cfg.study
     if solver.track_norm and kind != "simulate":

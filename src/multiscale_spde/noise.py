@@ -29,7 +29,6 @@ from .fourier import (SpectralField, cells, conjugation_defect, inner_product, l
 
 __all__ = [
     "NoiseSpec",
-    "WienerStream",
     "wiener_streams",
     "CouplingSeries",
     "tent_mollifier",
@@ -108,23 +107,24 @@ class NoiseSpec:
 
     @classmethod
     def power_decay(cls, alpha: float, cutoff: int,
-                    profile: SpectralField | None = None, eta: float = 0.0,
-                    mollifier=None) -> "NoiseSpec":
+                    profile: SpectralField | None = None, mollifier=None) -> "NoiseSpec":
+        """Decay at (1 v |k|)^-alpha; noise-check skips its summability, so no eta."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"noise decay exponent alpha = {alpha!r} must lie in (0, 1)")
         p = _check_profile(profile or SpectralField.constant(1.0), "power")
-        return cls("power", cutoff, alpha=alpha, tail=p, eta=eta,
+        return cls("power", cutoff, alpha=alpha, tail=p,
                    mollifier=mollifier, label=f"power(alpha={alpha:g})")
 
     @classmethod
-    def tail_convergent(cls, tail: SpectralField, rate: float, cutoff: int,
-                        ripple: SpectralField | None = None, eta: float = 0.0,
+    def tail_convergent(cls, tail: SpectralField | None = None, tail_rate: float = 1.0, *,
+                        cutoff: int, ripple: SpectralField | None = None, eta: float = 0.0,
                         mollifier=None) -> "NoiseSpec":
-        tail = _check_profile(tail, "tail")
+        """q_k -> tail (1 left out) at the rate, with ripple (1 left out)."""
+        tail = _check_profile(tail or SpectralField.constant(1.0), "tail")
         ripple = _check_profile(ripple or SpectralField.constant(1.0), "ripple")
-        return cls("tail", cutoff, alpha=0.0, tail=tail, tail_rate=rate,
+        return cls("tail", cutoff, alpha=0.0, tail=tail, tail_rate=tail_rate,
                    ripple=ripple, eta=eta, mollifier=mollifier,
-                   label=f"tail(rate={rate:g})")
+                   label=f"tail(rate={tail_rate:g})")
 
     @classmethod
     def custom(cls, table: dict, cutoff: int, *, alpha: float = 0.0,
@@ -416,42 +416,23 @@ class _SeedWords(ISeedSequence):
 
 
 def wiener_streams(seed: int, paths, residues):
-    """Per residue in order, the streams (seed, p, residue) of every p in paths.
+    """Per residue in order, the Gaussian stream (seed, p, residue) of every p in paths.
 
-    Yields a list of NumPy Generators per residue, entry p drawing what
-    WienerStream(seed, p, residue) draws.  Every key is seeded in one
-    vectorised pass (_stream_seeds) before the first list; each list's
-    generators are built only when it is reached, about 1.5 us each.
+    Yields a list of NumPy Generators per residue, entry p the stream of
+    residue class `residue` of sample path p: SFC64 seeded as by
+    SeedSequence(seed mod 2^64, spawn_key=(p, residue)), the child (p,
+    residue) of the seed's SeedSequence tree, so each class of each path
+    owns a stream, reproducible for any scheduling of paths and
+    independent of which other classes are evolved.  Every path index
+    and residue must lie in [0, 2^32), else ValueError before the first
+    list.  Every key is seeded in one vectorised pass (_stream_seeds)
+    without building a SeedSequence, about 1.5 us a stream for 64 paths x
+    16 classes against 13.8 us for a SeedSequence and its SFC64 (2-vCPU
+    Xeon); one key alone pays for a whole pass, about 60 us.  Each list's
+    generators are built only when it is reached.  The normals come in
+    draw order, so stepwise, chunked and in-place draws
+    (standard_normal(out=...)) of the same stream agree; the engine fills
+    each chunk of a class's normals in place, one block after another.
     """
     for row in _stream_seeds(seed, paths, residues):
         yield [Generator(SFC64(_SeedWords(words))) for words in row]
-
-
-class WienerStream:
-    """Gaussian stream for one residue class of one sample path.
-
-    SFC64 seeded by SeedSequence(seed, spawn_key=(path index, residue)):
-    the stream is the child (path, residue) of the seed's SeedSequence
-    tree, the one SeedSequence(seed).spawn(...) would address, so each
-    class of each path owns a stream, reproducible for any scheduling of
-    paths and independent of which other classes are evolved.  The seed
-    is taken modulo 2^64; the path index and residue must lie below 2^32.
-    The stream is the one-key case of wiener_streams, which seeds from
-    the SeedSequence's hash without building it; the engine seeds all of
-    a run's streams that way at once, about 1.5 us a stream for 64 paths
-    x 16 classes, against 13.8 us for a SeedSequence and its SFC64 (2-vCPU
-    Xeon).  A lone stream pays for a whole pass, about 60 us.  The
-    normals come in draw order, so stepwise, chunked and in-place draws
-    of the same stream agree; the engine fills each chunk of a class's
-    normals in place, the normals of one block after another.
-    """
-
-    def __init__(self, seed: int, path_index: int = 0, residue: int = 0):
-        self.seed = int(seed)
-        self.path_index = int(path_index)
-        self.residue = int(residue)
-        [[self._gen]] = wiener_streams(self.seed, [self.path_index], [self.residue])
-
-    def fill(self, out: np.ndarray) -> None:
-        """Write the stream's next out.size standard normals into the contiguous float64 out."""
-        self._gen.standard_normal(out=out)

@@ -526,9 +526,8 @@ def _engine(plans: dict, config: SolverConfig, path_indices):
     one after another, in residue order, each over the whole time grid in
     chunks of its own plan.chunk steps: per chunk, every path fills its
     row of the class's buffer in place with the normals of the chunk's
-    blocks, plan.r per block, from its own stream, the one
-    WienerStream(seed, path, residue) draws.  The run seeds the streams
-    of all its (path, residue) keys in one vectorised pass
+    blocks, plan.r per block, from its own stream (seed, path, residue).
+    The run seeds the streams of all its (path, residue) keys in one vectorised pass
     (wiener_streams), about 1.5 us a stream, and builds each class's
     generators when the class starts.  Each block writes its length o +
     n - o outputs (_block_law) into obs, whose last n are the state it

@@ -16,7 +16,7 @@ from multiscale_spde.cell import Coefficients, diffusivity_from_decay, solve_cel
 from multiscale_spde.experiments import run_study
 from multiscale_spde.fourier import SpectralField, l2_norm, oscillate
 from multiscale_spde.limit import enhanced_coefficient, limit_model, ou_variance
-from multiscale_spde.noise import NoiseSpec, WienerStream, coupling_series
+from multiscale_spde.noise import NoiseSpec, coupling_series
 from multiscale_spde import solver
 from multiscale_spde.solver import (
     SolverConfig,
@@ -25,7 +25,7 @@ from multiscale_spde.solver import (
     simulate_paths,
     suggest_modes,
 )
-from test_noise import drawn
+from test_noise import drawn, key_stream
 from test_solver import plan_coords
 
 I0_2, I0_4 = iv(0, 2.0), iv(0, 4.0)
@@ -354,7 +354,7 @@ def test_criterion8d_block_vs_dense_pathwise(cosine):
         g_gap = max(g_gap, np.abs(mapped @ mapped.conj().T - joint).max() / np.abs(joint).max())
 
         # the path: dense free flow of the class's state plus the mapped kicks
-        w = drawn(WienerStream(seed, 0, res), -(-cfg.n_steps // length), plan.r)
+        w = drawn(key_stream(seed, 0, res), -(-cfg.n_steps // length), plan.r)
         x = np.zeros(n, dtype=complex)
         for b, wb in enumerate(w):
             kick = mapped @ wb

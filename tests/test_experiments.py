@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from multiscale_spde.cell import Coefficients, solve_cell
 from multiscale_spde.cli import main
-from multiscale_spde.errors import FitFailed, SolveFailed
+from multiscale_spde.errors import FitFailed
 from multiscale_spde.experiments import (
     ENHANCEMENT_MIN_FACTOR,
     ExperimentReport,
@@ -46,6 +46,21 @@ SMALL_VARIANCE = {
     "study": {"kind": "variance", "target": "enhanced", "seed": 9,
               "tolerances": {"final_gap": 0.5}},
 }
+
+
+# One refusal row per (noise family, family key it does not read), for the table of
+# test_bad_solver_key_fails_before_any_solve: the family with the keys it needs, then the key.
+FAMILY_READS = {"white": ({}, ()), "power": ({"alpha": 0.5}, ("alpha", "profile")),
+                "tail": ({}, ("tail", "tail_rate", "ripple", "eta")),
+                "custom": ({"table": {"1": "one"}}, ("table", "alpha", "tail", "eta"))}
+FAMILY_KEYS = {"alpha": 0.5, "profile": "cos", "eta": 0.5, "tail": "one", "tail_rate": 2.0,
+               "ripple": "cos", "table": {"1": "one"}}
+UNREAD_FAMILY_KEYS = [
+    ("noise", None, {"family": family, **needs, key: value},
+     rf"^noise {key} given to the {family} family, which reads "
+     rf"{'only ' + ', '.join(reads) if reads else 'no family key'}$")
+    for family, (needs, reads) in FAMILY_READS.items()
+    for key, value in FAMILY_KEYS.items() if key not in reads]
 
 
 def small_config(kind: str) -> dict:
@@ -257,6 +272,45 @@ class TestStudies:
                                                         "tail convergence check "
                                                         "(power(alpha=0.75))"]
         assert report.notes == ["tail summability skipped: decaying family"]
+
+    def test_noise_check_checks_the_centred_noise(self, solves):
+        """With centered = true, noise-check checks the noise the studies drive: centred
+        against the cell's density, as converge's noise decay assumption is."""
+        report = run_study({
+            "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+            "noise": {"family": "power", "alpha": 0.5, "profile": "one-plus-cos",
+                      "cutoff": 64, "centered": True},
+            "study": {"kind": "noise-check"},
+        })
+        assert [v["name"] for v in report.verdicts] == [
+            "decay check (power(alpha=0.5)+centred)",
+            "tail convergence check (power(alpha=0.5)+centred)"]
+        assert len(solves) == 1
+
+    def test_centred_noise_check_without_coefficients_is_refused(self, solves):
+        with pytest.raises(ValueError, match=r"^noise centered = true centres against the "
+                                             r"cell's density; the config has no "
+                                             r"coefficients section$"):
+            run_study({"noise": {"family": "power", "alpha": 0.5, "cutoff": 8,
+                                 "centered": True},
+                       "study": {"kind": "noise-check"}})
+        assert solves == []
+
+    def test_converge_default_s_reads_the_alpha_of_the_driven_noise(self):
+        """A custom family reads alpha, so s = max(0, 1.5 (1 - 2 alpha)) + 1/2 = 1.25
+        at alpha = 0.25; a white family does not, and refuses it."""
+        config = {
+            "coefficients": {"name": "cosine-potential", "amplitude": 1.0},
+            "noise": {"family": "custom", "alpha": 0.25, "cutoff": 8,
+                      "table": {str(k): "one" for k in range(9)}},
+            "solver": {"eps": [0.25, 0.125, 0.0625], "t_final": 0.01},
+            "study": {"kind": "converge", "seed": 1, "paths": 2, "mode_cutoff": 2},
+        }
+        assert run_study(config).notes[0] == "H^-s proxy with s = 1.25, modes 1..2"
+        config["noise"] = {"family": "white", "alpha": 0.25, "cutoff": 8}
+        with pytest.raises(ValueError, match=r"^noise alpha given to the white family, "
+                                             r"which reads no family key$"):
+            run_study(config)
 
     def test_trivial_cell_convergence_hits_floor(self):
         report = run_study({
@@ -520,13 +574,14 @@ class TestStudies:
         ("coefficients", "amplitude", None, r"^coefficients amplitude = None must be a real "
                                             r"number$"),
         ("noise", "alpha", None, r"^noise alpha = None must be a real number$"),
-        ("noise", "profile", 5, r"^noise profile = 5 must be a profile name or a list of "
-                                r"\[k, re, im\] triples$"),
+        ("noise", None, {"family": "power", "alpha": 0.5, "profile": 5},
+         r"^noise profile = 5 must be a profile name or a list of \[k, re, im\] triples$"),
         ("study", "kind", [1], r"^unknown study kind \[1\]; the kinds are cell, noise-check, "
                                r"simulate, converge, variance, semigroup$"),
         ("solver", "t_final", True, r"^solver t_final = True must be a real number$"),
         ("solver", "t_final", "1", r"^solver t_final = '1' must be a real number$"),
-        ("solver", "eps", "x", r"^solver eps entry = 'x' must be a real number$"),
+        ("solver", "eps", "x", r"^solver eps = 'x' must be a list of eps values$"),
+        ("solver", "eps", 0.25, r"^solver eps = 0.25 must be a list of eps values$"),
         ("solver", "eps", [0.25, "x"], r"^solver eps entry = 'x' must be a real number$"),
         ("noise", "cutoff_factor", "x", r"^noise cutoff_factor = 'x' must be a real number$"),
         ("coefficients", "amplitude", "x", r"^coefficients amplitude = 'x' must be a real "
@@ -544,21 +599,42 @@ class TestStudies:
          r"vanishes$"),
         ("noise", None, {"family": "custom", "table": {"2": [[0, 0.0, 0.0]], "12": "one"}},
          r"^noise custom drives nothing: every profile q_k with \|k\| <= 8 vanishes$"),
-        ("coefficients", None, {"name": None, "b": [[1, 0.0, -0.5]], "sigma": "one"},
+        ("coefficients", None, {"name": None, "amplitude": None, "b": [[1, 0.0, -0.5]],
+                                "sigma": "one"},
          r"^coefficients b is not a real field: \|c_-k - conj c_k\| = 5\.000e-01 at k = 1, "
          r"above 1e-12 max \|c_k\|$"),
-        ("coefficients", None, {"name": None, "b": "sin",
+        ("coefficients", None, {"name": None, "amplitude": None, "b": "sin",
                                 "sigma": [[0, 1.0, 0.0], [2, 0.1, 0.0]]},
          r"^coefficients sigma is not a real field: \|c_-k - conj c_k\| = 1\.000e-01 at k = 2, "
          r"above 1e-12 max \|c_k\|$"),
+        ("coefficients", None, {"name": None, "b": "sin", "sigma": "one"},
+         r"^coefficients amplitude given to the unnamed set, which reads only b, sigma$"),
+        ("coefficients", "b", "sin",
+         r"^coefficients b given to the cosine-potential set, which reads only amplitude$"),
+        ("coefficients", "sigma", "one",
+         r"^coefficients sigma given to the cosine-potential set, which reads only "
+         r"amplitude$"),
+        ("coefficients", None, {"name": "heat"},
+         r"^coefficients amplitude given to the heat set, which reads no set key$"),
+        ("coefficients", None, {"name": "heat", "amplitude": None, "b": "sin"},
+         r"^coefficients b given to the heat set, which reads no set key$"),
+        ("coefficients", None, {"name": "heat", "amplitude": None, "sigma": "one"},
+         r"^coefficients sigma given to the heat set, which reads no set key$"),
+        ("coefficients", None, {"name": "heat", "amplitude": None, "sigma": 2.0},
+         r"^coefficients sigma given to the heat set, which reads no set key$"),
+        ("coefficients", None, {"name": None, "amplitude": None, "b": "sin", "sigma": 2.0},
+         r"^coefficients sigma = 2.0 must be a profile name or a list of \[k, re, im\] "
+         r"triples$"),
+        *UNREAD_FAMILY_KEYS,
     ])
     def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
                                                    value, message):
-        """key None merges value, a dict, into the section, and puts any other value,
-        null included, in the section's place."""
+        """key None merges value, a dict, into the section, where a null entry removes
+        its key, and puts any other value, null included, in the section's place."""
         config = small_config(kind)
         if key is None and isinstance(value, dict):
             config[section].update(value)
+            config[section] = {k: v for k, v in config[section].items() if v is not None}
         elif key is None:
             config[section] = value
         else:
@@ -646,7 +722,7 @@ class TestStudies:
         if kind == "converge":
             del config["study"]["target"]  # converge compares with the averaged limit
             config["solver"]["eps"] = [0.25, 0.125, 0.0625]  # and fits a rate to >= 3 eps
-        with pytest.raises(SolveFailed, match=message):
+        with pytest.raises(ValueError, match=message):
             run_study(config)
 
     def test_zero_limit_variance_fails_before_the_covariance(self, monkeypatch):
@@ -995,15 +1071,29 @@ class TestCli:
                                            "drives nothing: every profile q_k with |k| <= 8 "
                                            "vanishes\n")
 
-    def test_coefficient_that_is_not_real_exits_2(self, tmp_path, capsys):
-        """b = -0.5i e^{ix} alone (no k = -1 mode) is refused, not solved to a failed
-        stationarity residual."""
+    @pytest.mark.parametrize("kind, config, message", [
+        ("cell", {"coefficients": {"b": [[1, 0.0, -0.5]], "sigma": "one"}},
+         "coefficients b is not a real field: |c_-k - conj c_k| = 5.000e-01 at k = 1, "
+         "above 1e-12 max |c_k|"),
+        ("cell", {"coefficients": {"name": "heat", "sigma": "one"}},
+         "coefficients sigma given to the heat set, which reads no set key"),
+        ("semigroup", {"coefficients": {"name": "heat"}, "solver": {"eps": 0.25}},
+         "solver eps = 0.25 must be a list of eps values"),
+        ("noise-check", {"noise": {"family": "white", "alpha": 0.75, "cutoff": 8}},
+         "noise alpha given to the white family, which reads no family key"),
+        ("cell", {"coefficients": {"b": [[0, 0.5, 0.0], [1, 0.0, -0.5], [-1, 0.0, 0.5]],
+                                   "sigma": "one"}},
+         "cell is not centred: |mean(b/sigma^2)| = 5.000e-01 above 8.660e-11"),
+    ], ids=["not-real-b", "heat-sigma", "bare-eps", "white-alpha", "uncentred-cell"])
+    def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, kind, config,
+                                                 message):
+        """A b that is not a real field (b = -0.5i e^{ix} alone, no k = -1 mode), a key
+        the variant does not read, a key in a second form and a cell the closed form does
+        not admit are each refused with one line, not solved, run or failed."""
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"coefficients": {"b": [[1, 0.0, -0.5]], "sigma": "one"}}))
-        assert main(["cell", "--config", str(cfg), "--quiet"]) == 2
-        assert capsys.readouterr().err == ("multiscale-spde: error: coefficients b is not a "
-                                           "real field: |c_-k - conj c_k| = 5.000e-01 at k = 1, "
-                                           "above 1e-12 max |c_k|\n")
+        cfg.write_text(json.dumps(config))
+        assert main([kind, "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"multiscale-spde: error: {message}\n"
 
     def test_refused_config_exits_2_with_one_line(self, tmp_path):
         """A config the studies refuse exits 2, not 1 (a failed verdict), and prints

@@ -21,7 +21,6 @@ from multiscale_spde.limit import (
 )
 from multiscale_spde.noise import (
     NoiseSpec,
-    WienerStream,
     bump_mollifier,
     check_decay,
     check_tail_convergence,
@@ -64,7 +63,7 @@ class TestFamilies:
         (lambda: NoiseSpec.white(0), r"cutoff must be at least 1$"),
         (lambda: NoiseSpec.power_decay(0.5, 8, profile=SpectralField.from_modes(
             {17: 0.5, -17: 0.5})), r"power profile exceeds 16 harmonics$"),
-        (lambda: NoiseSpec.tail_convergent(SpectralField.from_modes({1: 1.0}), 1.0, 8),
+        (lambda: NoiseSpec.tail_convergent(SpectralField.from_modes({1: 1.0}), 1.0, cutoff=8),
          r"tail profile must be real-valued$"),
     ], ids=["cutoff", "harmonics", "not-real"])
     def test_bad_spec_is_rejected(self, build, message):
@@ -83,7 +82,7 @@ class TestFamilies:
          r"power\(alpha=0.5\)"),
         (lambda rho: NoiseSpec.power_decay(0.5, 8, profile=SpectralField.from_modes(
             {0: 0.0, 1: 0.0, -1: 0.0})), r"power\(alpha=0.5\)"),
-        (lambda rho: NoiseSpec.tail_convergent(SpectralField.constant(1.0), 1.0, 8).centered(
+        (lambda rho: NoiseSpec.tail_convergent(SpectralField.constant(1.0), 1.0, cutoff=8).centered(
             rho), r"tail\(rate=1\)\+centred"),
         (lambda rho: NoiseSpec.custom({2: SpectralField.zero(2),
                                        12: SpectralField.constant(1.0)}, 8), "custom"),
@@ -136,7 +135,7 @@ class TestProfileFormula:
 
         specs = [
             NoiseSpec.power_decay(0.6, 64, profile=ONE_PLUS_COS),
-            NoiseSpec.tail_convergent(ONE_PLUS_COS, 0.75, 64, ripple=self.COS),
+            NoiseSpec.tail_convergent(ONE_PLUS_COS, 0.75, cutoff=64, ripple=self.COS),
             NoiseSpec.custom({0: ONE_PLUS_COS, 5: self.COS, 17: ONE_PLUS_COS}, 64,
                              alpha=0.5, tail=ONE_PLUS_COS),
         ]
@@ -179,7 +178,7 @@ class TestValidators:
     def test_tail_convergence_cases(self):
         white = NoiseSpec.white(64)
         assert passed(check_tail_convergence(white))
-        tail = NoiseSpec.tail_convergent(ONE_PLUS_COS, 1.0, 64,
+        tail = NoiseSpec.tail_convergent(ONE_PLUS_COS, 1.0, cutoff=64,
                                          ripple=SpectralField.from_modes({1: 0.5, -1: 0.5}))
         rows = check_tail_convergence(tail)
         assert passed(rows)
@@ -190,9 +189,9 @@ class TestValidators:
 
     def test_summability_cases(self):
         assert passed(check_tail_summability(NoiseSpec.white(256)))
-        convergent = NoiseSpec.tail_convergent(ONE_PLUS_COS, 1.0, 256, eta=0.0)
+        convergent = NoiseSpec.tail_convergent(ONE_PLUS_COS, 1.0, cutoff=256, eta=0.0)
         assert passed(check_tail_summability(convergent))
-        divergent = NoiseSpec.tail_convergent(ONE_PLUS_COS, 0.25, 256, eta=0.0)
+        divergent = NoiseSpec.tail_convergent(ONE_PLUS_COS, 0.25, cutoff=256, eta=0.0)
         assert not passed(check_tail_summability(divergent))
 
 
@@ -372,17 +371,23 @@ class TestCouplingSeries:
                 coupling_series(NoiseSpec.white(32), cosine_cell.rho, eps, m)
 
 
+def key_stream(seed, path=0, residue=0):
+    """The stream of the one key (seed, path, residue): wiener_streams(seed, [path], [residue])."""
+    [[stream]] = wiener_streams(seed, [path], [residue])
+    return stream
+
+
 def drawn(stream, n_steps, width):
-    """The stream's next n_steps * width normals, shape (n_steps, width), through fill."""
+    """The stream's next n_steps * width normals, shape (n_steps, width), filled in place."""
     out = np.empty((n_steps, width))
-    stream.fill(out)
+    stream.standard_normal(out=out)
     return out
 
 
 class TestWienerSampling:
     def test_normals_are_the_spawned_sfc64_stream_in_draw_order(self):
         """Stream (seed, path, residue) is SFC64 on child (path, residue) of the seed's tree."""
-        stream = WienerStream(5, 3, 2)
+        stream = key_stream(5, 3, 2)
         oracle = Generator(SFC64(SeedSequence(5).spawn(4)[3].spawn(3)[2]))
         for _ in range(2):  # the second call checks the stream position too
             assert np.array_equal(drawn(stream, 64, 7), oracle.standard_normal((64, 7)))
@@ -390,7 +395,7 @@ class TestWienerSampling:
     def test_streams_are_numpys_seedsequence_children(self):
         """Every key of a grid, seeded in one vectorised pass, draws what SFC64 on
         SeedSequence(seed mod 2^64, spawn_key=(p, r)) draws, in a first chunk and a
-        continued one; so does each key's own WienerStream.  The seeds cover one and
+        continued one; so does each key seeded alone.  The seeds cover one and
         two 32-bit words, a negative seed and one of 2^64 or more."""
         seeds = (0, 1, 2**32 - 1, 2**32, 2**63 + 5, -1, 2**64 + 3)
         paths, residues = (0, 15, 16, 2**32 - 1), (0, 1, 8, 31)
@@ -398,7 +403,7 @@ class TestWienerSampling:
             for r, row in zip(residues, wiener_streams(seed, paths, residues)):
                 for p, gen in zip(paths, row):
                     key = SeedSequence(seed & (2**64 - 1), spawn_key=(p, r))
-                    oracle, stream = Generator(SFC64(key)), WienerStream(seed, p, r)
+                    oracle, stream = Generator(SFC64(key)), key_stream(seed, p, r)
                     for n in (37, 200):
                         want, got = oracle.standard_normal(n), np.empty(n)
                         gen.standard_normal(out=got)
@@ -413,24 +418,24 @@ class TestWienerSampling:
         message = rf"stream {name} {bad} must lie in \[0, 2\^32\): each key of a Wiener " \
                   rf"stream is one 32-bit word"
         with pytest.raises(ValueError, match=message):
-            WienerStream(7, path, residue)
+            key_stream(7, path, residue)
         with pytest.raises(ValueError, match=message):
             next(wiener_streams(7, [0, path], [1, residue]))
 
     def test_in_place_fill_continues_the_stream(self):
-        """fill writes the next normals into a row slice, exactly as into a whole array."""
-        whole = drawn(WienerStream(3, 7, 1), 3, 40).ravel()
-        stream = WienerStream(3, 7, 1)
+        """An in-place draw into a row slice continues the stream, as into a whole array."""
+        whole = drawn(key_stream(3, 7, 1), 3, 40).ravel()
+        stream = key_stream(3, 7, 1)
         buf = np.zeros((2, 90))
-        stream.fill(buf[1, 5:45])
-        stream.fill(buf[0, 10:90])
+        stream.standard_normal(out=buf[1, 5:45])
+        stream.standard_normal(out=buf[0, 10:90])
         assert np.array_equal(buf[1, 5:45], whole[:40])
         assert np.array_equal(buf[0, 10:90], whole[40:])
         assert not buf[1, :5].any() and not buf[1, 45:].any() and not buf[0, :10].any()
 
     def test_chunked_draws_agree_with_one_draw(self):
-        whole = drawn(WienerStream(3, 7), 64, 5)
-        stream = WienerStream(3, 7)
+        whole = drawn(key_stream(3, 7), 64, 5)
+        stream = key_stream(3, 7)
         chunks = np.vstack([drawn(stream, n, 5) for n in (1, 15, 32, 16)])
         assert np.array_equal(whole, chunks)
 
@@ -442,13 +447,13 @@ class TestWienerSampling:
         32-bit words can pass for a seed and a path.
         """
         keys = ((1, 0, 0), (1, 1, 0), (2, 0, 0), (1, 0, 1), (1 + 3 * 2**32, 7, 0), (1, 3, 7))
-        draws = [drawn(WienerStream(*key), 250, 4) for key in keys]
+        draws = [drawn(key_stream(*key), 250, 4) for key in keys]
         for a in range(len(keys)):
             for b in range(a + 1, len(keys)):
                 assert np.intersect1d(draws[a], draws[b]).size == 0, (keys[a], keys[b])
 
     def test_moments(self):
-        z = drawn(WienerStream(123, 0), 50_000, 4).ravel()
+        z = drawn(key_stream(123, 0), 50_000, 4).ravel()
         se = 1.0 / np.sqrt(z.size)
         assert abs(z.mean()) <= 4.0 * se
         assert abs((z**2).mean() - 1.0) <= 4.0 * np.sqrt(2.0) * se

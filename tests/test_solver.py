@@ -16,7 +16,7 @@ from multiscale_spde.errors import ResolutionTooSmall, SolveFailed, UnstableStep
 from multiscale_spde.experiments import parse_config
 from multiscale_spde.fourier import SpectralField, l2_norm
 from multiscale_spde.limit import LimitModel, limit_model
-from multiscale_spde.noise import NoiseSpec, WienerStream
+from multiscale_spde.noise import NoiseSpec
 from multiscale_spde.solver import (
     SolverConfig,
     apply_generator,
@@ -27,7 +27,7 @@ from multiscale_spde.solver import (
     suggest_modes,
 )
 from test_cell import random_band_limited
-from test_noise import drawn
+from test_noise import drawn, key_stream
 
 DELTA_ONE = NoiseSpec.custom({1: SpectralField.constant(1.0)}, cutoff=1)
 # b = cos x, sigma = 1 + 0.4 sin x: drift that is not a gradient against sigma^2
@@ -155,7 +155,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     given) is planned as the engine plans it, observing every coordinate
     when config.track_norm.
     Block b reads the class's own normals w_b, its plan.r next ones from
-    WienerStream(seed, path, residue): after step i of the block the
+    stream (seed, path, residue): after step i of the block the
     observed rows are (P^i y_0)[:o] plus rows (i-1) o .. i o of f w_b,
     and the block ends in P^B y_0 plus f's last n rows times w_b (its
     last o observed rows, then the state's other n - o), P^i y_0 stepped
@@ -171,7 +171,7 @@ def stepped_reference(c, spec, config, path_index=0, model=None):
     for res, plan in plans.items():
         n, o, length = plan.n, plan.o, plan.length
         n_blocks = -(-n_steps // length)
-        w = drawn(WienerStream(config.seed, path_index, res), n_blocks, plan.r)
+        w = drawn(key_stream(config.seed, path_index, res), n_blocks, plan.r)
         rows = np.zeros((n_blocks * length + 1, o))
         y = np.zeros(n)
         for b in range(n_blocks):
@@ -383,7 +383,7 @@ class TestBlocks:
         fall outside the class are dropped, the rest placed by index."""
         rng = np.random.default_rng(seed)
         c = random_band_limited(seed, wide=False)
-        spec = NoiseSpec.tail_convergent(random_profile(rng, harmonics), 1.0, cutoff,
+        spec = NoiseSpec.tail_convergent(random_profile(rng, harmonics), 1.0, cutoff=cutoff,
                                          ripple=random_profile(rng, int(rng.integers(0, 17))))
         r = int(round(1.0 / eps))
         n = 2 * r * (c.max_harmonic + 1 + extra) + 2 * cutoff
@@ -1141,7 +1141,7 @@ class TestBlockedEngine:
     def test_a_class_does_not_depend_on_the_other_evolved_classes(self, cosine, cosine_cell):
         """Bitwise: watching 3 too evolves class 3 and leaves classes 1 and 2 as they were.
 
-        A class draws from WienerStream(seed, path, residue) and runs on its
+        A class draws from its stream (seed, path, residue) and runs on its
         own plan, so its values do not change when another class joins.
         """
         spec = NoiseSpec.power_decay(0.75, 16)
