@@ -225,23 +225,15 @@ def _variance_dt(eps: float) -> float:
 # -- configuration: the sections ---------------------------------------------------
 
 
-def _key(default, read, null: bool = False, variants: tuple | None = None):
+def _key(default, read, null: bool = False):
     """A config key: the JSON value it takes when left out (None: it stays absent) and
     its reader, or the section class that reads it as a nested object.  With null, a
-    JSON null leaves the key out too; elsewhere the reader refuses it.  With variants,
-    (table, noun), the key names a variant (a "set", a "family"): a key of table, which
-    maps each variant to its constructor and the keys it reads."""
-    return field(metadata={"default": default, "read": read, "null": null,
-                           "variants": variants})
+    JSON null leaves the key out too; elsewhere the reader refuses it."""
+    return field(metadata={"default": default, "read": read, "null": null})
 
 
 def _parse(cls, name: str, raw):
-    """raw, the config's `name` object, as cls: each key read by its field's reader.
-
-    The key that names the section's variant is declared first; once it is read, a
-    variant key that raw gives (not null) and this variant does not read is refused
-    before it is read, naming the variant and the keys it reads.
-    """
+    """raw, the config's `name` object, as cls: each key read by its field's reader."""
     _need(isinstance(raw, dict), name, raw, "an object")
     keys = [f.name for f in fields(cls)]
     unknown = sorted(set(raw) - set(keys))
@@ -258,16 +250,19 @@ def _parse(cls, name: str, raw):
             values[f.name] = _parse(read, f.name, value)
         else:
             values[f.name] = read(f"{name} {f.name}", value)
-        if f.metadata["variants"] is not None:
-            (table, noun), variant = f.metadata["variants"], values[f.name]
-            reads = table[variant][1]
-            unread = [key for key in keys if raw.get(key) is not None and key not in reads
-                      and any(key in other for _, other in table.values())]
-            if unread:
-                only = f"only {', '.join(reads)}" if reads else f"no {noun} key"
-                raise ValueError(f"{name} {', '.join(unread)} given to the "
-                                 f"{variant or 'unnamed'} {noun}, which reads {only}")
     return cls(**values)
+
+
+def _reads_only(section, name: str, noun: str, table: dict, variant) -> None:
+    """Refuse a key of section that some variant in table (variant -> (constructor, keys
+    read)) reads, but variant, the section's own set or family, does not."""
+    reads = table[variant][1]
+    unread = [f.name for f in fields(section) if getattr(section, f.name) is not None
+              and f.name not in reads and any(f.name in keys for _, keys in table.values())]
+    if unread:
+        only = f"only {', '.join(reads)}" if reads else f"no {noun} key"
+        raise ValueError(f"{name} {', '.join(unread)} given to the {variant or 'unnamed'} "
+                         f"{noun}, which reads {only}")
 
 
 _SETS = {  # each coefficient set's constructor and the keys it reads
@@ -282,13 +277,13 @@ class CoefficientsSection:
     """A named set (heat: b = 0 and sigma = sqrt(2), so L = d2/dx2; cosine-potential:
     b = A sin x and sigma = 1, A = 1 left out), or b and sigma as profiles."""
 
-    name: str | None = _key(None, _choice(*filter(None, _SETS), plural="sets"), null=True,
-                            variants=(_SETS, "set"))
+    name: str | None = _key(None, _choice(*filter(None, _SETS), plural="sets"), null=True)
     amplitude: float | None = _key(None, _real)
     sigma: SpectralField | None = _key(None, _profile)
     b: SpectralField | None = _key(None, _profile)
 
     def __post_init__(self):
+        _reads_only(self, "coefficients", "set", _SETS, self.name)
         for key in ("b", "sigma") if self.name is None else ():
             _need(getattr(self, key) is not None, f"coefficients {key}", None,
                   "a profile: the coefficients name no set")
@@ -327,8 +322,7 @@ class NoiseSection:
     and custom its table.  centered subtracts <q_k, rho> from every profile.
     """
 
-    family: str = _key("white", _choice(*_FAMILIES, plural="families"),
-                       variants=(_FAMILIES, "family"))
+    family: str = _key("white", _choice(*_FAMILIES, plural="families"))
     cutoff: int | None = _key(None, _count, null=True)
     cutoff_factor: float | None = _key(None, _positive, null=True)
     alpha: float | None = _key(None, _real)
@@ -342,6 +336,7 @@ class NoiseSection:
     mollifier: MollifierSection | None = _key(None, MollifierSection)
 
     def __post_init__(self):
+        _reads_only(self, "noise", "family", _FAMILIES, self.family)
         if (self.cutoff is None) == (self.cutoff_factor is None):
             given = "both cutoff and" if self.cutoff is not None else "neither cutoff nor"
             raise ValueError(f"noise gives {given} cutoff_factor; give one")

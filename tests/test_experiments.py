@@ -49,7 +49,8 @@ SMALL_VARIANCE = {
 
 
 # One refusal row per (noise family, family key it does not read), for the table of
-# test_bad_solver_key_fails_before_any_solve: the family with the keys it needs, then the key.
+# test_unread_variant_key_or_second_form_is_refused: the family with the keys it needs,
+# then the key.
 FAMILY_READS = {"white": ({}, ()), "power": ({"alpha": 0.5}, ("alpha", "profile")),
                 "tail": ({}, ("tail", "tail_rate", "ripple", "eta")),
                 "custom": ({"table": {"1": "one"}}, ("table", "alpha", "tail", "eta"))}
@@ -61,6 +62,23 @@ UNREAD_FAMILY_KEYS = [
      rf"{'only ' + ', '.join(reads) if reads else 'no family key'}$")
     for family, (needs, reads) in FAMILY_READS.items()
     for key, value in FAMILY_KEYS.items() if key not in reads]
+
+
+ABSENT = object()  # in a dict amend merges into a section: leave this key out
+
+
+def amend(config: dict, section: str, key, value) -> dict:
+    """config with the section's key set to value.  key None merges value, a dict, into
+    the section, where an ABSENT entry removes its key, and puts any other value, null
+    included, in the section's place."""
+    if key is None and isinstance(value, dict):
+        config[section].update(value)
+        config[section] = {k: v for k, v in config[section].items() if v is not ABSENT}
+    elif key is None:
+        config[section] = value
+    else:
+        config.setdefault(section, {})[key] = value
+    return config
 
 
 def small_config(kind: str) -> dict:
@@ -581,7 +599,6 @@ class TestStudies:
         ("solver", "t_final", True, r"^solver t_final = True must be a real number$"),
         ("solver", "t_final", "1", r"^solver t_final = '1' must be a real number$"),
         ("solver", "eps", "x", r"^solver eps = 'x' must be a list of eps values$"),
-        ("solver", "eps", 0.25, r"^solver eps = 0.25 must be a list of eps values$"),
         ("solver", "eps", [0.25, "x"], r"^solver eps entry = 'x' must be a real number$"),
         ("noise", "cutoff_factor", "x", r"^noise cutoff_factor = 'x' must be a real number$"),
         ("coefficients", "amplitude", "x", r"^coefficients amplitude = 'x' must be a real "
@@ -599,14 +616,22 @@ class TestStudies:
          r"vanishes$"),
         ("noise", None, {"family": "custom", "table": {"2": [[0, 0.0, 0.0]], "12": "one"}},
          r"^noise custom drives nothing: every profile q_k with \|k\| <= 8 vanishes$"),
-        ("coefficients", None, {"name": None, "amplitude": None, "b": [[1, 0.0, -0.5]],
+        ("coefficients", None, {"name": None, "amplitude": ABSENT, "b": [[1, 0.0, -0.5]],
                                 "sigma": "one"},
          r"^coefficients b is not a real field: \|c_-k - conj c_k\| = 5\.000e-01 at k = 1, "
          r"above 1e-12 max \|c_k\|$"),
-        ("coefficients", None, {"name": None, "amplitude": None, "b": "sin",
+        ("coefficients", None, {"name": None, "amplitude": ABSENT, "b": "sin",
                                 "sigma": [[0, 1.0, 0.0], [2, 0.1, 0.0]]},
          r"^coefficients sigma is not a real field: \|c_-k - conj c_k\| = 1\.000e-01 at k = 2, "
          r"above 1e-12 max \|c_k\|$"),
+    ])
+    def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
+                                                   value, message):
+        with pytest.raises(ValueError, match=message):
+            run_study(amend(small_config(kind), section, key, value))
+        assert solves == []
+
+    @pytest.mark.parametrize("section, key, value, message", [
         ("coefficients", None, {"name": None, "b": "sin", "sigma": "one"},
          r"^coefficients amplitude given to the unnamed set, which reads only b, sigma$"),
         ("coefficients", "b", "sin",
@@ -616,32 +641,25 @@ class TestStudies:
          r"amplitude$"),
         ("coefficients", None, {"name": "heat"},
          r"^coefficients amplitude given to the heat set, which reads no set key$"),
-        ("coefficients", None, {"name": "heat", "amplitude": None, "b": "sin"},
+        ("coefficients", None, {"name": "heat", "amplitude": ABSENT, "b": "sin"},
          r"^coefficients b given to the heat set, which reads no set key$"),
-        ("coefficients", None, {"name": "heat", "amplitude": None, "sigma": "one"},
+        ("coefficients", None, {"name": "heat", "amplitude": ABSENT, "sigma": "one"},
          r"^coefficients sigma given to the heat set, which reads no set key$"),
-        ("coefficients", None, {"name": "heat", "amplitude": None, "sigma": 2.0},
-         r"^coefficients sigma given to the heat set, which reads no set key$"),
-        ("coefficients", None, {"name": None, "amplitude": None, "b": "sin", "sigma": 2.0},
+        ("coefficients", None, {"name": "heat", "amplitude": ABSENT, "sigma": 2.0},
          r"^coefficients sigma = 2.0 must be a profile name or a list of \[k, re, im\] "
          r"triples$"),
+        ("coefficients", None, {"name": None, "amplitude": ABSENT, "b": "sin", "sigma": 2.0},
+         r"^coefficients sigma = 2.0 must be a profile name or a list of \[k, re, im\] "
+         r"triples$"),
+        ("solver", "eps", 0.25, r"^solver eps = 0.25 must be a list of eps values$"),
         *UNREAD_FAMILY_KEYS,
     ])
-    def test_bad_solver_key_fails_before_any_solve(self, solves, kind, section, key,
-                                                   value, message):
-        """key None merges value, a dict, into the section, where a null entry removes
-        its key, and puts any other value, null included, in the section's place."""
-        config = small_config(kind)
-        if key is None and isinstance(value, dict):
-            config[section].update(value)
-            config[section] = {k: v for k, v in config[section].items() if v is not None}
-        elif key is None:
-            config[section] = value
-        else:
-            config.setdefault(section, {})[key] = value
+    def test_unread_variant_key_or_second_form_is_refused(self, section, key, value,
+                                                          message):
+        """A key the set or family does not read, heat's scalar sigma and a bare eps:
+        refused as the config is parsed, which reads no study kind."""
         with pytest.raises(ValueError, match=message):
-            run_study(config)
-        assert solves == []
+            parse_config(amend(small_config("variance"), section, key, value))
 
     @pytest.mark.parametrize("kind, section", [
         ("simulate", "noise"), ("converge", "noise"), ("variance", "noise"),
